@@ -2,12 +2,13 @@
 window, reverse, then a trainable affine projection into the text feature
 space.
 
-The attention projections are injected from the backbone and never updated;
-attention scores come from the value vectors against themselves, so the
-pre-softmax score matrix is symmetric. The query/key matrices ride along
-unused except in the ``qkv`` ablation mode. Only the per-stage projection
-(weight + bias) is trainable, and a ``linear`` adapter kind skips the
-attention entirely for the corresponding ablation.
+The attention projections are injected from the backbone and never updated.
+The per-window attention is the shared ``autodiff.attention`` in ``vv`` mode:
+scores come from the value vectors against themselves, so the pre-softmax
+score matrix is symmetric, and the query/key matrices are used only in the
+``qkv`` ablation mode. Only the per-stage projection (weight + bias) is
+trainable, and a ``linear`` adapter kind skips the attention entirely for the
+corresponding ablation.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ import numpy as np
 from . import autodiff as ag
 from . import numerics
 from .backbone import AttentionWeights
+from .config import ADAPTER_KINDS
 from .errors import ConfigError, UsageError
-
-ADAPTER_KINDS = ("fwa", "linear")
-ATTENTION_MODES = ("vv", "qkv")
 
 
 @dataclass
@@ -106,42 +105,6 @@ def window_reverse(wg: WindowGrid) -> np.ndarray:
     return grid.reshape(grid_h * grid_w, c)
 
 
-def vv_attention(tokens: np.ndarray, weights: AttentionWeights, mode: str = "vv") -> np.ndarray:
-    """Multi-head attention with value-derived scores, frozen weights.
-
-    Accepts (N, C) or a stacked (num_windows, N, C) batch. Per head the
-    scores are V V^T / sqrt(d_head) (symmetric); ``mode='qkv'`` restores
-    ordinary query-key scoring for the ablation.
-    """
-    if mode not in ATTENTION_MODES:
-        raise UsageError(f"attention mode must be one of {ATTENTION_MODES}, got {mode!r}")
-    tokens = np.asarray(tokens)
-    squeeze = tokens.ndim == 2
-    if squeeze:
-        tokens = tokens[None, :, :]
-    if tokens.ndim != 3:
-        raise UsageError(f"expected (N, C) or (B, N, C) tokens, got {tokens.shape}")
-    b, n, c = tokens.shape
-    if c != weights.w_v.shape[0]:
-        raise UsageError(
-            f"token width {c} does not match attention weights {weights.w_v.shape}"
-        )
-    heads = weights.heads
-    dh = c // heads
-
-    v = (tokens @ weights.w_v).reshape(b, n, heads, dh)
-    if mode == "vv":
-        q = k = v
-    else:
-        q = (tokens @ weights.w_q).reshape(b, n, heads, dh)
-        k = (tokens @ weights.w_k).reshape(b, n, heads, dh)
-    scores = np.einsum("bihd,bjhd->bhij", q, k) / np.sqrt(dh)
-    attn = numerics.softmax(scores, axis=-1)
-    ctx = np.einsum("bhij,bjhd->bihd", attn, v).reshape(b, n, c)
-    out = ctx @ weights.w_o
-    return out[0] if squeeze else out
-
-
 def attended_features(
     tokens: np.ndarray,
     weights: AttentionWeights,
@@ -151,14 +114,19 @@ def attended_features(
 ) -> np.ndarray:
     """partition -> batched per-window attention -> reverse, as one (L, C) map."""
     wg = window_partition(tokens, grid_dims[0], grid_dims[1], window[0], window[1])
-    wg.windows = vv_attention(wg.windows, weights, mode=mode)
+    wg.windows = ag.attention(
+        wg.windows, weights.w_q, weights.w_k, weights.w_v, weights.w_o, weights.heads, mode
+    )
     return window_reverse(wg)
 
 
-def project_tokens(params: AdapterParams, tokens):
-    """Trainable affine map plus row normalization; accepts Var or ndarray."""
-    z = ag.add(ag.matmul(tokens, params.weight), params.bias)
-    return ag.l2_normalize_rows(z)
+def project_tokens(weight, bias, tokens):
+    """Trainable affine map plus row normalization.
+
+    Given a stage's parameter Vars it builds graph nodes; given their arrays
+    it returns an array.
+    """
+    return ag.l2_normalize_rows(ag.add(ag.matmul(tokens, weight), bias))
 
 
 def adapter_forward(
@@ -177,8 +145,7 @@ def adapter_forward(
     tokens = np.asarray(tokens)
     if params.kind == "fwa":
         tokens = attended_features(tokens, weights, grid_dims, window, mode=mode)
-    out = project_tokens(params, tokens)
-    return out.data if ag.is_var(out) else out
+    return project_tokens(params.weight.data, params.bias.data, tokens)
 
 
 def attention_pair_count(grid_h: int, grid_w: int, h: int, w: int) -> int:

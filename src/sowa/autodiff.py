@@ -2,13 +2,15 @@
 
 A ``Var`` wraps an ndarray and records the closure that routes output
 gradients back to its parents; ``backward()`` walks the tape in reverse
-topological order. Only what the training path needs is implemented:
-broadcast arithmetic, (stacked) matmul, a few elementwise transcendentals,
-reductions, shape ops, and indexed gather.
+topological order. The primitives are broadcast arithmetic, (stacked)
+matmul, a few elementwise transcendentals, reductions, shape ops, and
+indexed gather; the model's shared formulas (GELU, layer norm, multi-head
+attention) are composed from them.
 
 The functional helpers (``exp``, ``matmul``, ``softmax_last`` ...) accept
 either ``Var`` or plain ndarray and return the same kind, so model formulas
-are written once and run with or without gradient tracking.
+are written once: training passes Vars and gets a graph, inference passes
+arrays and runs plain numpy with no graph at all.
 """
 
 from __future__ import annotations
@@ -372,12 +374,18 @@ def take(x, key):
 
 
 def softmax_last(x):
-    """Softmax along the last axis; the shift constant is detached."""
+    """Softmax along the last axis; the shift constant is detached.
+
+    The row maximum is subtracted before exponentiation, so shifted inputs
+    give identical outputs. Empty input is rejected.
+    """
+    data = x.data if is_var(x) else np.asarray(x)
+    if data.size == 0:
+        raise UsageError("softmax of an empty array is undefined")
+    shift = np.max(data, axis=-1, keepdims=True)
     if not is_var(x):
-        shifted = x - np.max(x, axis=-1, keepdims=True)
-        e = np.exp(shifted)
+        e = np.exp(data - shift)
         return e / np.sum(e, axis=-1, keepdims=True)
-    shift = np.max(x.data, axis=-1, keepdims=True)
     e = exp(add(x, -shift))
     return div(e, sum_(e, axis=-1, keepdims=True))
 
@@ -391,7 +399,7 @@ def l2_normalize_rows(x, eps: float = 1e-12):
 def gelu(x):
     """tanh-approximate GELU."""
     c = float(np.sqrt(2.0 / np.pi))
-    inner = mul(add(x, mul(power(x, 3.0), 0.044715)), c)
+    inner = mul(add(x, mul(mul(mul(x, x), x), 0.044715)), c)
     return mul(mul(x, add(tanh(inner), 1.0)), 0.5)
 
 
@@ -402,3 +410,35 @@ def layer_norm(x, scale, offset, eps: float = 1e-5):
     var = mean(mul(centered, centered), axis=-1, keepdims=True)
     normed = div(centered, sqrt(add(var, eps)))
     return add(mul(normed, scale), offset)
+
+
+def attention(x, w_q, w_k, w_v, w_o, heads: int, mode: str):
+    """Multi-head self-attention over (N, C) tokens or a stacked (B, N, C) batch.
+
+    ``mode='qkv'`` scores queries against keys; ``mode='vv'`` scores the
+    values against themselves (CLIP Surgery), so per head the pre-softmax
+    scores V V^T / sqrt(d_head) are symmetric and W_q, W_k go unused.
+    """
+    from .config import ATTENTION_MODES  # late: config imports backbone, which imports us
+
+    if mode not in ATTENTION_MODES:
+        raise UsageError(f"attention mode must be one of {ATTENTION_MODES}, got {mode!r}")
+    shape = tuple(x.shape)
+    if len(shape) not in (2, 3):
+        raise UsageError(f"expected (N, C) or (B, N, C) tokens, got {shape}")
+    *batch, n, c = shape
+    if c % heads or w_v.shape[0] != c:
+        raise UsageError(f"token width {c} does not fit {heads} heads and weights {w_v.shape}")
+    lead = len(batch)
+    # (..., n, c) -> (..., heads, n, dh) and back
+    to_heads = tuple(range(lead)) + (lead + 1, lead, lead + 2)
+
+    def split(t):
+        return transpose(reshape(t, (*batch, n, heads, c // heads)), to_heads)
+
+    v = split(matmul(x, w_v))
+    q, k = (v, v) if mode == "vv" else (split(matmul(x, w_q)), split(matmul(x, w_k)))
+    key_t = tuple(range(lead + 1)) + (lead + 2, lead + 1)
+    scores = mul(matmul(q, transpose(k, key_t)), (c // heads) ** -0.5)
+    ctx = transpose(matmul(softmax_last(scores), v), to_heads)
+    return matmul(reshape(ctx, shape), w_o)

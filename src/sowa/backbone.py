@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from . import autodiff as ag
 from . import numerics
 from .archive import archive_read, archive_write
 from .errors import ConfigError, UsageError, WeightsError
@@ -151,7 +152,7 @@ class Backbone:
         x = self._embed(image)
         stage_outputs: List[np.ndarray] = []
         for block in range(cfg.total_blocks):
-            x = self._block(x, block)
+            x = transformer_block(x, self.weights, block, cfg.heads)
             if (block + 1) % cfg.blocks_per_stage == 0:
                 stage_outputs.append(x[1:].copy())
         return StageFeatures(
@@ -172,47 +173,20 @@ class Backbone:
         x = np.concatenate([self.weights["cls_token"][None, :], tokens], axis=0)
         return x + self.weights["pos_embed"]
 
-    def _block(self, x: np.ndarray, idx: int) -> np.ndarray:
-        w = self.weights
-        pre = f"blocks.{idx}"
-        h = _layer_norm(x, w[f"{pre}.ln1.scale"], w[f"{pre}.ln1.offset"])
-        x = x + self._attention(h, idx)
-        h = _layer_norm(x, w[f"{pre}.ln2.scale"], w[f"{pre}.ln2.offset"])
-        x = x + self._mlp(h, idx)
-        return x
 
-    def _attention(self, x: np.ndarray, idx: int) -> np.ndarray:
-        cfg = self.config
-        w = self.weights
-        pre = f"blocks.{idx}.attn"
-        n, c = x.shape
-        dh = c // cfg.heads
-        q = (x @ w[f"{pre}.w_q"]).reshape(n, cfg.heads, dh)
-        k = (x @ w[f"{pre}.w_k"]).reshape(n, cfg.heads, dh)
-        v = (x @ w[f"{pre}.w_v"]).reshape(n, cfg.heads, dh)
-        scores = np.einsum("ihd,jhd->hij", q, k) / np.sqrt(dh)
-        attn = numerics.softmax(scores, axis=-1)
-        ctx = np.einsum("hij,jhd->ihd", attn, v).reshape(n, c)
-        return ctx @ w[f"{pre}.w_o"]
+def transformer_block(x, weights: Dict[str, np.ndarray], idx: int, heads: int):
+    """Pre-norm block ``blocks.{idx}`` of ``weights``: QKV attention, then MLP.
 
-    def _mlp(self, x: np.ndarray, idx: int) -> np.ndarray:
-        w = self.weights
-        pre = f"blocks.{idx}.mlp"
-        h = x @ w[f"{pre}.w1"] + w[f"{pre}.b1"]
-        h = _gelu(h)
-        return h @ w[f"{pre}.w2"] + w[f"{pre}.b2"]
-
-
-def _layer_norm(x: np.ndarray, scale: np.ndarray, offset: np.ndarray, eps: float = 1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / np.sqrt(var + eps) * scale + offset
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    c = np.sqrt(2.0 / np.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+    Shared by the vision backbone and the text encoder; ``x`` is an array or
+    a Var (the weights are always constants).
+    """
+    pre = f"blocks.{idx}"
+    h = ag.layer_norm(x, weights[f"{pre}.ln1.scale"], weights[f"{pre}.ln1.offset"])
+    attn = [weights[f"{pre}.attn.{m}"] for m in ("w_q", "w_k", "w_v", "w_o")]
+    x = ag.add(x, ag.attention(h, *attn, heads, "qkv"))
+    h = ag.layer_norm(x, weights[f"{pre}.ln2.scale"], weights[f"{pre}.ln2.offset"])
+    h = ag.gelu(ag.add(ag.matmul(h, weights[f"{pre}.mlp.w1"]), weights[f"{pre}.mlp.b1"]))
+    return ag.add(x, ag.add(ag.matmul(h, weights[f"{pre}.mlp.w2"]), weights[f"{pre}.mlp.b2"]))
 
 
 def tensor_hash(arr: np.ndarray) -> str:

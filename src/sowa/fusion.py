@@ -10,7 +10,7 @@ frozen projection against the same text rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -64,11 +64,6 @@ def fuse(stage_features: Sequence, text_features, cfg: FusionConfig):
     return logits
 
 
-def token_probabilities(logits):
-    """Per-token softmax over the (normal, abnormal) channels."""
-    return ag.softmax_last(logits)
-
-
 def anomaly_map(
     logits,
     grid: Tuple[int, int],
@@ -77,30 +72,27 @@ def anomaly_map(
 ) -> AnomalyMap:
     """Abnormal-channel probabilities upsampled to image resolution.
 
-    Returns plain arrays; the differentiable variant used in training is
-    ``abnormal_probability_map``.
+    ``abnormal_probability_map`` run on plain arrays, so inference maps and
+    the maps training differentiates come from one formula.
     """
     logits = logits.data if ag.is_var(logits) else np.asarray(logits)
     grid_h, grid_w = grid
-    if logits.ndim != 2 or logits.shape != (grid_h * grid_w, 2):
+    if logits.shape != (grid_h * grid_w, 2):
         raise UsageError(
             f"expected ({grid_h * grid_w}, 2) logits for a {grid_h}x{grid_w} grid, "
             f"got {logits.shape}"
         )
-    probs = numerics.softmax(logits, axis=-1)
-    abnormal = probs[:, 1].reshape(grid_h, grid_w)
-    scores = numerics.bilinear_upsample(abnormal, image_dims[0], image_dims[1])
-    if cfg.sigma > 0:
-        scores = numerics.gaussian_smooth(scores, cfg.sigma)
+    scores = abnormal_probability_map(logits, grid, image_dims, cfg)
     return AnomalyMap(scores=scores, token_logits=logits)
 
 
 def abnormal_probability_map(logits, grid: Tuple[int, int], image_dims: Tuple[int, int], cfg: FusionConfig):
     """Differentiable map pipeline: softmax -> reshape -> upsample -> blur."""
+    cfg = cfg.validate()
     grid_h, grid_w = grid
-    probs = token_probabilities(logits)
+    probs = ag.softmax_last(logits)
     abnormal = ag.reshape(probs[:, 1], (grid_h, grid_w))
-    dtype = abnormal.dtype if ag.is_var(abnormal) else np.asarray(abnormal).dtype
+    dtype = abnormal.dtype
     row_op = numerics.linear_resample_matrix(grid_h, image_dims[0]).astype(dtype)
     col_op = numerics.linear_resample_matrix(grid_w, image_dims[1]).astype(dtype)
     out = ag.matmul(ag.matmul(row_op, abnormal), col_op.T)
@@ -121,20 +113,3 @@ def image_score(class_token: np.ndarray, cls_proj: np.ndarray, text_features, cf
     sims = ag.mul(ag.matmul(text_features, f_cls), 1.0 / cfg.tau_cls)
     probs = ag.softmax_last(sims)
     return probs[1]
-
-
-def per_stage_maps(
-    stage_features: Sequence[np.ndarray],
-    text_features: np.ndarray,
-    grid: Tuple[int, int],
-    image_dims: Tuple[int, int],
-    cfg: FusionConfig,
-) -> List[AnomalyMap]:
-    """The fusion pipeline applied to each stage alone (one-hot alpha)."""
-    maps = []
-    for i in range(4):
-        one_hot = tuple(1.0 if j == i else 0.0 for j in range(4))
-        solo = FusionConfig(alpha=one_hot, tau=cfg.tau, tau_cls=cfg.tau_cls, sigma=cfg.sigma)
-        logits = fuse(stage_features, text_features, solo)
-        maps.append(anomaly_map(logits, grid, image_dims, solo))
-    return maps

@@ -14,6 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .config import IMAGE_SCORE_MODES
 from .errors import MetricUndefinedError, UsageError
 from .fewshot import MemoryBank, combine_maps, few_shot_map
 
@@ -225,7 +226,7 @@ def evaluate_dataset(
         raise UsageError(f"mode must be zero_shot or few_shot, got {mode!r}")
     if mode == "few_shot" and bank is None:
         raise UsageError("few_shot evaluation requires a memory bank")
-    if image_score_mode not in ("cls", "max_map"):
+    if image_score_mode not in IMAGE_SCORE_MODES:
         raise UsageError(f"unknown image_score_mode {image_score_mode!r}")
     samples = list(samples)
     if not samples:

@@ -147,16 +147,18 @@ class SowaModel:
 
     def stage_features_graph(self, acts: FrozenActivations):
         """Adapter outputs as graph nodes (unit-norm rows)."""
-        return [project_tokens(self.adapters[i], acts.adapter_inputs[i]) for i in range(4)]
+        pairs = zip(self.adapters, acts.adapter_inputs)
+        return [project_tokens(a.weight, a.bias, x) for a, x in pairs]
 
     # -------------------------------------------------------------- inference
     def predict(self, image: np.ndarray, cache_key: Optional[int] = None) -> Prediction:
+        """Map, score and stage features as plain arrays; builds no autodiff graph."""
         acts = self.frozen_forward(image, cache_key=cache_key)
         text = self.text_features().features
-        stars = [f.data if ag.is_var(f) else np.asarray(f) for f in self.stage_features_graph(acts)]
+        pairs = zip(self.adapters, acts.adapter_inputs)
+        stars = [project_tokens(a.weight.data, a.bias.data, x) for a, x in pairs]
         cfg = self.config.fusion
         logits = fusion_mod.fuse(stars, text, cfg)
-        logits = logits.data if ag.is_var(logits) else logits
         size = self.backbone.config.image_size
         amap = fusion_mod.anomaly_map(logits, self.grid, (size, size), cfg)
         score = fusion_mod.image_score(acts.class_token, self.cls_proj, text, cfg)
@@ -166,16 +168,6 @@ class SowaModel:
             stage_features=stars,
             grid=self.grid,
         )
-
-    def stage_maps(self, image: np.ndarray) -> Tuple[List[AnomalyMap], AnomalyMap]:
-        """Per-stage (one-hot alpha) maps plus the fused map, for diagnostics."""
-        pred = self.predict(image)
-        text = self.text_features().features
-        size = self.backbone.config.image_size
-        per_stage = fusion_mod.per_stage_maps(
-            pred.stage_features, text, self.grid, (size, size), self.config.fusion
-        )
-        return per_stage, pred.anomaly_map
 
     def build_memory_bank(self, images: Sequence[np.ndarray], ids=None) -> MemoryBank:
         per_image = [self.predict(img).stage_features for img in images]

@@ -1,4 +1,4 @@
-"""Dense-array numerical substrate: softmax, normalization, resampling, smoothing.
+"""Dense-array numerical substrate: normalization, resampling, smoothing.
 
 Arrays are plain numpy ndarrays, row-major, 32-bit floats by default. A 64-bit
 mode can be selected (globally or via the ``precision`` context manager) for
@@ -49,20 +49,6 @@ def precision(dtype):
 def as_float(x) -> np.ndarray:
     """Coerce to an ndarray of the current default float dtype."""
     return np.asarray(x, dtype=_DEFAULT_DTYPE)
-
-
-def softmax(x, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``.
-
-    The running maximum is subtracted before exponentiation, so arbitrarily
-    shifted inputs produce identical outputs. Empty input is rejected.
-    """
-    x = np.asarray(x)
-    if x.size == 0:
-        raise UsageError("softmax of an empty array is undefined")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def l2_normalize(x, eps: float = 1e-12, axis: int = -1) -> np.ndarray:
@@ -166,24 +152,3 @@ def gaussian_blur_matrix(n: int, sigma: float) -> np.ndarray:
         for k, weight in enumerate(kernel):
             op[i, _reflect_index(i + k - radius, n)] += weight
     return op.astype(_DEFAULT_DTYPE)
-
-
-def gaussian_smooth(grid, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of a 2-D map; sigma == 0 is the identity."""
-    grid = np.asarray(grid)
-    if grid.ndim != 2:
-        raise UsageError(f"expected a 2-D map, got shape {grid.shape}")
-    if sigma < 0:
-        raise UsageError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
-        return grid.copy()
-    row_op = gaussian_blur_matrix(grid.shape[0], sigma)
-    col_op = gaussian_blur_matrix(grid.shape[1], sigma)
-    return row_op @ grid.astype(row_op.dtype) @ col_op.T
-
-
-def require_finite(x, what: str) -> np.ndarray:
-    x = np.asarray(x)
-    if not np.all(np.isfinite(x)):
-        raise UsageError(f"{what} contains non-finite values")
-    return x

@@ -16,13 +16,14 @@ There is no tokenizer: "tokens" are vocabulary IDs with fixed embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
 import numpy as np
 
 from . import autodiff as ag
 from . import numerics
+from .backbone import tensor_hash, transformer_block
 from .errors import ConfigError, UsageError
 
 VOCABULARY = (
@@ -44,8 +45,6 @@ TEMPLATE_SENTENCES = {
     "normal": ("a", "photo", "of", "a", "normal", "object"),
     "abnormal": ("a", "photo", "of", "an", "abnormal", "object"),
 }
-
-PROMPT_KINDS = ("coop", "template", "fixed_pair")
 
 DEFAULT_CONTEXT_LENGTH = 12
 
@@ -78,8 +77,6 @@ class FrozenTextEncoder:
             arr.setflags(write=False)
 
     def hashes(self) -> Dict[str, str]:
-        from .backbone import tensor_hash
-
         return {n: tensor_hash(a) for n, a in sorted(self.weights.items())}
 
     def token_embedding(self, word: str) -> np.ndarray:
@@ -98,42 +95,10 @@ class FrozenTextEncoder:
             raise UsageError(f"sequence length {n} exceeds max_len {self.config.max_len}")
         x = ag.add(vectors, self.weights["pos_embed"][:n])
         for b in range(self.config.blocks):
-            x = self._block(x, b)
+            x = transformer_block(x, self.weights, b, self.config.heads)
         last = x[n - 1]
         projected = ag.matmul(last, self.weights["text_proj"])
         return ag.l2_normalize_rows(projected)
-
-    def _block(self, x, idx: int):
-        w = self.weights
-        pre = f"blocks.{idx}"
-        h = ag.layer_norm(x, w[f"{pre}.ln1.scale"], w[f"{pre}.ln1.offset"])
-        x = ag.add(x, self._attention(h, idx))
-        h = ag.layer_norm(x, w[f"{pre}.ln2.scale"], w[f"{pre}.ln2.offset"])
-        return ag.add(x, self._mlp(h, idx))
-
-    def _attention(self, x, idx: int):
-        cfg = self.config
-        w = self.weights
-        pre = f"blocks.{idx}.attn"
-        n = x.shape[0]
-        heads, dh = cfg.heads, cfg.width // cfg.heads
-
-        def split(t):  # (n, width) -> (heads, n, dh)
-            return ag.transpose(ag.reshape(t, (n, heads, dh)), (1, 0, 2))
-
-        q = split(ag.matmul(x, w[f"{pre}.w_q"]))
-        k = split(ag.matmul(x, w[f"{pre}.w_k"]))
-        v = split(ag.matmul(x, w[f"{pre}.w_v"]))
-        scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-        ctx = ag.matmul(ag.softmax_last(scores), v)
-        merged = ag.reshape(ag.transpose(ctx, (1, 0, 2)), (n, cfg.width))
-        return ag.matmul(merged, w[f"{pre}.w_o"])
-
-    def _mlp(self, x, idx: int):
-        w = self.weights
-        pre = f"blocks.{idx}.mlp"
-        h = ag.gelu(ag.add(ag.matmul(x, w[f"{pre}.w1"]), w[f"{pre}.b1"]))
-        return ag.add(ag.matmul(h, w[f"{pre}.w2"]), w[f"{pre}.b2"])
 
 
 def build_text_encoder(config: TextEncoderConfig | None = None) -> FrozenTextEncoder:
@@ -167,7 +132,10 @@ def build_text_encoder(config: TextEncoderConfig | None = None) -> FrozenTextEnc
 
 @dataclass
 class PromptPair:
-    """Trainable normal/abnormal context vectors plus frozen anchor embeddings."""
+    """Trainable normal/abnormal context vectors plus frozen anchor embeddings.
+
+    ``encode_text`` encodes a copy that holds the contexts' arrays instead.
+    """
 
     normal_context: ag.Var  # (l, width)
     abnormal_context: ag.Var  # (l, width)
@@ -217,22 +185,26 @@ def encode_branch(pair: PromptPair, encoder: FrozenTextEncoder, branch: str):
         raise UsageError(f"branch must be 'normal' or 'abnormal', got {branch!r}")
     context = pair.normal_context if branch == "normal" else pair.abnormal_context
     tail = np.stack([pair.anchors[branch], pair.anchors["object"]])
-    sequence = ag.concat([context, tail.astype(context.data.dtype)], axis=0)
+    sequence = ag.concat([context, tail.astype(context.dtype)], axis=0)
     return encoder.encode_sequence(sequence)
 
 
 def encode_prompts(pair: PromptPair, encoder: FrozenTextEncoder):
-    """Both branches stacked to (2, C_text); Var when contexts are trainable."""
-    rows = [encode_branch(pair, encoder, "normal"), encode_branch(pair, encoder, "abnormal")]
-    if any(ag.is_var(r) for r in rows):
-        return ag.concat([ag.reshape(r, (1, -1)) for r in rows], axis=0)
-    return np.stack(rows)
+    """Both branches stacked to (2, C_text); a Var when the contexts are Vars."""
+    rows = [encode_branch(pair, encoder, branch) for branch in ("normal", "abnormal")]
+    return ag.concat([ag.reshape(r, (1, -1)) for r in rows], axis=0)
 
 
 def encode_text(pair: PromptPair, encoder: FrozenTextEncoder) -> TextFeatures:
-    """Snapshot of the prompt features as plain arrays (inference view)."""
-    out = encode_prompts(pair, encoder)
-    return TextFeatures(features=out.data if ag.is_var(out) else np.asarray(out))
+    """The prompt features as plain arrays (inference view).
+
+    The same formula as ``encode_prompts`` run on the context arrays, so no
+    graph is built.
+    """
+    arrays = replace(
+        pair, normal_context=pair.normal_context.data, abnormal_context=pair.abnormal_context.data
+    )
+    return TextFeatures(features=encode_prompts(arrays, encoder))
 
 
 def fixed_template_features(

@@ -12,7 +12,6 @@ constants of the graph.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -307,8 +306,3 @@ def gradient_check(
             worst = max(worst, rel)
         errors[name] = worst
     return errors
-
-
-def checksum_params(params: Dict[str, ag.Var]) -> str:
-    joined = "\n".join(f"{n}:{tensor_hash(v.data)}" for n, v in sorted(params.items()))
-    return hashlib.sha256(joined.encode()).hexdigest()

@@ -7,7 +7,6 @@ from sowa.adapter import (
     adapter_forward,
     attention_pair_count,
     new_adapter_params,
-    vv_attention,
     window_partition,
     window_reverse,
 )
@@ -23,6 +22,10 @@ def _weights(c=8, heads=2, seed=0, identity=False):
     rng = np.random.default_rng(seed)
     mats = [rng.normal(0, c**-0.5, size=(c, c)).astype(np.float32) for _ in range(4)]
     return AttentionWeights(w_q=mats[0], w_k=mats[1], w_v=mats[2], w_o=mats[3], heads=heads, stage=1)
+
+
+def _attend(tokens, w, mode="vv"):
+    return ag.attention(tokens, w.w_q, w.w_k, w.w_v, w.w_o, w.heads, mode)
 
 
 class TestWindowPartition:
@@ -78,10 +81,12 @@ class TestWindowPartition:
 
 
 class TestVVAttention:
+    """The adapter's per-window attention: ``autodiff.attention`` in vv mode."""
+
     def test_single_token_equals_projected_value(self):
         w = _weights(c=8, heads=2, seed=1)
         token = np.random.default_rng(2).normal(size=(1, 8)).astype(np.float32)
-        out = vv_attention(token, w)
+        out = _attend(token, w)
         expected = (token @ w.w_v) @ w.w_o
         np.testing.assert_allclose(out, expected, atol=1e-6)
 
@@ -89,8 +94,8 @@ class TestVVAttention:
         w = _weights(c=8, heads=2, seed=3)
         token = np.random.default_rng(4).normal(size=(1, 8)).astype(np.float32)
         stacked = np.repeat(token, 5, axis=0)
-        out = vv_attention(stacked, w)
-        single = vv_attention(token, w)
+        out = _attend(stacked, w)
+        single = _attend(token, w)
         for row in out:
             np.testing.assert_allclose(row, single[0], atol=1e-6)
 
@@ -101,14 +106,25 @@ class TestVVAttention:
         tokens = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
         a = np.exp(1 / np.sqrt(2)) / (np.exp(1 / np.sqrt(2)) + 1)
         expected = np.array([[a, 1 - a], [1 - a, a]])
-        np.testing.assert_allclose(vv_attention(tokens, w), expected, atol=1e-6)
+        np.testing.assert_allclose(_attend(tokens, w), expected, atol=1e-6)
 
-    def test_pre_softmax_scores_symmetric(self):
+    def test_pre_softmax_scores_symmetric(self, monkeypatch):
         w = _weights(c=8, heads=2, seed=5)
         tokens = np.random.default_rng(6).normal(size=(7, 8)).astype(np.float32)
-        v = (tokens @ w.w_v).reshape(7, 2, 4)
-        scores = np.einsum("ihd,jhd->hij", v, v)
+        seen, softmax = [], ag.softmax_last
+
+        def recording(x):
+            seen.append(x)
+            return softmax(x)
+
+        monkeypatch.setattr(ag, "softmax_last", recording)
+        _attend(tokens, w)
+        (scores,) = seen
+        assert scores.shape == (2, 7, 7)
         np.testing.assert_allclose(scores, np.swapaxes(scores, 1, 2), atol=1e-6)
+        v = (tokens @ w.w_v).reshape(7, 2, 4)
+        expected = np.einsum("ihd,jhd->hij", v, v) / 2.0
+        np.testing.assert_allclose(scores, expected, rtol=1e-5, atol=1e-6)
 
     def test_permutation_equivariance(self):
         w = _weights(c=8, heads=2, seed=7)
@@ -116,26 +132,26 @@ class TestVVAttention:
         tokens = rng.normal(size=(6, 8)).astype(np.float32)
         perm = rng.permutation(6)
         np.testing.assert_allclose(
-            vv_attention(tokens[perm], w), vv_attention(tokens, w)[perm], atol=1e-6
+            _attend(tokens[perm], w), _attend(tokens, w)[perm], atol=1e-6
         )
 
     def test_batched_matches_sequential_loop(self):
         w = _weights(c=8, heads=2, seed=9)
         rng = np.random.default_rng(10)
         windows = rng.normal(size=(5, 4, 8)).astype(np.float32)
-        batched = vv_attention(windows, w)
+        batched = _attend(windows, w)
         for i in range(5):
-            solo = vv_attention(windows[i], w)
+            solo = _attend(windows[i], w)
             np.testing.assert_allclose(batched[i], solo, rtol=1e-6, atol=1e-7)
 
     def test_locality_across_windows(self):
         w = _weights(c=8, heads=2, seed=11)
         rng = np.random.default_rng(12)
         windows = rng.normal(size=(3, 4, 8)).astype(np.float32)
-        base = vv_attention(windows, w)
+        base = _attend(windows, w)
         mutated = windows.copy()
         mutated[1, 2] += 5.0
-        out = vv_attention(mutated, w)
+        out = _attend(mutated, w)
         np.testing.assert_array_equal(out[0], base[0])
         np.testing.assert_array_equal(out[2], base[2])
         assert not np.allclose(out[1], base[1])
@@ -143,11 +159,11 @@ class TestVVAttention:
     def test_qkv_mode_uses_query_key(self):
         w = _weights(c=8, heads=2, seed=13)
         tokens = np.random.default_rng(14).normal(size=(4, 8)).astype(np.float32)
-        assert not np.allclose(vv_attention(tokens, w, mode="vv"), vv_attention(tokens, w, mode="qkv"))
+        assert not np.allclose(_attend(tokens, w, mode="vv"), _attend(tokens, w, mode="qkv"))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(UsageError):
-            vv_attention(np.zeros((2, 8), dtype=np.float32), _weights(), mode="vq")
+            _attend(np.zeros((2, 8), dtype=np.float32), _weights(), mode="vq")
 
 
 class TestAdapterForward:

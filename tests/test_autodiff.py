@@ -1,8 +1,13 @@
 """Finite-difference validation of every autodiff primitive, in float64."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sowa
 from sowa import autodiff as ag
 from sowa.errors import UsageError
 
@@ -119,6 +124,85 @@ def test_gelu_layer_norm():
         lambda a, s, o: ag.sum_(ag.mul(ag.layer_norm(a, s, o), np.ones((2, 6)))),
         [(2, 6), (6,), (6,)],
     )
+
+
+def test_gelu_matches_power_formula():
+    x = np.linspace(-6.0, 6.0, 121)
+    c = np.sqrt(2.0 / np.pi)
+    expected = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+    np.testing.assert_allclose(ag.gelu(x), expected, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(ag.gelu(ag.Var(x, requires_grad=True)).data, ag.gelu(x), atol=0)
+
+
+def _einsum_attention(x, w_q, w_k, w_v, w_o, heads, mode):
+    """Reference: the head-split einsum formula the shared attention replaced."""
+    squeeze = x.ndim == 2
+    x = x[None] if squeeze else x
+    b, n, c = x.shape
+    dh = c // heads
+    v = (x @ w_v).reshape(b, n, heads, dh)
+    if mode == "vv":
+        q = k = v
+    else:
+        q = (x @ w_q).reshape(b, n, heads, dh)
+        k = (x @ w_k).reshape(b, n, heads, dh)
+    scores = np.einsum("bihd,bjhd->bhij", q, k) / np.sqrt(dh)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    out = np.einsum("bhij,bjhd->bihd", attn, v).reshape(b, n, c) @ w_o
+    return out[0] if squeeze else out
+
+
+@pytest.mark.parametrize("mode", ["vv", "qkv"])
+@pytest.mark.parametrize("shape", [(5, 8), (3, 5, 8)])
+def test_attention_matches_einsum_reference(mode, shape):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=shape)
+    mats = [rng.normal(0.0, 8**-0.5, size=(8, 8)) for _ in range(4)]
+    out = ag.attention(x, *mats, 2, mode)
+    assert isinstance(out, np.ndarray) and out.shape == shape
+    np.testing.assert_allclose(out, _einsum_attention(x, *mats, 2, mode), atol=1e-12)
+    graph = ag.attention(ag.Var(x, requires_grad=True), *mats, 2, mode)
+    np.testing.assert_allclose(graph.data, out, atol=1e-12)
+
+
+def test_attention_gradients():
+    probe = np.random.default_rng(4).normal(size=(2, 3, 4))
+    _fd_check(
+        lambda x, wq, wk, wv, wo: ag.sum_(ag.mul(ag.attention(x, wq, wk, wv, wo, 2, "qkv"), probe)),
+        [(2, 3, 4), (4, 4), (4, 4), (4, 4), (4, 4)],
+    )
+    # vv mode never reads W_q or W_k
+    unused = np.eye(4)
+    _fd_check(
+        lambda x, wv, wo: ag.sum_(ag.mul(ag.attention(x, unused, unused, wv, wo, 2, "vv"), probe)),
+        [(2, 3, 4), (4, 4), (4, 4)],
+    )
+
+
+def test_attention_rejects_bad_input():
+    w = np.eye(4)
+    with pytest.raises(UsageError):
+        ag.attention(np.ones((3, 4)), w, w, w, w, 2, "vq")
+    with pytest.raises(UsageError):
+        ag.attention(np.ones((2, 2, 3, 4)), w, w, w, w, 2, "vv")
+    with pytest.raises(UsageError, match="width 5"):
+        ag.attention(np.ones((3, 5)), w, w, w, w, 2, "vv")
+    with pytest.raises(UsageError, match="3 heads"):
+        ag.attention(np.ones((3, 4)), w, w, w, w, 3, "qkv")
+
+
+def test_every_module_imports_first():
+    """config -> backbone -> autodiff: no import order may close that cycle."""
+    code = (
+        "import importlib, pkgutil, sys, sowa\n"
+        "for info in pkgutil.iter_modules(sowa.__path__):\n"
+        "    for key in [k for k in sys.modules if k.startswith('sowa')]:\n"
+        "        del sys.modules[key]\n"
+        "    importlib.import_module('sowa.' + info.name)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sowa.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_numpy_branch_matches_var_branch():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sowa import numerics
+from sowa import autodiff as ag
 from sowa.backbone import (
     Backbone,
     BackboneConfig,
@@ -94,7 +94,7 @@ class TestForward:
         q = (normed @ w["blocks.0.attn.w_q"]).reshape(n, CFG.heads, dh)
         k = (normed @ w["blocks.0.attn.w_k"]).reshape(n, CFG.heads, dh)
         scores = np.einsum("ihd,jhd->hij", q, k) / np.sqrt(dh)
-        attn = numerics.softmax(scores, axis=-1)
+        attn = ag.softmax_last(scores)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
 
 
