@@ -14,12 +14,39 @@ what reverse-mode differentiation needs).
 from __future__ import annotations
 
 import contextlib
+import ctypes
 
 import numpy as np
 
 from .errors import UsageError
 
 _DEFAULT_DTYPE = np.float32
+
+# glibc mallopt parameter ids
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _retain_freed_memory() -> None:
+    """Keep freed heap memory for reuse instead of handing it back to the kernel.
+
+    Under glibc's defaults the free top of the heap goes back to the kernel
+    once it passes 128 KiB, and each array over a threshold that starts at
+    128 KiB gets an mmap of its own, unmapped when the array is freed. A
+    forward pass frees and re-allocates the same few MB on every call, so
+    each call faulted its temporaries back in page by page: about a third of
+    a 224 px ``predict`` ran in the kernel, at a cost that varied with the
+    host. Fixed thresholds make later calls reuse the same pages; peak RSS is
+    unchanged. C libraries without ``mallopt`` are left as they are.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # the largest glibc accepts on 64-bit
+
+
+_retain_freed_memory()
 
 
 def set_default_dtype(dtype) -> None:

@@ -1,7 +1,12 @@
 """Model-level contracts: inference builds no autodiff graph, training
-gradients reach every trainable tensor, and ``predict`` reproduces the
-outputs pinned in ``perfbench/golden.npz``."""
+gradients reach every trainable tensor, ``predict`` reproduces the outputs
+pinned in ``perfbench/golden.npz``, and warm ``predict`` calls reuse their
+heap pages."""
 
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,3 +82,27 @@ def test_predict_matches_pinned_golden(key, overrides):
                     actual, pinned[f"{key}.{i}.{name}"], rtol=0, atol=GOLDEN_ATOL,
                     err_msg=f"{key}.{i}.{name}",
                 )
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are set through glibc")
+def test_warm_predict_reuses_heap_pages():
+    # A fresh interpreter, so that no earlier test has moved glibc's own
+    # thresholds. Under the defaults every 64 px predict faulted about 1,500
+    # pages back in: the temporaries the previous call had freed.
+    code = (
+        "import resource\n"
+        "from sowa.config import default_config\n"
+        "from sowa.model import build_model\n"
+        "from sowa.synth import PatternSpec, synth_generate\n"
+        "model = build_model(default_config(seed=0))\n"
+        "image = synth_generate(PatternSpec(kind='mixed', seed=0), 1, image_size=64).samples[0].image\n"
+        "model.predict(image)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(10):\n"
+        "    model.predict(image)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ag.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 10 * 100
