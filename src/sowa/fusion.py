@@ -48,12 +48,13 @@ def fuse(stage_features: Sequence, text_features, cfg: FusionConfig):
     """Weighted sum of per-stage similarity logits: sum_i alpha_i F*_i T^T / tau.
 
     Channel 0 scores the normal row, channel 1 the abnormal row. Accepts
-    Vars (training) or arrays; stages must agree on token count.
+    Vars (training) or arrays, as (L, C) or a stacked (B, L, C) batch;
+    stages must agree on token count.
     """
     cfg = cfg.validate()
     if len(stage_features) != 4:
         raise UsageError(f"expected 4 stage feature maps, got {len(stage_features)}")
-    lengths = {f.shape[0] for f in stage_features}
+    lengths = {f.shape[-2] for f in stage_features}
     if len(lengths) != 1:
         raise UsageError(f"stages disagree on token count: {sorted(lengths)}")
     text_t = ag.transpose(text_features, (1, 0))
@@ -87,11 +88,15 @@ def anomaly_map(
 
 
 def abnormal_probability_map(logits, grid: Tuple[int, int], image_dims: Tuple[int, int], cfg: FusionConfig):
-    """Differentiable map pipeline: softmax -> reshape -> upsample -> blur."""
+    """Differentiable map pipeline: softmax -> reshape -> upsample -> blur.
+
+    ``logits`` is (L, 2) or a stacked (B, L, 2) batch; the map is (H, W) or
+    (B, H, W) accordingly.
+    """
     cfg = cfg.validate()
     grid_h, grid_w = grid
     probs = ag.softmax_last(logits)
-    abnormal = ag.reshape(probs[:, 1], (grid_h, grid_w))
+    abnormal = ag.reshape(probs[..., 1], (*probs.shape[:-2], grid_h, grid_w))
     dtype = abnormal.dtype
     row_op = numerics.linear_resample_matrix(grid_h, image_dims[0]).astype(dtype)
     col_op = numerics.linear_resample_matrix(grid_w, image_dims[1]).astype(dtype)
@@ -106,10 +111,11 @@ def abnormal_probability_map(logits, grid: Tuple[int, int], image_dims: Tuple[in
 def image_score(class_token: np.ndarray, cls_proj: np.ndarray, text_features, cfg: FusionConfig):
     """Two-way softmax score of the projected class token; abnormal side.
 
-    Differentiable in ``text_features`` when given as a Var.
+    ``class_token`` is (C_vis,) for one scalar score or (B, C_vis) for B
+    scores. Differentiable in ``text_features`` when given as a Var.
     """
     cfg = cfg.validate()
     f_cls = numerics.l2_normalize(np.asarray(class_token) @ np.asarray(cls_proj))
-    sims = ag.mul(ag.matmul(text_features, f_cls), 1.0 / cfg.tau_cls)
+    sims = ag.mul(ag.matmul(f_cls, ag.transpose(text_features, (1, 0))), 1.0 / cfg.tau_cls)
     probs = ag.softmax_last(sims)
-    return probs[1]
+    return probs[..., 1]

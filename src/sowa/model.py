@@ -37,7 +37,7 @@ from .prompts import (
     TextFeatures,
     build_prompt_pair,
     build_text_encoder,
-    encode_prompts,
+    encode_prompts,  # noqa: F401  not called here; perfbench/tracer.py looks it up in this module
     encode_text,
     fixed_template_features,
 )
@@ -70,7 +70,7 @@ class SowaModel:
     prompt_pair: PromptPair
     cls_proj: np.ndarray
     fixed_text: Optional[TextFeatures] = None
-    _feature_cache: Dict[int, FrozenActivations] = field(default_factory=dict, repr=False)
+    _feature_cache: Dict[bytes, FrozenActivations] = field(default_factory=dict, repr=False)
 
     # ---------------------------------------------------------------- frozen
     @property
@@ -97,9 +97,20 @@ class SowaModel:
         return hashlib.sha256(joined.encode()).hexdigest()
 
     def frozen_forward(self, image: np.ndarray, cache_key: Optional[int] = None) -> FrozenActivations:
-        """Backbone + (for fwa) frozen windowed attention; cacheable per sample."""
-        if cache_key is not None and cache_key in self._feature_cache:
-            return self._feature_cache[cache_key]
+        """Backbone + (for fwa) frozen windowed attention; cacheable per image.
+
+        Any non-None ``cache_key`` opts in to the cache. Entries are matched
+        by the image itself (a SHA-256 of its dtype, shape and bytes), never
+        by the key, so a key reused for another image cannot return stale
+        features.
+        """
+        if cache_key is not None:
+            image = np.ascontiguousarray(image)
+            digest = hashlib.sha256(f"{image.dtype.str}{image.shape}".encode())
+            digest.update(image)
+            cache_key = digest.digest()
+            if cache_key in self._feature_cache:
+                return self._feature_cache[cache_key]
         feats = self.backbone.forward(image)
         inputs = []
         for stage in range(4):
@@ -132,23 +143,11 @@ class SowaModel:
             params["prompt.abnormal_context"] = self.prompt_pair.abnormal_context
         return params
 
-    def text_features_graph(self):
-        """Text rows for the training graph: a Var in coop mode, else constant."""
-        if self.config.prompt_kind == "coop":
-            return encode_prompts(self.prompt_pair, self.encoder)
-        assert self.fixed_text is not None
-        return self.fixed_text.features
-
     def text_features(self) -> TextFeatures:
         if self.config.prompt_kind == "coop":
             return encode_text(self.prompt_pair, self.encoder)
         assert self.fixed_text is not None
         return self.fixed_text
-
-    def stage_features_graph(self, acts: FrozenActivations):
-        """Adapter outputs as graph nodes (unit-norm rows)."""
-        pairs = zip(self.adapters, acts.adapter_inputs)
-        return [project_tokens(a.weight, a.bias, x) for a, x in pairs]
 
     # -------------------------------------------------------------- inference
     def predict(self, image: np.ndarray, cache_key: Optional[int] = None) -> Prediction:

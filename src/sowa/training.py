@@ -4,10 +4,14 @@ Adam training loop.
 The loss is a weighted sum of dice and focal terms on the per-pixel abnormal
 probabilities against the mask, plus binary cross-entropy on the image-level
 score against the label. Masks and labels arrive in {-1, +1} and are remapped
-to {0, 1}. Gradients reach exactly the trainable set (four adapter
-projections and, in coop mode, the two prompt contexts); the backbone, the
-injected attention weights, the text encoder, and the class projection are
-constants of the graph.
+to {0, 1}. One formula scores a whole batch: the samples' cached frozen
+activations are stacked along a leading batch axis, the prompts are encoded
+once, and every term is a mean over the batch. Run on the trainable Vars it
+builds one graph per batch, whose gradients reach exactly the trainable set
+(four adapter projections and, in coop mode, the two prompt contexts); the
+backbone, the injected attention weights, the text encoder, and the class
+projection are constants of the graph. Run on the parameter arrays, as the
+dataset loss does, it builds no graph.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import adapter as adapter_mod
 from . import autodiff as ag
 from . import fusion as fusion_mod
+from . import prompts as prompts_mod
 from .backbone import tensor_hash
 from .config import LossSection, OptimSection
 from .errors import TrainingError, UsageError
@@ -27,7 +33,11 @@ PRED_CLAMP = 1e-7
 
 
 def dice_loss(pred, target01, eps: float = 1.0):
-    """1 - (2 sum(p g) + eps) / (sum(p) + sum(g) + eps); lives in [0, 1)."""
+    """Batch mean of 1 - (2 sum(p g) + eps) / (sum(p) + sum(g) + eps).
+
+    Axis 0 indexes the samples: each sample's sums run over all its other
+    axes, so one sample's dice lives in [0, 1) whatever the batch holds.
+    """
     shape_p = pred.shape if ag.is_var(pred) else np.asarray(pred).shape
     shape_g = np.asarray(target01).shape
     if tuple(shape_p) != tuple(shape_g):
@@ -35,14 +45,16 @@ def dice_loss(pred, target01, eps: float = 1.0):
     if eps <= 0:
         raise UsageError("dice eps must be > 0")
     target = np.asarray(target01, dtype=np.float64 if not ag.is_var(pred) else None)
-    overlap = ag.sum_(ag.mul(pred, target))
-    total = ag.add(ag.sum_(pred), float(np.sum(target)))
-    return ag.add(1.0, ag.mul(ag.div(ag.add(ag.mul(overlap, 2.0), eps), ag.add(total, eps)), -1.0))
+    axes = tuple(range(1, len(shape_p)))
+    overlap = ag.sum_(ag.mul(pred, target), axis=axes)
+    total = ag.add(ag.sum_(pred, axis=axes), np.sum(target, axis=axes))
+    ratio = ag.div(ag.add(ag.mul(overlap, 2.0), eps), ag.add(total, eps))
+    return ag.add(1.0, ag.mul(ag.mean(ratio), -1.0))
 
 
 def focal_loss(pred, target01, gamma: float = 2.0, alpha: float = 0.5):
-    """Mean of -alpha_t (1 - p_t)^gamma log(p_t), predictions clamped away
-    from {0, 1}."""
+    """Mean of -alpha_t (1 - p_t)^gamma log(p_t) over every pixel of the
+    batch, predictions clamped away from {0, 1}."""
     shape_p = pred.shape if ag.is_var(pred) else np.asarray(pred).shape
     target = np.asarray(target01)
     if tuple(shape_p) != tuple(target.shape):
@@ -56,24 +68,25 @@ def focal_loss(pred, target01, gamma: float = 2.0, alpha: float = 0.5):
     return ag.mean(ag.mul(ag.mul(weight, ag.log(p_t)), -1.0))
 
 
-def bce_loss(score, label01: float):
-    """Binary cross-entropy of a scalar score against a {0, 1} label."""
+def bce_loss(score, label01):
+    """Batch mean of the binary cross-entropy of scores against {0, 1} labels."""
     s = ag.clip(score, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    y = float(label01)
+    y = np.asarray(label01, dtype=np.float64)
     pos = ag.mul(ag.log(s), -y)
     neg = ag.mul(ag.log(ag.add(1.0, ag.mul(s, -1.0))), -(1.0 - y))
-    return ag.add(pos, neg)
+    return ag.mean(ag.add(pos, neg))
 
 
 def composite_loss(map_scores, mask_pm1, score, label_pm1, weights: LossSection):
     """lambda_1 dice + lambda_2 focal + lambda_3 bce on {-1,+1} annotations.
 
-    Returns (total, per-term float dict); differentiable when the map and
-    score are graph nodes.
+    Maps and masks are (B, H, W), scores and labels (B,): dice is taken per
+    sample, and every term is its batch mean. Returns (total, per-term float
+    dict); differentiable when the map and score are graph nodes.
     """
     weights = weights.validate()
     mask01 = (np.asarray(mask_pm1) + 1.0) / 2.0
-    label01 = (float(label_pm1) + 1.0) / 2.0
+    label01 = (np.asarray(label_pm1, dtype=np.float64) + 1.0) / 2.0
     d = dice_loss(map_scores, mask01, eps=weights.dice_eps)
     f = focal_loss(map_scores, mask01, gamma=weights.focal_gamma, alpha=weights.focal_alpha)
     b = bce_loss(score, label01)
@@ -89,17 +102,38 @@ def composite_loss(map_scores, mask_pm1, score, label_pm1, weights: LossSection)
     return total, terms
 
 
-def sample_loss(model, sample, cache_key: Optional[int] = None):
-    """Build the full loss graph for one sample; returns (loss Var, terms)."""
-    acts = model.frozen_forward(sample.image, cache_key=cache_key)
-    text = model.text_features_graph()
-    stars = model.stage_features_graph(acts)
+def _batch_loss(model, samples: Sequence, cache_keys, projections, text):
+    """The loss formula over a stacked batch, on ``projections`` (one
+    (weight, bias) per stage) and ``text`` rows given as Vars or arrays."""
+    if not samples:
+        raise UsageError("cannot score an empty batch")
+    if cache_keys is None:
+        cache_keys = [None] * len(samples)
+    acts = [model.frozen_forward(s.image, cache_key=k) for s, k in zip(samples, cache_keys)]
+    stars = [
+        adapter_mod.project_tokens(weight, bias, np.stack([a.adapter_inputs[i] for a in acts]))
+        for i, (weight, bias) in enumerate(projections)
+    ]
     cfg = model.config.fusion
     logits = fusion_mod.fuse(stars, text, cfg)
     size = model.backbone.config.image_size
     pmap = fusion_mod.abnormal_probability_map(logits, model.grid, (size, size), cfg)
-    score = fusion_mod.image_score(acts.class_token, model.cls_proj, text, cfg)
-    return composite_loss(pmap, sample.mask, score, sample.label, model.config.loss)
+    classes = np.stack([a.class_token for a in acts])
+    score = fusion_mod.image_score(classes, model.cls_proj, text, cfg)
+    masks = np.stack([s.mask for s in samples])
+    labels = [s.label for s in samples]
+    return composite_loss(pmap, masks, score, labels, model.config.loss)
+
+
+def sample_loss(model, samples: Sequence, cache_keys: Optional[Sequence[int]] = None):
+    """The loss graph of a batch of samples: one stacked graph whose loss
+    is the batch mean; returns (loss Var, per-term floats)."""
+    if model.config.prompt_kind == "coop":
+        text = prompts_mod.encode_prompts(model.prompt_pair, model.encoder)
+    else:
+        text = model.text_features().features
+    projections = [(a.weight, a.bias) for a in model.adapters]
+    return _batch_loss(model, samples, cache_keys, projections, text)
 
 
 def batch_gradients(model, samples: Sequence, cache_keys: Optional[Sequence[int]] = None):
@@ -107,25 +141,13 @@ def batch_gradients(model, samples: Sequence, cache_keys: Optional[Sequence[int]
     params = model.trainable()
     for var in params.values():
         var.zero_grad()
-    if cache_keys is None:
-        cache_keys = [None] * len(samples)
-    losses = []
-    terms_acc: Dict[str, float] = {"dice": 0.0, "focal": 0.0, "bce": 0.0}
-    for key, sample in zip(cache_keys, samples):
-        loss, terms = sample_loss(model, sample, cache_key=key)
-        losses.append(loss)
-        for k, v in terms.items():
-            terms_acc[k] += v / len(samples)
-    total = losses[0]
-    for extra in losses[1:]:
-        total = ag.add(total, extra)
-    total = ag.mul(total, 1.0 / len(samples))
-    total.backward()
+    loss, terms = sample_loss(model, samples, cache_keys)
+    loss.backward()
     grads = {
         name: (var.grad if var.grad is not None else np.zeros_like(var.data)).copy()
         for name, var in params.items()
     }
-    return float(total.data), terms_acc, grads
+    return float(loss.data), terms, grads
 
 
 @dataclass
@@ -190,10 +212,21 @@ class EpochReport:
 
 
 def mean_dataset_loss(model, samples: Sequence, cache: bool = True) -> float:
+    """Mean per-sample loss of a dataset, builds no graph.
+
+    The batch formula runs on the parameter arrays and the inference text
+    features (encoded once per call), in chunks of the optimizer batch size
+    so that memory does not grow with the dataset.
+    """
+    text = model.text_features().features
+    projections = [(a.weight.data, a.bias.data) for a in model.adapters]
+    bs = model.config.optim.batch_size
     total = 0.0
-    for i, sample in enumerate(samples):
-        loss, _ = sample_loss(model, sample, cache_key=i if cache else None)
-        total += float(loss.data if ag.is_var(loss) else loss)
+    for start in range(0, len(samples), bs):
+        chunk = samples[start : start + bs]
+        keys = range(start, start + len(chunk)) if cache else None
+        loss, _ = _batch_loss(model, chunk, keys, projections, text)
+        total += float(loss) * len(chunk)
     return total / len(samples)
 
 
@@ -268,23 +301,20 @@ def restore_optimizer(state: TrainState, tensors: Dict[str, np.ndarray]) -> Trai
 
 def gradient_check(
     model,
-    sample,
+    samples: Sequence,
     coords_per_tensor: int = 20,
     step: float = 1e-5,
     seed: int = 0,
 ) -> Dict[str, float]:
-    """Max relative error of analytic vs central-difference gradients.
+    """Max relative error of a batch's analytic vs central-difference gradients.
 
-    Meant to run on a model built in float64 mode; float32 rounding is far
-    above useful finite-difference resolution.
+    The analytic side is ``batch_gradients``; the differences come from
+    ``mean_dataset_loss``, the same formula run without a graph. Meant to run
+    on a model built in float64 mode; float32 rounding is far above useful
+    finite-difference resolution.
     """
     params = model.trainable()
-    for var in params.values():
-        var.zero_grad()
-    loss, _ = sample_loss(model, sample, cache_key=0)
-    loss.backward()
-    analytic = {n: (v.grad if v.grad is not None else np.zeros_like(v.data)).copy()
-                for n, v in params.items()}
+    _, _, analytic = batch_gradients(model, samples, cache_keys=range(len(samples)))
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     errors: Dict[str, float] = {}
@@ -296,11 +326,11 @@ def gradient_check(
             where = np.unravel_index(idx, var.data.shape)
             original = var.data[where]
             var.data[where] = original + step
-            hi, _ = sample_loss(model, sample, cache_key=0)
+            hi = mean_dataset_loss(model, samples)
             var.data[where] = original - step
-            lo, _ = sample_loss(model, sample, cache_key=0)
+            lo = mean_dataset_loss(model, samples)
             var.data[where] = original
-            fd = (float(hi.data) - float(lo.data)) / (2.0 * step)
+            fd = (hi - lo) / (2.0 * step)
             an = float(analytic[name].reshape(-1)[idx])
             rel = abs(an - fd) / max(1e-8, abs(fd))
             worst = max(worst, rel)

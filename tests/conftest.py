@@ -4,6 +4,7 @@ for fast unit tests."""
 import numpy as np
 import pytest
 
+from sowa import autodiff as ag
 from sowa.config import default_config
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
@@ -45,3 +46,17 @@ def tiny_image(tiny_corpus):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(123)
+
+
+@pytest.fixture()
+def var_count(monkeypatch):
+    """A list that grows by one for every ``ag.Var`` created while the test runs."""
+    created = []
+    init = ag.Var.__init__
+
+    def counting(self, *args, **kwargs):
+        created.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ag.Var, "__init__", counting)
+    return created
