@@ -63,13 +63,6 @@ def new_adapter_params(
     )
 
 
-def _check_divisible(grid_h: int, grid_w: int, h: int, w: int) -> None:
-    if h < 1 or w < 1 or grid_h % h != 0 or grid_w % w != 0:
-        raise ConfigError(
-            f"window {h}x{w} does not tile token grid {grid_h}x{grid_w}"
-        )
-
-
 def window_partition(tokens: np.ndarray, grid_h: int, grid_w: int, h: int, w: int) -> WindowGrid:
     """Tile an (L, C) row-major token grid into (H/h * W/w) windows.
 
@@ -82,7 +75,8 @@ def window_partition(tokens: np.ndarray, grid_h: int, grid_w: int, h: int, w: in
             f"expected ({grid_h * grid_w}, C) tokens for a {grid_h}x{grid_w} grid, "
             f"got {tokens.shape}"
         )
-    _check_divisible(grid_h, grid_w, h, w)
+    if h < 1 or w < 1 or grid_h % h != 0 or grid_w % w != 0:
+        raise ConfigError(f"window {h}x{w} does not tile token grid {grid_h}x{grid_w}")
     c = tokens.shape[1]
     grid = tokens.reshape(grid_h // h, h, grid_w // w, w, c)
     windows = grid.transpose(0, 2, 1, 3, 4).reshape(-1, h * w, c)
@@ -127,29 +121,3 @@ def project_tokens(weight, bias, tokens):
     it returns an array.
     """
     return ag.l2_normalize_rows(ag.add(ag.matmul(tokens, weight), bias))
-
-
-def adapter_forward(
-    params: AdapterParams,
-    tokens: np.ndarray,
-    weights: AttentionWeights,
-    grid_dims: Tuple[int, int],
-    window: Tuple[int, int],
-    mode: str = "vv",
-) -> np.ndarray:
-    """Full adapter pipeline on (L, C_vis) patch tokens; rows come out unit-norm.
-
-    kind='fwa': windowed frozen attention, then the trainable projection.
-    kind='linear': the trainable projection alone.
-    """
-    tokens = np.asarray(tokens)
-    if params.kind == "fwa":
-        tokens = attended_features(tokens, weights, grid_dims, window, mode=mode)
-    return project_tokens(params.weight.data, params.bias.data, tokens)
-
-
-def attention_pair_count(grid_h: int, grid_w: int, h: int, w: int) -> int:
-    """Token-pair scores computed by windowed attention on an HxW grid."""
-    _check_divisible(grid_h, grid_w, h, w)
-    num_windows = (grid_h // h) * (grid_w // w)
-    return num_windows * (h * w) ** 2

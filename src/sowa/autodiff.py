@@ -40,9 +40,6 @@ class Var:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -59,35 +56,6 @@ class Var:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Operator sugar delegates to the module-level helpers below.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -391,7 +359,11 @@ def softmax_last(x):
 
 
 def l2_normalize_rows(x, eps: float = 1e-12):
-    """Unit-norm rows with the same zero-vector guard as numerics.l2_normalize."""
+    """Scale rows (the last axis) to unit L2 norm.
+
+    Rows with norm below ``eps`` are divided by ``eps`` instead, so a zero
+    row maps to zero rather than NaN.
+    """
     norm = sqrt(sum_(mul(x, x), axis=-1, keepdims=True))
     return div(x, maximum(norm, eps))
 

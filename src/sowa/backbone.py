@@ -24,6 +24,8 @@ from . import numerics
 from .archive import archive_read, archive_write
 from .errors import ConfigError, UsageError, WeightsError
 
+STAGES = 4
+
 _CONFIG_KEYS = (
     "image_size",
     "patch_size",
@@ -39,17 +41,13 @@ class BackboneConfig:
     image_size: int = 64
     patch_size: int = 8
     channels: int = 64
-    stages: int = 4
     blocks_per_stage: int = 2
     heads: int = 4
     mlp_ratio: float = 4.0
-    seed: int = 0
     norm_mean: Tuple[float, float, float] = (0.5, 0.5, 0.5)
     norm_std: Tuple[float, float, float] = (0.25, 0.25, 0.25)
 
-    def validate(self) -> "BackboneConfig":
-        if self.stages != 4:
-            raise ConfigError(f"backbone is fixed at 4 stages, got {self.stages}")
+    def __post_init__(self):
         if self.image_size < 1 or self.patch_size < 1:
             raise ConfigError("image_size and patch_size must be positive")
         if self.image_size % self.patch_size != 0:
@@ -64,7 +62,6 @@ class BackboneConfig:
             raise ConfigError("blocks_per_stage must be >= 1")
         if self.mlp_ratio <= 0:
             raise ConfigError("mlp_ratio must be positive")
-        return self
 
     @property
     def grid(self) -> int:
@@ -76,7 +73,7 @@ class BackboneConfig:
 
     @property
     def total_blocks(self) -> int:
-        return self.stages * self.blocks_per_stage
+        return STAGES * self.blocks_per_stage
 
 
 @dataclass
@@ -109,20 +106,13 @@ class Backbone:
         for arr in self.weights.values():
             arr.setflags(write=False)
 
-    def tensor_names(self) -> List[str]:
-        return sorted(self.weights.keys())
-
     def hashes(self) -> Dict[str, str]:
         return {name: tensor_hash(arr) for name, arr in sorted(self.weights.items())}
 
-    def content_hash(self) -> str:
-        joined = "\n".join(f"{n}:{h}" for n, h in self.hashes().items())
-        return hashlib.sha256(joined.encode()).hexdigest()
-
     def stage_attention_weights(self, stage: int) -> AttentionWeights:
         """(W_q, W_k, W_v, W_o) of the last block of ``stage`` (1-based)."""
-        if stage not in (1, 2, 3, 4):
-            raise UsageError(f"stage must be in 1..4, got {stage}")
+        if not 1 <= stage <= STAGES:
+            raise UsageError(f"stage must be in 1..{STAGES}, got {stage}")
         block = stage * self.config.blocks_per_stage - 1
         w = self.weights
         return AttentionWeights(
@@ -139,16 +129,14 @@ class Backbone:
         std = np.asarray(self.config.norm_std, dtype=image.dtype)
         return (image - mean) / std
 
-    def forward(self, image: np.ndarray, pre_normalized: bool = False) -> StageFeatures:
+    def forward(self, image: np.ndarray) -> StageFeatures:
         """Run the frozen stack on one (image_size, image_size, 3) image."""
         cfg = self.config
         image = np.asarray(image, dtype=numerics.default_dtype())
         expected = (cfg.image_size, cfg.image_size, 3)
         if image.shape != expected:
             raise UsageError(f"expected image of shape {expected}, got {image.shape}")
-        if not pre_normalized:
-            image = self.normalize_image(image)
-
+        image = self.normalize_image(image)
         x = self._embed(image)
         stage_outputs: List[np.ndarray] = []
         for block in range(cfg.total_blocks):
@@ -160,9 +148,6 @@ class Backbone:
             class_token=x[0].copy(),
             grid=(cfg.grid, cfg.grid),
         )
-
-    def forward_batch(self, images) -> List[StageFeatures]:
-        return [self.forward(img) for img in images]
 
     def _embed(self, image: np.ndarray) -> np.ndarray:
         cfg = self.config
@@ -224,20 +209,17 @@ def _expected_shapes(cfg: BackboneConfig) -> Dict[str, Tuple[int, ...]]:
     return shapes
 
 
-def init_synthetic(config: BackboneConfig, seed: int | None = None) -> Backbone:
+def init_synthetic(config: BackboneConfig, seed: int) -> Backbone:
     """Build a backbone with deterministic seeded weights.
 
     Matrices are Gaussian with std 1/sqrt(fan_in), embeddings Gaussian with
     std 0.02, norms at identity, biases at zero. Equal seeds give bit-identical
     weights.
     """
-    cfg = config.validate()
-    if seed is None:
-        seed = cfg.seed
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     dtype = numerics.default_dtype()
     weights: Dict[str, np.ndarray] = {}
-    for name, shape in _expected_shapes(cfg).items():
+    for name, shape in _expected_shapes(config).items():
         short = name.rsplit(".", 1)[-1]
         if short in ("scale",):
             arr = np.ones(shape)
@@ -248,7 +230,7 @@ def init_synthetic(config: BackboneConfig, seed: int | None = None) -> Backbone:
         else:
             arr = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
         weights[name] = arr.astype(dtype)
-    return Backbone(config=cfg, weights=weights)
+    return Backbone(config=config, weights=weights)
 
 
 def save_weights(backbone: Backbone, path) -> None:
@@ -278,7 +260,7 @@ def load_weights(path) -> Backbone:
         mlp_ratio=float(kwargs["mlp_ratio"][0]),
         norm_mean=tuple(float(v) for v in tensors.pop("config.norm_mean")),
         norm_std=tuple(float(v) for v in tensors.pop("config.norm_std")),
-    ).validate()
+    )
 
     expected = _expected_shapes(cfg)
     missing = sorted(set(expected) - set(tensors))

@@ -1,10 +1,12 @@
-"""Run configuration: one validated, JSON-round-trippable document that is
-echoed verbatim into every output artifact.
+"""Run configuration: one JSON-round-trippable document for a whole run.
 
-The file format is plain JSON with nested sections mirroring the dataclass
-layout below; unknown keys are rejected so typos fail loudly. ``SOWA_SEED``
-in the environment supplies the seed when neither the file nor the command
-line does.
+Every config object, here and in the modules that own a section
+(``BackboneConfig``, ``FusionConfig``), is a frozen dataclass that checks
+itself on construction and raises ``ConfigError``, so an object that exists
+is valid and no function checks it again. The file format is plain JSON with
+nested sections mirroring the dataclass layout below; unknown keys are
+rejected so typos fail loudly. ``SOWA_SEED`` in the environment supplies the
+seed when neither the file nor the command line does.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .backbone import BackboneConfig
 from .errors import ConfigError
@@ -28,18 +30,6 @@ IMAGE_SCORE_MODES = ("cls", "max_map")
 
 
 @dataclass(frozen=True)
-class BackboneSection:
-    image_size: int = 64
-    patch_size: int = 8
-    channels: int = 64
-    blocks_per_stage: int = 2
-    heads: int = 4
-    mlp_ratio: float = 4.0
-    norm_mean: Tuple[float, float, float] = (0.5, 0.5, 0.5)
-    norm_std: Tuple[float, float, float] = (0.25, 0.25, 0.25)
-
-
-@dataclass(frozen=True)
 class LossSection:
     dice: float = 1.0
     focal: float = 1.0
@@ -48,14 +38,13 @@ class LossSection:
     focal_alpha: float = 0.5
     dice_eps: float = 1.0
 
-    def validate(self) -> "LossSection":
+    def __post_init__(self):
         if min(self.dice, self.focal, self.bce) < 0:
             raise ConfigError("loss weights must be >= 0")
         if self.focal_gamma < 0 or not 0 <= self.focal_alpha <= 1:
             raise ConfigError("need focal_gamma >= 0 and focal_alpha in [0, 1]")
         if self.dice_eps <= 0:
             raise ConfigError("dice_eps must be > 0")
-        return self
 
 
 @dataclass(frozen=True)
@@ -67,14 +56,13 @@ class OptimSection:
     batch_size: int = 8
     epochs: int = 1
 
-    def validate(self) -> "OptimSection":
+    def __post_init__(self):
         if self.lr <= 0 or self.eps <= 0:
             raise ConfigError("lr and eps must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("betas must lie in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
-        return self
 
 
 @dataclass(frozen=True)
@@ -89,12 +77,12 @@ class RunConfig:
     text_width: int = 32
     image_score_mode: str = "max_map"
     few_shot_beta: float = 0.5
-    backbone: BackboneSection = field(default_factory=BackboneSection)
+    backbone: BackboneConfig = field(default_factory=BackboneConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     loss: LossSection = field(default_factory=LossSection)
     optim: OptimSection = field(default_factory=OptimSection)
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         if self.adapter_kind not in ADAPTER_KINDS:
             raise ConfigError(f"adapter_kind must be one of {ADAPTER_KINDS}")
         if self.attention_mode not in ATTENTION_MODES:
@@ -105,31 +93,15 @@ class RunConfig:
             raise ConfigError(f"image_score_mode must be one of {IMAGE_SCORE_MODES}")
         if self.prompt_length < 1:
             raise ConfigError("prompt_length must be >= 1")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
+        if self.window < 1 or self.backbone.grid % self.window != 0:
+            raise ConfigError(
+                f"window {self.window} does not tile the "
+                f"{self.backbone.grid}x{self.backbone.grid} token grid"
+            )
         if self.c_text < 2 or self.text_width < 2:
             raise ConfigError("c_text and text_width must be >= 2")
         if not 0.0 <= self.few_shot_beta <= 1.0:
             raise ConfigError("few_shot_beta must lie in [0, 1]")
-        self.backbone_config()  # validates the backbone section
-        self.fusion.validate()
-        self.loss.validate()
-        self.optim.validate()
-        return self
-
-    def backbone_config(self) -> BackboneConfig:
-        b = self.backbone
-        return BackboneConfig(
-            image_size=b.image_size,
-            patch_size=b.patch_size,
-            channels=b.channels,
-            blocks_per_stage=b.blocks_per_stage,
-            heads=b.heads,
-            mlp_ratio=b.mlp_ratio,
-            seed=self.seed,
-            norm_mean=tuple(b.norm_mean),
-            norm_std=tuple(b.norm_std),
-        ).validate()
 
     def to_dict(self) -> Dict:
         def convert(obj):
@@ -143,7 +115,7 @@ class RunConfig:
 
 
 _SECTION_TYPES = {
-    "backbone": BackboneSection,
+    "backbone": BackboneConfig,
     "fusion": FusionConfig,
     "loss": LossSection,
     "optim": OptimSection,
@@ -182,13 +154,13 @@ def config_from_dict(data: Dict) -> RunConfig:
         else:
             kwargs[name] = value
     try:
-        return RunConfig(**kwargs).validate()
+        return RunConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
 
 def load_config(path, overrides: Optional[Dict] = None) -> RunConfig:
-    """Read a JSON config file, apply flat overrides, validate."""
+    """Read a JSON config file and apply flat overrides; building validates."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: configuration problems exit 2, data and
-file-format problems exit 3, runtime failures exit 4.
+Every error the package raises on purpose is a ``SowaError``; the subclasses
+separate bad arguments and configuration (``UsageError``, ``ConfigError``),
+bad data and files (``DataError`` and its format and archive errors), and
+failures at run time (weights, metrics, training).
 """
 
 

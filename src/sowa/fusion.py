@@ -26,14 +26,13 @@ class FusionConfig:
     tau_cls: float = 1.0
     sigma: float = 0.0
 
-    def validate(self) -> "FusionConfig":
+    def __post_init__(self):
         if len(self.alpha) != 4 or not all(np.isfinite(self.alpha)):
             raise ConfigError(f"alpha must be 4 finite weights, got {self.alpha}")
         if self.tau <= 0 or self.tau_cls <= 0:
             raise ConfigError("temperatures must be positive")
         if self.sigma < 0:
             raise ConfigError("smoothing sigma must be >= 0")
-        return self
 
 
 @dataclass
@@ -51,7 +50,6 @@ def fuse(stage_features: Sequence, text_features, cfg: FusionConfig):
     Vars (training) or arrays, as (L, C) or a stacked (B, L, C) batch;
     stages must agree on token count.
     """
-    cfg = cfg.validate()
     if len(stage_features) != 4:
         raise UsageError(f"expected 4 stage feature maps, got {len(stage_features)}")
     lengths = {f.shape[-2] for f in stage_features}
@@ -93,7 +91,6 @@ def abnormal_probability_map(logits, grid: Tuple[int, int], image_dims: Tuple[in
     ``logits`` is (L, 2) or a stacked (B, L, 2) batch; the map is (H, W) or
     (B, H, W) accordingly.
     """
-    cfg = cfg.validate()
     grid_h, grid_w = grid
     probs = ag.softmax_last(logits)
     abnormal = ag.reshape(probs[..., 1], (*probs.shape[:-2], grid_h, grid_w))
@@ -114,8 +111,7 @@ def image_score(class_token: np.ndarray, cls_proj: np.ndarray, text_features, cf
     ``class_token`` is (C_vis,) for one scalar score or (B, C_vis) for B
     scores. Differentiable in ``text_features`` when given as a Var.
     """
-    cfg = cfg.validate()
-    f_cls = numerics.l2_normalize(np.asarray(class_token) @ np.asarray(cls_proj))
+    f_cls = ag.l2_normalize_rows(np.asarray(class_token) @ np.asarray(cls_proj))
     sims = ag.mul(ag.matmul(f_cls, ag.transpose(text_features, (1, 0))), 1.0 / cfg.tau_cls)
     probs = ag.softmax_last(sims)
     return probs[..., 1]

@@ -208,20 +208,25 @@ def evaluate_dataset(
     samples: Sequence,
     mode: str = "zero_shot",
     bank: MemoryBank | None = None,
-    beta: float = 0.5,
-    image_score_mode: str = "cls",
+    beta: float | None = None,
+    image_score_mode: str | None = None,
     fpr_limit: float = 0.3,
-    workers: int = 1,
     config: Dict | None = None,
 ) -> MetricsReport:
     """Run a model over labeled samples and compute the four-metric report.
 
     ``model`` must expose ``predict(image)`` returning an object with
-    ``anomaly_map``, ``image_score``, ``stage_features``, and ``grid``.
-    In few-shot mode each map is blended with the memory-bank distance map;
-    the image score then comes from the class-token path (``cls``) or the
-    map maximum (``max_map``).
+    ``anomaly_map``, ``image_score``, ``stage_features``, and ``grid``, and a
+    run ``config``. In few-shot mode each map is blended with the
+    memory-bank distance map with weight ``beta``; the image score then
+    comes from the class-token path (``cls``) or the map maximum
+    (``max_map``). ``beta`` and ``image_score_mode`` default to the run
+    config's ``few_shot_beta`` and ``image_score_mode``.
     """
+    if beta is None:
+        beta = model.config.few_shot_beta
+    if image_score_mode is None:
+        image_score_mode = model.config.image_score_mode
     if mode not in ("zero_shot", "few_shot"):
         raise UsageError(f"mode must be zero_shot or few_shot, got {mode!r}")
     if mode == "few_shot" and bank is None:
@@ -232,28 +237,18 @@ def evaluate_dataset(
     if not samples:
         raise UsageError("cannot evaluate an empty dataset")
 
-    def score_one(sample):
+    maps, scores = [], []
+    for sample in samples:
         pred = model.predict(sample.image)
         amap = pred.anomaly_map
         if mode == "few_shot":
             fmap = few_shot_map(pred.stage_features, bank, pred.grid, amap.scores.shape)
             amap = combine_maps(amap, fmap, beta=beta)
+        maps.append(amap.scores)
         if image_score_mode == "max_map":
-            score = float(amap.scores.max())
+            scores.append(float(amap.scores.max()))
         else:
-            score = float(pred.image_score)
-        return amap.scores, score
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(score_one, samples))
-    else:
-        results = [score_one(s) for s in samples]
-
-    maps = [r[0] for r in results]
-    scores = [r[1] for r in results]
+            scores.append(float(pred.image_score))
     labels = [(1 if s.label > 0 else 0) for s in samples]
     masks = [(np.asarray(s.mask) > 0).astype(np.int64) for s in samples]
     try:

@@ -25,16 +25,15 @@ from .adapter import (
     project_tokens,
 )
 from .archive import archive_read, archive_write
-from .backbone import Backbone, BackboneConfig, init_synthetic, tensor_hash
+from .backbone import Backbone, init_synthetic, tensor_hash
 from .config import RunConfig
-from .errors import UsageError, WeightsError
+from .errors import WeightsError
 from .fewshot import MemoryBank, build_memory_bank
 from .fusion import AnomalyMap
 from .prompts import (
     FrozenTextEncoder,
     PromptPair,
     TextEncoderConfig,
-    TextFeatures,
     build_prompt_pair,
     build_text_encoder,
     encode_prompts,  # noqa: F401  not called here; perfbench/tracer.py looks it up in this module
@@ -69,22 +68,14 @@ class SowaModel:
     adapters: List[AdapterParams]
     prompt_pair: PromptPair
     cls_proj: np.ndarray
-    fixed_text: Optional[TextFeatures] = None
-    _feature_cache: Dict[bytes, FrozenActivations] = field(default_factory=dict, repr=False)
+    fixed_text: Optional[np.ndarray] = None
+    _feature_cache: Dict[str, FrozenActivations] = field(default_factory=dict, repr=False)
 
     # ---------------------------------------------------------------- frozen
     @property
     def grid(self) -> Tuple[int, int]:
         g = self.backbone.config.grid
         return (g, g)
-
-    @property
-    def window(self) -> Tuple[int, int]:
-        w = self.config.window
-        return (w, w)
-
-    def stage_weights(self, stage: int):
-        return self.backbone.stage_attention_weights(stage)
 
     def frozen_hashes(self) -> Dict[str, str]:
         hashes = {f"backbone.{n}": h for n, h in self.backbone.hashes().items()}
@@ -100,27 +91,24 @@ class SowaModel:
         """Backbone + (for fwa) frozen windowed attention; cacheable per image.
 
         Any non-None ``cache_key`` opts in to the cache. Entries are matched
-        by the image itself (a SHA-256 of its dtype, shape and bytes), never
-        by the key, so a key reused for another image cannot return stale
-        features.
+        by the image itself (its ``tensor_hash``), never by the key, so a key
+        reused for another image cannot return stale features.
         """
         if cache_key is not None:
-            image = np.ascontiguousarray(image)
-            digest = hashlib.sha256(f"{image.dtype.str}{image.shape}".encode())
-            digest.update(image)
-            cache_key = digest.digest()
+            cache_key = tensor_hash(image)
             if cache_key in self._feature_cache:
                 return self._feature_cache[cache_key]
         feats = self.backbone.forward(image)
+        window = (self.config.window, self.config.window)
         inputs = []
         for stage in range(4):
             tokens = feats.stages[stage]
             if self.config.adapter_kind == "fwa":
                 tokens = attended_features(
                     tokens,
-                    self.stage_weights(stage + 1),
+                    self.backbone.stage_attention_weights(stage + 1),
                     self.grid,
-                    self.window,
+                    window,
                     mode=self.config.attention_mode,
                 )
             inputs.append(tokens)
@@ -143,7 +131,8 @@ class SowaModel:
             params["prompt.abnormal_context"] = self.prompt_pair.abnormal_context
         return params
 
-    def text_features(self) -> TextFeatures:
+    def text_features(self) -> np.ndarray:
+        """The (2, C_text) text features; row 0 normal, row 1 abnormal."""
         if self.config.prompt_kind == "coop":
             return encode_text(self.prompt_pair, self.encoder)
         assert self.fixed_text is not None
@@ -153,7 +142,7 @@ class SowaModel:
     def predict(self, image: np.ndarray, cache_key: Optional[int] = None) -> Prediction:
         """Map, score and stage features as plain arrays; builds no autodiff graph."""
         acts = self.frozen_forward(image, cache_key=cache_key)
-        text = self.text_features().features
+        text = self.text_features()
         pairs = zip(self.adapters, acts.adapter_inputs)
         stars = [project_tokens(a.weight.data, a.bias.data, x) for a, x in pairs]
         cfg = self.config.fusion
@@ -208,25 +197,24 @@ class SowaModel:
 
 
 def build_model(config: RunConfig) -> SowaModel:
-    """Construct the full model from a validated run configuration."""
-    cfg = config.validate()
-    seed = cfg.seed
-    backbone = init_synthetic(cfg.backbone_config(), seed=seed)
+    """Construct the full model from a run configuration."""
+    seed = config.seed
+    backbone = init_synthetic(config.backbone, seed)
     encoder = build_text_encoder(
         TextEncoderConfig(
-            width=cfg.text_width,
-            c_text=cfg.c_text,
+            width=config.text_width,
+            c_text=config.c_text,
             seed=seed + _SEED_OFFSETS["encoder"],
         )
     )
-    pair = build_prompt_pair(cfg.prompt_length, seed + _SEED_OFFSETS["prompts"], encoder)
+    pair = build_prompt_pair(config.prompt_length, seed + _SEED_OFFSETS["prompts"], encoder)
     adapters = [
         new_adapter_params(
-            cfg.backbone.channels,
-            cfg.c_text,
+            config.backbone.channels,
+            config.c_text,
             stage=i + 1,
             seed=seed + _SEED_OFFSETS["adapters"] + i,
-            kind=cfg.adapter_kind,
+            kind=config.adapter_kind,
         )
         for i in range(4)
     ]
@@ -234,24 +222,17 @@ def build_model(config: RunConfig) -> SowaModel:
         np.random.PCG64(np.random.SeedSequence(seed + _SEED_OFFSETS["cls"]))
     )
     cls_proj = rng.normal(
-        0.0, 1.0 / np.sqrt(cfg.backbone.channels), size=(cfg.backbone.channels, cfg.c_text)
+        0.0, 1.0 / np.sqrt(config.backbone.channels), size=(config.backbone.channels, config.c_text)
     ).astype(numerics.default_dtype())
     cls_proj.setflags(write=False)
 
     fixed_text = None
-    if cfg.prompt_kind == "template":
+    if config.prompt_kind == "template":
         fixed_text = fixed_template_features(encoder, "template")
-    elif cfg.prompt_kind == "fixed_pair":
+    elif config.prompt_kind == "fixed_pair":
         fixed_text = fixed_template_features(encoder, "fixed_pair", pair)
-
-    # window must tile the token grid; surface the mismatch before any compute
-    grid = cfg.backbone.image_size // cfg.backbone.patch_size
-    if grid % cfg.window != 0:
-        raise UsageError(
-            f"window {cfg.window} does not tile the {grid}x{grid} token grid"
-        )
     return SowaModel(
-        config=cfg,
+        config=config,
         backbone=backbone,
         encoder=encoder,
         adapters=adapters,

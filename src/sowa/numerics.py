@@ -73,24 +73,6 @@ def precision(dtype):
         set_default_dtype(previous)
 
 
-def as_float(x) -> np.ndarray:
-    """Coerce to an ndarray of the current default float dtype."""
-    return np.asarray(x, dtype=_DEFAULT_DTYPE)
-
-
-def l2_normalize(x, eps: float = 1e-12, axis: int = -1) -> np.ndarray:
-    """Scale rows (along ``axis``) to unit L2 norm.
-
-    Vectors with norm below ``eps`` are divided by ``eps`` instead, so zero
-    input maps to zero rather than NaN.
-    """
-    if eps <= 0:
-        raise UsageError("l2_normalize requires eps > 0")
-    x = np.asarray(x)
-    norm = np.sqrt(np.sum(x * x, axis=axis, keepdims=True))
-    return x / np.maximum(norm, eps)
-
-
 def linear_resample_matrix(n_in: int, n_out: int) -> np.ndarray:
     """1-D linear-interpolation operator (n_out x n_in), half-pixel centers.
 
@@ -100,16 +82,13 @@ def linear_resample_matrix(n_in: int, n_out: int) -> np.ndarray:
     """
     if n_in < 1 or n_out < 1:
         raise UsageError(f"resample sizes must be >= 1, got {n_in} -> {n_out}")
+    src = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    lo = np.floor(src).astype(np.int64)
+    frac = src - lo
+    rows = np.arange(n_out)
     op = np.zeros((n_out, n_in), dtype=np.float64)
-    scale = n_in / n_out
-    for i in range(n_out):
-        src = (i + 0.5) * scale - 0.5
-        src = min(max(src, 0.0), n_in - 1.0)
-        lo = int(np.floor(src))
-        hi = min(lo + 1, n_in - 1)
-        frac = src - lo
-        op[i, lo] += 1.0 - frac
-        op[i, hi] += frac
+    op[rows, lo] = 1.0 - frac
+    op[rows, np.minimum(lo + 1, n_in - 1)] += frac  # the same cell as lo at the clamped end
     return op.astype(_DEFAULT_DTYPE)
 
 

@@ -46,9 +46,6 @@ TEMPLATE_SENTENCES = {
     "abnormal": ("a", "photo", "of", "an", "abnormal", "object"),
 }
 
-DEFAULT_CONTEXT_LENGTH = 12
-
-
 @dataclass(frozen=True)
 class TextEncoderConfig:
     width: int = 32
@@ -59,12 +56,11 @@ class TextEncoderConfig:
     c_text: int = 32
     seed: int = 1
 
-    def validate(self) -> "TextEncoderConfig":
+    def __post_init__(self):
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
         if self.blocks < 1 or self.max_len < 3:
             raise ConfigError("text encoder needs >= 1 block and max_len >= 3")
-        return self
 
 
 @dataclass
@@ -102,7 +98,7 @@ class FrozenTextEncoder:
 
 
 def build_text_encoder(config: TextEncoderConfig | None = None) -> FrozenTextEncoder:
-    cfg = (config or TextEncoderConfig()).validate()
+    cfg = config or TextEncoderConfig()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     dtype = numerics.default_dtype()
     width = cfg.width
@@ -143,21 +139,6 @@ class PromptPair:
     length: int
 
 
-@dataclass
-class TextFeatures:
-    """2 x C_text matrix; row 0 is the normal branch, row 1 the abnormal one."""
-
-    features: np.ndarray
-
-    @property
-    def normal(self) -> np.ndarray:
-        return self.features[0]
-
-    @property
-    def abnormal(self) -> np.ndarray:
-        return self.features[1]
-
-
 def build_prompt_pair(length: int, seed: int, encoder: FrozenTextEncoder) -> PromptPair:
     """Seeded Gaussian(0, 0.02) contexts of ``length`` vectors per branch."""
     if length < 1:
@@ -195,8 +176,8 @@ def encode_prompts(pair: PromptPair, encoder: FrozenTextEncoder):
     return ag.concat([ag.reshape(r, (1, -1)) for r in rows], axis=0)
 
 
-def encode_text(pair: PromptPair, encoder: FrozenTextEncoder) -> TextFeatures:
-    """The prompt features as plain arrays (inference view).
+def encode_text(pair: PromptPair, encoder: FrozenTextEncoder) -> np.ndarray:
+    """The (2, C_text) prompt features as a plain array (inference view).
 
     The same formula as ``encode_prompts`` run on the context arrays, so no
     graph is built.
@@ -204,13 +185,13 @@ def encode_text(pair: PromptPair, encoder: FrozenTextEncoder) -> TextFeatures:
     arrays = replace(
         pair, normal_context=pair.normal_context.data, abnormal_context=pair.abnormal_context.data
     )
-    return TextFeatures(features=encode_prompts(arrays, encoder))
+    return encode_prompts(arrays, encoder)
 
 
 def fixed_template_features(
     encoder: FrozenTextEncoder, kind: str, pair: PromptPair | None = None
-) -> TextFeatures:
-    """Non-trainable text features for the ablations.
+) -> np.ndarray:
+    """Non-trainable (2, C_text) text features for the ablations.
 
     kind='template' encodes the two hand-written vocabulary sentences;
     kind='fixed_pair' encodes the learnable-prompt sequences with the
@@ -223,7 +204,7 @@ def fixed_template_features(
                 [encoder.token_embedding(w) for w in TEMPLATE_SENTENCES[branch]]
             )
             rows.append(np.asarray(encoder.encode_sequence(vectors)))
-        return TextFeatures(features=np.stack(rows))
+        return np.stack(rows)
     if kind == "fixed_pair":
         if pair is None:
             raise UsageError("fixed_pair features need a PromptPair")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import numerics
 from .data_io import Dataset, Sample, write_image, write_manifest, write_mask
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 
 KINDS = ("point", "line", "plane", "motley")
 
@@ -46,14 +46,13 @@ class PatternSpec:
     base_cells: int = 4
     amplitude: float = 0.3  # background texture swing around mid-gray
 
-    def validate(self) -> "PatternSpec":
+    def __post_init__(self):
         if self.kind not in KINDS + ("mixed",):
-            raise UsageError(f"kind must be one of {KINDS + ('mixed',)}, got {self.kind!r}")
+            raise ConfigError(f"kind must be one of {KINDS + ('mixed',)}, got {self.kind!r}")
         if self.octaves < 1 or self.base_cells < 2:
-            raise UsageError("need octaves >= 1 and base_cells >= 2")
+            raise ConfigError("need octaves >= 1 and base_cells >= 2")
         if not 0.0 <= self.amplitude <= 1.0:
-            raise UsageError("amplitude must lie in [0, 1]")
-        return self
+            raise ConfigError("amplitude must lie in [0, 1]")
 
 
 def _sample_rng(spec: PatternSpec, index: int, stream: int = 0) -> np.random.Generator:
@@ -216,7 +215,6 @@ def generate_sample(spec: PatternSpec, index: int, image_size: int, category: st
 def synth_generate(spec: PatternSpec, n: int, image_size: int = 64) -> Dataset:
     """Generate ``n`` samples: half normal (alternating train/test), half
     defective (always test)."""
-    spec = spec.validate()
     if n < 1:
         raise UsageError(f"need n >= 1 samples, got {n}")
     category = f"synthetic_{spec.kind}"

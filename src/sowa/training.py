@@ -84,7 +84,6 @@ def composite_loss(map_scores, mask_pm1, score, label_pm1, weights: LossSection)
     sample, and every term is its batch mean. Returns (total, per-term float
     dict); differentiable when the map and score are graph nodes.
     """
-    weights = weights.validate()
     mask01 = (np.asarray(mask_pm1) + 1.0) / 2.0
     label01 = (np.asarray(label_pm1, dtype=np.float64) + 1.0) / 2.0
     d = dice_loss(map_scores, mask01, eps=weights.dice_eps)
@@ -131,7 +130,7 @@ def sample_loss(model, samples: Sequence, cache_keys: Optional[Sequence[int]] = 
     if model.config.prompt_kind == "coop":
         text = prompts_mod.encode_prompts(model.prompt_pair, model.encoder)
     else:
-        text = model.text_features().features
+        text = model.text_features()
     projections = [(a.weight, a.bias) for a in model.adapters]
     return _batch_loss(model, samples, cache_keys, projections, text)
 
@@ -170,7 +169,6 @@ class TrainState:
 
 
 def new_train_state(model, optim: OptimSection) -> TrainState:
-    optim = optim.validate()
     return TrainState(
         params=model.trainable(),
         lr=optim.lr,
@@ -218,7 +216,7 @@ def mean_dataset_loss(model, samples: Sequence, cache: bool = True) -> float:
     features (encoded once per call), in chunks of the optimizer batch size
     so that memory does not grow with the dataset.
     """
-    text = model.text_features().features
+    text = model.text_features()
     projections = [(a.weight.data, a.bias.data) for a in model.adapters]
     bs = model.config.optim.batch_size
     total = 0.0

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from sowa import numerics
 from sowa.adapter import (
     AdapterParams,
-    adapter_forward,
-    attention_pair_count,
+    attended_features,
     new_adapter_params,
+    project_tokens,
     window_partition,
     window_reverse,
 )
@@ -26,6 +25,12 @@ def _weights(c=8, heads=2, seed=0, identity=False):
 
 def _attend(tokens, w, mode="vv"):
     return ag.attention(tokens, w.w_q, w.w_k, w.w_v, w.w_o, w.heads, mode)
+
+
+def _adapt(params, tokens, w, grid_dims, window):
+    """The fwa adapter on arrays: frozen windowed attention, then the projection."""
+    attended = attended_features(tokens, w, grid_dims, window)
+    return project_tokens(params.weight.data, params.bias.data, attended)
 
 
 class TestWindowPartition:
@@ -167,23 +172,25 @@ class TestVVAttention:
 
 
 class TestAdapterForward:
+    """``attended_features`` then ``project_tokens``, as ``SowaModel`` runs them."""
+
     def test_unit_window_degeneracy(self):
         # h = w = 1: attention over one token is the value path
         w = _weights(c=8, heads=2, seed=15)
         params = new_adapter_params(8, 6, stage=1, seed=16)
         tokens = np.random.default_rng(17).normal(size=(12, 8)).astype(np.float32)
-        out = adapter_forward(params, tokens, w, (3, 4), (1, 1))
+        out = _adapt(params, tokens, w, (3, 4), (1, 1))
         value_path = (tokens @ w.w_v) @ w.w_o
-        expected = numerics.l2_normalize(
-            value_path @ params.weight.data + params.bias.data
-        )
+        projected = value_path @ params.weight.data + params.bias.data
+        expected = projected / np.linalg.norm(projected, axis=1, keepdims=True)
         np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-6)
 
     def test_linear_kind_zero_input_gives_bias_direction(self):
+        # the linear kind projects the backbone tokens without attention
         params = new_adapter_params(8, 6, stage=1, seed=18, kind="linear")
         params.bias.data = np.arange(6, dtype=np.float32)
-        out = adapter_forward(params, np.zeros((4, 8), dtype=np.float32), _weights(), (2, 2), (2, 2))
-        expected = numerics.l2_normalize(np.arange(6, dtype=np.float32))
+        out = project_tokens(params.weight.data, params.bias.data, np.zeros((4, 8), dtype=np.float32))
+        expected = np.arange(6, dtype=np.float32) / np.sqrt(55.0)
         for row in out:
             np.testing.assert_allclose(row, expected, atol=1e-6)
 
@@ -191,7 +198,7 @@ class TestAdapterForward:
         w = _weights(c=8, heads=2, seed=19)
         params = new_adapter_params(8, 6, stage=2, seed=20)
         tokens = np.random.default_rng(21).normal(size=(16, 8)).astype(np.float32)
-        out = adapter_forward(params, tokens, w, (4, 4), (2, 2))
+        out = _adapt(params, tokens, w, (4, 4), (2, 2))
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-6)
 
     def test_frozen_weights_untouched(self):
@@ -199,21 +206,9 @@ class TestAdapterForward:
         before = [tensor_hash(m) for m in (w.w_q, w.w_k, w.w_v, w.w_o)]
         params = new_adapter_params(8, 6, stage=1, seed=23)
         tokens = np.random.default_rng(24).normal(size=(16, 8)).astype(np.float32)
-        adapter_forward(params, tokens, w, (4, 4), (2, 2))
+        _adapt(params, tokens, w, (4, 4), (2, 2))
         assert [tensor_hash(m) for m in (w.w_q, w.w_k, w.w_v, w.w_o)] == before
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError):
             AdapterParams(weight=ag.Var(np.zeros((2, 2))), bias=ag.Var(np.zeros(2)), stage=1, kind="mlp")
-
-
-class TestPairCount:
-    def test_reference_ratio(self):
-        windowed = attention_pair_count(24, 24, 4, 4)
-        assert windowed == 36 * 256 == 9216
-        global_pairs = attention_pair_count(24, 24, 24, 24)
-        assert global_pairs == 331776
-        assert windowed / global_pairs == pytest.approx(1 / 36)
-
-    def test_global_window_ratio_one(self):
-        assert attention_pair_count(8, 8, 8, 8) == 64 * 64

@@ -1,0 +1,81 @@
+"""Config objects are valid on construction: every invalid one raises
+``ConfigError`` as it is built, including a window that does not tile the
+token grid, and the serialized default document round-trips."""
+
+import json
+
+import pytest
+
+from sowa.backbone import BackboneConfig
+from sowa.config import LossSection, OptimSection, RunConfig, config_from_dict, default_config
+from sowa.errors import ConfigError
+from sowa.fusion import FusionConfig
+from sowa.prompts import TextEncoderConfig
+from sowa.synth import PatternSpec
+
+DEFAULT_DOCUMENT = {
+    "seed": 0, "adapter_kind": "fwa", "attention_mode": "vv", "window": 4,
+    "prompt_kind": "coop", "prompt_length": 12, "c_text": 32, "text_width": 32,
+    "image_score_mode": "max_map", "few_shot_beta": 0.5,
+    "backbone": {"image_size": 64, "patch_size": 8, "channels": 64, "blocks_per_stage": 2,
+                 "heads": 4, "mlp_ratio": 4.0, "norm_mean": [0.5, 0.5, 0.5],
+                 "norm_std": [0.25, 0.25, 0.25]},
+    "fusion": {"alpha": [1.0, 1.0, 1.0, 1.0], "tau": 1.0, "tau_cls": 1.0, "sigma": 0.0},
+    "loss": {"dice": 1.0, "focal": 1.0, "bce": 1.0, "focal_gamma": 2.0, "focal_alpha": 0.5,
+             "dice_eps": 1.0},
+    "optim": {"lr": 0.001, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08, "batch_size": 8,
+              "epochs": 1},
+}
+
+
+def test_default_document_is_stable_and_round_trips():
+    config = default_config(seed=0)
+    assert json.dumps(config.to_dict()) == json.dumps(DEFAULT_DOCUMENT)
+    assert config_from_dict(config.to_dict()) == config
+
+
+def test_window_that_does_not_tile_the_grid_is_a_config_error():
+    with pytest.raises(ConfigError, match="window 3 does not tile the 8x8 token grid"):
+        default_config(window=3)
+    document = dict(DEFAULT_DOCUMENT, window=4, backbone={"image_size": 224, "patch_size": 16})
+    with pytest.raises(ConfigError, match="14x14"):
+        config_from_dict(document)
+    assert config_from_dict(dict(document, window=7)).window == 7
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FusionConfig(alpha=(1.0, 1.0, 1.0)),
+        lambda: FusionConfig(tau=0.0),
+        lambda: FusionConfig(sigma=-1.0),
+        lambda: LossSection(dice=-1.0),
+        lambda: LossSection(focal_alpha=1.5),
+        lambda: LossSection(dice_eps=0.0),
+        lambda: OptimSection(lr=0.0),
+        lambda: OptimSection(beta2=1.0),
+        lambda: OptimSection(batch_size=0),
+        lambda: BackboneConfig(image_size=60),
+        lambda: BackboneConfig(channels=30),
+        lambda: BackboneConfig(mlp_ratio=0.0),
+        lambda: RunConfig(adapter_kind="mlp"),
+        lambda: RunConfig(few_shot_beta=1.5),
+        lambda: RunConfig(window=0),
+        lambda: RunConfig(window=3),
+        lambda: TextEncoderConfig(width=30),
+        lambda: PatternSpec(kind="scratch"),
+        lambda: PatternSpec(amplitude=2.0),
+    ],
+)
+def test_invalid_config_object_rejected_on_construction(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
+def test_bad_section_values_in_a_document_are_config_errors():
+    with pytest.raises(ConfigError):
+        config_from_dict({"fusion": {"tau": -1.0}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"window": "4"})
+    with pytest.raises(ConfigError, match="unknown key 'stages' in backbone"):
+        config_from_dict({"backbone": {"stages": 4}})

@@ -1,8 +1,10 @@
 """Model-level contracts: inference builds no autodiff graph, training
-gradients reach every trainable tensor, ``predict`` reproduces the outputs
+gradients reach every trainable tensor, every adapter, attention and prompt
+kind predicts and trains, ``predict`` reproduces the outputs
 pinned in ``perfbench/golden.npz``, and warm ``predict`` calls reuse their
 heap pages."""
 
+import itertools
 import os
 import platform
 import subprocess
@@ -16,7 +18,9 @@ from sowa import autodiff as ag
 from sowa.config import default_config
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
-from sowa.training import sample_loss
+from sowa.training import batch_gradients, sample_loss
+
+from conftest import tiny_config
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.npz"
 GOLDEN_ATOL = 1e-5
@@ -45,6 +49,22 @@ def test_sample_loss_reaches_every_trainable(tiny_model, tiny_corpus):
     finally:
         for var in params.values():
             var.zero_grad()
+
+
+@pytest.mark.parametrize(
+    "adapter_kind, attention_mode, prompt_kind",
+    list(itertools.product(("fwa", "linear"), ("vv", "qkv"), ("coop", "template", "fixed_pair"))),
+)
+def test_every_kind_predicts_and_trains(tiny_corpus, adapter_kind, attention_mode, prompt_kind):
+    model = build_model(tiny_config(
+        adapter_kind=adapter_kind, attention_mode=attention_mode, prompt_kind=prompt_kind
+    ))
+    pred = model.predict(tiny_corpus.samples[1].image)
+    assert np.isfinite(pred.image_score) and np.all(np.isfinite(pred.anomaly_map.scores))
+    loss, _, grads = batch_gradients(model, tiny_corpus.samples[:2])
+    assert np.isfinite(loss)
+    assert grads.keys() == model.trainable().keys()
+    assert len(grads) == (10 if prompt_kind == "coop" else 8)
 
 
 @pytest.mark.parametrize(

@@ -41,30 +41,55 @@ class TestSoftmax:
 
 
 class TestL2Normalize:
+    """The package's one row normaliser is ``autodiff.l2_normalize_rows``."""
+
     def test_three_four_five(self):
         np.testing.assert_allclose(
-            numerics.l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-7
+            ag.l2_normalize_rows(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-7
         )
 
     def test_unit_vector_identity(self):
         v = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(numerics.l2_normalize(v), v, atol=1e-7)
+        np.testing.assert_allclose(ag.l2_normalize_rows(v), v, atol=1e-7)
 
     def test_zero_vector_guard(self):
         np.testing.assert_array_equal(
-            numerics.l2_normalize(np.zeros(2)), np.zeros(2)
+            ag.l2_normalize_rows(np.zeros(2)), np.zeros(2)
         )
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = rng.normal(size=8) * rng.uniform(1e-3, 1e3)
-            once = numerics.l2_normalize(x)
-            np.testing.assert_allclose(numerics.l2_normalize(once), once, atol=1e-6)
+            once = ag.l2_normalize_rows(x)
+            np.testing.assert_allclose(ag.l2_normalize_rows(once), once, atol=1e-6)
 
-    def test_bad_eps_rejected(self):
-        with pytest.raises(UsageError):
-            numerics.l2_normalize(np.ones(3), eps=0.0)
+
+def _resample_matrix_loop(n_in, n_out):
+    """The operator's defining formula, one output sample at a time."""
+    op = np.zeros((n_out, n_in), dtype=np.float64)
+    scale = n_in / n_out
+    for i in range(n_out):
+        src = (i + 0.5) * scale - 0.5
+        src = min(max(src, 0.0), n_in - 1.0)
+        lo = int(np.floor(src))
+        hi = min(lo + 1, n_in - 1)
+        frac = src - lo
+        op[i, lo] += 1.0 - frac
+        op[i, hi] += frac
+    return op
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_resample_matrix_equals_loop_formula(dtype):
+    pairs = [(n_in, n_out) for n_in in range(1, 17) for n_out in range(1, 40)]
+    pairs += [(8, 64), (16, 224), (14, 224), (64, 8), (224, 16), (7, 3)]
+    with numerics.precision(dtype):
+        for n_in, n_out in pairs:
+            op = numerics.linear_resample_matrix(n_in, n_out)
+            assert op.dtype == np.dtype(dtype)
+            expected = _resample_matrix_loop(n_in, n_out).astype(dtype)
+            assert op.tobytes() == expected.tobytes(), (n_in, n_out)
 
 
 def _upsample_oracle(grid, out_h, out_w):
@@ -218,7 +243,7 @@ class TestPrecisionMode:
         assert numerics.default_dtype() == np.float32
         with numerics.precision("float64"):
             assert numerics.default_dtype() == np.float64
-            assert numerics.as_float([1.0]).dtype == np.float64
+            assert numerics.linear_resample_matrix(2, 3).dtype == np.float64
         assert numerics.default_dtype() == np.float32
 
     def test_rejects_other_dtypes(self):
