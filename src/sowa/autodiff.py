@@ -10,7 +10,9 @@ attention) are composed from them.
 The functional helpers (``exp``, ``matmul``, ``softmax_last`` ...) accept
 either ``Var`` or plain ndarray and return the same kind, so model formulas
 are written once: training passes Vars and gets a graph, inference passes
-arrays and runs plain numpy with no graph at all.
+arrays and runs plain numpy with no graph at all. A Python scalar operand
+takes the other operand's dtype in both modes, as NumPy's weak scalars do,
+so float32 inputs give a float32 graph and float32 outputs.
 """
 
 from __future__ import annotations
@@ -89,8 +91,13 @@ def _any_var(*xs) -> bool:
     return any(isinstance(x, Var) for x in xs)
 
 
-def _lift(x) -> Var:
-    return x if isinstance(x, Var) else Var(np.asarray(x))
+def _lift(x, like=None) -> Var:
+    """``x`` as a graph constant; a Python scalar takes the dtype of ``like``."""
+    if isinstance(x, Var):
+        return x
+    if like is not None and isinstance(x, (int, float)) and not isinstance(x, np.generic):
+        return Var(np.asarray(x, dtype=like.dtype))
+    return Var(np.asarray(x))
 
 
 def _node(data, parents, backward) -> Var:
@@ -118,8 +125,8 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b):
     if not _any_var(a, b):
-        return np.asarray(a) + np.asarray(b)
-    a, b = _lift(a), _lift(b)
+        return np.add(a, b)
+    a, b = _lift(a, b), _lift(b, a)
     data = a.data + b.data
 
     def backward(g):
@@ -131,8 +138,8 @@ def add(a, b):
 
 def mul(a, b):
     if not _any_var(a, b):
-        return np.asarray(a) * np.asarray(b)
-    a, b = _lift(a), _lift(b)
+        return np.multiply(a, b)
+    a, b = _lift(a, b), _lift(b, a)
     data = a.data * b.data
 
     def backward(g):
@@ -144,8 +151,8 @@ def mul(a, b):
 
 def div(a, b):
     if not _any_var(a, b):
-        return np.asarray(a) / np.asarray(b)
-    a, b = _lift(a), _lift(b)
+        return np.divide(a, b)
+    a, b = _lift(a, b), _lift(b, a)
     data = a.data / b.data
 
     def backward(g):
@@ -157,7 +164,7 @@ def div(a, b):
 
 def matmul(a, b):
     if not _any_var(a, b):
-        return np.asarray(a) @ np.asarray(b)
+        return np.matmul(a, b)
     a, b = _lift(a), _lift(b)
     a_vec, b_vec = a.data.ndim == 1, b.data.ndim == 1
     if a_vec or b_vec:

@@ -62,6 +62,9 @@ class BackboneConfig:
             raise ConfigError("blocks_per_stage must be >= 1")
         if self.mlp_ratio <= 0:
             raise ConfigError("mlp_ratio must be positive")
+        norms = (self.norm_mean, self.norm_std)
+        if any(len(v) != 3 or not all(np.isfinite(v)) for v in norms) or min(self.norm_std) <= 0:
+            raise ConfigError(f"norm_mean and norm_std need 3 finite values, norm_std > 0: {norms}")
 
     @property
     def grid(self) -> int:

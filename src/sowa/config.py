@@ -20,6 +20,7 @@ from typing import Dict, Optional
 from .backbone import BackboneConfig
 from .errors import ConfigError
 from .fusion import FusionConfig
+from .prompts import TextEncoderConfig
 
 SEED_ENV_VAR = "SOWA_SEED"
 
@@ -100,6 +101,9 @@ class RunConfig:
             )
         if self.c_text < 2 or self.text_width < 2:
             raise ConfigError("c_text and text_width must be >= 2")
+        text = TextEncoderConfig(width=self.text_width, c_text=self.c_text)  # checks the heads
+        if self.prompt_length + 2 > text.max_len:  # context + branch anchor + "object"
+            raise ConfigError(f"prompt_length {self.prompt_length} + 2 anchors > max_len {text.max_len}")
         if not 0.0 <= self.few_shot_beta <= 1.0:
             raise ConfigError("few_shot_beta must lie in [0, 1]")
 

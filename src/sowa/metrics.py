@@ -2,13 +2,15 @@
 per-region overlap (PRO), plus the dataset-level evaluation driver.
 
 All three metrics are computed exactly from the data's own score values (no
-binning), in float64, with Mann-Whitney tie handling so that any strictly
-increasing transform of the scores leaves them unchanged.
+binning), in float64. Tied scores are one operating point: AUROC counts a
+tied positive-negative pair as 1/2 (Mann-Whitney), AP and PRO step over
+distinct score values. So no metric depends on the index order of tied
+items, and any strictly increasing transform of the scores leaves all three
+unchanged.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -17,10 +19,6 @@ import numpy as np
 from .config import IMAGE_SCORE_MODES
 from .errors import MetricUndefinedError, UsageError
 from .fewshot import MemoryBank, combine_maps, few_shot_map
-
-_NEIGHBORS_8 = tuple(
-    (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
-)
 
 
 def auroc(scores, labels01) -> float:
@@ -40,26 +38,28 @@ def auroc(scores, labels01) -> float:
     return float(u / (n_pos * n_neg))
 
 
+def _group_ends(sorted_scores: np.ndarray) -> np.ndarray:
+    """Index of the last element of each run of equal values in sorted scores."""
+    return np.flatnonzero(np.append(np.diff(sorted_scores) != 0.0, True))
+
+
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     order = np.argsort(scores, kind="mergesort")
+    ends = _group_ends(scores[order])
+    starts = np.append(0, ends[:-1] + 1)
     ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
 def average_precision(scores, labels01) -> float:
-    """Step-interpolated AP over descending-score prefixes.
+    """Step-interpolated AP with one operating point per distinct score.
 
-    Ties keep their original-index order (stable sort), so the value is
-    deterministic and invariant under strictly increasing transforms.
+    AP = sum over thresholds t of precision(t) * (recall(t) - recall(t_prev)),
+    the thresholds being the distinct score values in descending order. Tied
+    items enter together, so the value does not depend on their index order
+    and is invariant under strictly increasing transforms of the scores.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels01).ravel()
@@ -69,32 +69,52 @@ def average_precision(scores, labels01) -> float:
     if n_pos == 0:
         raise MetricUndefinedError("average precision undefined without positives")
     order = np.argsort(-scores, kind="stable")
-    hits = (labels[order] == 1).astype(np.float64)
-    precision = np.cumsum(hits) / np.arange(1, len(hits) + 1)
-    return float(np.sum(precision * hits) / n_pos)
+    ends = _group_ends(scores[order])
+    true_pos = np.cumsum(labels[order] == 1)[ends]
+    precision = true_pos / (ends + 1.0)
+    gained = np.diff(true_pos, prepend=0)
+    return float(np.sum(precision * gained) / n_pos)
 
 
 def label_regions(mask01: np.ndarray) -> Tuple[np.ndarray, int]:
-    """8-connected component labels (0 = background), breadth-first."""
-    mask = np.asarray(mask01)
-    labels = np.zeros(mask.shape, dtype=np.int64)
+    """8-connected component labels (0 = background), numbered 1.. in raster
+    order of each region's first pixel.
+
+    Union-find over the row runs of the mask: a run joins every run on the
+    row above whose column span touches its own, diagonals included. The
+    Python loop visits runs and their contacts, never single pixels.
+    """
+    mask = np.asarray(mask01) == 1
     h, w = mask.shape
-    current = 0
-    for r in range(h):
-        for c in range(w):
-            if mask[r, c] != 1 or labels[r, c] != 0:
-                continue
-            current += 1
-            queue = deque([(r, c)])
-            labels[r, c] = current
-            while queue:
-                rr, cc = queue.popleft()
-                for dr, dc in _NEIGHBORS_8:
-                    nr, nc = rr + dr, cc + dc
-                    if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] == 1 and labels[nr, nc] == 0:
-                        labels[nr, nc] = current
-                        queue.append((nr, nc))
-    return labels, current
+    steps = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, starts = np.nonzero(steps == 1)
+    ends = np.nonzero(steps == -1)[1]  # exclusive; runs come in raster order
+    # [s, e) on row r touches [s', e') on row r - 1 when s <= e' and s' <= e; keys
+    # row * (w + 2) + column sort all runs, so searchsorted finds that range of runs.
+    span = w + 2
+    start_keys, end_keys = rows * span + starts, rows * span + ends
+    first = np.searchsorted(end_keys, start_keys - span, side="left").tolist()
+    stop = np.searchsorted(start_keys, end_keys - span, side="right").tolist()
+    parent = list(range(len(starts)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(parent)):
+        for j in range(first[i], stop[i]):
+            a, b = root(i), root(j)
+            parent[max(a, b)] = min(a, b)  # the earlier run stays the root
+    roots = np.array([root(i) for i in range(len(parent))], dtype=np.int64)
+    is_first = roots == np.arange(len(parent))
+    run_labels = np.cumsum(is_first)[roots]
+    # paint each run: +label at its start, -label at its end, summed along rows
+    marks = np.zeros((h, w + 1), dtype=np.int64)
+    marks[rows, starts] = run_labels
+    marks[rows, ends] = -run_labels
+    return np.cumsum(marks, axis=1)[:, :w], int(is_first.sum())
 
 
 def pro(maps: Sequence[np.ndarray], masks01: Sequence[np.ndarray], fpr_limit: float = 0.3) -> float:
@@ -110,18 +130,14 @@ def pro(maps: Sequence[np.ndarray], masks01: Sequence[np.ndarray], fpr_limit: fl
         raise UsageError("maps and masks must be non-empty and aligned")
 
     region_of_pixel: List[np.ndarray] = []
-    region_sizes: List[int] = []
     next_region = 0
     for m, g in zip(maps, masks01):
-        m = np.asarray(m)
-        g = np.asarray(g)
+        m, g = np.asarray(m), np.asarray(g)
         if m.shape != g.shape:
             raise UsageError(f"map {m.shape} and mask {g.shape} differ")
         labels, count = label_regions(g)
         remap = np.where(labels > 0, labels - 1 + next_region, -1)
         region_of_pixel.append(remap.ravel())
-        for rid in range(count):
-            region_sizes.append(int(np.sum(labels == rid + 1)))
         next_region += count
     if next_region == 0:
         raise MetricUndefinedError("PRO undefined without any anomalous region")
@@ -131,19 +147,17 @@ def pro(maps: Sequence[np.ndarray], masks01: Sequence[np.ndarray], fpr_limit: fl
     n_neg = int(np.sum(regions < 0))
     if n_neg == 0:
         raise MetricUndefinedError("PRO undefined without any normal pixel")
-    sizes = np.asarray(region_sizes, dtype=np.float64)
+    sizes = np.bincount(regions[regions >= 0], minlength=next_region)
 
     order = np.argsort(-scores, kind="mergesort")
     sorted_scores = scores[order]
     sorted_regions = regions[order]
 
-    # one curve point per unique score value: pooled FPR and mean region TPR
-    step_neg = (sorted_regions < 0).astype(np.float64)
-    step_tpr = np.where(
-        sorted_regions >= 0, 1.0 / sizes[np.maximum(sorted_regions, 0)], 0.0
-    )
-    ends = np.flatnonzero(np.append(np.diff(sorted_scores) != 0.0, True))
-    fprs = np.concatenate([[0.0], np.cumsum(step_neg)[ends] / n_neg])
+    # one curve point per unique score value: pooled FPR and mean region TPR;
+    # a normal pixel (region -1) picks the appended zero
+    step_tpr = np.append(1.0 / sizes, 0.0)[sorted_regions]
+    ends = _group_ends(sorted_scores)
+    fprs = np.concatenate([[0.0], np.cumsum(sorted_regions < 0)[ends] / n_neg])
     pros = np.concatenate([[0.0], np.cumsum(step_tpr)[ends] / next_region])
 
     crossing = int(np.searchsorted(fprs, fpr_limit, side="left"))

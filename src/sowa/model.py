@@ -70,6 +70,7 @@ class SowaModel:
     cls_proj: np.ndarray
     fixed_text: Optional[np.ndarray] = None
     _feature_cache: Dict[str, FrozenActivations] = field(default_factory=dict, repr=False)
+    _text_cache: Optional[Tuple[str, np.ndarray]] = field(default=None, repr=False)
 
     # ---------------------------------------------------------------- frozen
     @property
@@ -132,33 +133,43 @@ class SowaModel:
         return params
 
     def text_features(self) -> np.ndarray:
-        """The (2, C_text) text features; row 0 normal, row 1 abnormal."""
-        if self.config.prompt_kind == "coop":
-            return encode_text(self.prompt_pair, self.encoder)
-        assert self.fixed_text is not None
-        return self.fixed_text
+        """The (2, C_text) text features; row 0 normal, row 1 abnormal.
+
+        A ``coop`` encoding is kept, read-only, keyed on the contents of the
+        two contexts: in-place edits and rebinding both re-encode.
+        """
+        if self.config.prompt_kind != "coop":
+            assert self.fixed_text is not None
+            return self.fixed_text
+        pair = self.prompt_pair
+        key = tensor_hash(pair.normal_context.data) + tensor_hash(pair.abnormal_context.data)
+        if self._text_cache is None or self._text_cache[0] != key:
+            text = encode_text(pair, self.encoder)
+            text.setflags(write=False)
+            self._text_cache = (key, text)
+        return self._text_cache[1]
 
     # -------------------------------------------------------------- inference
     def predict(self, image: np.ndarray, cache_key: Optional[int] = None) -> Prediction:
         """Map, score and stage features as plain arrays; builds no autodiff graph."""
         acts = self.frozen_forward(image, cache_key=cache_key)
         text = self.text_features()
-        pairs = zip(self.adapters, acts.adapter_inputs)
-        stars = [project_tokens(a.weight.data, a.bias.data, x) for a, x in pairs]
+        stars = self._adapted(acts)
         cfg = self.config.fusion
         logits = fusion_mod.fuse(stars, text, cfg)
         size = self.backbone.config.image_size
         amap = fusion_mod.anomaly_map(logits, self.grid, (size, size), cfg)
         score = fusion_mod.image_score(acts.class_token, self.cls_proj, text, cfg)
-        return Prediction(
-            anomaly_map=amap,
-            image_score=float(score),
-            stage_features=stars,
-            grid=self.grid,
-        )
+        return Prediction(amap, float(score), stars, self.grid)
+
+    def _adapted(self, acts: FrozenActivations) -> List[np.ndarray]:
+        """The four adapted stage features, unit-norm (L, C_text) arrays."""
+        pairs = zip(self.adapters, acts.adapter_inputs)
+        return [project_tokens(a.weight.data, a.bias.data, x) for a, x in pairs]
 
     def build_memory_bank(self, images: Sequence[np.ndarray], ids=None) -> MemoryBank:
-        per_image = [self.predict(img).stage_features for img in images]
+        """A bank of the images' stage features, which need no text features."""
+        per_image = [self._adapted(self.frozen_forward(img)) for img in images]
         return build_memory_bank(per_image, image_ids=ids)
 
     # ------------------------------------------------------------ checkpoints

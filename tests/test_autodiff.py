@@ -231,3 +231,23 @@ def test_constants_do_not_track():
     x = ag.Var(np.ones(3))  # requires_grad defaults False
     out = ag.mul(x, 2.0)
     assert not out.requires_grad and out._backward is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_python_scalars_keep_the_array_dtype(dtype):
+    x = np.linspace(0.5, 2.0, 6, dtype=dtype).reshape(2, 3)
+    for op in (ag.add, ag.mul, ag.div):
+        for operand in (x, ag.Var(x, requires_grad=True)):
+            for out in (op(operand, 0.1), op(3, operand)):
+                data = out.data if ag.is_var(out) else out
+                assert data.dtype == dtype, (op.__name__, type(operand).__name__)
+    # composite formulas full of scalar constants, and their gradients
+    leaf = ag.Var(x, requires_grad=True)
+    var = ag.gelu(ag.layer_norm(leaf, np.ones(3, dtype), np.zeros(3, dtype)))
+    plain = ag.gelu(ag.layer_norm(x, np.ones(3, dtype), np.zeros(3, dtype)))
+    assert var.data.dtype == plain.dtype == dtype
+    np.testing.assert_allclose(var.data, plain, atol=1e-6 if dtype == np.float32 else 1e-12)
+    ag.mean(var).backward()
+    assert leaf.grad.dtype == dtype
+    # numpy scalars keep their own dtype, as in NumPy arithmetic
+    assert ag.mul(ag.Var(x), np.float64(2.0)).dtype == np.float64

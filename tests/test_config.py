@@ -1,6 +1,7 @@
 """Config objects are valid on construction: every invalid one raises
 ``ConfigError`` as it is built, including a window that does not tile the
-token grid, and the serialized default document round-trips."""
+token grid and text settings the encoder cannot take, and the serialized
+default document round-trips."""
 
 import json
 
@@ -65,11 +66,26 @@ def test_window_that_does_not_tile_the_grid_is_a_config_error():
         lambda: TextEncoderConfig(width=30),
         lambda: PatternSpec(kind="scratch"),
         lambda: PatternSpec(amplitude=2.0),
+        lambda: BackboneConfig(norm_std=(0.25, 0.0, 0.25)),
+        lambda: BackboneConfig(norm_mean=(0.5, 0.5)),
+        lambda: BackboneConfig(norm_mean=(0.5, float("nan"), 0.5)),
+        lambda: BackboneConfig(norm_std=(0.25, 0.25, 0.25, 0.25)),
     ],
 )
 def test_invalid_config_object_rejected_on_construction(make):
     with pytest.raises(ConfigError):
         make()
+
+
+def test_text_settings_the_encoder_cannot_take_are_config_errors():
+    # the encoder reads prompt_length context tokens plus two anchors
+    with pytest.raises(ConfigError, match="prompt_length 31"):
+        default_config(prompt_length=31)
+    assert default_config(prompt_length=30).prompt_length == 30
+    with pytest.raises(ConfigError, match="width 6 not divisible by heads 4"):
+        default_config(text_width=6)
+    with pytest.raises(ConfigError, match="norm_std"):
+        default_config(backbone={"norm_std": [0.0, 0.0, 0.0]})
 
 
 def test_bad_section_values_in_a_document_are_config_errors():

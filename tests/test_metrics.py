@@ -1,8 +1,14 @@
-"""Metrics against scipy oracles, and ``evaluate_dataset`` against the
-report rebuilt from ``predict``, the few-shot map and the blend."""
+"""Metrics against scipy and brute-force oracles, their invariances as
+``hypothesis`` properties, and ``evaluate_dataset`` against the report
+rebuilt from ``predict``, the few-shot map and the blend."""
+
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage, stats
 
 from sowa import metrics
@@ -89,6 +95,174 @@ def test_label_regions_matches_scipy_eight_connected():
         pairs = set(zip(ours[mask == 1].tolist(), theirs[mask == 1].tolist()))
         assert len(pairs) == count
         np.testing.assert_array_equal(ours == 0, theirs == 0)
+
+
+def _breadth_first_regions(mask):
+    """Reference labelling: 8-connected BFS from each unlabeled pixel in raster order."""
+    labels = np.zeros(mask.shape, dtype=np.int64)
+    h, w = mask.shape
+    current = 0
+    for r in range(h):
+        for c in range(w):
+            if mask[r, c] != 1 or labels[r, c]:
+                continue
+            current += 1
+            labels[r, c] = current
+            queue = deque([(r, c)])
+            while queue:
+                rr, cc = queue.popleft()
+                for nr in range(max(rr - 1, 0), min(rr + 2, h)):
+                    for nc in range(max(cc - 1, 0), min(cc + 2, w)):
+                        if mask[nr, nc] == 1 and not labels[nr, nc]:
+                            labels[nr, nc] = current
+                            queue.append((nr, nc))
+    return labels, current
+
+
+EDGE_MASKS = {
+    "row": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]]),
+    "column": np.array([[1], [0], [1], [1], [0], [1]]),
+    "empty": np.zeros((5, 7), dtype=np.int64),
+    "no pixels": np.zeros((0, 4), dtype=np.int64),
+    "full": np.ones((6, 5), dtype=np.int64),
+    "diagonal": np.eye(7, dtype=np.int64),
+    "anti-diagonal": np.eye(7, dtype=np.int64)[::-1],
+    "zigzag": np.array([[1, 0, 0, 0, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0]]),
+    "nested rings": np.pad(np.pad(np.ones((1, 1)), 1), ((1, 1), (1, 1)), constant_values=1),
+    "u-shape": np.array([[1, 0, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]]),
+    "other values": np.array([[2, 1, 1], [0, 2, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_MASKS)
+def test_label_regions_equal_the_breadth_first_labels_on_edge_shapes(name):
+    mask = EDGE_MASKS[name]
+    labels, count = metrics.label_regions(mask)
+    expected, expected_count = _breadth_first_regions(mask)
+    assert count == expected_count
+    assert labels.dtype == expected.dtype
+    np.testing.assert_array_equal(labels, expected)
+
+
+def test_label_regions_equal_the_breadth_first_labels_on_random_masks():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        h, w = rng.integers(1, 20, size=2)
+        mask = (rng.uniform(size=(h, w)) < rng.uniform(0.05, 0.9)).astype(np.int64)
+        labels, count = metrics.label_regions(mask)
+        expected, expected_count = _breadth_first_regions(mask)
+        assert count == expected_count
+        np.testing.assert_array_equal(labels, expected)
+
+
+def test_average_ranks_equal_scipy_rankdata():
+    rng = np.random.default_rng(5)
+    for levels in (None, 1, 3, 50):
+        for n in (1, 2, 7, 100, 1000):
+            scores = rng.normal(size=n)
+            if levels is not None:
+                scores = rng.integers(0, levels, size=n).astype(np.float64)
+            np.testing.assert_array_equal(
+                metrics._average_ranks(scores), stats.rankdata(scores, method="average")
+            )
+
+
+def _brute_force_pro(maps, masks, fpr_limit):
+    """Per-threshold PRO curve from its definition, trapezoid up to the limit."""
+    regions = []
+    for score_map, mask in zip(maps, masks):
+        labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+        regions += [score_map[labels == i] for i in range(1, count + 1)]
+    normal = np.concatenate([m[g == 0] for m, g in zip(maps, masks)])
+    points = [(0.0, 0.0)]
+    for t in np.unique(np.concatenate([m.ravel() for m in maps]))[::-1]:
+        overlaps = [np.mean(r >= t) for r in regions]
+        points.append((np.mean(normal >= t), np.mean(overlaps)))
+    area = 0.0
+    for (f0, p0), (f1, p1) in zip(points, points[1:]):
+        if f0 >= fpr_limit:
+            break
+        if f1 > fpr_limit:
+            p1 = p0 + (p1 - p0) * (fpr_limit - f0) / (f1 - f0)
+            f1 = fpr_limit
+        area += (f1 - f0) * (p0 + p1) / 2.0
+    return area / fpr_limit
+
+
+def test_pro_equals_brute_force_pro():
+    rng = np.random.default_rng(6)
+    for trial in range(20):
+        shape = tuple(rng.integers(2, 9, size=2))
+        maps = [rng.integers(0, 6 if trial % 2 else 100, size=shape) / 7.0 for _ in range(3)]
+        masks = [(rng.uniform(size=shape) < 0.3).astype(np.int64) for _ in range(3)]
+        masks[0][0, 0], masks[1][0, 0] = 1, 0  # at least one region and one normal pixel
+        for fpr_limit in (0.05, 0.3, 1.0):
+            np.testing.assert_allclose(
+                metrics.pro(maps, masks, fpr_limit=fpr_limit),
+                _brute_force_pro(maps, masks, fpr_limit),
+                rtol=1e-12, atol=1e-12,
+            )
+
+
+def test_average_precision_does_not_depend_on_tie_order():
+    for labels in ([1, 0, 0], [0, 1, 0]):
+        assert metrics.average_precision([0.5, 0.5, 0.1], labels) == 0.5
+    # one operating point per distinct score: (P=0, R=0), (P=1/3, R=1/2), (P=2/4, R=1)
+    assert metrics.average_precision([3, 2, 2, 1], [0, 1, 0, 1]) == pytest.approx(5 / 12)
+
+
+# integer score levels, so that ties are common and a lookup table of
+# increasing values is an exact strictly increasing transform
+LEVELS = 6
+scored_labels = st.integers(2, 60).flatmap(
+    lambda n: st.tuples(
+        arrays(np.int64, n, elements=st.integers(0, LEVELS - 1)),
+        arrays(np.int64, n, elements=st.integers(0, 1)),
+    )
+)
+increasing = arrays(
+    np.float64, LEVELS, elements=st.floats(1e-3, 1e3), unique=True
+).map(lambda steps: np.cumsum(np.sort(steps)) - 50.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scored_labels, increasing)
+def test_auroc_and_ap_invariant_under_increasing_transforms(data, table):
+    levels, labels = data
+    scores = levels / 7.0
+    if labels.min() == labels.max():
+        labels[0] = 1 - labels[0]
+    assert metrics.auroc(table[levels], labels) == pytest.approx(
+        metrics.auroc(scores, labels), rel=1e-12)
+    assert metrics.average_precision(table[levels], labels) == pytest.approx(
+        metrics.average_precision(scores, labels), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scored_labels, st.randoms(use_true_random=False))
+def test_ap_invariant_under_permutation_within_tie_groups(data, random):
+    levels, labels = data
+    labels = labels.copy()
+    labels[0] = 1
+    before = metrics.average_precision(levels, labels)
+    for level in range(LEVELS):
+        group = np.flatnonzero(levels == level).tolist()
+        shuffled = group[:]
+        random.shuffle(shuffled)
+        labels[group] = labels[shuffled]
+    assert metrics.average_precision(levels, labels) == before
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    arrays(np.int64, (2, 5, 6), elements=st.integers(0, LEVELS - 1)),
+    arrays(np.int64, (2, 5, 6), elements=st.integers(0, 1)),
+    increasing,
+)
+def test_pro_invariant_under_increasing_transforms(levels, masks, table):
+    masks[0, 0, 0], masks[1, 0, 0] = 1, 0
+    plain = metrics.pro(list(levels / 7.0), list(masks))
+    assert metrics.pro(list(table[levels]), list(masks)) == pytest.approx(plain, rel=1e-12)
 
 
 def test_bad_evaluation_input_rejected(tiny_model, few_shot_setup):

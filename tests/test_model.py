@@ -1,8 +1,9 @@
 """Model-level contracts: inference builds no autodiff graph, training
 gradients reach every trainable tensor, every adapter, attention and prompt
 kind predicts and trains, ``predict`` reproduces the outputs
-pinned in ``perfbench/golden.npz``, and warm ``predict`` calls reuse their
-heap pages."""
+pinned in ``perfbench/golden.npz``, warm ``predict`` calls reuse their
+heap pages, the text features are encoded once per parameter state, and a
+float32 model computes in float32 (a float64 one in float64)."""
 
 import itertools
 import os
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 
 from sowa import autodiff as ag
+from sowa import fusion, numerics, prompts, training
+from sowa.adapter import project_tokens
 from sowa.config import default_config
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
@@ -113,3 +116,106 @@ def test_warm_predict_reuses_heap_pages():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
                          capture_output=True, text=True).stdout
     assert int(out) < 10 * 100
+
+
+@pytest.fixture()
+def encode_calls(monkeypatch):
+    """A list that grows by one for every ``encode_prompts`` call."""
+    calls = []
+    encode = prompts.encode_prompts
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(prompts, "encode_prompts", counting)
+    return calls
+
+
+def test_text_encoded_once_per_parameter_state(tiny_corpus, encode_calls, tmp_path):
+    model = build_model(tiny_config())
+    images = [s.image for s in tiny_corpus.samples[:3]]
+    bank = model.build_memory_bank(images)  # stage features need no text
+    assert encode_calls == []
+    for i, image in enumerate(images):
+        features = model.predict(image).stage_features
+        for stage, rows in enumerate(features):
+            np.testing.assert_array_equal(bank.stages[stage][i * len(rows):(i + 1) * len(rows)], rows)
+    training.mean_dataset_loss(model, tiny_corpus.samples[:4])
+    assert len(encode_calls) == 1
+
+    # Adam rebinds the context arrays
+    state = training.new_train_state(model, model.config.optim)
+    training.adam_step(state, batch_gradients(model, tiny_corpus.samples[:2])[2])
+    del encode_calls[:]  # batch_gradients encodes its own graph
+    model.predict(images[0])
+    model.predict(images[1])
+    assert len(encode_calls) == 1
+
+    # an in-place edit of one element, as gradient_check makes
+    model.prompt_pair.abnormal_context.data[0, 0] += 1e-3
+    model.predict(images[0])
+    assert len(encode_calls) == 2
+
+    # a checkpoint rebinds them too
+    other = build_model(tiny_config(seed=8))
+    other.save_checkpoint(tmp_path / "other.sowa")
+    model.load_checkpoint(tmp_path / "other.sowa")
+    model.predict(images[0])
+    assert len(encode_calls) == 3
+    np.testing.assert_array_equal(
+        model.text_features(), prompts.encode_text(model.prompt_pair, model.encoder))
+
+
+def test_cached_text_is_read_only_and_changes_no_output(tiny_corpus):
+    model = build_model(tiny_config())
+    text = model.text_features()
+    assert not text.flags.writeable
+    with pytest.raises(ValueError):
+        text[0, 0] = 0.0
+    np.testing.assert_array_equal(text, prompts.encode_text(model.prompt_pair, model.encoder))
+    warm = [model.predict(s.image) for s in tiny_corpus.samples[:3]]
+    for sample, pred in zip(tiny_corpus.samples[:3], warm):
+        cold = build_model(tiny_config()).predict(sample.image)  # encodes anew
+        np.testing.assert_array_equal(pred.anomaly_map.scores, cold.anomaly_map.scores)
+        assert pred.image_score == cold.image_score
+        for ours, theirs in zip(pred.stage_features, cold.stage_features):
+            np.testing.assert_array_equal(ours, theirs)
+
+
+def _pipeline_dtypes(model, sample):
+    """Dtypes of the inference outputs and of the training graph's stages."""
+    pred = model.predict(sample.image)
+    acts = model.frozen_forward(sample.image)
+    cfg = model.config.fusion
+    text = prompts.encode_prompts(model.prompt_pair, model.encoder)
+    stars = [project_tokens(a.weight, a.bias, x[None])
+             for a, x in zip(model.adapters, acts.adapter_inputs)]
+    logits = fusion.fuse(stars, text, cfg)
+    size = model.backbone.config.image_size
+    pmap = fusion.abnormal_probability_map(logits, model.grid, (size, size), cfg)
+    score = fusion.image_score(acts.class_token[None], model.cls_proj, text, cfg)
+    grads = batch_gradients(model, [sample])[2]
+    dtypes = {
+        "map": pred.anomaly_map.scores.dtype,
+        "token logits": pred.anomaly_map.token_logits.dtype,
+        "score": fusion.image_score(acts.class_token, model.cls_proj, model.text_features(),
+                                    cfg).dtype,
+        "text": model.text_features().dtype,
+        "graph text": text.dtype,
+        "graph logits": logits.dtype,
+        "graph map": pmap.dtype,
+        "graph score": score.dtype,
+    }
+    dtypes.update({f"stage {i}": f.dtype for i, f in enumerate(pred.stage_features)})
+    dtypes.update({f"grad {n}": g.dtype for n, g in grads.items()})
+    return dtypes
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_the_model_computes_in_its_default_dtype(tiny_corpus, dtype):
+    with numerics.precision(dtype):
+        model = build_model(tiny_config())
+        dtypes = _pipeline_dtypes(model, tiny_corpus.samples[1])
+    assert len(dtypes) == 8 + 4 + 10
+    assert {name: d for name, d in dtypes.items() if d != np.dtype(dtype)} == {}
