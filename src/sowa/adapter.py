@@ -21,7 +21,6 @@ import numpy as np
 from . import autodiff as ag
 from . import numerics
 from .backbone import AttentionWeights
-from .config import ADAPTER_KINDS
 from .errors import ConfigError, UsageError
 
 
@@ -40,17 +39,9 @@ class AdapterParams:
 
     weight: ag.Var  # (C_vis, C_text)
     bias: ag.Var  # (C_text,)
-    stage: int
-    kind: str = "fwa"
-
-    def __post_init__(self):
-        if self.kind not in ADAPTER_KINDS:
-            raise ConfigError(f"adapter kind must be one of {ADAPTER_KINDS}, got {self.kind!r}")
 
 
-def new_adapter_params(
-    c_vis: int, c_text: int, stage: int, seed: int, kind: str = "fwa"
-) -> AdapterParams:
+def new_adapter_params(c_vis: int, c_text: int, seed: int) -> AdapterParams:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     dtype = numerics.default_dtype()
     weight = rng.normal(0.0, 1.0 / np.sqrt(c_vis), size=(c_vis, c_text)).astype(dtype)
@@ -58,8 +49,6 @@ def new_adapter_params(
     return AdapterParams(
         weight=ag.Var(weight, requires_grad=True),
         bias=ag.Var(bias, requires_grad=True),
-        stage=stage,
-        kind=kind,
     )
 
 

@@ -1,18 +1,17 @@
-"""Run configuration: one JSON-round-trippable document for a whole run.
+"""Run configuration: one document for a whole run.
 
 Every config object, here and in the modules that own a section
 (``BackboneConfig``, ``FusionConfig``), is a frozen dataclass that checks
 itself on construction and raises ``ConfigError``, so an object that exists
-is valid and no function checks it again. The file format is plain JSON with
-nested sections mirroring the dataclass layout below; unknown keys are
-rejected so typos fail loudly. ``SOWA_SEED`` in the environment supplies the
-seed when neither the file nor the command line does.
+is valid and no function checks it again. ``to_dict`` and
+``config_from_dict`` convert to and from nested plain dicts mirroring the
+dataclass layout below; unknown keys are rejected so typos fail loudly.
+``SOWA_SEED`` in the environment supplies the seed when the caller does not.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -163,20 +162,6 @@ def config_from_dict(data: Dict) -> RunConfig:
         raise ConfigError(f"bad config: {exc}") from exc
 
 
-def load_config(path, overrides: Optional[Dict] = None) -> RunConfig:
-    """Read a JSON config file and apply flat overrides; building validates."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if overrides:
-        data.update(overrides)
-    return config_from_dict(data)
-
-
 def default_config(seed: Optional[int] = None, **overrides) -> RunConfig:
     """Defaults plus keyword overrides; seed falls back to SOWA_SEED, then 0."""
     if seed is None:
@@ -185,9 +170,3 @@ def default_config(seed: Optional[int] = None, **overrides) -> RunConfig:
     data = {"seed": seed}
     data.update(overrides)
     return config_from_dict(data)
-
-
-def save_config(config: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

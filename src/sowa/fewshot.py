@@ -19,7 +19,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import numerics
-from .archive import archive_read, archive_write
 from .errors import UsageError
 from .fusion import AnomalyMap
 
@@ -31,7 +30,6 @@ class MemoryBank:
     """Per-stage reference token features; immutable after build."""
 
     stages: List[np.ndarray]  # 4 arrays of shape (K * L, C_text)
-    reference_count: int
     image_ids: List[str]
 
     def __post_init__(self):
@@ -66,7 +64,7 @@ def build_memory_bank(
         blocks = [np.asarray(r[level]) for r in refs]
         stages.append(np.concatenate(blocks, axis=0).copy())
     ids = list(image_ids) if image_ids is not None else [str(i) for i in range(len(refs))]
-    return MemoryBank(stages=stages, reference_count=len(refs), image_ids=ids)
+    return MemoryBank(stages=stages, image_ids=ids)
 
 
 def few_shot_map(
@@ -121,27 +119,3 @@ def combine_maps(zero_map: AnomalyMap, few: FewShotMap, beta: float = 0.5) -> An
     few_norm = np.clip(few.few / 4.0, 0.0, 1.0)
     combined = (1.0 - beta) * zero_map.scores + beta * few_norm
     return AnomalyMap(scores=combined, token_logits=zero_map.token_logits)
-
-
-def save_memory_bank(bank: MemoryBank, path) -> None:
-    tensors = {f"stage.{i}": bank.stages[i] for i in range(4)}
-    tensors["reference_count"] = np.asarray([float(bank.reference_count)])
-    archive_write(path, tensors)
-    manifest = "\n".join(bank.image_ids)
-    with open(str(path) + ".refs", "w", encoding="utf-8") as fh:
-        fh.write(manifest + ("\n" if manifest else ""))
-
-
-def load_memory_bank(path) -> MemoryBank:
-    tensors = archive_read(path)
-    try:
-        stages = [tensors[f"stage.{i}"] for i in range(4)]
-        count = int(tensors["reference_count"][0])
-    except KeyError as exc:
-        raise UsageError(f"memory bank archive missing entry {exc}") from exc
-    try:
-        with open(str(path) + ".refs", "r", encoding="utf-8") as fh:
-            ids = [line for line in fh.read().splitlines() if line]
-    except OSError:
-        ids = [str(i) for i in range(count)]
-    return MemoryBank(stages=stages, reference_count=count, image_ids=ids)

@@ -11,8 +11,8 @@ unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -183,7 +183,6 @@ class MetricsReport:
     as_pro: float
     image_count: int
     positive_images: int
-    config: Dict = field(default_factory=dict)
 
     def metric_items(self) -> List[Tuple[str, float]]:
         return [
@@ -200,7 +199,6 @@ def evaluate_scores(
     pixel_maps: Sequence[np.ndarray],
     pixel_masks01: Sequence[np.ndarray],
     fpr_limit: float = 0.3,
-    config: Dict | None = None,
 ) -> MetricsReport:
     """Assemble the four-metric report from already-computed scores."""
     labels = np.asarray(image_labels01)
@@ -213,7 +211,6 @@ def evaluate_scores(
         as_pro=pro(pixel_maps, pixel_masks01, fpr_limit=fpr_limit),
         image_count=len(labels),
         positive_images=int(np.sum(labels == 1)),
-        config=dict(config or {}),
     )
 
 
@@ -225,7 +222,6 @@ def evaluate_dataset(
     beta: float | None = None,
     image_score_mode: str | None = None,
     fpr_limit: float = 0.3,
-    config: Dict | None = None,
 ) -> MetricsReport:
     """Run a model over labeled samples and compute the four-metric report.
 
@@ -266,9 +262,7 @@ def evaluate_dataset(
     labels = [(1 if s.label > 0 else 0) for s in samples]
     masks = [(np.asarray(s.mask) > 0).astype(np.int64) for s in samples]
     try:
-        return evaluate_scores(
-            scores, labels, maps, masks, fpr_limit=fpr_limit, config=config
-        )
+        return evaluate_scores(scores, labels, maps, masks, fpr_limit=fpr_limit)
     except MetricUndefinedError as exc:
         raise MetricUndefinedError(
             f"{exc} (dataset of {len(samples)} samples, {sum(labels)} positive)"

@@ -203,6 +203,7 @@ class SowaModel:
             var.data = arr.astype(numerics.default_dtype())
         if self.config.prompt_kind == "fixed_pair":
             self.fixed_text = fixed_template_features(self.encoder, "fixed_pair", self.prompt_pair)
+            self.fixed_text.setflags(write=False)
         self.clear_cache()
         return tensors
 
@@ -221,11 +222,7 @@ def build_model(config: RunConfig) -> SowaModel:
     pair = build_prompt_pair(config.prompt_length, seed + _SEED_OFFSETS["prompts"], encoder)
     adapters = [
         new_adapter_params(
-            config.backbone.channels,
-            config.c_text,
-            stage=i + 1,
-            seed=seed + _SEED_OFFSETS["adapters"] + i,
-            kind=config.adapter_kind,
+            config.backbone.channels, config.c_text, seed=seed + _SEED_OFFSETS["adapters"] + i
         )
         for i in range(4)
     ]
@@ -242,6 +239,8 @@ def build_model(config: RunConfig) -> SowaModel:
         fixed_text = fixed_template_features(encoder, "template")
     elif config.prompt_kind == "fixed_pair":
         fixed_text = fixed_template_features(encoder, "fixed_pair", pair)
+    if fixed_text is not None:
+        fixed_text.setflags(write=False)
     return SowaModel(
         config=config,
         backbone=backbone,

@@ -92,14 +92,6 @@ def linear_resample_matrix(n_in: int, n_out: int) -> np.ndarray:
     return op.astype(_DEFAULT_DTYPE)
 
 
-def nearest_resample_indices(n_in: int, n_out: int) -> np.ndarray:
-    """Source index per output sample under half-pixel-center nearest lookup."""
-    if n_in < 1 or n_out < 1:
-        raise UsageError(f"resample sizes must be >= 1, got {n_in} -> {n_out}")
-    idx = np.floor((np.arange(n_out) + 0.5) * (n_in / n_out)).astype(np.int64)
-    return np.clip(idx, 0, n_in - 1)
-
-
 def bilinear_upsample(grid, out_h: int, out_w: int) -> np.ndarray:
     """Resample a 2-D grid to (out_h, out_w) by separable linear interpolation.
 
@@ -116,14 +108,6 @@ def bilinear_upsample(grid, out_h: int, out_w: int) -> np.ndarray:
     row_op = linear_resample_matrix(grid.shape[0], out_h)
     col_op = linear_resample_matrix(grid.shape[1], out_w)
     return row_op @ grid.astype(row_op.dtype) @ col_op.T
-
-
-def nearest_resize(grid, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbor resize; output values are a subset of input values."""
-    grid = np.asarray(grid)
-    rows = nearest_resample_indices(grid.shape[0], out_h)
-    cols = nearest_resample_indices(grid.shape[1], out_w)
-    return grid[np.ix_(rows, cols)]
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:

@@ -3,29 +3,28 @@
 Backgrounds are seeded multi-octave value noise; defects come in four
 pattern families of increasing spatial extent:
 
-    point   - 1..2 small high-contrast disks        (<= 0.5% of pixels)
+    point   - 1..2 small high-contrast disks        (<= 0.5% of pixels from 32 px;
+                                                     smaller images get one 5-pixel disk)
     line    - a thin random polyline                (<= 2%)
     plane   - a filled ellipse or rectangle         (5..40%)
     motley  - a rectangular patch with re-seeded,
               contrast-inverted texture             (1..10%)
 
 Every other sample is normal. Masks are exact by construction, pixel values
-are quantized to the 8-bit grid at generation time so in-memory corpora are
-bit-identical to their on-disk round trip, and everything is a pure function
-of (spec, sample index).
+are quantized to the 8-bit grid at generation time so images carry what an
+8-bit photograph can (and the pinned benchmark outputs stay bit-exact), and
+everything is a pure function of (spec, sample index).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import numerics
-from .data_io import Dataset, Sample, write_image, write_manifest, write_mask
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, DataError, UsageError
 
 KINDS = ("point", "line", "plane", "motley")
 
@@ -36,6 +35,39 @@ AREA_BOUNDS: Dict[str, Tuple[float, float]] = {
     "plane": (0.05, 0.40),
     "motley": (0.01, 0.10),
 }
+
+
+@dataclass
+class Sample:
+    """One labeled image: pixels in [0, 1], label and mask in {-1, +1}."""
+
+    image: np.ndarray  # (H, W, 3) float
+    label: int
+    mask: np.ndarray  # (H, W) int8
+    category: str
+    split: str
+    defect: str
+    sample_id: str
+
+    def validate(self) -> "Sample":
+        if self.mask.shape != self.image.shape[:2]:
+            raise DataError(
+                f"{self.sample_id}: mask {self.mask.shape} does not match "
+                f"image {self.image.shape[:2]}"
+            )
+        if self.label not in (-1, 1):
+            raise DataError(f"{self.sample_id}: label must be -1 or +1")
+        return self
+
+
+@dataclass
+class Dataset:
+    samples: List[Sample]
+
+    def split(self, name: str) -> List[Sample]:
+        if name == "all":
+            return list(self.samples)
+        return [s for s in self.samples if s.split == name]
 
 
 @dataclass(frozen=True)
@@ -97,11 +129,13 @@ def _disk_pixels(center: Tuple[int, int], radius: float, size: int) -> np.ndarra
 def _paint_point(image, mask, rng, size):
     budget = int(AREA_BOUNDS["point"][1] * size * size)
     count = int(rng.integers(1, 3))
-    for _ in range(count):
+    for i in range(count):
         radius = float(rng.choice([1.0, 1.5]))
         center = (int(rng.integers(4, size - 4)), int(rng.integers(4, size - 4)))
         disk = _disk_pixels(center, radius, size)
-        if int(mask.sum() + disk.sum()) > budget:
+        if i == 0 and disk.sum() > budget:  # small images: shrink the first disk, never skip it
+            disk = _disk_pixels(center, 1.0, size)
+        elif int(mask.sum() + disk.sum()) > budget:
             break
         color = _contrast_color(image[disk].mean(axis=0), rng)
         image[disk] = color
@@ -196,7 +230,7 @@ def generate_sample(spec: PatternSpec, index: int, image_size: int, category: st
         else:
             _paint_motley(image, mask, defect_rng, image_size, spec)
 
-    # quantize to the 8-bit grid so disk round trips are bit-exact
+    # quantize to the 8-bit grid, round-half-up, as an 8-bit camera would
     image = np.floor(np.clip(image, 0.0, 1.0) * 255.0 + 0.5) / 255.0
     split = "train" if (normal and (index // 2) % 2 == 0) else "test"
     label = -1 if normal else 1
@@ -220,26 +254,3 @@ def synth_generate(spec: PatternSpec, n: int, image_size: int = 64) -> Dataset:
     category = f"synthetic_{spec.kind}"
     samples = [generate_sample(spec, i, image_size, category) for i in range(n)]
     return Dataset(samples=samples)
-
-
-def write_dataset(dataset: Dataset, out_dir) -> str:
-    """Materialize a dataset in the on-disk layout and write its manifest."""
-    out_dir = str(out_dir)
-    for sample in dataset.samples:
-        stem = sample.sample_id.rsplit("/", 1)[-1]
-        cat_dir = os.path.join(out_dir, sample.category)
-        if sample.split == "train":
-            img_dir = os.path.join(cat_dir, "train", "good")
-        else:
-            img_dir = os.path.join(cat_dir, "test", sample.defect)
-        os.makedirs(img_dir, exist_ok=True)
-        sample.image_path = os.path.join(img_dir, stem + ".ppm")
-        write_image(sample.image_path, sample.image)
-        if sample.label > 0:
-            gt_dir = os.path.join(cat_dir, "ground_truth", sample.defect)
-            os.makedirs(gt_dir, exist_ok=True)
-            sample.mask_path = os.path.join(gt_dir, stem + "_mask.pgm")
-            write_mask(sample.mask_path, sample.mask)
-    manifest = os.path.join(out_dir, "manifest.tsv")
-    write_manifest(manifest, dataset.samples)
-    return manifest

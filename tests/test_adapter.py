@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sowa.adapter import (
-    AdapterParams,
     attended_features,
     new_adapter_params,
     project_tokens,
@@ -177,7 +176,7 @@ class TestAdapterForward:
     def test_unit_window_degeneracy(self):
         # h = w = 1: attention over one token is the value path
         w = _weights(c=8, heads=2, seed=15)
-        params = new_adapter_params(8, 6, stage=1, seed=16)
+        params = new_adapter_params(8, 6, seed=16)
         tokens = np.random.default_rng(17).normal(size=(12, 8)).astype(np.float32)
         out = _adapt(params, tokens, w, (3, 4), (1, 1))
         value_path = (tokens @ w.w_v) @ w.w_o
@@ -187,7 +186,7 @@ class TestAdapterForward:
 
     def test_linear_kind_zero_input_gives_bias_direction(self):
         # the linear kind projects the backbone tokens without attention
-        params = new_adapter_params(8, 6, stage=1, seed=18, kind="linear")
+        params = new_adapter_params(8, 6, seed=18)
         params.bias.data = np.arange(6, dtype=np.float32)
         out = project_tokens(params.weight.data, params.bias.data, np.zeros((4, 8), dtype=np.float32))
         expected = np.arange(6, dtype=np.float32) / np.sqrt(55.0)
@@ -196,7 +195,7 @@ class TestAdapterForward:
 
     def test_rows_unit_norm(self):
         w = _weights(c=8, heads=2, seed=19)
-        params = new_adapter_params(8, 6, stage=2, seed=20)
+        params = new_adapter_params(8, 6, seed=20)
         tokens = np.random.default_rng(21).normal(size=(16, 8)).astype(np.float32)
         out = _adapt(params, tokens, w, (4, 4), (2, 2))
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-6)
@@ -204,11 +203,7 @@ class TestAdapterForward:
     def test_frozen_weights_untouched(self):
         w = _weights(c=8, heads=2, seed=22)
         before = [tensor_hash(m) for m in (w.w_q, w.w_k, w.w_v, w.w_o)]
-        params = new_adapter_params(8, 6, stage=1, seed=23)
+        params = new_adapter_params(8, 6, seed=23)
         tokens = np.random.default_rng(24).normal(size=(16, 8)).astype(np.float32)
         _adapt(params, tokens, w, (4, 4), (2, 2))
         assert [tensor_hash(m) for m in (w.w_q, w.w_k, w.w_v, w.w_o)] == before
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            AdapterParams(weight=ag.Var(np.zeros((2, 2))), bias=ag.Var(np.zeros(2)), stage=1, kind="mlp")

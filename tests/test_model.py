@@ -2,8 +2,9 @@
 gradients reach every trainable tensor, every adapter, attention and prompt
 kind predicts and trains, ``predict`` reproduces the outputs
 pinned in ``perfbench/golden.npz``, warm ``predict`` calls reuse their
-heap pages, the text features are encoded once per parameter state, and a
-float32 model computes in float32 (a float64 one in float64)."""
+heap pages, the text features are encoded once per parameter state and are
+read-only for every prompt kind, and a float32 model computes in float32 (a
+float64 one in float64)."""
 
 import itertools
 import os
@@ -18,7 +19,7 @@ import pytest
 from sowa import autodiff as ag
 from sowa import fusion, numerics, prompts, training
 from sowa.adapter import project_tokens
-from sowa.config import default_config
+from sowa.config import PROMPT_KINDS, default_config
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
 from sowa.training import batch_gradients, sample_loss
@@ -181,6 +182,18 @@ def test_cached_text_is_read_only_and_changes_no_output(tiny_corpus):
         assert pred.image_score == cold.image_score
         for ours, theirs in zip(pred.stage_features, cold.stage_features):
             np.testing.assert_array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("prompt_kind", PROMPT_KINDS)
+def test_text_features_are_read_only_for_every_prompt_kind(prompt_kind, tmp_path):
+    model = build_model(tiny_config(prompt_kind=prompt_kind))
+    assert not model.text_features().flags.writeable
+    build_model(tiny_config(seed=8, prompt_kind=prompt_kind)).save_checkpoint(tmp_path / "c.sowa")
+    model.load_checkpoint(tmp_path / "c.sowa")
+    text = model.text_features()
+    assert not text.flags.writeable
+    with pytest.raises(ValueError):
+        text[0, 0] = 0.0
 
 
 def _pipeline_dtypes(model, sample):

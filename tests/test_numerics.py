@@ -250,16 +250,3 @@ class TestPrecisionMode:
         with pytest.raises(UsageError):
             numerics.set_default_dtype("int32")
 
-
-class TestNearestResize:
-    def test_value_set_preserved(self):
-        rng = np.random.default_rng(11)
-        mask = rng.choice([-1, 1], size=(128, 128)).astype(np.int8)
-        out = numerics.nearest_resize(mask, 64, 64)
-        assert set(np.unique(out)) <= {-1, 1}
-        assert out.shape == (64, 64)
-
-    def test_identity(self):
-        rng = np.random.default_rng(12)
-        mask = rng.choice([-1, 1], size=(16, 16))
-        np.testing.assert_array_equal(numerics.nearest_resize(mask, 16, 16), mask)
