@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import UsageError
 
+ATTENTION_MODES = ("vv", "qkv")
+
 
 class Var:
     """Node in the reverse-mode tape; ``data`` is a numpy array."""
@@ -398,8 +400,6 @@ def attention(x, w_q, w_k, w_v, w_o, heads: int, mode: str):
     values against themselves (CLIP Surgery), so per head the pre-softmax
     scores V V^T / sqrt(d_head) are symmetric and W_q, W_k go unused.
     """
-    from .config import ATTENTION_MODES  # late: config imports backbone, which imports us
-
     if mode not in ATTENTION_MODES:
         raise UsageError(f"attention mode must be one of {ATTENTION_MODES}, got {mode!r}")
     shape = tuple(x.shape)

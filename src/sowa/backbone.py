@@ -21,19 +21,9 @@ import numpy as np
 
 from . import autodiff as ag
 from . import numerics
-from .archive import archive_read, archive_write
-from .errors import ConfigError, UsageError, WeightsError
+from .errors import ConfigError, UsageError
 
 STAGES = 4
-
-_CONFIG_KEYS = (
-    "image_size",
-    "patch_size",
-    "channels",
-    "blocks_per_stage",
-    "heads",
-    "mlp_ratio",
-)
 
 
 @dataclass(frozen=True)
@@ -85,7 +75,6 @@ class StageFeatures:
 
     stages: List[np.ndarray]  # 4 arrays of shape (L, C)
     class_token: np.ndarray  # (C,)
-    grid: Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -97,7 +86,6 @@ class AttentionWeights:
     w_v: np.ndarray
     w_o: np.ndarray
     heads: int
-    stage: int
 
 
 @dataclass
@@ -124,7 +112,6 @@ class Backbone:
             w_v=w[f"blocks.{block}.attn.w_v"],
             w_o=w[f"blocks.{block}.attn.w_o"],
             heads=self.config.heads,
-            stage=stage,
         )
 
     def normalize_image(self, image: np.ndarray) -> np.ndarray:
@@ -146,11 +133,7 @@ class Backbone:
             x = transformer_block(x, self.weights, block, cfg.heads)
             if (block + 1) % cfg.blocks_per_stage == 0:
                 stage_outputs.append(x[1:].copy())
-        return StageFeatures(
-            stages=stage_outputs,
-            class_token=x[0].copy(),
-            grid=(cfg.grid, cfg.grid),
-        )
+        return StageFeatures(stages=stage_outputs, class_token=x[0].copy())
 
     def _embed(self, image: np.ndarray) -> np.ndarray:
         cfg = self.config
@@ -235,49 +218,3 @@ def init_synthetic(config: BackboneConfig, seed: int) -> Backbone:
         weights[name] = arr.astype(dtype)
     return Backbone(config=config, weights=weights)
 
-
-def save_weights(backbone: Backbone, path) -> None:
-    """Write weights plus the config scalars needed to rebuild the model."""
-    cfg = backbone.config
-    tensors = dict(backbone.weights)
-    for key in _CONFIG_KEYS:
-        tensors[f"config.{key}"] = np.asarray([float(getattr(cfg, key))])
-    tensors["config.norm_mean"] = np.asarray(cfg.norm_mean)
-    tensors["config.norm_std"] = np.asarray(cfg.norm_std)
-    archive_write(path, tensors)
-
-
-def load_weights(path) -> Backbone:
-    """Rebuild a backbone from a self-describing weight archive."""
-    tensors = archive_read(path)
-    try:
-        kwargs = {key: tensors.pop(f"config.{key}") for key in _CONFIG_KEYS}
-    except KeyError as exc:
-        raise WeightsError(f"archive missing config entry: {exc}") from exc
-    cfg = BackboneConfig(
-        image_size=int(kwargs["image_size"][0]),
-        patch_size=int(kwargs["patch_size"][0]),
-        channels=int(kwargs["channels"][0]),
-        blocks_per_stage=int(kwargs["blocks_per_stage"][0]),
-        heads=int(kwargs["heads"][0]),
-        mlp_ratio=float(kwargs["mlp_ratio"][0]),
-        norm_mean=tuple(float(v) for v in tensors.pop("config.norm_mean")),
-        norm_std=tuple(float(v) for v in tensors.pop("config.norm_std")),
-    )
-
-    expected = _expected_shapes(cfg)
-    missing = sorted(set(expected) - set(tensors))
-    if missing:
-        raise WeightsError(f"archive missing tensor {missing[0]!r}")
-    unknown = sorted(set(tensors) - set(expected))
-    if unknown:
-        raise WeightsError(f"archive has unknown tensor {unknown[0]!r}")
-    weights = {}
-    for name, shape in expected.items():
-        arr = tensors[name]
-        if arr.shape != shape:
-            raise WeightsError(
-                f"tensor {name!r} has shape {arr.shape}, expected {shape}"
-            )
-        weights[name] = arr.astype(numerics.default_dtype())
-    return Backbone(config=cfg, weights=weights)

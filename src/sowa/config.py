@@ -6,25 +6,21 @@ itself on construction and raises ``ConfigError``, so an object that exists
 is valid and no function checks it again. ``to_dict`` and
 ``config_from_dict`` convert to and from nested plain dicts mirroring the
 dataclass layout below; unknown keys are rejected so typos fail loudly.
-``SOWA_SEED`` in the environment supplies the seed when the caller does not.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
+from .autodiff import ATTENTION_MODES
 from .backbone import BackboneConfig
 from .errors import ConfigError
 from .fusion import FusionConfig
 from .prompts import TextEncoderConfig
 
-SEED_ENV_VAR = "SOWA_SEED"
-
 ADAPTER_KINDS = ("fwa", "linear")
-ATTENTION_MODES = ("vv", "qkv")
 PROMPT_KINDS = ("coop", "template", "fixed_pair")
 IMAGE_SCORE_MODES = ("cls", "max_map")
 
@@ -162,11 +158,8 @@ def config_from_dict(data: Dict) -> RunConfig:
         raise ConfigError(f"bad config: {exc}") from exc
 
 
-def default_config(seed: Optional[int] = None, **overrides) -> RunConfig:
-    """Defaults plus keyword overrides; seed falls back to SOWA_SEED, then 0."""
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        seed = int(env) if env else 0
+def default_config(seed: int = 0, **overrides) -> RunConfig:
+    """Defaults plus keyword overrides."""
     data = {"seed": seed}
     data.update(overrides)
     return config_from_dict(data)

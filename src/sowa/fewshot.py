@@ -45,7 +45,6 @@ class FewShotMap:
 
     level_maps: np.ndarray  # (4, grid_h, grid_w), distances in [0, 2]
     few: np.ndarray  # (imageH, imageW), sum of upsampled level maps
-    grid: Tuple[int, int]
 
 
 def build_memory_bank(
@@ -100,7 +99,7 @@ def few_shot_map(
     level_maps = np.stack(levels)
     total = level_maps.sum(axis=0)
     few = numerics.bilinear_upsample(total, image_dims[0], image_dims[1])
-    return FewShotMap(level_maps=level_maps, few=few, grid=grid)
+    return FewShotMap(level_maps=level_maps, few=few)
 
 
 def combine_maps(zero_map: AnomalyMap, few: FewShotMap, beta: float = 0.5) -> AnomalyMap:
@@ -118,4 +117,4 @@ def combine_maps(zero_map: AnomalyMap, few: FewShotMap, beta: float = 0.5) -> An
         )
     few_norm = np.clip(few.few / 4.0, 0.0, 1.0)
     combined = (1.0 - beta) * zero_map.scores + beta * few_norm
-    return AnomalyMap(scores=combined, token_logits=zero_map.token_logits)
+    return AnomalyMap(scores=combined)

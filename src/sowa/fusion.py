@@ -9,7 +9,7 @@ frozen projection against the same text rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -37,10 +37,9 @@ class FusionConfig:
 
 @dataclass
 class AnomalyMap:
-    """Dense per-pixel anomaly scores in [0, 1] plus the token logits behind them."""
+    """Dense per-pixel anomaly scores in [0, 1]."""
 
     scores: np.ndarray  # (imageH, imageW)
-    token_logits: np.ndarray = field(repr=False)  # (L, 2)
 
 
 def fuse(stage_features: Sequence, text_features, cfg: FusionConfig):
@@ -81,8 +80,7 @@ def anomaly_map(
             f"expected ({grid_h * grid_w}, 2) logits for a {grid_h}x{grid_w} grid, "
             f"got {logits.shape}"
         )
-    scores = abnormal_probability_map(logits, grid, image_dims, cfg)
-    return AnomalyMap(scores=scores, token_logits=logits)
+    return AnomalyMap(scores=abnormal_probability_map(logits, grid, image_dims, cfg))
 
 
 def abnormal_probability_map(logits, grid: Tuple[int, int], image_dims: Tuple[int, int], cfg: FusionConfig):

@@ -2,9 +2,9 @@
 injected frozen weights, the dual-prompt text path, and fusion into maps and
 scores.
 
-Only the adapter projections and (in ``coop`` prompt mode) the two context
-sequences are trainable; every other tensor is created once, marked
-read-only, and hash-checked by the frozen-contract tests.
+The parameters are the adapter projections and the two prompt contexts, which
+train for ``coop`` and are frozen for the other prompt kinds; every other tensor
+is created once, marked read-only, and hash-checked by the frozen-contract tests.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .prompts import (
     build_text_encoder,
     encode_prompts,  # noqa: F401  not called here; perfbench/tracer.py looks it up in this module
     encode_text,
-    fixed_template_features,
 )
 
 _SEED_OFFSETS = {"encoder": 1000003, "prompts": 2000003, "adapters": 3000003, "cls": 4000003}
@@ -68,7 +67,6 @@ class SowaModel:
     adapters: List[AdapterParams]
     prompt_pair: PromptPair
     cls_proj: np.ndarray
-    fixed_text: Optional[np.ndarray] = None
     _feature_cache: Dict[str, FrozenActivations] = field(default_factory=dict, repr=False)
     _text_cache: Optional[Tuple[str, np.ndarray]] = field(default=None, repr=False)
 
@@ -122,25 +120,26 @@ class SowaModel:
         self._feature_cache.clear()
 
     # ------------------------------------------------------------- trainable
-    def trainable(self) -> Dict[str, ag.Var]:
+    def parameters(self) -> Dict[str, ag.Var]:
+        """Adapter projections and both prompt contexts: what a checkpoint holds."""
         params: Dict[str, ag.Var] = {}
         for i, adapter in enumerate(self.adapters):
             params[f"adapter.{i}.weight"] = adapter.weight
             params[f"adapter.{i}.bias"] = adapter.bias
-        if self.config.prompt_kind == "coop":
-            params["prompt.normal_context"] = self.prompt_pair.normal_context
-            params["prompt.abnormal_context"] = self.prompt_pair.abnormal_context
+        params["prompt.normal_context"] = self.prompt_pair.normal_context
+        params["prompt.abnormal_context"] = self.prompt_pair.abnormal_context
         return params
+
+    def trainable(self) -> Dict[str, ag.Var]:
+        """The parameters that require gradients."""
+        return {name: var for name, var in self.parameters().items() if var.requires_grad}
 
     def text_features(self) -> np.ndarray:
         """The (2, C_text) text features; row 0 normal, row 1 abnormal.
 
-        A ``coop`` encoding is kept, read-only, keyed on the contents of the
-        two contexts: in-place edits and rebinding both re-encode.
+        The encoding is kept, read-only, keyed on the contents of the two
+        contexts: in-place edits and rebinding both re-encode.
         """
-        if self.config.prompt_kind != "coop":
-            assert self.fixed_text is not None
-            return self.fixed_text
         pair = self.prompt_pair
         key = tensor_hash(pair.normal_context.data) + tensor_hash(pair.abnormal_context.data)
         if self._text_cache is None or self._text_cache[0] != key:
@@ -174,24 +173,18 @@ class SowaModel:
 
     # ------------------------------------------------------------ checkpoints
     def state_tensors(self) -> Dict[str, np.ndarray]:
-        return {name: var.data.copy() for name, var in self.trainable().items()}
+        return {name: var.data.copy() for name, var in self.parameters().items()}
 
     def save_checkpoint(self, path, extra: Optional[Dict[str, np.ndarray]] = None) -> None:
         tensors = self.state_tensors()
-        # contexts are persisted even when frozen so checkpoints are complete
-        tensors.setdefault("prompt.normal_context", self.prompt_pair.normal_context.data.copy())
-        tensors.setdefault("prompt.abnormal_context", self.prompt_pair.abnormal_context.data.copy())
         if extra:
             tensors.update(extra)
         archive_write(path, tensors)
 
     def load_checkpoint(self, path) -> Dict[str, np.ndarray]:
-        """Bind trainable tensors from an archive; returns leftover entries."""
+        """Bind the parameters from an archive; returns leftover entries."""
         tensors = archive_read(path)
-        targets = dict(self.trainable())
-        targets.setdefault("prompt.normal_context", self.prompt_pair.normal_context)
-        targets.setdefault("prompt.abnormal_context", self.prompt_pair.abnormal_context)
-        for name, var in targets.items():
+        for name, var in self.parameters().items():
             if name not in tensors:
                 raise WeightsError(f"checkpoint missing tensor {name!r}")
             arr = tensors.pop(name)
@@ -201,9 +194,6 @@ class SowaModel:
                     f"expected {var.data.shape}"
                 )
             var.data = arr.astype(numerics.default_dtype())
-        if self.config.prompt_kind == "fixed_pair":
-            self.fixed_text = fixed_template_features(self.encoder, "fixed_pair", self.prompt_pair)
-            self.fixed_text.setflags(write=False)
         self.clear_cache()
         return tensors
 
@@ -219,7 +209,9 @@ def build_model(config: RunConfig) -> SowaModel:
             seed=seed + _SEED_OFFSETS["encoder"],
         )
     )
-    pair = build_prompt_pair(config.prompt_length, seed + _SEED_OFFSETS["prompts"], encoder)
+    pair = build_prompt_pair(
+        config.prompt_kind, config.prompt_length, seed + _SEED_OFFSETS["prompts"], encoder
+    )
     adapters = [
         new_adapter_params(
             config.backbone.channels, config.c_text, seed=seed + _SEED_OFFSETS["adapters"] + i
@@ -233,14 +225,6 @@ def build_model(config: RunConfig) -> SowaModel:
         0.0, 1.0 / np.sqrt(config.backbone.channels), size=(config.backbone.channels, config.c_text)
     ).astype(numerics.default_dtype())
     cls_proj.setflags(write=False)
-
-    fixed_text = None
-    if config.prompt_kind == "template":
-        fixed_text = fixed_template_features(encoder, "template")
-    elif config.prompt_kind == "fixed_pair":
-        fixed_text = fixed_template_features(encoder, "fixed_pair", pair)
-    if fixed_text is not None:
-        fixed_text.setflags(write=False)
     return SowaModel(
         config=config,
         backbone=backbone,
@@ -248,5 +232,4 @@ def build_model(config: RunConfig) -> SowaModel:
         adapters=adapters,
         prompt_pair=pair,
         cls_proj=cls_proj,
-        fixed_text=fixed_text,
     )

@@ -99,8 +99,6 @@ def bilinear_upsample(grid, out_h: int, out_w: int) -> np.ndarray:
     input's value range; the map is linear in its input.
     """
     grid = np.asarray(grid)
-    if grid.ndim == 3 and grid.shape[2] == 1:
-        grid = grid[:, :, 0]
     if grid.ndim != 2:
         raise UsageError(f"expected a 2-D grid, got shape {grid.shape}")
     if out_h < 1 or out_w < 1:

@@ -1,15 +1,18 @@
-"""Dual learnable prompts and the frozen text-encoding path.
+"""Dual prompts and the frozen text-encoding path.
 
-Two context sequences (normal / abnormal) are trainable; everything else is
-frozen: a small seeded vocabulary of anchor embeddings, a two-block
-transformer encoder, and the projection into the shared text feature space.
-Each branch is encoded independently as
+Every prompt kind is one pair of context sequences (normal / abnormal);
+everything else is frozen: a small seeded vocabulary of anchor embeddings,
+a two-block transformer encoder, and the projection into the shared text
+feature space. Each branch is encoded independently as
 
     [context_1 .. context_l, <branch anchor>, "object"]
 
 and the last token's projected, unit-normalized embedding becomes that
 branch's row of the 2 x C_text feature matrix (row 0 normal, row 1 abnormal,
-always in that order).
+always in that order). Prompt kinds differ only in how the contexts start
+and whether they train (``build_prompt_pair``): a ``template`` pair holds the
+words "a photo of a" / "a photo of an", so its rows encode the sentences "a
+photo of a normal object" and "a photo of an abnormal object".
 
 There is no tokenizer: "tokens" are vocabulary IDs with fixed embeddings.
 """
@@ -17,7 +20,7 @@ There is no tokenizer: "tokens" are vocabulary IDs with fixed embeddings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -41,10 +44,6 @@ VOCABULARY = (
     "damaged",
 )
 
-TEMPLATE_SENTENCES = {
-    "normal": ("a", "photo", "of", "a", "normal", "object"),
-    "abnormal": ("a", "photo", "of", "an", "abnormal", "object"),
-}
 
 @dataclass(frozen=True)
 class TextEncoderConfig:
@@ -128,52 +127,57 @@ def build_text_encoder(config: TextEncoderConfig | None = None) -> FrozenTextEnc
 
 @dataclass
 class PromptPair:
-    """Trainable normal/abnormal context vectors plus frozen anchor embeddings.
+    """Normal/abnormal context vectors plus frozen anchor embeddings.
 
-    ``encode_text`` encodes a copy that holds the contexts' arrays instead.
+    The contexts train when their Vars require gradients. ``encode_text``
+    encodes a copy that holds the contexts' arrays instead.
     """
 
     normal_context: ag.Var  # (l, width)
     abnormal_context: ag.Var  # (l, width)
     anchors: Dict[str, np.ndarray]
-    length: int
 
 
-def build_prompt_pair(length: int, seed: int, encoder: FrozenTextEncoder) -> PromptPair:
-    """Seeded Gaussian(0, 0.02) contexts of ``length`` vectors per branch."""
-    if length < 1:
-        raise UsageError(f"context length must be >= 1, got {length}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    dtype = numerics.default_dtype()
-    width = encoder.config.width
-    normal = rng.normal(0.0, 0.02, size=(length, width)).astype(dtype)
-    abnormal = rng.normal(0.0, 0.02, size=(length, width)).astype(dtype)
+def build_prompt_pair(kind: str, length: int, seed: int, encoder: FrozenTextEncoder) -> PromptPair:
+    """The two contexts of a prompt kind: how they start and whether they train.
+
+    ``coop`` trains seeded Gaussian(0, 0.02) contexts of ``length`` vectors per
+    branch, ``fixed_pair`` freezes the same, and ``template`` freezes the words
+    "a photo of a" / "a photo of an" (``length`` unused).
+    """
+    if kind == "template":
+        normal, abnormal = (
+            np.stack([encoder.token_embedding(w) for w in ("a", "photo", "of", article)])
+            for article in ("a", "an")
+        )
+    else:
+        if length < 1:
+            raise UsageError(f"context length must be >= 1, got {length}")
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        size = (length, encoder.config.width)
+        normal, abnormal = (
+            rng.normal(0.0, 0.02, size=size).astype(numerics.default_dtype()) for _ in range(2)
+        )
     anchors = {
         word: encoder.token_embedding(word).copy()
         for word in ("normal", "abnormal", "object")
     }
+    train = kind == "coop"
     return PromptPair(
-        normal_context=ag.Var(normal, requires_grad=True),
-        abnormal_context=ag.Var(abnormal, requires_grad=True),
+        normal_context=ag.Var(normal, requires_grad=train),
+        abnormal_context=ag.Var(abnormal, requires_grad=train),
         anchors=anchors,
-        length=length,
     )
-
-
-def encode_branch(pair: PromptPair, encoder: FrozenTextEncoder, branch: str):
-    """Encode one branch; returns a Var when its context requires gradients."""
-    if branch not in ("normal", "abnormal"):
-        raise UsageError(f"branch must be 'normal' or 'abnormal', got {branch!r}")
-    context = pair.normal_context if branch == "normal" else pair.abnormal_context
-    tail = np.stack([pair.anchors[branch], pair.anchors["object"]])
-    sequence = ag.concat([context, tail.astype(context.dtype)], axis=0)
-    return encoder.encode_sequence(sequence)
 
 
 def encode_prompts(pair: PromptPair, encoder: FrozenTextEncoder):
     """Both branches stacked to (2, C_text); a Var when the contexts are Vars."""
-    rows = [encode_branch(pair, encoder, branch) for branch in ("normal", "abnormal")]
-    return ag.concat([ag.reshape(r, (1, -1)) for r in rows], axis=0)
+    rows = []
+    for branch, context in (("normal", pair.normal_context), ("abnormal", pair.abnormal_context)):
+        tail = np.stack([pair.anchors[branch], pair.anchors["object"]])
+        sequence = ag.concat([context, tail.astype(context.dtype)], axis=0)
+        rows.append(ag.reshape(encoder.encode_sequence(sequence), (1, -1)))
+    return ag.concat(rows, axis=0)
 
 
 def encode_text(pair: PromptPair, encoder: FrozenTextEncoder) -> np.ndarray:
@@ -186,27 +190,3 @@ def encode_text(pair: PromptPair, encoder: FrozenTextEncoder) -> np.ndarray:
         pair, normal_context=pair.normal_context.data, abnormal_context=pair.abnormal_context.data
     )
     return encode_prompts(arrays, encoder)
-
-
-def fixed_template_features(
-    encoder: FrozenTextEncoder, kind: str, pair: PromptPair | None = None
-) -> np.ndarray:
-    """Non-trainable (2, C_text) text features for the ablations.
-
-    kind='template' encodes the two hand-written vocabulary sentences;
-    kind='fixed_pair' encodes the learnable-prompt sequences with the
-    contexts frozen at their current values (``pair`` required).
-    """
-    if kind == "template":
-        rows: List[np.ndarray] = []
-        for branch in ("normal", "abnormal"):
-            vectors = np.stack(
-                [encoder.token_embedding(w) for w in TEMPLATE_SENTENCES[branch]]
-            )
-            rows.append(np.asarray(encoder.encode_sequence(vectors)))
-        return np.stack(rows)
-    if kind == "fixed_pair":
-        if pair is None:
-            raise UsageError("fixed_pair features need a PromptPair")
-        return encode_text(pair, encoder)
-    raise UsageError(f"unknown fixed-feature kind {kind!r}")

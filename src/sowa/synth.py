@@ -209,7 +209,13 @@ def _paint_motley(image, mask, rng, size, spec):
 
 
 def generate_sample(spec: PatternSpec, index: int, image_size: int, category: str) -> Sample:
-    """Deterministically build sample ``index``; even indices are normal."""
+    """Deterministically build sample ``index``; even indices are normal.
+
+    ``image_size`` must be at least 10: point centres keep 4 pixels from the
+    border, and below 10 pixels a motley blob covers more than its area bound.
+    """
+    if image_size < 10:
+        raise UsageError(f"image_size must be >= 10, got {image_size}")
     rng = _sample_rng(spec, index)
     image = _background(rng, image_size, spec)
     mask = np.zeros((image_size, image_size), dtype=bool)
@@ -248,7 +254,8 @@ def generate_sample(spec: PatternSpec, index: int, image_size: int, category: st
 
 def synth_generate(spec: PatternSpec, n: int, image_size: int = 64) -> Dataset:
     """Generate ``n`` samples: half normal (alternating train/test), half
-    defective (always test)."""
+    defective (always test). ``image_size`` must be at least 10, as for
+    ``generate_sample``."""
     if n < 1:
         raise UsageError(f"need n >= 1 samples, got {n}")
     category = f"synthetic_{spec.kind}"

@@ -9,9 +9,9 @@ activations are stacked along a leading batch axis, the prompts are encoded
 once, and every term is a mean over the batch. Run on the trainable Vars it
 builds one graph per batch, whose gradients reach exactly the trainable set
 (four adapter projections and, in coop mode, the two prompt contexts); the
-backbone, the injected attention weights, the text encoder, and the class
-projection are constants of the graph. Run on the parameter arrays, as the
-dataset loss does, it builds no graph.
+backbone, the injected attention weights, the text encoder, the class
+projection and frozen contexts are constants of the graph. Run on the
+parameter arrays, as the dataset loss does, it builds no graph.
 """
 
 from __future__ import annotations
@@ -127,10 +127,7 @@ def _batch_loss(model, samples: Sequence, cache_keys, projections, text):
 def sample_loss(model, samples: Sequence, cache_keys: Optional[Sequence[int]] = None):
     """The loss graph of a batch of samples: one stacked graph whose loss
     is the batch mean; returns (loss Var, per-term floats)."""
-    if model.config.prompt_kind == "coop":
-        text = prompts_mod.encode_prompts(model.prompt_pair, model.encoder)
-    else:
-        text = model.text_features()
+    text = prompts_mod.encode_prompts(model.prompt_pair, model.encoder)
     projections = [(a.weight, a.bias) for a in model.adapters]
     return _batch_loss(model, samples, cache_keys, projections, text)
 

@@ -16,10 +16,10 @@ import sowa.autodiff as ag
 def _weights(c=8, heads=2, seed=0, identity=False):
     if identity:
         eye = np.eye(c, dtype=np.float32)
-        return AttentionWeights(w_q=eye, w_k=eye, w_v=eye, w_o=eye, heads=heads, stage=1)
+        return AttentionWeights(w_q=eye, w_k=eye, w_v=eye, w_o=eye, heads=heads)
     rng = np.random.default_rng(seed)
     mats = [rng.normal(0, c**-0.5, size=(c, c)).astype(np.float32) for _ in range(4)]
-    return AttentionWeights(w_q=mats[0], w_k=mats[1], w_v=mats[2], w_o=mats[3], heads=heads, stage=1)
+    return AttentionWeights(w_q=mats[0], w_k=mats[1], w_v=mats[2], w_o=mats[3], heads=heads)
 
 
 def _attend(tokens, w, mode="vv"):

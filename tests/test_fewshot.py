@@ -48,8 +48,7 @@ def test_level_maps_equal_brute_force_min_cosine_distance(rng):
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_combine_maps_endpoints(rng, beta):
     tokens = GRID[0] * GRID[1]
-    zero = AnomalyMap(scores=rng.uniform(size=DIMS).astype(np.float32),
-                      token_logits=rng.normal(size=(tokens, 2)).astype(np.float32))
+    zero = AnomalyMap(scores=rng.uniform(size=DIMS).astype(np.float32))
     # one bank row per level; query tokens are it (distance 0) or its opposite (2)
     row = _unit_rows(rng, 1)
     signs = np.where(np.arange(tokens) % 3 == 0, -1.0, 1.0).astype(np.float32)[:, None]
@@ -59,4 +58,3 @@ def test_combine_maps_endpoints(rng, beta):
     combined = combine_maps(zero, fmap, beta=beta)
     expected = zero.scores if beta == 0.0 else np.clip(fmap.few / 4.0, 0.0, 1.0)
     np.testing.assert_array_equal(combined.scores, expected)
-    assert combined.token_logits is zero.token_logits

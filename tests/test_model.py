@@ -188,10 +188,15 @@ def test_cached_text_is_read_only_and_changes_no_output(tiny_corpus):
 def test_text_features_are_read_only_for_every_prompt_kind(prompt_kind, tmp_path):
     model = build_model(tiny_config(prompt_kind=prompt_kind))
     assert not model.text_features().flags.writeable
-    build_model(tiny_config(seed=8, prompt_kind=prompt_kind)).save_checkpoint(tmp_path / "c.sowa")
+    saved = build_model(tiny_config(seed=8, prompt_kind=prompt_kind))
+    saved.save_checkpoint(tmp_path / "c.sowa")
     model.load_checkpoint(tmp_path / "c.sowa")
     text = model.text_features()
     assert not text.flags.writeable
+    for branch in ("normal_context", "abnormal_context"):  # the loaded contexts are encoded
+        np.testing.assert_array_equal(getattr(model.prompt_pair, branch).data,
+                                      getattr(saved.prompt_pair, branch).data)
+    np.testing.assert_array_equal(text, prompts.encode_text(model.prompt_pair, model.encoder))
     with pytest.raises(ValueError):
         text[0, 0] = 0.0
 
@@ -211,7 +216,6 @@ def _pipeline_dtypes(model, sample):
     grads = batch_gradients(model, [sample])[2]
     dtypes = {
         "map": pred.anomaly_map.scores.dtype,
-        "token logits": pred.anomaly_map.token_logits.dtype,
         "score": fusion.image_score(acts.class_token, model.cls_proj, model.text_features(),
                                     cfg).dtype,
         "text": model.text_features().dtype,
@@ -230,5 +234,5 @@ def test_the_model_computes_in_its_default_dtype(tiny_corpus, dtype):
     with numerics.precision(dtype):
         model = build_model(tiny_config())
         dtypes = _pipeline_dtypes(model, tiny_corpus.samples[1])
-    assert len(dtypes) == 8 + 4 + 10
+    assert len(dtypes) == 7 + 4 + 10
     assert {name: d for name, d in dtypes.items() if d != np.dtype(dtype)} == {}

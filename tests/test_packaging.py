@@ -1,9 +1,10 @@
 """Every console script that ``pyproject.toml`` declares can be imported,
-and the package imports nothing at run time beyond the standard library and
-numpy."""
+the package imports nothing at run time beyond the standard library and
+numpy, and every name the benchmark's span tracer wraps exists."""
 
 import ast
 import importlib
+import importlib.util
 import sys
 import tomllib
 from pathlib import Path
@@ -36,3 +37,18 @@ def test_package_imports_only_stdlib_and_numpy():
             foreign += [f"{path.name}:{node.lineno} {n}" for n in names
                         if n.partition(".")[0] not in RUNTIME_MODULES]
     assert foreign == []
+
+
+def test_every_traced_site_resolves():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    absent = []
+    for layer, (_, sites) in tracer.LAYERS.items():
+        for module_name, path in sites:
+            owner = importlib.import_module(module_name)
+            for part in path.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                absent.append(f"{layer}: {module_name}.{path}")
+    assert absent == []

@@ -1,11 +1,13 @@
-"""Prompt contracts: fixed text features never move under training, and the
-coop text encoding sends each row's gradient to its own context."""
+"""Prompt contracts: fixed text features never move under training, the
+template pair encodes the two hand-written sentences, and the coop text
+encoding sends each row's gradient to its own context."""
 
 import numpy as np
 import pytest
 
 from sowa import autodiff as ag
 from sowa import training
+from sowa.errors import WeightsError
 from sowa.model import build_model
 from sowa.prompts import encode_prompts
 
@@ -25,6 +27,25 @@ def test_fixed_text_features_do_not_change_under_training(prompt_kind, tiny_corp
     np.testing.assert_array_equal(model.text_features(), before)
     np.testing.assert_array_equal(model.prompt_pair.normal_context.data, contexts[0])
     np.testing.assert_array_equal(model.prompt_pair.abnormal_context.data, contexts[1])
+
+
+def test_template_text_is_the_encoding_of_the_two_sentences():
+    model = build_model(tiny_config(prompt_kind="template"))
+    encoder = model.encoder
+    sentences = ("a photo of a normal object", "a photo of an abnormal object")
+    expected = np.stack([
+        encoder.encode_sequence(np.stack([encoder.token_embedding(w) for w in text.split()]))
+        for text in sentences
+    ])
+    np.testing.assert_array_equal(model.text_features(), expected)
+
+
+def test_template_contexts_are_the_four_words_whatever_the_prompt_length(tmp_path):
+    template = build_model(tiny_config(prompt_kind="template", prompt_length=6))
+    assert template.prompt_pair.normal_context.shape == (4, template.config.text_width)
+    build_model(tiny_config(prompt_length=6)).save_checkpoint(tmp_path / "coop.sowa")
+    with pytest.raises(WeightsError, match="prompt.normal_context"):
+        template.load_checkpoint(tmp_path / "coop.sowa")
 
 
 def test_coop_gradient_reaches_both_contexts(tiny_model):

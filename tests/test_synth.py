@@ -1,20 +1,20 @@
 """Synthetic corpus contracts: every sample is a pure function of (spec,
 index), labels agree with masks, the split rule holds, each defect family
-stays inside its area bounds, pixels sit on the 8-bit grid, and a malformed
-``Sample`` is rejected."""
+stays inside its area bounds, pixels sit on the 8-bit grid, a malformed
+``Sample`` is rejected, and so is an image size below 10 pixels."""
 
 import numpy as np
 import pytest
 
-from sowa.errors import DataError
+from sowa.errors import DataError, UsageError
 from sowa.synth import AREA_BOUNDS, KINDS, PatternSpec, Sample, generate_sample, synth_generate
 
-SIZES = (16, 32, 64)
+SIZES = (10, 16, 32, 64)  # 10 px is the smallest size synth_generate takes
 
 
 @pytest.fixture(scope="module")
 def corpora():
-    """Every pattern family at three sizes, two seeds each."""
+    """Every pattern family at four sizes, two seeds each."""
     return {
         (kind, size, seed): synth_generate(PatternSpec(kind=kind, seed=seed), 16, image_size=size)
         for kind in KINDS + ("mixed",)
@@ -101,3 +101,13 @@ def test_malformed_sample_raises_data_error():
         _sample(mask=np.full((4, 5), -1, dtype=np.int8)).validate()
     with pytest.raises(DataError, match="label"):
         _sample(label=0).validate()
+
+
+@pytest.mark.parametrize("size", [0, 1, 8, 9])
+def test_image_sizes_below_ten_are_rejected(size):
+    spec = PatternSpec(kind="mixed", seed=0)
+    with pytest.raises(UsageError, match="image_size"):
+        synth_generate(spec, 8, image_size=size)
+    with pytest.raises(UsageError, match="image_size"):
+        generate_sample(spec, 1, size, "synthetic_mixed")
+
