@@ -13,6 +13,15 @@ are written once: training passes Vars and gets a graph, inference passes
 arrays and runs plain numpy with no graph at all. A Python scalar operand
 takes the other operand's dtype in both modes, as NumPy's weak scalars do,
 so float32 inputs give a float32 graph and float32 outputs.
+
+Backward pays only for gradients that reach a tracked Var (one that requires
+gradients, directly or through its parents): a closure computes a parent's
+gradient only when that parent is tracked, so constants, such as frozen
+weights, never get a ``grad``. A node adopts its first gradient as its
+``grad``, cast to its dtype, and adds later ones out of place. No closure
+writes into the gradient it is given. So an intermediate's ``grad`` may share
+memory with other intermediates' grads. A leaf copies its first gradient and
+owns its ``grad``.
 """
 
 from __future__ import annotations
@@ -48,9 +57,15 @@ class Var:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
+        dtype = self.data.dtype
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a leaf copies its first gradient, so in-place edits of any
+            # other node's grad cannot reach it; intermediates adopt theirs
+            self.grad = grad.astype(dtype, copy=not self._parents)
+        else:
+            self.grad = (self.grad + grad).astype(dtype, copy=False)
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -132,8 +147,10 @@ def add(a, b):
     data = a.data + b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -145,8 +162,10 @@ def mul(a, b):
     data = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -158,8 +177,10 @@ def div(a, b):
     data = a.data / b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -183,10 +204,10 @@ def matmul(a, b):
     data = a.data @ b.data
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        a._accumulate(_unbroadcast(ga, a.data.shape))
-        b._accumulate(_unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(data, (a, b), backward)
 

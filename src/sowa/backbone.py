@@ -13,7 +13,6 @@ trainable.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -161,11 +160,14 @@ def transformer_block(x, weights: Dict[str, np.ndarray], idx: int, heads: int):
 
 
 def tensor_hash(arr: np.ndarray) -> str:
-    arr = np.ascontiguousarray(arr)
-    digest = hashlib.sha256()
-    digest.update(str(arr.dtype).encode())
-    digest.update(json.dumps(arr.shape).encode())
-    digest.update(arr.tobytes())
+    """SHA-256 of dtype, shape and contents; equal for any memory layout.
+
+    The contiguous buffer is hashed in place, with no copy unless ``arr``
+    is a non-contiguous view.
+    """
+    arr = np.asarray(arr)
+    digest = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
+    digest.update(np.ascontiguousarray(arr).data)
     return digest.hexdigest()
 
 

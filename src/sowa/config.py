@@ -68,7 +68,7 @@ class RunConfig:
     attention_mode: str = "vv"
     window: int = 4
     prompt_kind: str = "coop"
-    prompt_length: int = 12
+    prompt_length: int = 12  # context vectors per branch; ``template`` ignores it
     c_text: int = 32
     text_width: int = 32
     image_score_mode: str = "max_map"
@@ -97,7 +97,8 @@ class RunConfig:
         if self.c_text < 2 or self.text_width < 2:
             raise ConfigError("c_text and text_width must be >= 2")
         text = TextEncoderConfig(width=self.text_width, c_text=self.c_text)  # checks the heads
-        if self.prompt_length + 2 > text.max_len:  # context + branch anchor + "object"
+        # context + branch anchor + "object"; a template's contexts are its 4 words
+        if self.prompt_kind != "template" and self.prompt_length + 2 > text.max_len:
             raise ConfigError(f"prompt_length {self.prompt_length} + 2 anchors > max_len {text.max_len}")
         if not 0.0 <= self.few_shot_beta <= 1.0:
             raise ConfigError("few_shot_beta must lie in [0, 1]")

@@ -10,8 +10,11 @@ once, and every term is a mean over the batch. Run on the trainable Vars it
 builds one graph per batch, whose gradients reach exactly the trainable set
 (four adapter projections and, in coop mode, the two prompt contexts); the
 backbone, the injected attention weights, the text encoder, the class
-projection and frozen contexts are constants of the graph. Run on the
-parameter arrays, as the dataset loss does, it builds no graph.
+projection and frozen contexts are constants of the graph; frozen contexts
+are not encoded in it at all, the cached text features stand in. Run on the
+parameter arrays, as the dataset loss does, it builds no graph. Targets take
+the prediction's dtype, so the loss runs in the model's dtype: a float32
+model's graph is float32 end to end.
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ from .errors import TrainingError, UsageError
 PRED_CLAMP = 1e-7
 
 
+def _target(pred, target) -> np.ndarray:
+    """``target`` as an array in the prediction's float dtype (float64 for
+    integer predictions), so the loss adds no wider node to the graph."""
+    dtype = pred.dtype if ag.is_var(pred) else np.asarray(pred).dtype
+    return np.asarray(target, dtype=np.result_type(dtype, np.float32))
+
+
 def dice_loss(pred, target01, eps: float = 1.0):
     """Batch mean of 1 - (2 sum(p g) + eps) / (sum(p) + sum(g) + eps).
 
@@ -44,7 +54,7 @@ def dice_loss(pred, target01, eps: float = 1.0):
         raise UsageError(f"dice shapes differ: pred {shape_p} vs target {shape_g}")
     if eps <= 0:
         raise UsageError("dice eps must be > 0")
-    target = np.asarray(target01, dtype=np.float64 if not ag.is_var(pred) else None)
+    target = _target(pred, target01)
     axes = tuple(range(1, len(shape_p)))
     overlap = ag.sum_(ag.mul(pred, target), axis=axes)
     total = ag.add(ag.sum_(pred, axis=axes), np.sum(target, axis=axes))
@@ -56,11 +66,10 @@ def focal_loss(pred, target01, gamma: float = 2.0, alpha: float = 0.5):
     """Mean of -alpha_t (1 - p_t)^gamma log(p_t) over every pixel of the
     batch, predictions clamped away from {0, 1}."""
     shape_p = pred.shape if ag.is_var(pred) else np.asarray(pred).shape
-    target = np.asarray(target01)
-    if tuple(shape_p) != tuple(target.shape):
-        raise UsageError(f"focal shapes differ: pred {shape_p} vs target {target.shape}")
+    g = _target(pred, target01)
+    if tuple(shape_p) != tuple(g.shape):
+        raise UsageError(f"focal shapes differ: pred {shape_p} vs target {g.shape}")
     p = ag.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    g = target.astype(np.float64)
     # p_t = p when g = 1, else 1 - p
     p_t = ag.add(ag.mul(p, 2.0 * g - 1.0), 1.0 - g)
     alpha_t = alpha * g + (1.0 - alpha) * (1.0 - g)
@@ -71,7 +80,7 @@ def focal_loss(pred, target01, gamma: float = 2.0, alpha: float = 0.5):
 def bce_loss(score, label01):
     """Batch mean of the binary cross-entropy of scores against {0, 1} labels."""
     s = ag.clip(score, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    y = np.asarray(label01, dtype=np.float64)
+    y = _target(score, label01)
     pos = ag.mul(ag.log(s), -y)
     neg = ag.mul(ag.log(ag.add(1.0, ag.mul(s, -1.0))), -(1.0 - y))
     return ag.mean(ag.add(pos, neg))
@@ -84,8 +93,8 @@ def composite_loss(map_scores, mask_pm1, score, label_pm1, weights: LossSection)
     sample, and every term is its batch mean. Returns (total, per-term float
     dict); differentiable when the map and score are graph nodes.
     """
-    mask01 = (np.asarray(mask_pm1) + 1.0) / 2.0
-    label01 = (np.asarray(label_pm1, dtype=np.float64) + 1.0) / 2.0
+    mask01 = (_target(map_scores, mask_pm1) + 1.0) / 2.0
+    label01 = (_target(score, label_pm1) + 1.0) / 2.0
     d = dice_loss(map_scores, mask01, eps=weights.dice_eps)
     f = focal_loss(map_scores, mask01, gamma=weights.focal_gamma, alpha=weights.focal_alpha)
     b = bce_loss(score, label01)
@@ -127,7 +136,11 @@ def _batch_loss(model, samples: Sequence, cache_keys, projections, text):
 def sample_loss(model, samples: Sequence, cache_keys: Optional[Sequence[int]] = None):
     """The loss graph of a batch of samples: one stacked graph whose loss
     is the batch mean; returns (loss Var, per-term floats)."""
-    text = prompts_mod.encode_prompts(model.prompt_pair, model.encoder)
+    pair = model.prompt_pair
+    if pair.normal_context.requires_grad or pair.abnormal_context.requires_grad:
+        text = prompts_mod.encode_prompts(pair, model.encoder)
+    else:
+        text = model.text_features()  # frozen contexts: the cached constant
     projections = [(a.weight, a.bias) for a in model.adapters]
     return _batch_loss(model, samples, cache_keys, projections, text)
 
@@ -139,8 +152,9 @@ def batch_gradients(model, samples: Sequence, cache_keys: Optional[Sequence[int]
         var.zero_grad()
     loss, terms = sample_loss(model, samples, cache_keys)
     loss.backward()
+    # a leaf owns its grad array (autodiff copies a leaf's first gradient)
     grads = {
-        name: (var.grad if var.grad is not None else np.zeros_like(var.data)).copy()
+        name: var.grad if var.grad is not None else np.zeros_like(var.data)
         for name, var in params.items()
     }
     return float(loss.data), terms, grads

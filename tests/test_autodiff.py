@@ -227,6 +227,27 @@ def test_gradient_accumulates_on_reuse():
     np.testing.assert_allclose(x.grad, [5.0])
 
 
+def test_a_gradient_reaching_a_leaf_twice_sums_and_each_leaf_owns_its_grad():
+    a = ag.Var(np.array([1.0, 2.0]), requires_grad=True)
+    b = ag.Var(np.array([3.0, 4.0]), requires_grad=True)
+    c = ag.add(a, b)
+    ag.sum_(ag.add(c, a)).backward()
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+    # intermediates adopt the gradient they are given; leaves keep a copy
+    c.grad *= 10.0
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def test_backward_skips_untracked_parents():
+    w = ag.Var(np.ones((3, 2)), requires_grad=True)
+    x, shift, scale = ag.Var(np.ones((4, 3))), ag.Var(np.ones(2)), ag.Var(np.full(2, 2.0))
+    ag.sum_(ag.div(ag.mul(ag.add(ag.matmul(x, w), shift), scale), scale)).backward()
+    assert x.grad is None and shift.grad is None and scale.grad is None
+    np.testing.assert_array_equal(w.grad, np.full((3, 2), 4.0))
+
+
 def test_constants_do_not_track():
     x = ag.Var(np.ones(3))  # requires_grad defaults False
     out = ag.mul(x, 2.0)

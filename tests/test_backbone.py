@@ -94,6 +94,22 @@ class TestStageWeights:
         h2 = tensor_hash(backbone.stage_attention_weights(2).w_v)
         assert h1 == h2
 
+    def test_hash_keys_on_dtype_and_shape_as_well_as_bytes(self):
+        arr = np.arange(12, dtype=np.float32).reshape(3, 4)
+        same_bytes = [arr.reshape(4, 3), arr.reshape(-1), arr.view(np.int32)]
+        assert len({tensor_hash(a) for a in [arr, *same_bytes]}) == 4
+
+    def test_hash_ignores_memory_layout(self):
+        arr = np.arange(24, dtype=np.float64).reshape(4, 6)
+        for view in (arr.T, arr[:, ::2], arr[::-1]):
+            assert not view.flags.c_contiguous
+            assert tensor_hash(view) == tensor_hash(np.ascontiguousarray(view))
+
+    def test_hash_of_read_only_arrays(self, backbone):
+        weight = backbone.weights["blocks.0.attn.w_v"]
+        assert not weight.flags.writeable
+        assert tensor_hash(weight) == tensor_hash(weight.copy())
+
     def test_four_stages_pairwise_distinct(self, backbone):
         hashes = {tensor_hash(backbone.stage_attention_weights(s).w_v) for s in (1, 2, 3, 4)}
         assert len(hashes) == 4

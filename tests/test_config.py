@@ -11,6 +11,7 @@ from sowa.backbone import BackboneConfig
 from sowa.config import LossSection, OptimSection, RunConfig, config_from_dict, default_config
 from sowa.errors import ConfigError
 from sowa.fusion import FusionConfig
+from sowa.model import build_model
 from sowa.prompts import TextEncoderConfig
 from sowa.synth import PatternSpec
 
@@ -86,6 +87,15 @@ def test_text_settings_the_encoder_cannot_take_are_config_errors():
         default_config(text_width=6)
     with pytest.raises(ConfigError, match="norm_std"):
         default_config(backbone={"norm_std": [0.0, 0.0, 0.0]})
+
+
+def test_prompt_length_is_bounded_only_for_kinds_with_that_many_contexts():
+    max_len = TextEncoderConfig().max_len
+    template = default_config(prompt_kind="template", prompt_length=max_len)
+    assert build_model(template).prompt_pair.normal_context.shape[0] == 4
+    for kind in ("coop", "fixed_pair"):
+        with pytest.raises(ConfigError, match=f"prompt_length {max_len}"):
+            default_config(prompt_kind=kind, prompt_length=max_len)
 
 
 def test_bad_section_values_in_a_document_are_config_errors():

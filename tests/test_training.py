@@ -1,11 +1,13 @@
-"""Training contracts: the stacked batch loss and its exact gradients, one
-prompt encoding per batch, a content-keyed feature cache, one epoch lowering
-the loss without touching frozen tensors, and bit-identical resumption from
-a checkpoint with its Adam state."""
+"""Training contracts: the stacked batch loss and its exact gradients, a
+loss graph in the model's dtype whose backward fills only trainable paths,
+one prompt encoding per batch (none for frozen prompts), a content-keyed
+feature cache, one epoch lowering the loss without touching frozen tensors,
+and bit-identical resumption from a checkpoint with its Adam state."""
 
 import numpy as np
 import pytest
 
+from sowa import autodiff as ag
 from sowa import model as smodel
 from sowa import numerics
 from sowa import prompts, training
@@ -43,6 +45,66 @@ def test_batch_equals_mean_of_single_sample_calls(model64, tiny_corpus):
     for name, grad in grads.items():
         mean = np.mean([s[2][name] for s in singles], axis=0)
         np.testing.assert_allclose(grad, mean, rtol=1e-5, err_msg=name)
+
+
+def test_float32_gradients_match_the_float64_oracle(model64, tiny_corpus):
+    samples = tiny_corpus.samples[:8]
+    with numerics.precision("float64"):
+        _, _, want = training.batch_gradients(model64, samples)
+    _, _, got = training.batch_gradients(build_model(tiny_config()), samples)
+    assert got.keys() == want.keys()
+    for name, grad in got.items():
+        assert grad.dtype == np.float32
+        scale = np.abs(want[name]).max()
+        assert np.abs(grad - want[name]).max() <= 1e-4 * scale, name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_loss_graph_runs_in_the_model_dtype(tiny_corpus, dtype):
+    with numerics.precision(dtype):
+        model = build_model(tiny_config())
+        loss, _ = training.sample_loss(model, tiny_corpus.samples[:8])
+    nodes = ag._toposort(loss)
+    assert len(nodes) == 366
+    assert [n for n in nodes if n.dtype != np.dtype(dtype)] == []
+
+
+def test_backward_leaves_every_constant_without_grad(tiny_model, tiny_corpus, monkeypatch):
+    losses = []
+    sample_loss = training.sample_loss
+
+    def keeping(*args, **kwargs):
+        losses.append(sample_loss(*args, **kwargs)[0])
+        return losses[-1], {}
+
+    monkeypatch.setattr(training, "sample_loss", keeping)
+    training.batch_gradients(tiny_model, tiny_corpus.samples[:4])
+    nodes = ag._toposort(losses[0])
+    assert all(n.grad is not None for n in nodes)  # the tape holds tracked nodes only
+    # the constants are the operands its closures hold
+    held = [c.cell_contents for n in nodes if n._backward for c in n._backward.__closure__]
+    held += [v for parts in held if isinstance(parts, list) for v in parts]  # concat
+    constants = [v for v in held if ag.is_var(v) and not v.requires_grad]
+    assert len(constants) > 100
+    assert [v for v in constants if v.grad is not None] == []
+
+
+@pytest.mark.parametrize("prompt_kind", ["template", "fixed_pair"])
+def test_frozen_prompts_reuse_the_cached_text(tiny_corpus, monkeypatch, prompt_kind):
+    model = build_model(tiny_config(prompt_kind=prompt_kind))
+    samples = tiny_corpus.samples[:4]
+    graph_text = prompts.encode_prompts(model.prompt_pair, model.encoder)
+    projections = [(a.weight, a.bias) for a in model.adapters]
+    want, _ = training._batch_loss(model, samples, None, projections, graph_text)
+    model.text_features()  # the one encoding of this parameter state
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("frozen prompts re-encoded")
+
+    monkeypatch.setattr(prompts, "encode_prompts", refuse)
+    monkeypatch.setattr(smodel, "encode_prompts", refuse)
+    loss, _ = training.sample_loss(model, samples)
+    assert float(loss.data) == float(want.data)
 
 
 def test_prompts_encoded_once_per_batch_and_dataset_loss_builds_no_graph(
