@@ -3,9 +3,9 @@
 A ``Var`` wraps an ndarray and records the closure that routes output
 gradients back to its parents; ``backward()`` walks the tape in reverse
 topological order. The primitives are broadcast arithmetic, (stacked)
-matmul, a few elementwise transcendentals, reductions, shape ops, and
-indexed gather; the model's shared formulas (GELU, layer norm, multi-head
-attention) are composed from them.
+matmul of operands of rank >= 2, a few elementwise transcendentals,
+reductions, shape ops, and indexed gather; the model's shared formulas (GELU,
+layer norm, multi-head attention) are composed from them.
 
 The functional helpers (``exp``, ``matmul``, ``softmax_last`` ...) accept
 either ``Var`` or plain ndarray and return the same kind, so model formulas
@@ -189,18 +189,8 @@ def matmul(a, b):
     if not _any_var(a, b):
         return np.matmul(a, b)
     a, b = _lift(a), _lift(b)
-    a_vec, b_vec = a.data.ndim == 1, b.data.ndim == 1
-    if a_vec or b_vec:
-        # promote vectors to matrices so the 2-D gradient rule applies
-        a2 = reshape(a, (1, -1)) if a_vec else a
-        b2 = reshape(b, (-1, 1)) if b_vec else b
-        out = matmul(a2, b2)
-        shape = list(out.data.shape)
-        if a_vec:
-            shape = shape[:-2] + shape[-1:]
-        if b_vec:
-            shape = shape[:-1]
-        return reshape(out, tuple(shape))
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise UsageError(f"matmul of Vars needs rank >= 2 operands, got {a.shape} and {b.shape}")
     data = a.data @ b.data
 
     def backward(g):

@@ -119,9 +119,9 @@ class Backbone:
         return (image - mean) / std
 
     def forward(self, image: np.ndarray) -> StageFeatures:
-        """Run the frozen stack on one (image_size, image_size, 3) image."""
+        """Run the frozen stack on one (image_size, image_size, 3) image, in the weights' dtype."""
         cfg = self.config
-        image = np.asarray(image, dtype=numerics.default_dtype())
+        image = np.asarray(image, dtype=self.weights["pos_embed"].dtype)
         expected = (cfg.image_size, cfg.image_size, 3)
         if image.shape != expected:
             raise UsageError(f"expected image of shape {expected}, got {image.shape}")

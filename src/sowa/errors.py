@@ -2,8 +2,9 @@
 
 Every error the package raises on purpose is a ``SowaError``; the subclasses
 separate bad arguments and configuration (``UsageError``, ``ConfigError``),
-bad data and files (``DataError`` and its format and archive errors), and
-failures at run time (weights, metrics, training).
+bad data and files (``DataError``, and ``ArchiveError`` for an ``.npz``
+checkpoint that cannot be read), and failures at run time (weights, metrics,
+training).
 """
 
 
@@ -23,28 +24,12 @@ class DataError(SowaError):
     """Dataset content is missing, unreadable, or inconsistent."""
 
 
-class FormatError(DataError):
-    """A file does not conform to its declared on-disk format."""
-
-
-class ArchiveError(FormatError):
-    """Base class for tensor-archive problems."""
-
-
-class ArchiveChecksumError(ArchiveError):
-    """Archive payload bytes do not match the recorded checksum."""
-
-
-class ArchiveVersionError(ArchiveError):
-    """Archive was written with an unsupported format version."""
-
-
-class ArchiveNameError(ArchiveError):
-    """Duplicate or unresolvable tensor name in an archive."""
+class ArchiveError(DataError):
+    """A checkpoint file cannot be read or fails its checksum."""
 
 
 class WeightsError(SowaError):
-    """A weight archive does not match the model it is being bound to."""
+    """A checkpoint does not match the model it is being bound to."""
 
 
 class MetricUndefinedError(SowaError):

@@ -5,11 +5,14 @@ scores.
 The parameters are the adapter projections and the two prompt contexts, which
 train for ``coop`` and are frozen for the other prompt kinds; every other tensor
 is created once, marked read-only, and hash-checked by the frozen-contract tests.
+A checkpoint is a numpy ``.npz`` file of the parameters, plus any extra tensors
+such as the optimizer's moments.
 """
 
 from __future__ import annotations
 
 import hashlib
+import zipfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,10 +27,9 @@ from .adapter import (
     new_adapter_params,
     project_tokens,
 )
-from .archive import archive_read, archive_write
 from .backbone import Backbone, init_synthetic, tensor_hash
 from .config import RunConfig
-from .errors import WeightsError
+from .errors import ArchiveError, UsageError, WeightsError
 from .fewshot import MemoryBank, build_memory_bank
 from .fusion import AnomalyMap
 from .prompts import (
@@ -176,26 +178,73 @@ class SowaModel:
         return {name: var.data.copy() for name, var in self.parameters().items()}
 
     def save_checkpoint(self, path, extra: Optional[Dict[str, np.ndarray]] = None) -> None:
+        """Write the parameters and ``extra`` to ``path`` as an ``.npz`` file.
+
+        Each tensor keeps its dtype, and the same tensors give the same bytes.
+        A non-finite tensor, or an ``extra`` name that is a parameter's,
+        raises ``UsageError``.
+        """
         tensors = self.state_tensors()
-        if extra:
-            tensors.update(extra)
-        archive_write(path, tensors)
+        extra = extra or {}
+        clash = sorted(tensors.keys() & extra.keys())
+        if clash:
+            raise UsageError(f"extra tensors {clash} would overwrite parameters")
+        tensors.update(extra)
+        for name, arr in tensors.items():
+            if not np.all(np.isfinite(arr)):
+                raise UsageError(f"tensor {name!r} contains non-finite values")
+        with open(path, "wb") as fh:  # np.savez appends ".npz" to a bare path
+            np.savez(fh, allow_pickle=False, **tensors)
 
     def load_checkpoint(self, path) -> Dict[str, np.ndarray]:
-        """Bind the parameters from an archive; returns leftover entries."""
-        tensors = archive_read(path)
-        for name, var in self.parameters().items():
-            if name not in tensors:
+        """Bind the parameters from an ``.npz`` checkpoint; returns the other tensors.
+
+        Each parameter keeps its own dtype. A file that cannot be read raises
+        ``ArchiveError``; a missing parameter, or one of the wrong shape or not
+        floating point, raises ``WeightsError``. Either way nothing is bound.
+        """
+        tensors = _read_npz(path)
+        params = self.parameters()
+        for name, var in params.items():
+            arr = tensors.get(name)
+            if arr is None:
                 raise WeightsError(f"checkpoint missing tensor {name!r}")
-            arr = tensors.pop(name)
-            if arr.shape != var.data.shape:
+            if arr.shape != var.data.shape or arr.dtype.kind != "f":
                 raise WeightsError(
-                    f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                    f"expected {var.data.shape}"
+                    f"checkpoint tensor {name!r} is {arr.dtype} {arr.shape}, "
+                    f"expected floats of shape {var.data.shape}"
                 )
-            var.data = arr.astype(numerics.default_dtype())
+        for name, var in params.items():
+            var.data = tensors.pop(name).astype(var.data.dtype)
         self.clear_cache()
         return tensors
+
+
+def _read_npz(path) -> Dict[str, np.ndarray]:
+    """Every tensor of the ``.npz`` file at ``path``; any failure is an ``ArchiveError``.
+
+    Every member's CRC-32 is checked before anything is read: ``np.load``
+    checks a member's only when it reads the member to its end.
+    """
+    try:
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+            corrupt = archive.testzip()
+        if corrupt is not None:
+            raise ArchiveError(f"checkpoint member {corrupt!r} fails its checksum in {path}")
+        names = [m.filename for m in members]
+        # np.savez writes no comments: a comment length flipped in the central
+        # directory would read the entries after it as that comment
+        if (len(set(names)) != len(names) or any(m.comment for m in members)
+                or not all(n.endswith(".npy") for n in names)):
+            raise ArchiveError(f"{path} is not an np.savez file of uniquely named .npy members")
+        with np.load(path, allow_pickle=False) as npz:
+            return {name: npz[name] for name in npz.files}
+    # what zipfile and np.load raise on a file that is missing, not a zip of
+    # .npy members, or corrupted (a damaged central directory raises the last three)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, RuntimeError,
+            NotImplementedError) as exc:
+        raise ArchiveError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
 def build_model(config: RunConfig) -> SowaModel:

@@ -80,7 +80,7 @@ class FrozenTextEncoder:
         return self.weights["embed_table"][VOCABULARY.index(word)]
 
     def encode_sequence(self, vectors):
-        """Encode a (n, width) embedding sequence to one unit-norm C_text row.
+        """Encode a (n, width) embedding sequence to a (1, C_text) unit-norm row.
 
         Accepts an autodiff Var (gradients flow to the input sequence only;
         encoder weights are constants) or a plain array.
@@ -91,8 +91,7 @@ class FrozenTextEncoder:
         x = ag.add(vectors, self.weights["pos_embed"][:n])
         for b in range(self.config.blocks):
             x = transformer_block(x, self.weights, b, self.config.heads)
-        last = x[n - 1]
-        projected = ag.matmul(last, self.weights["text_proj"])
+        projected = ag.matmul(x[n - 1:], self.weights["text_proj"])
         return ag.l2_normalize_rows(projected)
 
 
@@ -176,7 +175,7 @@ def encode_prompts(pair: PromptPair, encoder: FrozenTextEncoder):
     for branch, context in (("normal", pair.normal_context), ("abnormal", pair.abnormal_context)):
         tail = np.stack([pair.anchors[branch], pair.anchors["object"]])
         sequence = ag.concat([context, tail.astype(context.dtype)], axis=0)
-        rows.append(ag.reshape(encoder.encode_sequence(sequence), (1, -1)))
+        rows.append(encoder.encode_sequence(sequence))
     return ag.concat(rows, axis=0)
 
 

@@ -289,7 +289,7 @@ def train_epoch(
 
 
 def optimizer_tensors(state: TrainState) -> Dict[str, np.ndarray]:
-    """Moments and step counter in archive form, for checkpointing."""
+    """Moments and step counter as named arrays, the ``extra`` of a checkpoint."""
     out: Dict[str, np.ndarray] = {"adam.step": np.asarray([float(state.step)])}
     for name in state.params:
         out[f"adam.m.{name}"] = state.m[name].copy()

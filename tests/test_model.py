@@ -3,14 +3,20 @@ gradients reach every trainable tensor, every adapter, attention and prompt
 kind predicts and trains, ``predict`` reproduces the outputs
 pinned in ``perfbench/golden.npz``, warm ``predict`` calls reuse their
 heap pages, the text features are encoded once per parameter state and are
-read-only for every prompt kind, and a float32 model computes in float32 (a
-float64 one in float64)."""
+read-only for every prompt kind, a model computes in the dtype it was built
+in (float32 or float64) whatever the default at call time, and a checkpoint is
+an ``.npz`` file that round-trips bit-exactly and fails on any corruption with
+``ArchiveError`` or ``WeightsError``."""
 
+import io
 import itertools
 import os
 import platform
+import struct
 import subprocess
 import sys
+import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +26,7 @@ from sowa import autodiff as ag
 from sowa import fusion, numerics, prompts, training
 from sowa.adapter import project_tokens
 from sowa.config import PROMPT_KINDS, default_config
+from sowa.errors import ArchiveError, UsageError, WeightsError
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
 from sowa.training import batch_gradients, sample_loss
@@ -160,8 +167,8 @@ def test_text_encoded_once_per_parameter_state(tiny_corpus, encode_calls, tmp_pa
 
     # a checkpoint rebinds them too
     other = build_model(tiny_config(seed=8))
-    other.save_checkpoint(tmp_path / "other.sowa")
-    model.load_checkpoint(tmp_path / "other.sowa")
+    other.save_checkpoint(tmp_path / "other.npz")
+    model.load_checkpoint(tmp_path / "other.npz")
     model.predict(images[0])
     assert len(encode_calls) == 3
     np.testing.assert_array_equal(
@@ -189,8 +196,8 @@ def test_text_features_are_read_only_for_every_prompt_kind(prompt_kind, tmp_path
     model = build_model(tiny_config(prompt_kind=prompt_kind))
     assert not model.text_features().flags.writeable
     saved = build_model(tiny_config(seed=8, prompt_kind=prompt_kind))
-    saved.save_checkpoint(tmp_path / "c.sowa")
-    model.load_checkpoint(tmp_path / "c.sowa")
+    saved.save_checkpoint(tmp_path / "c.npz")
+    model.load_checkpoint(tmp_path / "c.npz")
     text = model.text_features()
     assert not text.flags.writeable
     for branch in ("normal_context", "abnormal_context"):  # the loaded contexts are encoded
@@ -236,3 +243,170 @@ def test_the_model_computes_in_its_default_dtype(tiny_corpus, dtype):
         dtypes = _pipeline_dtypes(model, tiny_corpus.samples[1])
     assert len(dtypes) == 7 + 4 + 10
     assert {name: d for name, d in dtypes.items() if d != np.dtype(dtype)} == {}
+
+
+def test_a_float64_model_ignores_the_default_dtype_at_call_time():
+    with numerics.precision("float64"):
+        model = build_model(tiny_config())
+        image = synth_generate(PatternSpec(kind="mixed", seed=5), 2, image_size=32).samples[1].image
+        inside = model.predict(image)
+    assert image.dtype == np.float64
+    outside = model.predict(image)
+    np.testing.assert_array_equal(outside.anomaly_map.scores, inside.anomaly_map.scores)
+    assert outside.image_score == inside.image_score
+    for ours, theirs in zip(outside.stage_features, inside.stage_features):
+        assert ours.dtype == np.float64
+        np.testing.assert_array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_round_trip_is_bit_exact_in_the_model_dtype(dtype, tmp_path):
+    with numerics.precision(dtype):
+        saved = build_model(tiny_config(seed=8))
+        model = build_model(tiny_config())
+    extra = {"adam.step": np.asarray([3.0]), "note": np.arange(4, dtype=np.int32)}
+    saved.save_checkpoint(tmp_path / "c.npz", extra=extra)
+    leftovers = model.load_checkpoint(tmp_path / "c.npz")  # outside the precision context
+    for name, value in saved.state_tensors().items():
+        loaded = model.parameters()[name].data
+        assert loaded.dtype == np.dtype(dtype), name
+        np.testing.assert_array_equal(loaded, value, err_msg=name)
+    assert leftovers.keys() == extra.keys()
+    for name, value in extra.items():
+        assert leftovers[name].dtype == value.dtype
+        np.testing.assert_array_equal(leftovers[name], value)
+
+
+def test_two_saves_of_a_model_are_byte_identical(tmp_path, monkeypatch):
+    model = build_model(tiny_config())
+    model.save_checkpoint(tmp_path / "a.npz")
+    # a day later, as far as a zip entry's timestamp could tell
+    now, local = time.time, time.localtime
+    monkeypatch.setattr(time, "time", lambda: now() + 86400)
+    monkeypatch.setattr(time, "localtime", lambda secs=None: local(time.time() if secs is None else secs))
+    model.save_checkpoint(tmp_path / "b.npz")
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+
+def test_save_rejects_a_non_finite_tensor_and_an_extra_named_like_a_parameter(tmp_path):
+    model = build_model(tiny_config())
+    weight = model.parameters()["adapter.0.weight"].data.copy()
+    with pytest.raises(UsageError, match="adapter.0.weight"):
+        model.save_checkpoint(tmp_path / "c.npz", extra={"adapter.0.weight": weight + 1})
+    with pytest.raises(UsageError, match="non-finite"):
+        model.save_checkpoint(tmp_path / "c.npz", extra={"adam.step": np.asarray([np.nan])})
+    model.parameters()["adapter.1.bias"].data[0] = np.inf
+    with pytest.raises(UsageError, match="adapter.1.bias"):
+        model.save_checkpoint(tmp_path / "c.npz")
+
+
+def _write_truncated(path, tensors):
+    np.savez(path, **tensors)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _write_bare_npy(path, tensors):
+    with open(path, "wb") as fh:
+        np.save(fh, tensors["adapter.0.weight"])
+
+
+def _write_object_member(path, tensors):
+    with open(path, "wb") as fh:
+        np.savez(fh, **tensors, extra=np.array([{"a": 1}], dtype=object))
+
+
+def _write_text_member(path, tensors):
+    np.savez(path, **tensors)
+    with zipfile.ZipFile(path, "a") as archive:
+        archive.writestr("notes.txt", "not an array")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, tensors: None,  # no file at all
+    _write_truncated, _write_bare_npy, _write_object_member, _write_text_member,
+])
+def test_an_unreadable_checkpoint_raises_archive_error_and_binds_nothing(write, tmp_path):
+    model = build_model(tiny_config())
+    before = model.state_tensors()
+    path = tmp_path / "c.npz"
+    write(path, build_model(tiny_config(seed=8)).state_tensors())
+    with pytest.raises(ArchiveError):
+        model.load_checkpoint(path)
+    for name, value in model.state_tensors().items():
+        np.testing.assert_array_equal(value, before[name])
+
+
+@pytest.mark.parametrize("change", [
+    lambda value: None,  # missing
+    lambda value: value[:-1],
+    lambda value: (value * 100).astype(np.int32),
+], ids=["missing", "shape", "dtype"])
+def test_a_checkpoint_that_does_not_fit_binds_nothing(change, tmp_path):
+    model = build_model(tiny_config())
+    before = model.state_tensors()
+    tensors = build_model(tiny_config(seed=8)).state_tensors()
+    changed = change(tensors.pop("prompt.abnormal_context"))  # the last one bound
+    if changed is not None:
+        tensors["prompt.abnormal_context"] = changed
+    np.savez(tmp_path / "c.npz", **tensors)
+    with pytest.raises(WeightsError, match="prompt.abnormal_context"):
+        model.load_checkpoint(tmp_path / "c.npz")
+    for name, value in model.state_tensors().items():
+        np.testing.assert_array_equal(value, before[name])
+
+
+def test_a_damaged_directory_cannot_hide_members(tmp_path):
+    path = tmp_path / "c.npz"
+    build_model(tiny_config()).save_checkpoint(path, extra={"adam.step": np.asarray([3.0])})
+    blob = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:  # find the last parameter's directory entry
+        entry = archive.start_dir
+        for member in archive.infolist()[:-2]:
+            entry += 46 + len(member.filename.encode()) + len(member.extra) + len(member.comment)
+    blob[entry + 33] ^= 0x08  # its comment now runs over the "adam.step" entry after it
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ArchiveError):
+        build_model(tiny_config()).load_checkpoint(path)
+
+
+def _member_spans(blob):
+    """(structure positions, one position inside each member's array data)."""
+    spans = []
+    with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+        for info in archive.infolist():
+            name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+            start = info.header_offset + 30 + name_len + extra_len  # the member's .npy file
+            npy_header_end = blob.index(b"\n", start) + 1
+            spans.append((npy_header_end, start + info.file_size))
+    in_data = np.zeros(len(blob), dtype=bool)
+    for lo, hi in spans:
+        in_data[lo:hi] = True
+    return np.flatnonzero(~in_data), [(lo + hi) // 2 for lo, hi in spans]
+
+
+def test_no_flipped_bit_loads_changed_tensors(tmp_path):
+    saved = build_model(tiny_config(seed=8))
+    extra = {"adam.step": np.asarray([3.0])}
+    path = tmp_path / "c.npz"
+    saved.save_checkpoint(path, extra=extra)
+    blob = path.read_bytes()
+    want = saved.state_tensors()
+    structure, data = _member_spans(blob)
+    rng = np.random.default_rng(0)
+    positions = np.concatenate([rng.choice(structure, size=300, replace=False), data])
+    model = build_model(tiny_config())
+    failed = 0
+    for pos, bit in zip(positions, rng.integers(0, 8, size=len(positions))):
+        flipped = bytearray(blob)
+        flipped[pos] ^= 1 << bit
+        path.write_bytes(bytes(flipped))
+        try:
+            leftovers = model.load_checkpoint(path)
+        except (ArchiveError, WeightsError):
+            failed += 1
+            continue
+        for name, value in model.state_tensors().items():
+            np.testing.assert_array_equal(value, want[name], err_msg=f"byte {pos} bit {bit}")
+        assert leftovers.keys() == extra.keys(), f"byte {pos} bit {bit}"
+        np.testing.assert_array_equal(leftovers["adam.step"], extra["adam.step"])
+    assert failed >= len(data)  # at least every member's data flip was caught

@@ -1,6 +1,7 @@
 """Every console script that ``pyproject.toml`` declares can be imported,
 the package imports nothing at run time beyond the standard library and
-numpy, and every name the benchmark's span tracer wraps exists."""
+numpy, every name the benchmark's span tracer wraps exists, and every error
+class is raised somewhere in the package or is the base of one that is."""
 
 import ast
 import importlib
@@ -8,6 +9,8 @@ import importlib.util
 import sys
 import tomllib
 from pathlib import Path
+
+from sowa import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -52,3 +55,16 @@ def test_every_traced_site_resolves():
             if not callable(owner):
                 absent.append(f"{layer}: {module_name}.{path}")
     assert absent == []
+
+
+def test_every_error_class_is_raised_or_is_the_base_of_one_that_is():
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and cls.__module__ == errors.__name__}
+    raised = set()
+    for path in sorted((ROOT / "src" / "sowa").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc).rpartition(".")[2])
+    live = {base for name in raised & classes.keys() for base in classes[name].__mro__}
+    assert sorted(name for name, cls in classes.items() if cls not in live) == []

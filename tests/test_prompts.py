@@ -33,7 +33,7 @@ def test_template_text_is_the_encoding_of_the_two_sentences():
     model = build_model(tiny_config(prompt_kind="template"))
     encoder = model.encoder
     sentences = ("a photo of a normal object", "a photo of an abnormal object")
-    expected = np.stack([
+    expected = np.concatenate([  # each sentence encodes to a (1, C_text) row
         encoder.encode_sequence(np.stack([encoder.token_embedding(w) for w in text.split()]))
         for text in sentences
     ])
@@ -43,9 +43,9 @@ def test_template_text_is_the_encoding_of_the_two_sentences():
 def test_template_contexts_are_the_four_words_whatever_the_prompt_length(tmp_path):
     template = build_model(tiny_config(prompt_kind="template", prompt_length=6))
     assert template.prompt_pair.normal_context.shape == (4, template.config.text_width)
-    build_model(tiny_config(prompt_length=6)).save_checkpoint(tmp_path / "coop.sowa")
+    build_model(tiny_config(prompt_length=6)).save_checkpoint(tmp_path / "coop.npz")
     with pytest.raises(WeightsError, match="prompt.normal_context"):
-        template.load_checkpoint(tmp_path / "coop.sowa")
+        template.load_checkpoint(tmp_path / "coop.npz")
 
 
 def test_coop_gradient_reaches_both_contexts(tiny_model):
