@@ -27,15 +27,27 @@ def auroc(scores, labels01) -> float:
     labels = np.asarray(labels01).ravel()
     if scores.shape != labels.shape:
         raise UsageError(f"scores {scores.shape} and labels {labels.shape} differ")
+    return _auroc(scores, labels, _descending(scores))
+
+
+def _auroc(scores: np.ndarray, labels: np.ndarray, ranking) -> float:
+    """``auroc`` of float64 ``scores`` given their ``_descending`` ranking."""
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError(
             f"AUROC undefined with {n_pos} positives and {n_neg} negatives"
         )
-    ranks = _average_ranks(scores)
+    ranks = _average_ranks(scores, ranking)
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def _descending(scores: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The stable order of ``scores`` from highest to lowest, and the
+    position in that order of the last item of each tie group."""
+    order = np.argsort(-scores, kind="stable")
+    return order, _group_ends(scores[order])
 
 
 def _group_ends(sorted_scores: np.ndarray) -> np.ndarray:
@@ -43,13 +55,18 @@ def _group_ends(sorted_scores: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.append(np.diff(sorted_scores) != 0.0, True))
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ends = _group_ends(scores[order])
+def _average_ranks(scores: np.ndarray, ranking=None) -> np.ndarray:
+    """1-based ascending ranks with ties sharing their average rank.
+
+    ``ranking`` is the scores' ``_descending`` ranking, computed when not
+    given. The tie groups alone fix the ranks: the group at positions s..e
+    of the descending order holds ascending ranks n - e .. n - s, whose mean
+    n - (s + e) / 2 is exact in float64.
+    """
+    order, ends = _descending(scores) if ranking is None else ranking
     starts = np.append(0, ends[:-1] + 1)
     ranks = np.empty(len(scores), dtype=np.float64)
-    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
+    ranks[order] = np.repeat(len(scores) - (starts + ends) / 2.0, ends - starts + 1)
     return ranks
 
 
@@ -68,8 +85,7 @@ def average_precision(scores, labels01) -> float:
     n_pos = int(np.sum(labels == 1))
     if n_pos == 0:
         raise MetricUndefinedError("average precision undefined without positives")
-    order = np.argsort(-scores, kind="stable")
-    ends = _group_ends(scores[order])
+    order, ends = _descending(scores)
     true_pos = np.cumsum(labels[order] == 1)[ends]
     precision = true_pos / (ends + 1.0)
     gained = np.diff(true_pos, prepend=0)
@@ -124,8 +140,13 @@ def pro(maps: Sequence[np.ndarray], masks01: Sequence[np.ndarray], fpr_limit: fl
     every unique score value (descending), integrated by trapezoid with
     linear interpolation at the FPR limit, and normalized by the limit.
     """
-    if not 0.0 < fpr_limit <= 1.0:
-        raise UsageError(f"fpr_limit must be in (0, 1], got {fpr_limit}")
+    regions, count = _pixel_regions(maps, masks01)
+    scores = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in maps])
+    return _pro(regions, count, _descending(scores), fpr_limit)
+
+
+def _pixel_regions(maps, masks01) -> Tuple[np.ndarray, int]:
+    """Each pooled pixel's region (-1 when normal) and the region count."""
     if len(maps) != len(masks01) or not maps:
         raise UsageError("maps and masks must be non-empty and aligned")
 
@@ -139,24 +160,27 @@ def pro(maps: Sequence[np.ndarray], masks01: Sequence[np.ndarray], fpr_limit: fl
         remap = np.where(labels > 0, labels - 1 + next_region, -1)
         region_of_pixel.append(remap.ravel())
         next_region += count
+    return np.concatenate(region_of_pixel), next_region
+
+
+def _pro(regions: np.ndarray, next_region: int, ranking, fpr_limit: float) -> float:
+    """``pro`` of the pooled pixels' regions, given the ``_descending``
+    ranking of their scores."""
+    if not 0.0 < fpr_limit <= 1.0:
+        raise UsageError(f"fpr_limit must be in (0, 1], got {fpr_limit}")
     if next_region == 0:
         raise MetricUndefinedError("PRO undefined without any anomalous region")
-
-    scores = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in maps])
-    regions = np.concatenate(region_of_pixel)
     n_neg = int(np.sum(regions < 0))
     if n_neg == 0:
         raise MetricUndefinedError("PRO undefined without any normal pixel")
     sizes = np.bincount(regions[regions >= 0], minlength=next_region)
 
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
+    order, ends = ranking
     sorted_regions = regions[order]
 
     # one curve point per unique score value: pooled FPR and mean region TPR;
     # a normal pixel (region -1) picks the appended zero
     step_tpr = np.append(1.0 / sizes, 0.0)[sorted_regions]
-    ends = _group_ends(sorted_scores)
     fprs = np.concatenate([[0.0], np.cumsum(sorted_regions < 0)[ends] / n_neg])
     pros = np.concatenate([[0.0], np.cumsum(step_tpr)[ends] / next_region])
 
@@ -200,15 +224,21 @@ def evaluate_scores(
     pixel_masks01: Sequence[np.ndarray],
     fpr_limit: float = 0.3,
 ) -> MetricsReport:
-    """Assemble the four-metric report from already-computed scores."""
+    """Assemble the four-metric report from already-computed scores.
+
+    The pooled pixels are copied to float64 and sorted once; pixel AUROC
+    and PRO share that order and equal ``auroc`` and ``pro`` bit for bit.
+    """
     labels = np.asarray(image_labels01)
+    regions, count = _pixel_regions(pixel_maps, pixel_masks01)
     pooled_scores = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in pixel_maps])
     pooled_masks = np.concatenate([np.asarray(g).ravel() for g in pixel_masks01])
+    ranking = _descending(pooled_scores)
     return MetricsReport(
         ac_auroc=auroc(image_scores, labels),
         ac_ap=average_precision(image_scores, labels),
-        as_auroc=auroc(pooled_scores, pooled_masks),
-        as_pro=pro(pixel_maps, pixel_masks01, fpr_limit=fpr_limit),
+        as_auroc=_auroc(pooled_scores, pooled_masks, ranking),
+        as_pro=_pro(regions, count, ranking, fpr_limit),
         image_count=len(labels),
         positive_images=int(np.sum(labels == 1)),
     )

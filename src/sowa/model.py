@@ -51,6 +51,7 @@ class FrozenActivations:
 
     adapter_inputs: List[np.ndarray]  # 4 x (L, C_vis), post-attention for fwa
     class_token: np.ndarray
+    image_hash: Optional[str] = None  # the image's cache key; None when not cached
 
 
 @dataclass
@@ -93,7 +94,8 @@ class SowaModel:
 
         Any non-None ``cache_key`` opts in to the cache. Entries are matched
         by the image itself (its ``tensor_hash``), never by the key, so a key
-        reused for another image cannot return stale features.
+        reused for another image cannot return stale features. A cached
+        entry carries that hash as its ``image_hash``.
         """
         if cache_key is not None:
             cache_key = tensor_hash(image)
@@ -113,7 +115,7 @@ class SowaModel:
                     mode=self.config.attention_mode,
                 )
             inputs.append(tokens)
-        out = FrozenActivations(adapter_inputs=inputs, class_token=feats.class_token)
+        out = FrozenActivations(inputs, feats.class_token, image_hash=cache_key)
         if cache_key is not None:
             self._feature_cache[cache_key] = out
         return out

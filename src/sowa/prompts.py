@@ -9,10 +9,12 @@ feature space. Each branch is encoded independently as
 
 and the last token's projected, unit-normalized embedding becomes that
 branch's row of the 2 x C_text feature matrix (row 0 normal, row 1 abnormal,
-always in that order). Prompt kinds differ only in how the contexts start
-and whether they train (``build_prompt_pair``): a ``template`` pair holds the
-words "a photo of a" / "a photo of an", so its rows encode the sentences "a
-photo of a normal object" and "a photo of an abnormal object".
+always in that order). The two sequences have the same length and go through
+the encoder together, as one (2, n, width) batch. Prompt kinds differ only in
+how the contexts start and whether they train (``build_prompt_pair``): a
+``template`` pair holds the words "a photo of a" / "a photo of an", so its
+rows encode the sentences "a photo of a normal object" and "a photo of an
+abnormal object".
 
 There is no tokenizer: "tokens" are vocabulary IDs with fixed embeddings.
 """
@@ -80,19 +82,23 @@ class FrozenTextEncoder:
         return self.weights["embed_table"][VOCABULARY.index(word)]
 
     def encode_sequence(self, vectors):
-        """Encode a (n, width) embedding sequence to a (1, C_text) unit-norm row.
+        """Encode a (n, width) embedding sequence to a (1, C_text) unit-norm row,
+        or a (B, n, width) batch of sequences to (B, C_text) rows in one pass.
 
         Accepts an autodiff Var (gradients flow to the input sequence only;
         encoder weights are constants) or a plain array.
         """
-        n = vectors.shape[0]
+        n = vectors.shape[-2]
         if n > self.config.max_len:
             raise UsageError(f"sequence length {n} exceeds max_len {self.config.max_len}")
         x = ag.add(vectors, self.weights["pos_embed"][:n])
         for b in range(self.config.blocks):
             x = transformer_block(x, self.weights, b, self.config.heads)
-        projected = ag.matmul(x[n - 1:], self.weights["text_proj"])
-        return ag.l2_normalize_rows(projected)
+        # every token is projected, so a lone sequence and a batch row take the
+        # same matrix-product shape and agree bit for bit (BLAS rounds a
+        # one-row product differently)
+        projected = ag.matmul(x, self.weights["text_proj"])
+        return ag.l2_normalize_rows(ag.reshape(projected[..., n - 1, :], (-1, self.config.c_text)))
 
 
 def build_text_encoder(config: TextEncoderConfig | None = None) -> FrozenTextEncoder:
@@ -170,13 +176,18 @@ def build_prompt_pair(kind: str, length: int, seed: int, encoder: FrozenTextEnco
 
 
 def encode_prompts(pair: PromptPair, encoder: FrozenTextEncoder):
-    """Both branches stacked to (2, C_text); a Var when the contexts are Vars."""
-    rows = []
-    for branch, context in (("normal", pair.normal_context), ("abnormal", pair.abnormal_context)):
-        tail = np.stack([pair.anchors[branch], pair.anchors["object"]])
-        sequence = ag.concat([context, tail.astype(context.dtype)], axis=0)
-        rows.append(encoder.encode_sequence(sequence))
-    return ag.concat(rows, axis=0)
+    """Both branches stacked to (2, C_text); a Var when the contexts are Vars.
+
+    The two sequences go through the encoder as one (2, n, width) batch, a
+    single pass whose rows are the two branches' own encodings.
+    """
+    contexts = ag.concat([pair.normal_context, pair.abnormal_context], axis=0)
+    tails = np.stack([[pair.anchors[b], pair.anchors["object"]] for b in ("normal", "abnormal")])
+    length, width = pair.normal_context.shape
+    sequences = ag.concat(
+        [ag.reshape(contexts, (2, length, width)), tails.astype(contexts.dtype)], axis=1
+    )
+    return encoder.encode_sequence(sequences)
 
 
 def encode_text(pair: PromptPair, encoder: FrozenTextEncoder) -> np.ndarray:

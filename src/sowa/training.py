@@ -19,6 +19,7 @@ model's graph is float32 end to end.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -110,14 +111,18 @@ def composite_loss(map_scores, mask_pm1, score, label_pm1, weights: LossSection)
     return total, terms
 
 
-def _batch_loss(model, samples: Sequence, cache_keys, projections, text):
-    """The loss formula over a stacked batch, on ``projections`` (one
-    (weight, bias) per stage) and ``text`` rows given as Vars or arrays."""
+def _features(model, samples: Sequence, cache_keys=None) -> list:
+    """Each sample's frozen activations, one ``frozen_forward`` call apiece."""
+    keys = [None] * len(samples) if cache_keys is None else cache_keys
+    return [model.frozen_forward(s.image, cache_key=k) for s, k in zip(samples, keys)]
+
+
+def _batch_loss(model, samples: Sequence, acts: Sequence, projections, text):
+    """The loss formula over a stacked batch of samples and their frozen
+    activations ``acts``, on ``projections`` (one (weight, bias) per stage)
+    and ``text`` rows given as Vars or arrays."""
     if not samples:
         raise UsageError("cannot score an empty batch")
-    if cache_keys is None:
-        cache_keys = [None] * len(samples)
-    acts = [model.frozen_forward(s.image, cache_key=k) for s, k in zip(samples, cache_keys)]
     stars = [
         adapter_mod.project_tokens(weight, bias, np.stack([a.adapter_inputs[i] for a in acts]))
         for i, (weight, bias) in enumerate(projections)
@@ -133,36 +138,50 @@ def _batch_loss(model, samples: Sequence, cache_keys, projections, text):
     return composite_loss(pmap, masks, score, labels, model.config.loss)
 
 
-def sample_loss(model, samples: Sequence, cache_keys: Optional[Sequence[int]] = None):
-    """The loss graph of a batch of samples: one stacked graph whose loss
-    is the batch mean; returns (loss Var, per-term floats)."""
+def _loss_graph(model, samples: Sequence, acts: Sequence):
+    """``sample_loss`` on activations already fetched."""
     pair = model.prompt_pair
     if pair.normal_context.requires_grad or pair.abnormal_context.requires_grad:
         text = prompts_mod.encode_prompts(pair, model.encoder)
     else:
         text = model.text_features()  # frozen contexts: the cached constant
     projections = [(a.weight, a.bias) for a in model.adapters]
-    return _batch_loss(model, samples, cache_keys, projections, text)
+    return _batch_loss(model, samples, acts, projections, text)
+
+
+def sample_loss(model, samples: Sequence, cache_keys: Optional[Sequence[int]] = None):
+    """The loss graph of a batch of samples: one stacked graph whose loss
+    is the batch mean; returns (loss Var, per-term floats)."""
+    return _loss_graph(model, samples, _features(model, samples, cache_keys))
+
+
+def _gradients(params: Dict[str, ag.Var], loss) -> Dict[str, np.ndarray]:
+    """Backward from a fresh loss graph; the gradient of each of ``params``."""
+    for var in params.values():
+        var.zero_grad()
+    loss.backward()
+    # a leaf owns its grad array (autodiff copies a leaf's first gradient)
+    return {
+        name: var.grad if var.grad is not None else np.zeros_like(var.data)
+        for name, var in params.items()
+    }
 
 
 def batch_gradients(model, samples: Sequence, cache_keys: Optional[Sequence[int]] = None):
     """Mean loss over a batch plus its gradients for every trainable tensor."""
-    params = model.trainable()
-    for var in params.values():
-        var.zero_grad()
     loss, terms = sample_loss(model, samples, cache_keys)
-    loss.backward()
-    # a leaf owns its grad array (autodiff copies a leaf's first gradient)
-    grads = {
-        name: var.grad if var.grad is not None else np.zeros_like(var.data)
-        for name, var in params.items()
-    }
-    return float(loss.data), terms, grads
+    return float(loss.data), terms, _gradients(model.trainable(), loss)
 
 
 @dataclass
 class TrainState:
-    """Trainable parameters plus Adam moments and step counter."""
+    """Trainable parameters plus Adam moments and step counter.
+
+    ``train_epoch`` also keeps the epoch's final dataset loss here, under a
+    content key of everything that loss read (``final_loss_key``). The next
+    epoch on this state reuses it as its ``initial_loss`` only when that key
+    still matches exactly.
+    """
 
     params: Dict[str, ag.Var]
     m: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -172,6 +191,8 @@ class TrainState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    final_loss: Optional[float] = None
+    final_loss_key: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         for name, var in self.params.items():
@@ -210,6 +231,15 @@ def adam_step(state: TrainState, grads: Dict[str, np.ndarray]) -> TrainState:
 
 @dataclass
 class EpochReport:
+    """What one epoch did.
+
+    ``initial_loss`` and ``final_loss`` are the dataset mean loss before and
+    after the epoch's steps. A continued epoch's ``initial_loss`` is the
+    previous epoch's stored ``final_loss`` when nothing that loss read has
+    changed since, and is computed afresh otherwise; either way it is
+    bit-identical to ``mean_dataset_loss`` at the epoch's start.
+    """
+
     initial_loss: float
     final_loss: float
     batch_losses: List[float]
@@ -220,23 +250,53 @@ class EpochReport:
     param_hashes: Dict[str, str]
 
 
-def mean_dataset_loss(model, samples: Sequence, cache: bool = True) -> float:
-    """Mean per-sample loss of a dataset, builds no graph.
-
-    The batch formula runs on the parameter arrays and the inference text
-    features (encoded once per call), in chunks of the optimizer batch size
-    so that memory does not grow with the dataset.
-    """
+def _dataset_loss(model, samples: Sequence, features: Callable[[int], object]) -> float:
+    """``mean_dataset_loss`` with sample ``i``'s frozen activations ``features(i)``."""
     text = model.text_features()
     projections = [(a.weight.data, a.bias.data) for a in model.adapters]
     bs = model.config.optim.batch_size
     total = 0.0
     for start in range(0, len(samples), bs):
         chunk = samples[start : start + bs]
-        keys = range(start, start + len(chunk)) if cache else None
-        loss, _ = _batch_loss(model, chunk, keys, projections, text)
+        acts = [features(i) for i in range(start, start + len(chunk))]
+        loss, _ = _batch_loss(model, chunk, acts, projections, text)
         total += float(loss) * len(chunk)
     return total / len(samples)
+
+
+def mean_dataset_loss(model, samples: Sequence, cache: bool = True) -> float:
+    """Mean per-sample loss of a dataset, builds no graph.
+
+    The batch formula runs on the parameter arrays and the inference text
+    features (encoded once per call), in chunks of the optimizer batch size
+    so that memory does not grow with the dataset. An empty dataset raises
+    ``UsageError``.
+    """
+    if len(samples) == 0:
+        raise UsageError("cannot score an empty dataset")
+
+    def features(i):
+        return model.frozen_forward(samples[i].image, cache_key=i if cache else None)
+
+    return _dataset_loss(model, samples, features)
+
+
+def _loss_key(model, frozen_hash: str, param_hashes: Dict[str, str], samples_digest: str):
+    """Everything the dataset loss reads: the frozen tensors, every parameter
+    (frozen prompt contexts too), the samples and the run config."""
+    return frozen_hash, param_hashes, samples_digest, model.config
+
+
+def _samples_digest(samples: Sequence, acts: Sequence) -> str:
+    """One digest of every sample's image (its feature-cache key), mask and label."""
+    digest = hashlib.sha256()
+    for sample, act in zip(samples, acts):
+        digest.update(f"{act.image_hash}:{tensor_hash(sample.mask)}:{sample.label!r};".encode())
+    return digest.hexdigest()
+
+
+def _param_hashes(model) -> Dict[str, str]:
+    return {name: tensor_hash(var.data) for name, var in model.parameters().items()}
 
 
 def train_epoch(
@@ -250,15 +310,34 @@ def train_epoch(
     """One seeded-shuffle epoch of mean-gradient Adam steps.
 
     The report carries the dataset mean loss before and after the epoch and
-    the frozen-tensor hash on both sides of training.
+    the frozen-tensor hash on both sides of training. Each sample's frozen
+    activations are looked up once, and serve every batch and both loss
+    passes. The final loss is kept in ``state``; a continued epoch reuses it
+    as its ``initial_loss`` when the frozen hash, every parameter, every
+    sample's image, mask and label, and the run config are what they were
+    when it was computed, and computes the loss afresh otherwise. A
+    ``state`` whose parameters are not this model's raises ``UsageError``.
     """
     samples = list(samples)
     if not samples:
         raise UsageError("cannot train on an empty dataset")
+    trainable = model.trainable()
     if state is None:
         state = new_train_state(model, optim)
+    elif state.params.keys() != trainable.keys() or any(
+        state.params[name] is not var for name, var in trainable.items()
+    ):
+        raise UsageError("the train state holds parameters of another model")
+    # hashed on both sides of every epoch: the only check that reads every
+    # frozen byte, where a read-only flag can be switched off again
     frozen_before = model.frozen_hash()
-    initial = mean_dataset_loss(model, samples)
+    acts = _features(model, samples, range(len(samples)))
+    samples_digest = _samples_digest(samples, acts)
+    key = _loss_key(model, frozen_before, _param_hashes(model), samples_digest)
+    if state.final_loss is not None and state.final_loss_key == key:
+        initial = state.final_loss
+    else:
+        initial = _dataset_loss(model, samples, acts.__getitem__)
     order = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).permutation(
         len(samples)
     )
@@ -267,14 +346,21 @@ def train_epoch(
     bs = optim.batch_size
     for start in range(0, len(samples), bs):
         batch_idx = [int(i) for i in order[start : start + bs]]
-        batch = [samples[i] for i in batch_idx]
-        loss, terms, grads = batch_gradients(model, batch, cache_keys=batch_idx)
+        loss, terms = _loss_graph(
+            model, [samples[i] for i in batch_idx], [acts[i] for i in batch_idx]
+        )
+        grads = _gradients(state.params, loss)
+        loss = float(loss.data)  # frees the graph before the next one is built
         adam_step(state, grads)
         batch_losses.append(loss)
         batch_terms.append(terms)
         if log_fn is not None:
             log_fn({"step": state.step, "loss": loss, **terms})
-    final = mean_dataset_loss(model, samples)
+    final = _dataset_loss(model, samples, acts.__getitem__)
+    frozen_after = model.frozen_hash()
+    param_hashes = _param_hashes(model)
+    state.final_loss = final
+    state.final_loss_key = _loss_key(model, frozen_after, param_hashes, samples_digest)
     report = EpochReport(
         initial_loss=initial,
         final_loss=final,
@@ -282,8 +368,8 @@ def train_epoch(
         batch_terms=batch_terms,
         steps=state.step,
         frozen_hash_before=frozen_before,
-        frozen_hash_after=model.frozen_hash(),
-        param_hashes={n: tensor_hash(v.data) for n, v in state.params.items()},
+        frozen_hash_after=frozen_after,
+        param_hashes={name: param_hashes[name] for name in state.params},
     )
     return report, state
 

@@ -167,6 +167,27 @@ def test_average_ranks_equal_scipy_rankdata():
             )
 
 
+def test_shared_pixel_order_equals_separate_auroc_and_pro_on_ties():
+    rng = np.random.default_rng(8)
+    for levels in (2, 3, 5):
+        maps = [rng.integers(0, levels, size=(12, 9)) / levels for _ in range(5)]
+        maps[1][:] = 0.5  # a map that is one tie group
+        maps.append(maps[0].astype(np.float32))  # float32 maps pool as float64
+        masks = [(rng.uniform(size=(12, 9)) < 0.3).astype(np.int64) for _ in maps]
+        image_scores = rng.integers(0, 2, size=len(maps)) / 2.0
+        labels = np.arange(len(maps)) % 2
+        report = metrics.evaluate_scores(image_scores, labels, maps, masks, fpr_limit=0.2)
+        pixels = np.concatenate([m.ravel() for m in maps]).astype(np.float64)
+        truth = np.concatenate([g.ravel() for g in masks])
+        assert report.as_auroc == metrics.auroc(pixels, truth)
+        assert report.as_pro == metrics.pro(maps, masks, fpr_limit=0.2)
+        assert report.ac_auroc == metrics.auroc(image_scores, labels)
+        # the ranks from the descending order are the ascending average ranks
+        n_pos, n_neg = truth.sum(), (truth == 0).sum()
+        u = stats.rankdata(pixels)[truth == 1].sum() - n_pos * (n_pos + 1) / 2.0
+        assert report.as_auroc == float(u / (n_pos * n_neg))
+
+
 def _brute_force_pro(maps, masks, fpr_limit):
     """Per-threshold PRO curve from its definition, trapezoid up to the limit."""
     regions = []

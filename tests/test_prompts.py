@@ -1,12 +1,13 @@
 """Prompt contracts: fixed text features never move under training, the
-template pair encodes the two hand-written sentences, and the coop text
-encoding sends each row's gradient to its own context."""
+template pair encodes the two hand-written sentences, the coop text
+encoding sends each row's gradient to its own context, and the one batched
+encoder pass gives each branch's own encoding."""
 
 import numpy as np
 import pytest
 
 from sowa import autodiff as ag
-from sowa import training
+from sowa import numerics, training
 from sowa.errors import WeightsError
 from sowa.model import build_model
 from sowa.prompts import encode_prompts
@@ -73,3 +74,23 @@ def test_coop_gradient_reaches_both_contexts(tiny_model):
     assert reached(abnormal_only[1]) and not reached(abnormal_only[0])
     np.testing.assert_allclose(both[0], normal_only[0], rtol=1e-5, atol=1e-7)
     np.testing.assert_allclose(both[1], abnormal_only[1], rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("prompt_kind", ["coop", "template"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_one_batched_pass_equals_the_per_branch_encodings(prompt_kind, dtype):
+    with numerics.precision(dtype):
+        model = build_model(tiny_config(prompt_kind=prompt_kind))
+    pair, encoder = model.prompt_pair, model.encoder
+    rows = []
+    for branch, context in (("normal", pair.normal_context), ("abnormal", pair.abnormal_context)):
+        tail = np.stack([pair.anchors[branch], pair.anchors["object"]])
+        rows.append(encoder.encode_sequence(np.concatenate([context.data, tail])))
+    want = np.concatenate(rows)
+    for got in (encode_prompts(pair, encoder), model.text_features()):
+        got = got.data if ag.is_var(got) else got
+        assert got.shape == want.shape and got.dtype == np.dtype(dtype)
+        if dtype == "float64":
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)

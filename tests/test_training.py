@@ -2,7 +2,11 @@
 loss graph in the model's dtype whose backward fills only trainable paths,
 one prompt encoding per batch (none for frozen prompts), a content-keyed
 feature cache, one epoch lowering the loss without touching frozen tensors,
-and bit-identical resumption from a checkpoint with its Adam state."""
+bit-identical resumption from a checkpoint with its Adam state, and a warm
+epoch that looks up each sample once and reuses the last epoch's final loss
+only while nothing it read has changed."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +69,7 @@ def test_loss_graph_runs_in_the_model_dtype(tiny_corpus, dtype):
         model = build_model(tiny_config())
         loss, _ = training.sample_loss(model, tiny_corpus.samples[:8])
     nodes = ag._toposort(loss)
-    assert len(nodes) == 360
+    assert len(nodes) == 235
     assert [n for n in nodes if n.dtype != np.dtype(dtype)] == []
 
 
@@ -85,7 +89,7 @@ def test_backward_leaves_every_constant_without_grad(tiny_model, tiny_corpus, mo
     held = [c.cell_contents for n in nodes if n._backward for c in n._backward.__closure__]
     held += [v for parts in held if isinstance(parts, list) for v in parts]  # concat
     constants = [v for v in held if ag.is_var(v) and not v.requires_grad]
-    assert len(constants) > 100
+    assert len(constants) > 60  # 92 in this graph
     assert [v for v in constants if v.grad is not None] == []
 
 
@@ -95,7 +99,8 @@ def test_frozen_prompts_reuse_the_cached_text(tiny_corpus, monkeypatch, prompt_k
     samples = tiny_corpus.samples[:4]
     graph_text = prompts.encode_prompts(model.prompt_pair, model.encoder)
     projections = [(a.weight, a.bias) for a in model.adapters]
-    want, _ = training._batch_loss(model, samples, None, projections, graph_text)
+    acts = training._features(model, samples)
+    want, _ = training._batch_loss(model, samples, acts, projections, graph_text)
     model.text_features()  # the one encoding of this parameter state
 
     def refuse(*args, **kwargs):
@@ -187,3 +192,128 @@ def test_checkpoint_with_adam_state_resumes_bit_identically(tiny_corpus, tmp_pat
 def test_empty_batch_rejected(tiny_model):
     with pytest.raises(UsageError):
         training.sample_loss(tiny_model, [])
+
+
+def test_empty_dataset_loss_rejected(tiny_model):
+    with pytest.raises(UsageError, match="empty"):
+        training.mean_dataset_loss(tiny_model, [])
+
+
+def test_train_state_of_another_model_rejected(tiny_corpus):
+    trained, other = build_model(tiny_config()), build_model(tiny_config())
+    _, state = training.train_epoch(trained, tiny_corpus.samples[:8], trained.config.optim)
+    before = other.state_tensors()
+    with pytest.raises(UsageError, match="another model"):
+        training.train_epoch(other, tiny_corpus.samples[:8], other.config.optim, state=state)
+    after = other.state_tensors()
+    assert all(np.array_equal(after[n], v) for n, v in before.items())
+
+
+def _own_copies(samples):
+    return [replace(s, image=s.image.copy(), mask=s.mask.copy()) for s in samples]
+
+
+@pytest.fixture()
+def dataset_passes(monkeypatch):
+    """Graph-free ``composite_loss`` calls, one per chunk of a dataset pass."""
+    calls = []
+    composite = training.composite_loss
+
+    def counting(map_scores, *args, **kwargs):
+        if not ag.is_var(map_scores):
+            calls.append(None)
+        return composite(map_scores, *args, **kwargs)
+
+    monkeypatch.setattr(training, "composite_loss", counting)
+    return calls
+
+
+def test_continued_epoch_reuses_the_final_loss_without_a_second_pass(tiny_corpus, dataset_passes):
+    model = build_model(tiny_config())
+    samples = tiny_corpus.samples
+    chunks = -(-len(samples) // model.config.optim.batch_size)
+    first, state = training.train_epoch(model, samples, model.config.optim, seed=0)
+    assert len(dataset_passes) == 2 * chunks
+    fresh = training.mean_dataset_loss(model, samples)
+    del dataset_passes[:]
+    second, _ = training.train_epoch(model, samples, model.config.optim, seed=1, state=state)
+    assert len(dataset_passes) == chunks  # the final pass only
+    assert second.initial_loss == fresh == first.final_loss
+
+
+def _edit_mask(model, samples, state):
+    samples[3].mask[5, 7] *= -1
+    return samples, state
+
+
+def _edit_image(model, samples, state):
+    samples[2].image[4, 4, 1] += 0.25
+    return samples, state
+
+
+def _edit_parameter(model, samples, state):
+    var = model.trainable()["adapter.1.weight"]
+    var.data[0, 0] += 1e-3  # in place, as gradient_check does
+    return samples, state
+
+
+def _flip_label(model, samples, state):
+    samples[0] = replace(samples[0], label=-samples[0].label)
+    return samples, state
+
+
+def _other_samples(model, samples, state):
+    return samples[:12], state
+
+
+def _fresh_state(model, samples, state):
+    return samples, training.new_train_state(model, model.config.optim)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [_edit_mask, _edit_image, _edit_parameter, _flip_label, _other_samples, _fresh_state],
+)
+def test_any_change_since_the_last_epoch_recomputes_the_initial_loss(
+    tiny_corpus, dataset_passes, change
+):
+    model = build_model(tiny_config())
+    samples = _own_copies(tiny_corpus.samples)
+    first, state = training.train_epoch(model, samples, model.config.optim, seed=0)
+    samples, state = change(model, samples, state)
+    fresh = training.mean_dataset_loss(model, samples)
+    if change is not _fresh_state:
+        assert fresh != first.final_loss  # the change moves the loss
+    del dataset_passes[:]
+    second, _ = training.train_epoch(model, samples, model.config.optim, seed=1, state=state)
+    chunks = -(-len(samples) // model.config.optim.batch_size)
+    assert len(dataset_passes) == 2 * chunks
+    assert second.initial_loss == fresh
+
+
+def test_frozen_prompt_contexts_are_part_of_the_loss_key(tiny_corpus):
+    model = build_model(tiny_config(prompt_kind="template"))
+    samples = tiny_corpus.samples
+    first, state = training.train_epoch(model, samples, model.config.optim)
+    context = model.prompt_pair.normal_context  # a parameter, not in the train state
+    context.data = context.data * np.linspace(0.5, 1.5, context.shape[-1], dtype=context.dtype)
+    fresh = training.mean_dataset_loss(model, samples)
+    assert fresh != first.final_loss
+    second, _ = training.train_epoch(model, samples, model.config.optim, seed=1, state=state)
+    assert second.initial_loss == fresh
+
+
+def test_warm_epoch_looks_up_each_sample_once(tiny_corpus, monkeypatch):
+    model = build_model(tiny_config())
+    samples = tiny_corpus.samples
+    _, state = training.train_epoch(model, samples, model.config.optim)
+    looked_up = []
+    frozen_forward = smodel.SowaModel.frozen_forward
+
+    def counting(self, image, cache_key=None):
+        looked_up.append(id(image))
+        return frozen_forward(self, image, cache_key=cache_key)
+
+    monkeypatch.setattr(smodel.SowaModel, "frozen_forward", counting)
+    training.train_epoch(model, samples, model.config.optim, seed=1, state=state)
+    assert sorted(looked_up) == sorted(id(s.image) for s in samples)
