@@ -19,8 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from . import autodiff as ag
-from . import numerics
-from .backbone import AttentionWeights
+from .backbone import AttentionWeights, seeded_weights
 from .errors import ConfigError, UsageError
 
 
@@ -42,14 +41,8 @@ class AdapterParams:
 
 
 def new_adapter_params(c_vis: int, c_text: int, seed: int) -> AdapterParams:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    dtype = numerics.default_dtype()
-    weight = rng.normal(0.0, 1.0 / np.sqrt(c_vis), size=(c_vis, c_text)).astype(dtype)
-    bias = np.zeros(c_text, dtype=dtype)
-    return AdapterParams(
-        weight=ag.Var(weight, requires_grad=True),
-        bias=ag.Var(bias, requires_grad=True),
-    )
+    init = seeded_weights({"weight": (c_vis, c_text), "bias": (c_text,)}, seed)
+    return AdapterParams(*(ag.Var(init[n], requires_grad=True) for n in ("weight", "bias")))
 
 
 def window_partition(tokens: np.ndarray, grid_h: int, grid_w: int, h: int, w: int) -> WindowGrid:

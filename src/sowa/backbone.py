@@ -1,10 +1,19 @@
-"""Frozen vision-transformer feature extractor.
+"""Frozen vision-transformer feature extractor, and the one init rule and
+block layout that build every model tensor.
 
 A seeded, desk-scale stand-in for a large pretrained visual encoder: standard
 pre-norm blocks with QKV attention, a class token carried through the whole
 stack, and four stage outputs (the patch tokens after the last block of each
 quarter of the stack). Attention projections are bias-free so a stage's
 (W_q, W_k, W_v, W_o) quadruple can be handed to the adapters as-is.
+
+One init rule, ``seeded_weights``, draws every model tensor, frozen or
+trainable: layer-norm scales are ones, offsets and biases zeros, embeddings
+and prompt contexts N(0, 0.02), every other matrix N(0, 1/sqrt(fan_in)), all
+in the default dtype. ``block_shapes`` is the one weight layout of a
+transformer block, here and in the text encoder. The stand-in's fixed
+settings are constants: the MLP is ``MLP_RATIO`` times the block width, and
+pixels are normalised by ``NORM_MEAN`` and ``NORM_STD`` per channel.
 
 All weights are created once and marked read-only; nothing in this module is
 trainable.
@@ -23,6 +32,11 @@ from . import numerics
 from .errors import ConfigError, UsageError
 
 STAGES = 4
+MLP_RATIO = 4.0
+NORM_MEAN = (0.5, 0.5, 0.5)
+NORM_STD = (0.25, 0.25, 0.25)
+# tensors drawn from N(0, 0.02) rather than N(0, 1/sqrt(fan_in))
+EMBEDDINGS = ("pos_embed", "cls_token", "embed_table", "normal_context", "abnormal_context")
 
 
 @dataclass(frozen=True)
@@ -32,9 +46,6 @@ class BackboneConfig:
     channels: int = 64
     blocks_per_stage: int = 2
     heads: int = 4
-    mlp_ratio: float = 4.0
-    norm_mean: Tuple[float, float, float] = (0.5, 0.5, 0.5)
-    norm_std: Tuple[float, float, float] = (0.25, 0.25, 0.25)
 
     def __post_init__(self):
         if self.image_size < 1 or self.patch_size < 1:
@@ -49,11 +60,6 @@ class BackboneConfig:
             )
         if self.blocks_per_stage < 1:
             raise ConfigError("blocks_per_stage must be >= 1")
-        if self.mlp_ratio <= 0:
-            raise ConfigError("mlp_ratio must be positive")
-        norms = (self.norm_mean, self.norm_std)
-        if any(len(v) != 3 or not all(np.isfinite(v)) for v in norms) or min(self.norm_std) <= 0:
-            raise ConfigError(f"norm_mean and norm_std need 3 finite values, norm_std > 0: {norms}")
 
     @property
     def grid(self) -> int:
@@ -114,8 +120,8 @@ class Backbone:
         )
 
     def normalize_image(self, image: np.ndarray) -> np.ndarray:
-        mean = np.asarray(self.config.norm_mean, dtype=image.dtype)
-        std = np.asarray(self.config.norm_std, dtype=image.dtype)
+        mean = np.asarray(NORM_MEAN, dtype=image.dtype)
+        std = np.asarray(NORM_STD, dtype=image.dtype)
         return (image - mean) / std
 
     def forward(self, image: np.ndarray) -> StageFeatures:
@@ -125,6 +131,8 @@ class Backbone:
         expected = (cfg.image_size, cfg.image_size, 3)
         if image.shape != expected:
             raise UsageError(f"expected image of shape {expected}, got {image.shape}")
+        if not np.isfinite(image).all():
+            raise UsageError("image contains non-finite values")
         image = self.normalize_image(image)
         x = self._embed(image)
         stage_outputs: List[np.ndarray] = []
@@ -171,52 +179,48 @@ def tensor_hash(arr: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _expected_shapes(cfg: BackboneConfig) -> Dict[str, Tuple[int, ...]]:
-    c = cfg.channels
-    hidden = int(round(cfg.mlp_ratio * c))
-    shapes: Dict[str, Tuple[int, ...]] = {
-        "patch_embed.weight": (cfg.patch_size * cfg.patch_size * 3, c),
-        "patch_embed.bias": (c,),
-        "pos_embed": (cfg.tokens + 1, c),
-        "cls_token": (c,),
-    }
-    for b in range(cfg.total_blocks):
-        pre = f"blocks.{b}"
-        shapes[f"{pre}.ln1.scale"] = (c,)
-        shapes[f"{pre}.ln1.offset"] = (c,)
-        shapes[f"{pre}.attn.w_q"] = (c, c)
-        shapes[f"{pre}.attn.w_k"] = (c, c)
-        shapes[f"{pre}.attn.w_v"] = (c, c)
-        shapes[f"{pre}.attn.w_o"] = (c, c)
-        shapes[f"{pre}.ln2.scale"] = (c,)
-        shapes[f"{pre}.ln2.offset"] = (c,)
-        shapes[f"{pre}.mlp.w1"] = (c, hidden)
-        shapes[f"{pre}.mlp.b1"] = (hidden,)
-        shapes[f"{pre}.mlp.w2"] = (hidden, c)
-        shapes[f"{pre}.mlp.b2"] = (c,)
-    return shapes
+def block_shapes(blocks: int, width: int, hidden: int) -> Dict[str, Tuple[int, ...]]:
+    """Names and shapes of the weights ``transformer_block`` reads, blocks 0..blocks-1."""
+    layout = {"ln1.scale": (width,), "ln1.offset": (width,),
+              **{f"attn.{m}": (width, width) for m in ("w_q", "w_k", "w_v", "w_o")},
+              "ln2.scale": (width,), "ln2.offset": (width,),
+              "mlp.w1": (width, hidden), "mlp.b1": (hidden,),
+              "mlp.w2": (hidden, width), "mlp.b2": (width,)}
+    return {f"blocks.{b}.{name}": shape for b in range(blocks) for name, shape in layout.items()}
 
 
-def init_synthetic(config: BackboneConfig, seed: int) -> Backbone:
-    """Build a backbone with deterministic seeded weights.
+def seeded_weights(shapes: Dict[str, Tuple[int, ...]], seed: int) -> Dict[str, np.ndarray]:
+    """Every named tensor of ``shapes``, drawn in order from one stream seeded by ``seed``.
 
-    Matrices are Gaussian with std 1/sqrt(fan_in), embeddings Gaussian with
-    std 0.02, norms at identity, biases at zero. Equal seeds give bit-identical
-    weights.
+    By the last part of its name: a layer-norm ``scale`` is ones; an
+    ``offset`` or bias (``bias``, ``b1``, ``b2``) is zeros; an embedding or
+    prompt context (``EMBEDDINGS``) is N(0, 0.02); every other matrix is
+    N(0, 1/sqrt(fan_in)), its first dimension being the fan-in. All are in
+    the default dtype. Equal shapes and seeds give bit-identical tensors.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    dtype = numerics.default_dtype()
+    rng = np.random.default_rng(seed)
     weights: Dict[str, np.ndarray] = {}
-    for name, shape in _expected_shapes(config).items():
+    for name, shape in shapes.items():
         short = name.rsplit(".", 1)[-1]
-        if short in ("scale",):
+        if short == "scale":
             arr = np.ones(shape)
         elif short in ("offset", "bias", "b1", "b2"):
             arr = np.zeros(shape)
-        elif name in ("pos_embed", "cls_token"):
-            arr = rng.normal(0.0, 0.02, size=shape)
         else:
-            arr = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
-        weights[name] = arr.astype(dtype)
-    return Backbone(config=config, weights=weights)
+            std = 0.02 if short in EMBEDDINGS else 1.0 / np.sqrt(shape[0])
+            arr = rng.normal(0.0, std, size=shape)
+        weights[name] = arr.astype(numerics.default_dtype())
+    return weights
 
+
+def init_synthetic(config: BackboneConfig, seed: int) -> Backbone:
+    """A backbone whose weights ``seeded_weights`` draws from ``seed``."""
+    c = config.channels
+    shapes = {
+        "patch_embed.weight": (config.patch_size * config.patch_size * 3, c),
+        "patch_embed.bias": (c,),
+        "pos_embed": (config.tokens + 1, c),
+        "cls_token": (c,),
+        **block_shapes(config.total_blocks, c, int(round(MLP_RATIO * c))),
+    }
+    return Backbone(config=config, weights=seeded_weights(shapes, seed))

@@ -6,6 +6,13 @@ itself on construction and raises ``ConfigError``, so an object that exists
 is valid and no function checks it again. ``to_dict`` and
 ``config_from_dict`` convert to and from nested plain dicts mirroring the
 dataclass layout below; unknown keys are rejected so typos fail loudly.
+
+Only what a run can vary is a field. The stand-in's fixed settings are module
+constants: the MLP ratio and input normalisation in ``backbone``, and the
+text encoder's heads, blocks and maximum length in ``prompts``, where the
+text width and output width are the only text settings here
+(``text_width``, ``c_text``). Every tensor is drawn from the run's ``seed``
+by the one init rule, ``backbone.seeded_weights``.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from .autodiff import ATTENTION_MODES
 from .backbone import BackboneConfig
 from .errors import ConfigError
 from .fusion import FusionConfig
-from .prompts import TextEncoderConfig
+from .prompts import MAX_LEN, TEXT_HEADS
 
 ADAPTER_KINDS = ("fwa", "linear")
 PROMPT_KINDS = ("coop", "template", "fixed_pair")
@@ -50,15 +57,14 @@ class OptimSection:
     beta2: float = 0.999
     eps: float = 1e-8
     batch_size: int = 8
-    epochs: int = 1
 
     def __post_init__(self):
         if self.lr <= 0 or self.eps <= 0:
             raise ConfigError("lr and eps must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("betas must lie in [0, 1)")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -96,10 +102,11 @@ class RunConfig:
             )
         if self.c_text < 2 or self.text_width < 2:
             raise ConfigError("c_text and text_width must be >= 2")
-        text = TextEncoderConfig(width=self.text_width, c_text=self.c_text)  # checks the heads
+        if self.text_width % TEXT_HEADS != 0:
+            raise ConfigError(f"text_width {self.text_width} not divisible by heads {TEXT_HEADS}")
         # context + branch anchor + "object"; a template's contexts are its 4 words
-        if self.prompt_kind != "template" and self.prompt_length + 2 > text.max_len:
-            raise ConfigError(f"prompt_length {self.prompt_length} + 2 anchors > max_len {text.max_len}")
+        if self.prompt_kind != "template" and self.prompt_length + 2 > MAX_LEN:
+            raise ConfigError(f"prompt_length {self.prompt_length} + 2 anchors > max_len {MAX_LEN}")
         if not 0.0 <= self.few_shot_beta <= 1.0:
             raise ConfigError("few_shot_beta must lie in [0, 1]")
 

@@ -20,14 +20,13 @@ import numpy as np
 
 from . import autodiff as ag
 from . import fusion as fusion_mod
-from . import numerics
 from .adapter import (
     AdapterParams,
     attended_features,
     new_adapter_params,
     project_tokens,
 )
-from .backbone import Backbone, init_synthetic, tensor_hash
+from .backbone import Backbone, init_synthetic, seeded_weights, tensor_hash
 from .config import RunConfig
 from .errors import ArchiveError, UsageError, WeightsError
 from .fewshot import MemoryBank, build_memory_bank
@@ -35,7 +34,6 @@ from .fusion import AnomalyMap
 from .prompts import (
     FrozenTextEncoder,
     PromptPair,
-    TextEncoderConfig,
     build_prompt_pair,
     build_text_encoder,
     encode_prompts,  # noqa: F401  not called here; perfbench/tracer.py looks it up in this module
@@ -253,28 +251,17 @@ def build_model(config: RunConfig) -> SowaModel:
     """Construct the full model from a run configuration."""
     seed = config.seed
     backbone = init_synthetic(config.backbone, seed)
-    encoder = build_text_encoder(
-        TextEncoderConfig(
-            width=config.text_width,
-            c_text=config.c_text,
-            seed=seed + _SEED_OFFSETS["encoder"],
-        )
-    )
+    encoder = build_text_encoder(config.text_width, config.c_text, seed + _SEED_OFFSETS["encoder"])
     pair = build_prompt_pair(
         config.prompt_kind, config.prompt_length, seed + _SEED_OFFSETS["prompts"], encoder
     )
+    c_vis = config.backbone.channels
     adapters = [
-        new_adapter_params(
-            config.backbone.channels, config.c_text, seed=seed + _SEED_OFFSETS["adapters"] + i
-        )
+        new_adapter_params(c_vis, config.c_text, seed=seed + _SEED_OFFSETS["adapters"] + i)
         for i in range(4)
     ]
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed + _SEED_OFFSETS["cls"]))
-    )
-    cls_proj = rng.normal(
-        0.0, 1.0 / np.sqrt(config.backbone.channels), size=(config.backbone.channels, config.c_text)
-    ).astype(numerics.default_dtype())
+    cls_init = seeded_weights({"cls_proj": (c_vis, config.c_text)}, seed + _SEED_OFFSETS["cls"])
+    cls_proj = cls_init["cls_proj"]
     cls_proj.setflags(write=False)
     return SowaModel(
         config=config,

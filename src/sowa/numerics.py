@@ -96,16 +96,19 @@ def bilinear_upsample(grid, out_h: int, out_w: int) -> np.ndarray:
     """Resample a 2-D grid to (out_h, out_w) by separable linear interpolation.
 
     Constant input yields constant output and the result never leaves the
-    input's value range; the map is linear in its input.
+    input's value range; the map is linear in its input. A float grid is
+    resampled in its own dtype, any other in the default dtype.
     """
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise UsageError(f"expected a 2-D grid, got shape {grid.shape}")
     if out_h < 1 or out_w < 1:
         raise UsageError(f"output dims must be >= 1, got {out_h}x{out_w}")
-    row_op = linear_resample_matrix(grid.shape[0], out_h)
-    col_op = linear_resample_matrix(grid.shape[1], out_w)
-    return row_op @ grid.astype(row_op.dtype) @ col_op.T
+    if grid.dtype.kind != "f":
+        grid = grid.astype(_DEFAULT_DTYPE)
+    row_op = linear_resample_matrix(grid.shape[0], out_h).astype(grid.dtype)
+    col_op = linear_resample_matrix(grid.shape[1], out_w).astype(grid.dtype)
+    return row_op @ grid @ col_op.T
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:

@@ -17,6 +17,11 @@ rows encode the sentences "a photo of a normal object" and "a photo of an
 abnormal object".
 
 There is no tokenizer: "tokens" are vocabulary IDs with fixed embeddings.
+The encoder's shape is fixed apart from its width and output width:
+``TEXT_BLOCKS`` blocks of ``TEXT_HEADS`` heads with the backbone's
+``MLP_RATIO``, reading at most ``MAX_LEN`` tokens. Its weights and the
+seeded contexts are drawn by ``backbone.seeded_weights``, so the contexts
+start, as CoOp's do, from N(0, 0.02).
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ from typing import Dict
 import numpy as np
 
 from . import autodiff as ag
-from . import numerics
-from .backbone import tensor_hash, transformer_block
-from .errors import ConfigError, UsageError
+from .backbone import MLP_RATIO, block_shapes, seeded_weights, tensor_hash, transformer_block
+from .errors import UsageError
 
 VOCABULARY = (
     "a",
@@ -47,26 +51,13 @@ VOCABULARY = (
 )
 
 
-@dataclass(frozen=True)
-class TextEncoderConfig:
-    width: int = 32
-    heads: int = 4
-    blocks: int = 2
-    mlp_ratio: float = 4.0
-    max_len: int = 32
-    c_text: int = 32
-    seed: int = 1
-
-    def __post_init__(self):
-        if self.width % self.heads != 0:
-            raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
-        if self.blocks < 1 or self.max_len < 3:
-            raise ConfigError("text encoder needs >= 1 block and max_len >= 3")
+TEXT_HEADS = 4
+TEXT_BLOCKS = 2
+MAX_LEN = 32
 
 
 @dataclass
 class FrozenTextEncoder:
-    config: TextEncoderConfig
     weights: Dict[str, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
@@ -89,45 +80,27 @@ class FrozenTextEncoder:
         encoder weights are constants) or a plain array.
         """
         n = vectors.shape[-2]
-        if n > self.config.max_len:
-            raise UsageError(f"sequence length {n} exceeds max_len {self.config.max_len}")
+        if n > MAX_LEN:
+            raise UsageError(f"sequence length {n} exceeds max_len {MAX_LEN}")
         x = ag.add(vectors, self.weights["pos_embed"][:n])
-        for b in range(self.config.blocks):
-            x = transformer_block(x, self.weights, b, self.config.heads)
+        for b in range(TEXT_BLOCKS):
+            x = transformer_block(x, self.weights, b, TEXT_HEADS)
         # every token is projected, so a lone sequence and a batch row take the
         # same matrix-product shape and agree bit for bit (BLAS rounds a
         # one-row product differently)
         projected = ag.matmul(x, self.weights["text_proj"])
-        return ag.l2_normalize_rows(ag.reshape(projected[..., n - 1, :], (-1, self.config.c_text)))
+        return ag.l2_normalize_rows(ag.reshape(projected[..., n - 1, :], (-1, projected.shape[-1])))
 
 
-def build_text_encoder(config: TextEncoderConfig | None = None) -> FrozenTextEncoder:
-    cfg = config or TextEncoderConfig()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    dtype = numerics.default_dtype()
-    width = cfg.width
-    hidden = int(round(cfg.mlp_ratio * width))
-    weights: Dict[str, np.ndarray] = {
-        "embed_table": rng.normal(0.0, 0.02, size=(len(VOCABULARY), width)),
-        "pos_embed": rng.normal(0.0, 0.02, size=(cfg.max_len, width)),
-        "text_proj": rng.normal(0.0, 1.0 / np.sqrt(width), size=(width, cfg.c_text)),
+def build_text_encoder(width: int, c_text: int, seed: int) -> FrozenTextEncoder:
+    """A frozen encoder of ``width``-wide tokens into ``c_text`` features, drawn from ``seed``."""
+    shapes = {
+        "embed_table": (len(VOCABULARY), width),
+        "pos_embed": (MAX_LEN, width),
+        "text_proj": (width, c_text),
+        **block_shapes(TEXT_BLOCKS, width, int(round(MLP_RATIO * width))),
     }
-    for b in range(cfg.blocks):
-        pre = f"blocks.{b}"
-        weights[f"{pre}.ln1.scale"] = np.ones(width)
-        weights[f"{pre}.ln1.offset"] = np.zeros(width)
-        for mat in ("w_q", "w_k", "w_v", "w_o"):
-            weights[f"{pre}.attn.{mat}"] = rng.normal(
-                0.0, 1.0 / np.sqrt(width), size=(width, width)
-            )
-        weights[f"{pre}.ln2.scale"] = np.ones(width)
-        weights[f"{pre}.ln2.offset"] = np.zeros(width)
-        weights[f"{pre}.mlp.w1"] = rng.normal(0.0, 1.0 / np.sqrt(width), size=(width, hidden))
-        weights[f"{pre}.mlp.b1"] = np.zeros(hidden)
-        weights[f"{pre}.mlp.w2"] = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, width))
-        weights[f"{pre}.mlp.b2"] = np.zeros(width)
-    weights = {k: v.astype(dtype) for k, v in weights.items()}
-    return FrozenTextEncoder(config=cfg, weights=weights)
+    return FrozenTextEncoder(weights=seeded_weights(shapes, seed))
 
 
 @dataclass
@@ -158,11 +131,9 @@ def build_prompt_pair(kind: str, length: int, seed: int, encoder: FrozenTextEnco
     else:
         if length < 1:
             raise UsageError(f"context length must be >= 1, got {length}")
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        size = (length, encoder.config.width)
-        normal, abnormal = (
-            rng.normal(0.0, 0.02, size=size).astype(numerics.default_dtype()) for _ in range(2)
-        )
+        size = (length, encoder.weights["embed_table"].shape[1])
+        contexts = seeded_weights({"normal_context": size, "abnormal_context": size}, seed)
+        normal, abnormal = contexts.values()
     anchors = {
         word: encoder.token_embedding(word).copy()
         for word in ("normal", "abnormal", "object")

@@ -98,7 +98,7 @@ def _value_noise(rng: np.random.Generator, size: int, spec: PatternSpec) -> np.n
     weight_sum = 0.0
     for octave in range(spec.octaves):
         cells = min(spec.base_cells * 2**octave, size)
-        grid = rng.uniform(0.0, 1.0, size=(cells, cells))
+        grid = rng.uniform(0.0, 1.0, size=(cells, cells)).astype(numerics.default_dtype())
         weight = 0.55**octave
         total += weight * numerics.bilinear_upsample(grid, size, size)
         weight_sum += weight

@@ -31,7 +31,7 @@ from . import fusion as fusion_mod
 from . import prompts as prompts_mod
 from .backbone import tensor_hash
 from .config import LossSection, OptimSection
-from .errors import TrainingError, UsageError
+from .errors import TrainingError, UsageError, WeightsError
 
 PRED_CLAMP = 1e-7
 
@@ -384,13 +384,33 @@ def optimizer_tensors(state: TrainState) -> Dict[str, np.ndarray]:
 
 
 def restore_optimizer(state: TrainState, tensors: Dict[str, np.ndarray]) -> TrainState:
-    if "adam.step" in tensors:
-        state.step = int(tensors["adam.step"][0])
-    for name in state.params:
-        if f"adam.m.{name}" in tensors:
-            state.m[name] = tensors[f"adam.m.{name}"].astype(state.params[name].data.dtype)
-        if f"adam.v.{name}" in tensors:
-            state.v[name] = tensors[f"adam.v.{name}"].astype(state.params[name].data.dtype)
+    """Bind the step counter and moments that ``optimizer_tensors`` saved.
+
+    ``adam.step`` must be one finite, non-negative integer, and each
+    ``adam.m.*`` and ``adam.v.*`` tensor finite floats of its parameter's
+    shape, the second moments non-negative. Anything else raises
+    ``WeightsError`` and binds nothing. An absent tensor leaves its value.
+    """
+    step = tensors.get("adam.step")
+    if step is not None:
+        value = float(step.reshape(-1)[0]) if step.size == 1 and step.dtype.kind in "fiu" else -1.0
+        if not (np.isfinite(value) and value >= 0 and value.is_integer()):
+            raise WeightsError(f"adam.step must be one finite, non-negative integer, got {step!r}")
+    moments = {}
+    for kind in ("m", "v"):
+        for name, var in state.params.items():
+            arr = tensors.get(f"adam.{kind}.{name}")
+            if arr is None:
+                continue
+            if (arr.shape != var.data.shape or arr.dtype.kind != "f"
+                    or not np.isfinite(arr).all() or (kind == "v" and (arr < 0).any())):
+                raise WeightsError(f"adam.{kind}.{name} is {arr.dtype} {arr.shape}, expected "
+                                   f"finite floats of shape {var.data.shape} (v >= 0)")
+            moments[kind, name] = arr.astype(var.data.dtype)
+    if step is not None:
+        state.step = int(value)
+    for (kind, name), arr in moments.items():
+        getattr(state, kind)[name] = arr
     return state
 
 

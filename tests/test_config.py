@@ -12,7 +12,7 @@ from sowa.config import LossSection, OptimSection, RunConfig, config_from_dict, 
 from sowa.errors import ConfigError
 from sowa.fusion import FusionConfig
 from sowa.model import build_model
-from sowa.prompts import TextEncoderConfig
+from sowa.prompts import MAX_LEN
 from sowa.synth import PatternSpec
 
 DEFAULT_DOCUMENT = {
@@ -20,13 +20,11 @@ DEFAULT_DOCUMENT = {
     "prompt_kind": "coop", "prompt_length": 12, "c_text": 32, "text_width": 32,
     "image_score_mode": "max_map", "few_shot_beta": 0.5,
     "backbone": {"image_size": 64, "patch_size": 8, "channels": 64, "blocks_per_stage": 2,
-                 "heads": 4, "mlp_ratio": 4.0, "norm_mean": [0.5, 0.5, 0.5],
-                 "norm_std": [0.25, 0.25, 0.25]},
+                 "heads": 4},
     "fusion": {"alpha": [1.0, 1.0, 1.0, 1.0], "tau": 1.0, "tau_cls": 1.0, "sigma": 0.0},
     "loss": {"dice": 1.0, "focal": 1.0, "bce": 1.0, "focal_gamma": 2.0, "focal_alpha": 0.5,
              "dice_eps": 1.0},
-    "optim": {"lr": 0.001, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08, "batch_size": 8,
-              "epochs": 1},
+    "optim": {"lr": 0.001, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08, "batch_size": 8},
 }
 
 
@@ -59,18 +57,18 @@ def test_window_that_does_not_tile_the_grid_is_a_config_error():
         lambda: OptimSection(batch_size=0),
         lambda: BackboneConfig(image_size=60),
         lambda: BackboneConfig(channels=30),
-        lambda: BackboneConfig(mlp_ratio=0.0),
         lambda: RunConfig(adapter_kind="mlp"),
         lambda: RunConfig(few_shot_beta=1.5),
         lambda: RunConfig(window=0),
         lambda: RunConfig(window=3),
-        lambda: TextEncoderConfig(width=30),
+        lambda: RunConfig(text_width=30),
         lambda: PatternSpec(kind="scratch"),
         lambda: PatternSpec(amplitude=2.0),
-        lambda: BackboneConfig(norm_std=(0.25, 0.0, 0.25)),
-        lambda: BackboneConfig(norm_mean=(0.5, 0.5)),
-        lambda: BackboneConfig(norm_mean=(0.5, float("nan"), 0.5)),
-        lambda: BackboneConfig(norm_std=(0.25, 0.25, 0.25, 0.25)),
+        lambda: RunConfig(prompt_kind="soft"),
+        lambda: RunConfig(attention_mode="qk"),
+        lambda: RunConfig(image_score_mode="mean_map"),
+        lambda: RunConfig(c_text=1),
+        lambda: RunConfig(prompt_length=0),
     ],
 )
 def test_invalid_config_object_rejected_on_construction(make):
@@ -85,12 +83,10 @@ def test_text_settings_the_encoder_cannot_take_are_config_errors():
     assert default_config(prompt_length=30).prompt_length == 30
     with pytest.raises(ConfigError, match="width 6 not divisible by heads 4"):
         default_config(text_width=6)
-    with pytest.raises(ConfigError, match="norm_std"):
-        default_config(backbone={"norm_std": [0.0, 0.0, 0.0]})
 
 
 def test_prompt_length_is_bounded_only_for_kinds_with_that_many_contexts():
-    max_len = TextEncoderConfig().max_len
+    max_len = MAX_LEN
     template = default_config(prompt_kind="template", prompt_length=max_len)
     assert build_model(template).prompt_pair.normal_context.shape[0] == 4
     for kind in ("coop", "fixed_pair"):

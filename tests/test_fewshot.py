@@ -58,3 +58,20 @@ def test_combine_maps_endpoints(rng, beta):
     combined = combine_maps(zero, fmap, beta=beta)
     expected = zero.scores if beta == 0.0 else np.clip(fmap.few / 4.0, 0.0, 1.0)
     np.testing.assert_array_equal(combined.scores, expected)
+
+
+def test_a_float64_model_scores_few_shot_in_float64_outside_its_precision(tiny_corpus):
+    from sowa.model import build_model
+
+    from conftest import tiny_config
+
+    with numerics.precision("float64"):
+        model = build_model(tiny_config())
+        images = [s.image.astype(np.float64) for s in tiny_corpus.samples[:3]]
+        bank = model.build_memory_bank(images[:2])
+        pred = model.predict(images[2])
+        inside = few_shot_map(pred.stage_features, bank, pred.grid, pred.anomaly_map.scores.shape)
+    assert numerics.default_dtype() == np.float32
+    outside = few_shot_map(pred.stage_features, bank, pred.grid, pred.anomaly_map.scores.shape)
+    assert inside.few.dtype == outside.few.dtype == np.float64
+    np.testing.assert_array_equal(outside.few, inside.few)

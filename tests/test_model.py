@@ -6,8 +6,10 @@ heap pages, the text features are encoded once per parameter state and are
 read-only for every prompt kind, a model computes in the dtype it was built
 in (float32 or float64) whatever the default at call time, and a checkpoint is
 an ``.npz`` file that round-trips bit-exactly and fails on any corruption with
-``ArchiveError`` or ``WeightsError``."""
+``ArchiveError`` or ``WeightsError``. Every frozen and trainable tensor of
+five reference builds is bit-identical to a pinned digest."""
 
+import hashlib
 import io
 import itertools
 import os
@@ -410,3 +412,51 @@ def test_no_flipped_bit_loads_changed_tensors(tmp_path):
         assert leftovers.keys() == extra.keys(), f"byte {pos} bit {bit}"
         np.testing.assert_array_equal(leftovers["adam.step"], extra["adam.step"])
     assert failed >= len(data)  # at least every member's data flip was caught
+
+
+# SHA-256 over every frozen and trainable tensor's name, dtype, shape and
+# bytes, pinned from the weights as first built; any change to an init rule,
+# a draw order or a seed offset changes it
+WEIGHT_DIGESTS = {
+    "default-64": (
+        dict(), "float32",
+        "76abfcd2237948c9ef3f470612a4ed42336619265262ecd3c24b18cd56467f2d",
+    ),
+    "paper-224": (
+        dict(backbone={"image_size": 224, "patch_size": 14}), "float32",
+        "7033afb28a66d69b01e09a4dc865641ce5fe21d9c49b0c7eab2681f9fa946729",
+    ),
+    "template": (
+        dict(prompt_kind="template"), "float32",
+        "cd9604e20d2c975967073a915bacb13725b0eb5f6c263b1d8809e4b4d6d5caef",
+    ),
+    "fixed_pair-seed3": (
+        dict(seed=3, prompt_kind="fixed_pair"), "float32",
+        "f4f40f08f7c147a1cf2245de17203589adfb7c6fd6f82dddf0175d418ba397d3",
+    ),
+    "float64-seed5": (
+        dict(seed=5), "float64",
+        "c12c63a0104049da8b497bdd2d2e6e2814016c32e4818a246239cf60ac4764f8",
+    ),
+}
+
+
+def _weight_digest(model) -> str:
+    tensors = {f"backbone.{n}": a for n, a in model.backbone.weights.items()}
+    tensors.update({f"text_encoder.{n}": a for n, a in model.encoder.weights.items()})
+    tensors["cls_proj"] = model.cls_proj
+    tensors.update({n: v.data for n, v in model.parameters().items()})
+    digest = hashlib.sha256()
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name])
+        digest.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("build", sorted(WEIGHT_DIGESTS))
+def test_every_model_tensor_is_bit_identical_to_the_pinned_build(build):
+    overrides, dtype, expected = WEIGHT_DIGESTS[build]
+    with numerics.precision(dtype):
+        model = build_model(default_config(**overrides))
+    assert _weight_digest(model) == expected

@@ -113,6 +113,15 @@ def _upsample_oracle(grid, out_h, out_w):
 
 
 class TestBilinearUpsample:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_float_grid_is_resampled_in_its_own_dtype(self, dtype):
+        grid = np.random.default_rng(2).uniform(size=(3, 5)).astype(dtype)
+        for default in ("float32", "float64"):
+            with numerics.precision(default):
+                assert numerics.bilinear_upsample(grid, 7, 9).dtype == np.dtype(dtype)
+                integers = numerics.bilinear_upsample(np.arange(15).reshape(3, 5), 7, 9)
+                assert integers.dtype == np.dtype(default)
+
     def test_constant_field(self):
         out = numerics.bilinear_upsample(np.full((1, 1), 3.25), 5, 7)
         np.testing.assert_allclose(out, np.full((5, 7), 3.25), atol=1e-6)

@@ -2,9 +2,11 @@
 loss graph in the model's dtype whose backward fills only trainable paths,
 one prompt encoding per batch (none for frozen prompts), a content-keyed
 feature cache, one epoch lowering the loss without touching frozen tensors,
-bit-identical resumption from a checkpoint with its Adam state, and a warm
-epoch that looks up each sample once and reuses the last epoch's final loss
-only while nothing it read has changed."""
+bit-identical resumption from a checkpoint with its Adam state (and
+``WeightsError`` for Adam state that does not fit), a non-finite image
+rejected before it is cached, and a warm epoch that looks up each sample once
+and reuses the last epoch's final loss only while nothing it read has
+changed."""
 
 from dataclasses import replace
 
@@ -15,8 +17,9 @@ from sowa import autodiff as ag
 from sowa import model as smodel
 from sowa import numerics
 from sowa import prompts, training
+from sowa.backbone import tensor_hash
 from sowa.config import default_config
-from sowa.errors import UsageError
+from sowa.errors import UsageError, WeightsError
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
 
@@ -317,3 +320,69 @@ def test_warm_epoch_looks_up_each_sample_once(tiny_corpus, monkeypatch):
     monkeypatch.setattr(smodel.SowaModel, "frozen_forward", counting)
     training.train_epoch(model, samples, model.config.optim, seed=1, state=state)
     assert sorted(looked_up) == sorted(id(s.image) for s in samples)
+
+
+def _bad_step(tensors):
+    tensors["adam.step"] = np.asarray([-3.5])
+
+
+def _nan_step(tensors):
+    tensors["adam.step"] = np.asarray([np.nan])
+
+
+def _two_steps(tensors):
+    tensors["adam.step"] = np.asarray([2.0, 3.0])
+
+
+def _short_first_moment(tensors):
+    tensors["adam.m.adapter.0.weight"] = np.zeros(1, dtype=np.float32)
+
+
+def _broadcast_second_moment(tensors):
+    tensors["adam.v.adapter.0.weight"] = np.zeros(tensors["adam.v.adapter.0.weight"].shape[1:],
+                                                  dtype=np.float32)
+
+
+def _infinite_moment(tensors):
+    tensors["adam.m.adapter.1.bias"] = np.full_like(tensors["adam.m.adapter.1.bias"], np.inf)
+
+
+def _negative_second_moment(tensors):
+    tensors["adam.v.adapter.2.bias"] = np.full_like(tensors["adam.v.adapter.2.bias"], -1.0)
+
+
+def _integer_moment(tensors):
+    tensors["adam.m.adapter.3.bias"] = tensors["adam.m.adapter.3.bias"].astype(np.int32)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _bad_step, _nan_step, _two_steps, _short_first_moment, _broadcast_second_moment,
+    _infinite_moment, _negative_second_moment, _integer_moment,
+])
+def test_optimizer_state_that_does_not_fit_raises_and_binds_nothing(tiny_corpus, corrupt):
+    model = build_model(tiny_config())
+    state = training.new_train_state(model, tiny_config().optim)
+    _step(model, state, tiny_corpus.samples[:4])
+    tensors = training.optimizer_tensors(state)
+    fresh = training.new_train_state(model, tiny_config().optim)
+    training.restore_optimizer(fresh, dict(tensors))  # the saved state fits
+    assert fresh.step == 1
+    corrupt(tensors)
+    target = training.new_train_state(model, tiny_config().optim)
+    with pytest.raises(WeightsError):
+        training.restore_optimizer(target, tensors)
+    assert target.step == 0
+    assert all(not m.any() for m in target.m.values())
+    assert all(not v.any() for v in target.v.values())
+
+
+def test_a_non_finite_image_is_rejected_before_anything_is_cached(tiny_corpus):
+    model = build_model(tiny_config())
+    samples = tiny_corpus.samples[:4]
+    bad = replace(samples[1], image=samples[1].image.copy())
+    bad.image[3, 5, 1] = np.nan
+    with pytest.raises(UsageError, match="non-finite"):
+        model.predict(bad.image, cache_key=0)
+    with pytest.raises(UsageError, match="non-finite"):
+        training.train_epoch(model, [samples[0], bad, *samples[2:]], tiny_config().optim)
+    assert tensor_hash(bad.image) not in model._feature_cache
