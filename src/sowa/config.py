@@ -7,17 +7,21 @@ is valid and no function checks it again. ``to_dict`` and
 ``config_from_dict`` convert to and from nested plain dicts mirroring the
 dataclass layout below; unknown keys are rejected so typos fail loudly.
 
-Only what a run can vary is a field. The stand-in's fixed settings are module
-constants: the MLP ratio and input normalisation in ``backbone``, and the
-text encoder's heads, blocks and maximum length in ``prompts``, where the
-text width and output width are the only text settings here
-(``text_width``, ``c_text``). Every tensor is drawn from the run's ``seed``
-by the one init rule, ``backbone.seeded_weights``.
+Only what a run can vary is a field. The fixed settings are module
+constants: the MLP ratio and input normalisation in ``backbone``; the text
+encoder's heads, blocks and maximum length in ``prompts``, where the text
+width and output width are the only text settings here (``text_width``,
+``c_text``); the fusion and class-score temperatures in ``fusion``
+(``TAU``, ``TAU_CLS``); and the loss (equal dice, focal and BCE weights,
+``FOCAL_GAMMA``, ``FOCAL_ALPHA``, ``DICE_EPS``) and Adam's ``BETA1``,
+``BETA2`` and ``EPS`` in ``training``. Every tensor is drawn from the run's
+``seed`` by the one init rule, ``backbone.seeded_weights``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -33,36 +37,13 @@ IMAGE_SCORE_MODES = ("cls", "max_map")
 
 
 @dataclass(frozen=True)
-class LossSection:
-    dice: float = 1.0
-    focal: float = 1.0
-    bce: float = 1.0
-    focal_gamma: float = 2.0
-    focal_alpha: float = 0.5
-    dice_eps: float = 1.0
-
-    def __post_init__(self):
-        if min(self.dice, self.focal, self.bce) < 0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.focal_gamma < 0 or not 0 <= self.focal_alpha <= 1:
-            raise ConfigError("need focal_gamma >= 0 and focal_alpha in [0, 1]")
-        if self.dice_eps <= 0:
-            raise ConfigError("dice_eps must be > 0")
-
-
-@dataclass(frozen=True)
 class OptimSection:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 8
 
     def __post_init__(self):
-        if self.lr <= 0 or self.eps <= 0:
-            raise ConfigError("lr and eps must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("betas must lie in [0, 1)")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
 
@@ -81,7 +62,6 @@ class RunConfig:
     few_shot_beta: float = 0.5
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
-    loss: LossSection = field(default_factory=LossSection)
     optim: OptimSection = field(default_factory=OptimSection)
 
     def __post_init__(self):
@@ -124,7 +104,6 @@ class RunConfig:
 _SECTION_TYPES = {
     "backbone": BackboneConfig,
     "fusion": FusionConfig,
-    "loss": LossSection,
     "optim": OptimSection,
 }
 

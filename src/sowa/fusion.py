@@ -5,6 +5,10 @@ per-token two-way softmax is applied after the sum; the abnormal channel is
 then upsampled to pixel resolution (and optionally blurred) to form the
 anomaly map. The image-level score comes from the class token through a
 frozen projection against the same text rows.
+
+The two softmax temperatures are constants, ``TAU`` for the stage logits and
+``TAU_CLS`` for the class score; ``FusionConfig`` holds what a run varies,
+the stage weights and the map's blur.
 """
 
 from __future__ import annotations
@@ -18,19 +22,18 @@ from . import autodiff as ag
 from . import numerics
 from .errors import ConfigError, UsageError
 
+TAU = 1.0
+TAU_CLS = 1.0
+
 
 @dataclass(frozen=True)
 class FusionConfig:
     alpha: Tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-    tau: float = 1.0
-    tau_cls: float = 1.0
     sigma: float = 0.0
 
     def __post_init__(self):
         if len(self.alpha) != 4 or not all(np.isfinite(self.alpha)):
             raise ConfigError(f"alpha must be 4 finite weights, got {self.alpha}")
-        if self.tau <= 0 or self.tau_cls <= 0:
-            raise ConfigError("temperatures must be positive")
         if self.sigma < 0:
             raise ConfigError("smoothing sigma must be >= 0")
 
@@ -43,7 +46,7 @@ class AnomalyMap:
 
 
 def fuse(stage_features: Sequence, text_features, cfg: FusionConfig):
-    """Weighted sum of per-stage similarity logits: sum_i alpha_i F*_i T^T / tau.
+    """Weighted sum of per-stage similarity logits: sum_i alpha_i F*_i T^T / TAU.
 
     Channel 0 scores the normal row, channel 1 the abnormal row. Accepts
     Vars (training) or arrays, as (L, C) or a stacked (B, L, C) batch;
@@ -57,7 +60,7 @@ def fuse(stage_features: Sequence, text_features, cfg: FusionConfig):
     text_t = ag.transpose(text_features, (1, 0))
     logits = None
     for alpha_i, feats in zip(cfg.alpha, stage_features):
-        term = ag.mul(ag.matmul(feats, text_t), alpha_i / cfg.tau)
+        term = ag.mul(ag.matmul(feats, text_t), alpha_i / TAU)
         logits = term if logits is None else ag.add(logits, term)
     return logits
 
@@ -103,13 +106,13 @@ def abnormal_probability_map(logits, grid: Tuple[int, int], image_dims: Tuple[in
     return out
 
 
-def image_score(class_token: np.ndarray, cls_proj: np.ndarray, text_features, cfg: FusionConfig):
+def image_score(class_token: np.ndarray, cls_proj: np.ndarray, text_features):
     """Two-way softmax score of the projected class token; abnormal side.
 
     ``class_token`` is (C_vis,) for one scalar score or (B, C_vis) for B
     scores. Differentiable in ``text_features`` when given as a Var.
     """
     f_cls = ag.l2_normalize_rows(np.asarray(class_token) @ np.asarray(cls_proj))
-    sims = ag.mul(ag.matmul(f_cls, ag.transpose(text_features, (1, 0))), 1.0 / cfg.tau_cls)
+    sims = ag.mul(ag.matmul(f_cls, ag.transpose(text_features, (1, 0))), 1.0 / TAU_CLS)
     probs = ag.softmax_last(sims)
     return probs[..., 1]

@@ -151,16 +151,16 @@ class SowaModel:
         return self._text_cache[1]
 
     # -------------------------------------------------------------- inference
-    def predict(self, image: np.ndarray, cache_key: Optional[int] = None) -> Prediction:
+    def predict(self, image: np.ndarray) -> Prediction:
         """Map, score and stage features as plain arrays; builds no autodiff graph."""
-        acts = self.frozen_forward(image, cache_key=cache_key)
+        acts = self.frozen_forward(image)
         text = self.text_features()
         stars = self._adapted(acts)
         cfg = self.config.fusion
         logits = fusion_mod.fuse(stars, text, cfg)
         size = self.backbone.config.image_size
         amap = fusion_mod.anomaly_map(logits, self.grid, (size, size), cfg)
-        score = fusion_mod.image_score(acts.class_token, self.cls_proj, text, cfg)
+        score = fusion_mod.image_score(acts.class_token, self.cls_proj, text)
         return Prediction(amap, float(score), stars, self.grid)
 
     def _adapted(self, acts: FrozenActivations) -> List[np.ndarray]:
@@ -200,8 +200,9 @@ class SowaModel:
         """Bind the parameters from an ``.npz`` checkpoint; returns the other tensors.
 
         Each parameter keeps its own dtype. A file that cannot be read raises
-        ``ArchiveError``; a missing parameter, or one of the wrong shape or not
-        floating point, raises ``WeightsError``. Either way nothing is bound.
+        ``ArchiveError``; a missing parameter, or one of the wrong shape, not
+        floating point or not finite, raises ``WeightsError``. Either way
+        nothing is bound.
         """
         tensors = _read_npz(path)
         params = self.parameters()
@@ -209,10 +210,10 @@ class SowaModel:
             arr = tensors.get(name)
             if arr is None:
                 raise WeightsError(f"checkpoint missing tensor {name!r}")
-            if arr.shape != var.data.shape or arr.dtype.kind != "f":
+            if arr.shape != var.data.shape or arr.dtype.kind != "f" or not np.isfinite(arr).all():
                 raise WeightsError(
                     f"checkpoint tensor {name!r} is {arr.dtype} {arr.shape}, "
-                    f"expected floats of shape {var.data.shape}"
+                    f"expected finite floats of shape {var.data.shape}"
                 )
         for name, var in params.items():
             var.data = tensors.pop(name).astype(var.data.dtype)

@@ -78,7 +78,8 @@ def linear_resample_matrix(n_in: int, n_out: int) -> np.ndarray:
 
     Output sample i reads source coordinate (i + 0.5) * n_in / n_out - 0.5,
     clamped to the valid range; each row holds the two interpolation weights
-    (rows sum to 1, so constants are preserved exactly).
+    (rows sum to 1, so constants are preserved exactly). Built in float64:
+    a caller casts it once, to the dtype of what it resamples.
     """
     if n_in < 1 or n_out < 1:
         raise UsageError(f"resample sizes must be >= 1, got {n_in} -> {n_out}")
@@ -89,7 +90,7 @@ def linear_resample_matrix(n_in: int, n_out: int) -> np.ndarray:
     op = np.zeros((n_out, n_in), dtype=np.float64)
     op[rows, lo] = 1.0 - frac
     op[rows, np.minimum(lo + 1, n_in - 1)] += frac  # the same cell as lo at the clamped end
-    return op.astype(_DEFAULT_DTYPE)
+    return op
 
 
 def bilinear_upsample(grid, out_h: int, out_w: int) -> np.ndarray:
@@ -135,11 +136,11 @@ def _reflect_index(i: int, n: int) -> int:
 
 
 def gaussian_blur_matrix(n: int, sigma: float) -> np.ndarray:
-    """1-D Gaussian blur operator (n x n) with reflective padding."""
+    """1-D Gaussian blur operator (n x n) with reflective padding, in float64."""
     kernel = gaussian_kernel1d(sigma)
     radius = (len(kernel) - 1) // 2
     op = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for k, weight in enumerate(kernel):
             op[i, _reflect_index(i + k - radius, n)] += weight
-    return op.astype(_DEFAULT_DTYPE)
+    return op

@@ -1,9 +1,12 @@
 """Composite segmentation/classification loss, exact gradients, and the
 Adam training loop.
 
-The loss is a weighted sum of dice and focal terms on the per-pixel abnormal
-probabilities against the mask, plus binary cross-entropy on the image-level
-score against the label. Masks and labels arrive in {-1, +1} and are remapped
+The loss is the unweighted sum of dice and focal terms on the per-pixel
+abnormal probabilities against the mask, plus binary cross-entropy on the
+image-level score against the label. Its fixed settings are the constants
+``DICE_EPS``, ``FOCAL_GAMMA`` and ``FOCAL_ALPHA`` below, and Adam's are
+``BETA1``, ``BETA2`` and ``EPS``; the learning rate and batch size are the
+run's ``OptimSection``. Masks and labels arrive in {-1, +1} and are remapped
 to {0, 1}. One formula scores a whole batch: the samples' cached frozen
 activations are stacked along a leading batch axis, the prompts are encoded
 once, and every term is a mean over the batch. Run on the trainable Vars it
@@ -30,10 +33,16 @@ from . import autodiff as ag
 from . import fusion as fusion_mod
 from . import prompts as prompts_mod
 from .backbone import tensor_hash
-from .config import LossSection, OptimSection
+from .config import OptimSection
 from .errors import TrainingError, UsageError, WeightsError
 
 PRED_CLAMP = 1e-7
+DICE_EPS = 1.0
+FOCAL_GAMMA = 2.0
+FOCAL_ALPHA = 0.5
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 def _target(pred, target) -> np.ndarray:
@@ -43,8 +52,8 @@ def _target(pred, target) -> np.ndarray:
     return np.asarray(target, dtype=np.result_type(dtype, np.float32))
 
 
-def dice_loss(pred, target01, eps: float = 1.0):
-    """Batch mean of 1 - (2 sum(p g) + eps) / (sum(p) + sum(g) + eps).
+def dice_loss(pred, target01):
+    """Batch mean of 1 - (2 sum(p g) + DICE_EPS) / (sum(p) + sum(g) + DICE_EPS).
 
     Axis 0 indexes the samples: each sample's sums run over all its other
     axes, so one sample's dice lives in [0, 1) whatever the batch holds.
@@ -53,19 +62,18 @@ def dice_loss(pred, target01, eps: float = 1.0):
     shape_g = np.asarray(target01).shape
     if tuple(shape_p) != tuple(shape_g):
         raise UsageError(f"dice shapes differ: pred {shape_p} vs target {shape_g}")
-    if eps <= 0:
-        raise UsageError("dice eps must be > 0")
     target = _target(pred, target01)
     axes = tuple(range(1, len(shape_p)))
     overlap = ag.sum_(ag.mul(pred, target), axis=axes)
     total = ag.add(ag.sum_(pred, axis=axes), np.sum(target, axis=axes))
-    ratio = ag.div(ag.add(ag.mul(overlap, 2.0), eps), ag.add(total, eps))
+    ratio = ag.div(ag.add(ag.mul(overlap, 2.0), DICE_EPS), ag.add(total, DICE_EPS))
     return ag.add(1.0, ag.mul(ag.mean(ratio), -1.0))
 
 
-def focal_loss(pred, target01, gamma: float = 2.0, alpha: float = 0.5):
-    """Mean of -alpha_t (1 - p_t)^gamma log(p_t) over every pixel of the
-    batch, predictions clamped away from {0, 1}."""
+def focal_loss(pred, target01):
+    """Mean of -alpha_t (1 - p_t)^FOCAL_GAMMA log(p_t) over every pixel of the
+    batch, alpha_t = FOCAL_ALPHA on abnormal pixels and 1 - FOCAL_ALPHA on
+    normal ones, predictions clamped away from {0, 1}."""
     shape_p = pred.shape if ag.is_var(pred) else np.asarray(pred).shape
     g = _target(pred, target01)
     if tuple(shape_p) != tuple(g.shape):
@@ -73,8 +81,8 @@ def focal_loss(pred, target01, gamma: float = 2.0, alpha: float = 0.5):
     p = ag.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP)
     # p_t = p when g = 1, else 1 - p
     p_t = ag.add(ag.mul(p, 2.0 * g - 1.0), 1.0 - g)
-    alpha_t = alpha * g + (1.0 - alpha) * (1.0 - g)
-    weight = ag.mul(ag.power(ag.add(1.0, ag.mul(p_t, -1.0)), gamma), alpha_t)
+    alpha_t = FOCAL_ALPHA * g + (1.0 - FOCAL_ALPHA) * (1.0 - g)
+    weight = ag.mul(ag.power(ag.add(1.0, ag.mul(p_t, -1.0)), FOCAL_GAMMA), alpha_t)
     return ag.mean(ag.mul(ag.mul(weight, ag.log(p_t)), -1.0))
 
 
@@ -87,8 +95,8 @@ def bce_loss(score, label01):
     return ag.mean(ag.add(pos, neg))
 
 
-def composite_loss(map_scores, mask_pm1, score, label_pm1, weights: LossSection):
-    """lambda_1 dice + lambda_2 focal + lambda_3 bce on {-1,+1} annotations.
+def composite_loss(map_scores, mask_pm1, score, label_pm1):
+    """dice + focal + bce on {-1,+1} annotations.
 
     Maps and masks are (B, H, W), scores and labels (B,): dice is taken per
     sample, and every term is its batch mean. Returns (total, per-term float
@@ -96,13 +104,10 @@ def composite_loss(map_scores, mask_pm1, score, label_pm1, weights: LossSection)
     """
     mask01 = (_target(map_scores, mask_pm1) + 1.0) / 2.0
     label01 = (_target(score, label_pm1) + 1.0) / 2.0
-    d = dice_loss(map_scores, mask01, eps=weights.dice_eps)
-    f = focal_loss(map_scores, mask01, gamma=weights.focal_gamma, alpha=weights.focal_alpha)
+    d = dice_loss(map_scores, mask01)
+    f = focal_loss(map_scores, mask01)
     b = bce_loss(score, label01)
-    total = ag.add(
-        ag.add(ag.mul(d, weights.dice), ag.mul(f, weights.focal)),
-        ag.mul(b, weights.bce),
-    )
+    total = ag.add(ag.add(d, f), b)
     terms = {
         "dice": float(d.data if ag.is_var(d) else d),
         "focal": float(f.data if ag.is_var(f) else f),
@@ -132,10 +137,10 @@ def _batch_loss(model, samples: Sequence, acts: Sequence, projections, text):
     size = model.backbone.config.image_size
     pmap = fusion_mod.abnormal_probability_map(logits, model.grid, (size, size), cfg)
     classes = np.stack([a.class_token for a in acts])
-    score = fusion_mod.image_score(classes, model.cls_proj, text, cfg)
+    score = fusion_mod.image_score(classes, model.cls_proj, text)
     masks = np.stack([s.mask for s in samples])
     labels = [s.label for s in samples]
-    return composite_loss(pmap, masks, score, labels, model.config.loss)
+    return composite_loss(pmap, masks, score, labels)
 
 
 def _loss_graph(model, samples: Sequence, acts: Sequence):
@@ -175,7 +180,8 @@ def batch_gradients(model, samples: Sequence, cache_keys: Optional[Sequence[int]
 
 @dataclass
 class TrainState:
-    """Trainable parameters plus Adam moments and step counter.
+    """Trainable parameters plus Adam moments and step counter; the learning
+    rate is the ``OptimSection`` each epoch is given.
 
     ``train_epoch`` also keeps the epoch's final dataset loss here, under a
     content key of everything that loss read (``final_loss_key``). The next
@@ -187,10 +193,6 @@ class TrainState:
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     final_loss: Optional[float] = None
     final_loss_key: Optional[tuple] = field(default=None, repr=False)
 
@@ -200,18 +202,8 @@ class TrainState:
             self.v.setdefault(name, np.zeros_like(var.data))
 
 
-def new_train_state(model, optim: OptimSection) -> TrainState:
-    return TrainState(
-        params=model.trainable(),
-        lr=optim.lr,
-        beta1=optim.beta1,
-        beta2=optim.beta2,
-        eps=optim.eps,
-    )
-
-
-def adam_step(state: TrainState, grads: Dict[str, np.ndarray]) -> TrainState:
-    """Standard bias-corrected Adam; mutates parameters in place."""
+def adam_step(state: TrainState, grads: Dict[str, np.ndarray], lr: float) -> TrainState:
+    """Standard bias-corrected Adam at rate ``lr``; mutates parameters in place."""
     for name in state.params:
         if name not in grads:
             raise TrainingError(f"missing gradient for {name!r}")
@@ -221,11 +213,11 @@ def adam_step(state: TrainState, grads: Dict[str, np.ndarray]) -> TrainState:
     t = state.step
     for name, var in state.params.items():
         g = grads[name].astype(var.data.dtype)
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[name] / (1.0 - state.beta1**t)
-        v_hat = state.v[name] / (1.0 - state.beta2**t)
-        var.data = var.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
+        m_hat = state.m[name] / (1.0 - BETA1**t)
+        v_hat = state.v[name] / (1.0 - BETA2**t)
+        var.data = var.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
     return state
 
 
@@ -264,7 +256,7 @@ def _dataset_loss(model, samples: Sequence, features: Callable[[int], object]) -
     return total / len(samples)
 
 
-def mean_dataset_loss(model, samples: Sequence, cache: bool = True) -> float:
+def mean_dataset_loss(model, samples: Sequence) -> float:
     """Mean per-sample loss of a dataset, builds no graph.
 
     The batch formula runs on the parameter arrays and the inference text
@@ -276,7 +268,7 @@ def mean_dataset_loss(model, samples: Sequence, cache: bool = True) -> float:
         raise UsageError("cannot score an empty dataset")
 
     def features(i):
-        return model.frozen_forward(samples[i].image, cache_key=i if cache else None)
+        return model.frozen_forward(samples[i].image, cache_key=i)
 
     return _dataset_loss(model, samples, features)
 
@@ -307,7 +299,8 @@ def train_epoch(
     state: Optional[TrainState] = None,
     log_fn: Optional[Callable[[Dict], None]] = None,
 ) -> Tuple[EpochReport, TrainState]:
-    """One seeded-shuffle epoch of mean-gradient Adam steps.
+    """One seeded-shuffle epoch of mean-gradient Adam steps, ``optim.batch_size``
+    samples a step at rate ``optim.lr``.
 
     The report carries the dataset mean loss before and after the epoch and
     the frozen-tensor hash on both sides of training. Each sample's frozen
@@ -323,7 +316,7 @@ def train_epoch(
         raise UsageError("cannot train on an empty dataset")
     trainable = model.trainable()
     if state is None:
-        state = new_train_state(model, optim)
+        state = TrainState(trainable)
     elif state.params.keys() != trainable.keys() or any(
         state.params[name] is not var for name, var in trainable.items()
     ):
@@ -351,7 +344,7 @@ def train_epoch(
         )
         grads = _gradients(state.params, loss)
         loss = float(loss.data)  # frees the graph before the next one is built
-        adam_step(state, grads)
+        adam_step(state, grads, optim.lr)
         batch_losses.append(loss)
         batch_terms.append(terms)
         if log_fn is not None:

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from sowa.backbone import BackboneConfig
-from sowa.config import LossSection, OptimSection, RunConfig, config_from_dict, default_config
+from sowa.config import OptimSection, RunConfig, config_from_dict, default_config
 from sowa.errors import ConfigError
 from sowa.fusion import FusionConfig
 from sowa.model import build_model
@@ -21,10 +21,8 @@ DEFAULT_DOCUMENT = {
     "image_score_mode": "max_map", "few_shot_beta": 0.5,
     "backbone": {"image_size": 64, "patch_size": 8, "channels": 64, "blocks_per_stage": 2,
                  "heads": 4},
-    "fusion": {"alpha": [1.0, 1.0, 1.0, 1.0], "tau": 1.0, "tau_cls": 1.0, "sigma": 0.0},
-    "loss": {"dice": 1.0, "focal": 1.0, "bce": 1.0, "focal_gamma": 2.0, "focal_alpha": 0.5,
-             "dice_eps": 1.0},
-    "optim": {"lr": 0.001, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08, "batch_size": 8},
+    "fusion": {"alpha": [1.0, 1.0, 1.0, 1.0], "sigma": 0.0},
+    "optim": {"lr": 0.001, "batch_size": 8},
 }
 
 
@@ -47,13 +45,13 @@ def test_window_that_does_not_tile_the_grid_is_a_config_error():
     "make",
     [
         lambda: FusionConfig(alpha=(1.0, 1.0, 1.0)),
-        lambda: FusionConfig(tau=0.0),
+        lambda: FusionConfig(alpha=(1.0, 1.0, 1.0, float("nan"))),
         lambda: FusionConfig(sigma=-1.0),
-        lambda: LossSection(dice=-1.0),
-        lambda: LossSection(focal_alpha=1.5),
-        lambda: LossSection(dice_eps=0.0),
+        lambda: BackboneConfig(patch_size=0),
+        lambda: PatternSpec(octaves=0),
+        lambda: PatternSpec(base_cells=1),
         lambda: OptimSection(lr=0.0),
-        lambda: OptimSection(beta2=1.0),
+        lambda: OptimSection(lr=float("nan")),
         lambda: OptimSection(batch_size=0),
         lambda: BackboneConfig(image_size=60),
         lambda: BackboneConfig(channels=30),
@@ -96,8 +94,17 @@ def test_prompt_length_is_bounded_only_for_kinds_with_that_many_contexts():
 
 def test_bad_section_values_in_a_document_are_config_errors():
     with pytest.raises(ConfigError):
-        config_from_dict({"fusion": {"tau": -1.0}})
+        config_from_dict({"fusion": {"sigma": -1.0}})
     with pytest.raises(ConfigError):
         config_from_dict({"window": "4"})
     with pytest.raises(ConfigError, match="unknown key 'stages' in backbone"):
         config_from_dict({"backbone": {"stages": 4}})
+
+
+def test_fixed_settings_are_not_config_keys():
+    for document in ({"loss": {"dice": 1.0}}, {"fusion": {"tau": 1.0}}, {"optim": {"beta2": 0.9}}):
+        with pytest.raises(ConfigError, match="unknown"):
+            config_from_dict(document)
+    leaves = [v for section in default_config().to_dict().values()
+              for v in (section.values() if isinstance(section, dict) else [section])]
+    assert len(leaves) == 19

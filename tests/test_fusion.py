@@ -28,6 +28,15 @@ def test_anomaly_map_equals_differentiable_map(sigma):
     np.testing.assert_array_equal(from_var.scores, amap.scores)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1.5])
+def test_a_float64_map_is_float64_at_any_default(sigma):
+    logits = np.random.default_rng(3).normal(size=(256, 2))
+    cfg = FusionConfig(sigma=sigma)
+    with numerics.precision("float64"):
+        want = anomaly_map(logits, (16, 16), (224, 224), cfg).scores
+    np.testing.assert_array_equal(anomaly_map(logits, (16, 16), (224, 224), cfg).scores, want)
+
+
 def test_sigma_zero_is_upsampled_abnormal_probability():
     logits = _logits(1).astype(np.float64)
     abnormal = 1.0 / (1.0 + np.exp(logits[:, 0] - logits[:, 1]))

@@ -155,8 +155,9 @@ def test_text_encoded_once_per_parameter_state(tiny_corpus, encode_calls, tmp_pa
     assert len(encode_calls) == 1
 
     # Adam rebinds the context arrays
-    state = training.new_train_state(model, model.config.optim)
-    training.adam_step(state, batch_gradients(model, tiny_corpus.samples[:2])[2])
+    state = training.TrainState(model.trainable())
+    grads = batch_gradients(model, tiny_corpus.samples[:2])[2]
+    training.adam_step(state, grads, model.config.optim.lr)
     del encode_calls[:]  # batch_gradients encodes its own graph
     model.predict(images[0])
     model.predict(images[1])
@@ -221,12 +222,11 @@ def _pipeline_dtypes(model, sample):
     logits = fusion.fuse(stars, text, cfg)
     size = model.backbone.config.image_size
     pmap = fusion.abnormal_probability_map(logits, model.grid, (size, size), cfg)
-    score = fusion.image_score(acts.class_token[None], model.cls_proj, text, cfg)
+    score = fusion.image_score(acts.class_token[None], model.cls_proj, text)
     grads = batch_gradients(model, [sample])[2]
     dtypes = {
         "map": pred.anomaly_map.scores.dtype,
-        "score": fusion.image_score(acts.class_token, model.cls_proj, model.text_features(),
-                                    cfg).dtype,
+        "score": fusion.image_score(acts.class_token, model.cls_proj, model.text_features()).dtype,
         "text": model.text_features().dtype,
         "graph text": text.dtype,
         "graph logits": logits.dtype,
@@ -342,7 +342,8 @@ def test_an_unreadable_checkpoint_raises_archive_error_and_binds_nothing(write, 
     lambda value: None,  # missing
     lambda value: value[:-1],
     lambda value: (value * 100).astype(np.int32),
-], ids=["missing", "shape", "dtype"])
+    lambda value: np.full_like(value, np.nan),
+], ids=["missing", "shape", "dtype", "non_finite"])
 def test_a_checkpoint_that_does_not_fit_binds_nothing(change, tmp_path):
     model = build_model(tiny_config())
     before = model.state_tensors()

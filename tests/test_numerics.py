@@ -82,13 +82,15 @@ def _resample_matrix_loop(n_in, n_out):
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_resample_matrix_equals_loop_formula(dtype):
+    """The operator is float64 whatever the default, so no caller's weights
+    pass through float32."""
     pairs = [(n_in, n_out) for n_in in range(1, 17) for n_out in range(1, 40)]
     pairs += [(8, 64), (16, 224), (14, 224), (64, 8), (224, 16), (7, 3)]
     with numerics.precision(dtype):
         for n_in, n_out in pairs:
             op = numerics.linear_resample_matrix(n_in, n_out)
-            assert op.dtype == np.dtype(dtype)
-            expected = _resample_matrix_loop(n_in, n_out).astype(dtype)
+            assert op.dtype == np.float64
+            expected = _resample_matrix_loop(n_in, n_out)
             assert op.tobytes() == expected.tobytes(), (n_in, n_out)
 
 
@@ -121,6 +123,13 @@ class TestBilinearUpsample:
                 assert numerics.bilinear_upsample(grid, 7, 9).dtype == np.dtype(dtype)
                 integers = numerics.bilinear_upsample(np.arange(15).reshape(3, 5), 7, 9)
                 assert integers.dtype == np.dtype(default)
+
+    def test_a_float64_grid_gets_float64_weights_at_any_default(self):
+        # 16 -> 224 weights are multiples of 1/14, which float32 rounds
+        grid = np.random.default_rng(4).uniform(size=(16, 16))
+        with numerics.precision("float64"):
+            want = numerics.bilinear_upsample(grid, 224, 224)
+        np.testing.assert_array_equal(numerics.bilinear_upsample(grid, 224, 224), want)
 
     def test_constant_field(self):
         out = numerics.bilinear_upsample(np.full((1, 1), 3.25), 5, 7)
@@ -252,7 +261,7 @@ class TestPrecisionMode:
         assert numerics.default_dtype() == np.float32
         with numerics.precision("float64"):
             assert numerics.default_dtype() == np.float64
-            assert numerics.linear_resample_matrix(2, 3).dtype == np.float64
+            assert numerics.bilinear_upsample(np.eye(2, dtype=int), 3, 3).dtype == np.float64
         assert numerics.default_dtype() == np.float32
 
     def test_rejects_other_dtypes(self):

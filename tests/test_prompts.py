@@ -22,9 +22,10 @@ def test_fixed_text_features_do_not_change_under_training(prompt_kind, tiny_corp
     contexts = [model.prompt_pair.normal_context.data.copy(),
                 model.prompt_pair.abnormal_context.data.copy()]
     assert not any(name.startswith("prompt.") for name in model.trainable())
-    state = training.new_train_state(model, model.config.optim)
+    state = training.TrainState(model.trainable())
     for _ in range(2):
-        training.adam_step(state, training.batch_gradients(model, tiny_corpus.samples[:4])[2])
+        grads = training.batch_gradients(model, tiny_corpus.samples[:4])[2]
+        training.adam_step(state, grads, model.config.optim.lr)
     np.testing.assert_array_equal(model.text_features(), before)
     np.testing.assert_array_equal(model.prompt_pair.normal_context.data, contexts[0])
     np.testing.assert_array_equal(model.prompt_pair.abnormal_context.data, contexts[1])

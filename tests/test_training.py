@@ -2,7 +2,8 @@
 loss graph in the model's dtype whose backward fills only trainable paths,
 one prompt encoding per batch (none for frozen prompts), a content-keyed
 feature cache, one epoch lowering the loss without touching frozen tensors,
-bit-identical resumption from a checkpoint with its Adam state (and
+a continued epoch stepping at the learning rate it is given, bit-identical
+resumption from a checkpoint with its Adam state (and
 ``WeightsError`` for Adam state that does not fit), a non-finite image
 rejected before it is cached, and a warm epoch that looks up each sample once
 and reuses the last epoch's final loss only while nothing it read has
@@ -72,7 +73,7 @@ def test_loss_graph_runs_in_the_model_dtype(tiny_corpus, dtype):
         model = build_model(tiny_config())
         loss, _ = training.sample_loss(model, tiny_corpus.samples[:8])
     nodes = ag._toposort(loss)
-    assert len(nodes) == 235
+    assert len(nodes) == 232
     assert [n for n in nodes if n.dtype != np.dtype(dtype)] == []
 
 
@@ -146,7 +147,8 @@ def test_feature_cache_never_serves_another_image():
     )
     training.mean_dataset_loss(model, first)  # caches under keys 0..7
     cached = training.mean_dataset_loss(model, second)  # the same keys, other images
-    assert cached == training.mean_dataset_loss(model, second, cache=False)
+    model.clear_cache()
+    assert cached == training.mean_dataset_loss(model, second)
 
 
 def test_one_epoch_lowers_loss_and_keeps_frozen_tensors(tiny_corpus):
@@ -160,14 +162,25 @@ def test_one_epoch_lowers_loss_and_keeps_frozen_tensors(tiny_corpus):
 
 def _step(model, state, batch):
     _, _, grads = training.batch_gradients(model, batch, cache_keys=range(len(batch)))
-    training.adam_step(state, grads)
+    training.adam_step(state, grads, model.config.optim.lr)
+
+
+def test_a_continued_epoch_steps_at_the_rate_it_is_given(tiny_corpus):
+    samples = tiny_corpus.samples[:8]
+    optim = tiny_config().optim
+    hashes = []
+    for lr in (optim.lr, 10 * optim.lr):
+        model = build_model(tiny_config())
+        _, state = training.train_epoch(model, samples, optim)
+        report, _ = training.train_epoch(model, samples, replace(optim, lr=lr), seed=1, state=state)
+        hashes.append(report.param_hashes)
+    assert hashes[0] != hashes[1]
 
 
 def test_checkpoint_with_adam_state_resumes_bit_identically(tiny_corpus, tmp_path):
-    optim = tiny_config().optim
     batches = [tiny_corpus.samples[i : i + 4] for i in (0, 4, 8)]
     trained = build_model(tiny_config())
-    state = training.new_train_state(trained, optim)
+    state = training.TrainState(trained.trainable())
     for batch in batches[:2]:
         _step(trained, state, batch)
     path = tmp_path / "ckpt.npz"
@@ -175,11 +188,11 @@ def test_checkpoint_with_adam_state_resumes_bit_identically(tiny_corpus, tmp_pat
 
     resumed = build_model(tiny_config())
     leftovers = resumed.load_checkpoint(path)
-    resumed_state = training.restore_optimizer(training.new_train_state(resumed, optim), leftovers)
+    resumed_state = training.restore_optimizer(training.TrainState(resumed.trainable()), leftovers)
     assert resumed_state.step == 2
     restarted = build_model(tiny_config())
     restarted.load_checkpoint(path)
-    restarted_state = training.new_train_state(restarted, optim)  # fresh moments
+    restarted_state = training.TrainState(restarted.trainable())  # fresh moments
 
     for model, st in ((trained, state), (resumed, resumed_state), (restarted, restarted_state)):
         _step(model, st, batches[2])
@@ -270,7 +283,7 @@ def _other_samples(model, samples, state):
 
 
 def _fresh_state(model, samples, state):
-    return samples, training.new_train_state(model, model.config.optim)
+    return samples, training.TrainState(model.trainable())
 
 
 @pytest.mark.parametrize(
@@ -361,14 +374,14 @@ def _integer_moment(tensors):
 ])
 def test_optimizer_state_that_does_not_fit_raises_and_binds_nothing(tiny_corpus, corrupt):
     model = build_model(tiny_config())
-    state = training.new_train_state(model, tiny_config().optim)
+    state = training.TrainState(model.trainable())
     _step(model, state, tiny_corpus.samples[:4])
     tensors = training.optimizer_tensors(state)
-    fresh = training.new_train_state(model, tiny_config().optim)
+    fresh = training.TrainState(model.trainable())
     training.restore_optimizer(fresh, dict(tensors))  # the saved state fits
     assert fresh.step == 1
     corrupt(tensors)
-    target = training.new_train_state(model, tiny_config().optim)
+    target = training.TrainState(model.trainable())
     with pytest.raises(WeightsError):
         training.restore_optimizer(target, tensors)
     assert target.step == 0
@@ -382,7 +395,7 @@ def test_a_non_finite_image_is_rejected_before_anything_is_cached(tiny_corpus):
     bad = replace(samples[1], image=samples[1].image.copy())
     bad.image[3, 5, 1] = np.nan
     with pytest.raises(UsageError, match="non-finite"):
-        model.predict(bad.image, cache_key=0)
+        model.frozen_forward(bad.image, cache_key=0)
     with pytest.raises(UsageError, match="non-finite"):
         training.train_epoch(model, [samples[0], bad, *samples[2:]], tiny_config().optim)
     assert tensor_hash(bad.image) not in model._feature_cache
