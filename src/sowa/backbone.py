@@ -7,6 +7,11 @@ stack, and four stage outputs (the patch tokens after the last block of each
 quarter of the stack). Attention projections are bias-free so a stage's
 (W_q, W_k, W_v, W_o) quadruple can be handed to the adapters as-is.
 
+``Backbone.forward`` takes one image or a stack of them. A stack runs through
+every block along a leading image axis, with each per-image product the
+same BLAS call as on that image alone, so an image's features do not depend
+on the stack it was run in.
+
 One init rule, ``seeded_weights``, draws every model tensor, frozen or
 trainable: layer-norm scales are ones, offsets and biases zeros, embeddings
 and prompt contexts N(0, 0.02), every other matrix N(0, 1/sqrt(fan_in)), all
@@ -124,32 +129,54 @@ class Backbone:
         std = np.asarray(NORM_STD, dtype=image.dtype)
         return (image - mean) / std
 
-    def forward(self, image: np.ndarray) -> StageFeatures:
-        """Run the frozen stack on one (image_size, image_size, 3) image, in the weights' dtype."""
+    def forward(self, images: np.ndarray) -> StageFeatures:
+        """Run the frozen stack on one (S, S, 3) image, or on a (B, S, S, 3)
+        stack given as one array or a sequence of images.
+
+        Computes in the weights' dtype. A stack's features carry its leading
+        axis, and each image's rows equal that image's own forward pass bit
+        for bit. An empty stack, and an image of the wrong shape or with a
+        non-finite value, raise ``UsageError``.
+        """
         cfg = self.config
-        image = np.asarray(image, dtype=self.weights["pos_embed"].dtype)
+        try:
+            images = np.asarray(images, dtype=self.weights["pos_embed"].dtype)
+        except ValueError as exc:  # a sequence of images of differing shapes
+            raise UsageError(f"images do not stack into one array: {exc}") from exc
+        if images.shape[:1] == (0,):
+            raise UsageError("cannot run an empty stack of images")
+        single = images.ndim == 3
+        stack = images[None] if single else images
         expected = (cfg.image_size, cfg.image_size, 3)
-        if image.shape != expected:
-            raise UsageError(f"expected image of shape {expected}, got {image.shape}")
-        if not np.isfinite(image).all():
-            raise UsageError("image contains non-finite values")
-        image = self.normalize_image(image)
-        x = self._embed(image)
+        if stack.ndim != 4 or stack.shape[1:] != expected:
+            raise UsageError(f"expected images of shape {expected}, got {images.shape}")
+        finite = np.isfinite(stack).all(axis=(1, 2, 3))
+        if not finite.all():
+            raise UsageError(f"image {int(np.argmin(finite))} contains non-finite values")
+        x = self._embed(self.normalize_image(stack))
         stage_outputs: List[np.ndarray] = []
         for block in range(cfg.total_blocks):
             x = transformer_block(x, self.weights, block, cfg.heads)
             if (block + 1) % cfg.blocks_per_stage == 0:
-                stage_outputs.append(x[1:].copy())
-        return StageFeatures(stages=stage_outputs, class_token=x[0].copy())
+                stage_outputs.append(x[:, 1:].copy())
+        feats = StageFeatures(stages=stage_outputs, class_token=x[:, 0].copy())
+        if single:
+            feats = StageFeatures([s[0] for s in feats.stages], feats.class_token[0])
+        return feats
 
-    def _embed(self, image: np.ndarray) -> np.ndarray:
+    def _embed(self, images: np.ndarray) -> np.ndarray:
+        """Normalised (S, S, 3) or (B, S, S, 3) pixels to (1 + tokens, C) or
+        (B, 1 + tokens, C) embedded tokens, the class token first."""
         cfg = self.config
         g, p = cfg.grid, cfg.patch_size
-        patches = image.reshape(g, p, g, p, 3).transpose(0, 2, 1, 3, 4)
-        patches = patches.reshape(cfg.tokens, p * p * 3)
+        stack = images.reshape(-1, *images.shape[-3:])
+        b = len(stack)
+        patches = stack.reshape(b, g, p, g, p, 3).transpose(0, 1, 3, 2, 4, 5)
+        patches = patches.reshape(b, cfg.tokens, p * p * 3)
         tokens = patches @ self.weights["patch_embed.weight"] + self.weights["patch_embed.bias"]
-        x = np.concatenate([self.weights["cls_token"][None, :], tokens], axis=0)
-        return x + self.weights["pos_embed"]
+        cls = np.broadcast_to(self.weights["cls_token"], (b, 1, cfg.channels))
+        x = np.concatenate([cls, tokens], axis=1) + self.weights["pos_embed"]
+        return x.reshape(*images.shape[:-3], *x.shape[1:])
 
 
 def transformer_block(x, weights: Dict[str, np.ndarray], idx: int, heads: int):

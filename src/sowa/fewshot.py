@@ -41,10 +41,11 @@ class MemoryBank:
 
 @dataclass
 class FewShotMap:
-    """Per-level distance maps on the token grid plus their pixel-level sum."""
+    """Per-level distance maps on the token grid plus their pixel-level sum;
+    for a stack of queries both carry its leading axis."""
 
-    level_maps: np.ndarray  # (4, grid_h, grid_w), distances in [0, 2]
-    few: np.ndarray  # (imageH, imageW), sum of upsampled level maps
+    level_maps: np.ndarray  # (4, grid_h, grid_w) or (B, 4, grid_h, grid_w), distances in [0, 2]
+    few: np.ndarray  # (imageH, imageW) or (B, imageH, imageW), sum of upsampled level maps
 
 
 def build_memory_bank(
@@ -74,7 +75,9 @@ def few_shot_map(
 ) -> FewShotMap:
     """Min cosine distance per token per level, summed and upsampled.
 
-    Both query rows and bank rows are expected unit-norm.
+    ``query_features`` are four (L, C) arrays, or four (B, L, C) stacks; a
+    query of a stack gets the map it gets on its own, bit for bit. Both
+    query rows and bank rows are expected unit-norm.
     """
     if len(query_features) != 4:
         raise UsageError(f"expected 4 query stages, got {len(query_features)}")
@@ -83,27 +86,28 @@ def few_shot_map(
     for level in range(4):
         q = np.asarray(query_features[level])
         refs = bank.stages[level]
-        if q.shape[1] != refs.shape[1]:
+        if q.ndim not in (2, 3) or q.shape[-2] != grid_h * grid_w:
             raise UsageError(
-                f"level {level}: query width {q.shape[1]} != bank width {refs.shape[1]}"
+                f"level {level}: query of shape {q.shape} does not fill grid {grid_h}x{grid_w}"
             )
-        if q.shape[0] != grid_h * grid_w:
+        if q.shape[-1] != refs.shape[1]:
             raise UsageError(
-                f"level {level}: {q.shape[0]} tokens do not fill grid {grid_h}x{grid_w}"
+                f"level {level}: query width {q.shape[-1]} != bank width {refs.shape[1]}"
             )
-        best = (q @ refs.T).max(axis=1)
+        best = (q @ refs.T).max(axis=-1)
         dist = 1.0 - best
         dist[np.abs(dist) < SELF_MATCH_TOLERANCE] = 0.0
         dist = np.clip(dist, 0.0, 2.0)
-        levels.append(dist.reshape(grid_h, grid_w))
-    level_maps = np.stack(levels)
-    total = level_maps.sum(axis=0)
+        levels.append(dist.reshape(*q.shape[:-2], grid_h, grid_w))
+    level_maps = np.stack(levels, axis=-3)
+    total = level_maps.sum(axis=-3)
     few = numerics.bilinear_upsample(total, image_dims[0], image_dims[1])
     return FewShotMap(level_maps=level_maps, few=few)
 
 
 def combine_maps(zero_map: AnomalyMap, few: FewShotMap, beta: float = 0.5) -> AnomalyMap:
-    """Convex blend of the zero-shot map with the normalized few-shot map.
+    """Convex blend of the zero-shot map with the normalized few-shot map,
+    for one map or a (B, H, W) stack of them.
 
     The few-shot sum is divided by its analytic maximum 4 (four levels at
     distance 1 under non-negative similarities) and clipped into [0, 1]

@@ -34,15 +34,15 @@ class FusionConfig:
     def __post_init__(self):
         if len(self.alpha) != 4 or not all(np.isfinite(self.alpha)):
             raise ConfigError(f"alpha must be 4 finite weights, got {self.alpha}")
-        if self.sigma < 0:
-            raise ConfigError("smoothing sigma must be >= 0")
+        if not 0 <= self.sigma < np.inf:
+            raise ConfigError(f"smoothing sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass
 class AnomalyMap:
     """Dense per-pixel anomaly scores in [0, 1]."""
 
-    scores: np.ndarray  # (imageH, imageW)
+    scores: np.ndarray  # (imageH, imageW), or (B, imageH, imageW) for a stack
 
 
 def fuse(stage_features: Sequence, text_features, cfg: FusionConfig):
@@ -111,8 +111,13 @@ def image_score(class_token: np.ndarray, cls_proj: np.ndarray, text_features):
 
     ``class_token`` is (C_vis,) for one scalar score or (B, C_vis) for B
     scores. Differentiable in ``text_features`` when given as a Var.
+
+    Each sample is scored as a (1, C) row through both products: BLAS
+    rounds a one-row product differently from a row of a larger one, and
+    this keeps a sample's score independent of the batch it is scored in.
     """
-    f_cls = ag.l2_normalize_rows(np.asarray(class_token) @ np.asarray(cls_proj))
+    rows = np.asarray(class_token)[..., None, :] @ np.asarray(cls_proj)
+    f_cls = ag.l2_normalize_rows(rows)
     sims = ag.mul(ag.matmul(f_cls, ag.transpose(text_features, (1, 0))), 1.0 / TAU_CLS)
     probs = ag.softmax_last(sims)
-    return probs[..., 1]
+    return probs[..., 0, 1]

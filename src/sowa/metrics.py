@@ -19,6 +19,7 @@ import numpy as np
 from .config import IMAGE_SCORE_MODES
 from .errors import MetricUndefinedError, UsageError
 from .fewshot import MemoryBank, combine_maps, few_shot_map
+from .fusion import AnomalyMap
 
 
 def auroc(scores, labels01) -> float:
@@ -255,11 +256,13 @@ def evaluate_dataset(
 ) -> MetricsReport:
     """Run a model over labeled samples and compute the four-metric report.
 
-    ``model`` must expose ``predict(image)`` returning an object with
-    ``anomaly_map``, ``image_score``, ``stage_features``, and ``grid``, and a
-    run ``config``. In few-shot mode each map is blended with the
-    memory-bank distance map with weight ``beta``; the image score then
-    comes from the class-token path (``cls``) or the map maximum
+    ``model`` must expose ``predict_batch(images)``, returning for each image
+    an object with ``anomaly_map``, ``image_score``, ``stage_features`` and
+    ``grid``; ``chunk_size``, the number of images per ``predict_batch``
+    call; and a run ``config``. The samples go through ``predict_batch`` in
+    chunks of ``chunk_size``. In few-shot mode each chunk's maps are blended
+    with the memory-bank distance maps with weight ``beta``; the image
+    score then comes from the class-token path (``cls``) or the map maximum
     (``max_map``). ``beta`` and ``image_score_mode`` default to the run
     config's ``few_shot_beta`` and ``image_score_mode``.
     """
@@ -278,17 +281,19 @@ def evaluate_dataset(
         raise UsageError("cannot evaluate an empty dataset")
 
     maps, scores = [], []
-    for sample in samples:
-        pred = model.predict(sample.image)
-        amap = pred.anomaly_map
+    step = model.chunk_size
+    for start in range(0, len(samples), step):
+        preds = model.predict_batch([s.image for s in samples[start : start + step]])
+        chunk = np.stack([p.anomaly_map.scores for p in preds])
         if mode == "few_shot":
-            fmap = few_shot_map(pred.stage_features, bank, pred.grid, amap.scores.shape)
-            amap = combine_maps(amap, fmap, beta=beta)
-        maps.append(amap.scores)
+            features = [np.stack(level) for level in zip(*(p.stage_features for p in preds))]
+            fmap = few_shot_map(features, bank, preds[0].grid, chunk.shape[1:])
+            chunk = combine_maps(AnomalyMap(chunk), fmap, beta=beta).scores
+        maps.extend(chunk)
         if image_score_mode == "max_map":
-            scores.append(float(amap.scores.max()))
+            scores.extend(float(m.max()) for m in chunk)
         else:
-            scores.append(float(pred.image_score))
+            scores.extend(float(p.image_score) for p in preds)
     labels = [(1 if s.label > 0 else 0) for s in samples]
     masks = [(np.asarray(s.mask) > 0).astype(np.int64) for s in samples]
     try:

@@ -94,28 +94,30 @@ def linear_resample_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def bilinear_upsample(grid, out_h: int, out_w: int) -> np.ndarray:
-    """Resample a 2-D grid to (out_h, out_w) by separable linear interpolation.
+    """Resample a 2-D grid, or each grid of a (B, h, w) stack, to
+    (out_h, out_w) by separable linear interpolation.
 
     Constant input yields constant output and the result never leaves the
     input's value range; the map is linear in its input. A float grid is
-    resampled in its own dtype, any other in the default dtype.
+    resampled in its own dtype, any other in the default dtype. A grid of a
+    stack is resampled by the same products as on its own.
     """
     grid = np.asarray(grid)
-    if grid.ndim != 2:
-        raise UsageError(f"expected a 2-D grid, got shape {grid.shape}")
+    if grid.ndim not in (2, 3):
+        raise UsageError(f"expected a 2-D grid or a stack of them, got shape {grid.shape}")
     if out_h < 1 or out_w < 1:
         raise UsageError(f"output dims must be >= 1, got {out_h}x{out_w}")
     if grid.dtype.kind != "f":
         grid = grid.astype(_DEFAULT_DTYPE)
-    row_op = linear_resample_matrix(grid.shape[0], out_h).astype(grid.dtype)
-    col_op = linear_resample_matrix(grid.shape[1], out_w).astype(grid.dtype)
+    row_op = linear_resample_matrix(grid.shape[-2], out_h).astype(grid.dtype)
+    col_op = linear_resample_matrix(grid.shape[-1], out_w).astype(grid.dtype)
     return row_op @ grid @ col_op.T
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
     """Normalized 1-D Gaussian kernel truncated at 4 sigma."""
-    if sigma < 0:
-        raise UsageError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise UsageError(f"sigma must be finite and >= 0, got {sigma}")
     radius = int(4.0 * sigma + 0.5)
     if sigma == 0 or radius == 0:
         return np.ones(1, dtype=np.float64)

@@ -7,10 +7,11 @@ image-level score against the label. Its fixed settings are the constants
 ``DICE_EPS``, ``FOCAL_GAMMA`` and ``FOCAL_ALPHA`` below, and Adam's are
 ``BETA1``, ``BETA2`` and ``EPS``; the learning rate and batch size are the
 run's ``OptimSection``. Masks and labels arrive in {-1, +1} and are remapped
-to {0, 1}. One formula scores a whole batch: the samples' cached frozen
-activations are stacked along a leading batch axis, the prompts are encoded
-once, and every term is a mean over the batch. Run on the trainable Vars it
-builds one graph per batch, whose gradients reach exactly the trainable set
+to {0, 1}. One formula scores a whole batch, the model's ``score_batch``,
+which inference runs too: the samples' cached frozen activations are
+stacked along a leading batch axis, the prompts are encoded once, and every
+term is a mean over the batch. Run on the trainable Vars it builds one
+graph per batch, whose gradients reach exactly the trainable set
 (four adapter projections and, in coop mode, the two prompt contexts); the
 backbone, the injected attention weights, the text encoder, the class
 projection and frozen contexts are constants of the graph; frozen contexts
@@ -28,9 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import adapter as adapter_mod
 from . import autodiff as ag
-from . import fusion as fusion_mod
 from . import prompts as prompts_mod
 from .backbone import tensor_hash
 from .config import OptimSection
@@ -123,21 +122,14 @@ def _features(model, samples: Sequence, cache_keys=None) -> list:
 
 
 def _batch_loss(model, samples: Sequence, acts: Sequence, projections, text):
-    """The loss formula over a stacked batch of samples and their frozen
-    activations ``acts``, on ``projections`` (one (weight, bias) per stage)
-    and ``text`` rows given as Vars or arrays."""
+    """The loss of ``model.score_batch`` over a stacked batch of samples and
+    their frozen activations ``acts``, on ``projections`` (one (weight, bias)
+    per stage) and ``text`` rows given as Vars or arrays."""
     if not samples:
         raise UsageError("cannot score an empty batch")
-    stars = [
-        adapter_mod.project_tokens(weight, bias, np.stack([a.adapter_inputs[i] for a in acts]))
-        for i, (weight, bias) in enumerate(projections)
-    ]
-    cfg = model.config.fusion
-    logits = fusion_mod.fuse(stars, text, cfg)
-    size = model.backbone.config.image_size
-    pmap = fusion_mod.abnormal_probability_map(logits, model.grid, (size, size), cfg)
+    inputs = [np.stack([a.adapter_inputs[i] for a in acts]) for i in range(len(projections))]
     classes = np.stack([a.class_token for a in acts])
-    score = fusion_mod.image_score(classes, model.cls_proj, text)
+    _, pmap, score = model.score_batch(inputs, classes, projections, text)
     masks = np.stack([s.mask for s in samples])
     labels = [s.label for s in samples]
     return composite_loss(pmap, masks, score, labels)

@@ -1,10 +1,13 @@
 """Shared fixtures: a small model configuration and synthetic corpora sized
 for fast unit tests."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from sowa import autodiff as ag
+from sowa import numerics
 from sowa.config import default_config
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
@@ -26,6 +29,16 @@ def tiny_config(seed=7, **overrides):
         else:
             merged[key] = value
     return default_config(seed=seed, **merged)
+
+
+@functools.lru_cache(maxsize=None)
+def batch_case(dtype, adapter_kind, attention_mode):
+    """A tiny model of one adapter kind and attention mode, the 16-sample
+    tiny corpus, both made in ``dtype``, and each image's own ``predict``."""
+    with numerics.precision(dtype):
+        model = build_model(tiny_config(adapter_kind=adapter_kind, attention_mode=attention_mode))
+        corpus = synth_generate(PatternSpec(kind="mixed", seed=5), 16, image_size=32)
+    return model, corpus, [model.predict(s.image) for s in corpus.samples]
 
 
 @pytest.fixture(scope="session")

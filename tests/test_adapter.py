@@ -83,6 +83,14 @@ class TestWindowPartition:
         with pytest.raises(UsageError):
             window_reverse(wg)
 
+    def test_a_stack_partitions_each_grid_and_round_trips_exactly(self, rng):
+        tokens = rng.normal(size=(3, 24, 4)).astype(np.float32)
+        wg = window_partition(tokens, 4, 6, 2, 3)
+        assert wg.windows.shape == (3, 4, 6, 4)
+        for one, windows in zip(tokens, wg.windows):
+            np.testing.assert_array_equal(windows, window_partition(one, 4, 6, 2, 3).windows)
+        np.testing.assert_array_equal(window_reverse(wg), tokens)
+
 
 class TestVVAttention:
     """The adapter's per-window attention: ``autodiff.attention`` in vv mode."""
@@ -207,3 +215,11 @@ class TestAdapterForward:
         tokens = np.random.default_rng(24).normal(size=(16, 8)).astype(np.float32)
         _adapt(params, tokens, w, (4, 4), (2, 2))
         assert [tensor_hash(m) for m in (w.w_q, w.w_k, w.w_v, w.w_o)] == before
+
+    @pytest.mark.parametrize("mode", ["vv", "qkv"])
+    def test_a_stack_is_attended_as_each_grid_alone(self, mode):
+        w = _weights(c=8, heads=2, seed=25)
+        tokens = np.random.default_rng(26).normal(size=(3, 16, 8)).astype(np.float32)
+        stacked = attended_features(tokens, w, (4, 4), (2, 2), mode)
+        for one, out in zip(tokens, stacked):
+            np.testing.assert_array_equal(out, attended_features(one, w, (4, 4), (2, 2), mode))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sowa import autodiff as ag
+from sowa import numerics
 from sowa.backbone import BackboneConfig, init_synthetic, tensor_hash
 from sowa.errors import ConfigError, UsageError
 
@@ -63,6 +64,31 @@ class TestForward:
     def test_dimension_mismatch_rejected(self, backbone):
         with pytest.raises(UsageError):
             backbone.forward(np.zeros((16, 16, 3), dtype=np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_stack_gives_each_image_its_own_features(self, dtype):
+        with numerics.precision(dtype):
+            backbone = init_synthetic(CFG, seed=11)
+        images = np.random.default_rng(4).uniform(size=(3, 32, 32, 3))
+        stacked = backbone.forward(images)
+        for i, image in enumerate(images):
+            alone = backbone.forward(image)
+            for stage, rows in zip(stacked.stages, alone.stages):
+                assert stage.dtype == dtype
+                np.testing.assert_array_equal(stage[i], rows)
+            np.testing.assert_array_equal(stacked.class_token[i], alone.class_token)
+
+    def test_bad_stacks_rejected(self, backbone, image):
+        bad = np.stack([image, image, image])
+        bad[1, 4, 5, 2] = np.inf
+        with pytest.raises(UsageError, match="image 1 contains non-finite"):
+            backbone.forward(bad)
+        with pytest.raises(UsageError, match="empty"):
+            backbone.forward(np.zeros((0, 32, 32, 3), dtype=np.float32))
+        with pytest.raises(UsageError, match="empty"):
+            backbone.forward([])
+        with pytest.raises(UsageError, match="stack"):
+            backbone.forward([image, image[:16]])
 
     def test_attention_rows_sum_to_one(self, backbone, image):
         # re-run one attention block by hand on the embedded sequence

@@ -101,6 +101,14 @@ def test_bad_section_values_in_a_document_are_config_errors():
         config_from_dict({"backbone": {"stages": 4}})
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_a_non_finite_blur_width_is_a_config_error(sigma):
+    with pytest.raises(ConfigError, match="sigma"):
+        FusionConfig(sigma=sigma)
+    with pytest.raises(ConfigError, match="sigma"):
+        default_config(fusion={"sigma": sigma})
+
+
 def test_fixed_settings_are_not_config_keys():
     for document in ({"loss": {"dice": 1.0}}, {"fusion": {"tau": 1.0}}, {"optim": {"beta2": 0.9}}):
         with pytest.raises(ConfigError, match="unknown"):

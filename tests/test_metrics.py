@@ -1,7 +1,9 @@
 """Metrics against scipy and brute-force oracles, their invariances as
 ``hypothesis`` properties, and ``evaluate_dataset`` against the report
-rebuilt from ``predict``, the few-shot map and the blend."""
+rebuilt from ``predict``, the few-shot map and the blend, image by image,
+whatever chunks it runs the images in."""
 
+import itertools
 from collections import deque
 
 import numpy as np
@@ -12,11 +14,12 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage, stats
 
 from sowa import metrics
+from sowa import model as smodel
 from sowa.errors import MetricUndefinedError, UsageError
 from sowa.fewshot import combine_maps, few_shot_map
 from sowa.model import build_model
 
-from conftest import tiny_config
+from conftest import batch_case, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -26,14 +29,22 @@ def few_shot_setup(tiny_model, tiny_corpus):
     return tiny_corpus.split("test"), bank
 
 
-def _rebuilt_report(model, test, bank, beta, image_score_mode):
+def _rebuilt_maps(preds, mode, bank, beta, image_score_mode):
+    """Each image's map and image score from its own ``predict``, few-shot map and blend."""
     maps, scores = [], []
-    for sample in test:
-        pred = model.predict(sample.image)
-        fmap = few_shot_map(pred.stage_features, bank, pred.grid, pred.anomaly_map.scores.shape)
-        amap = combine_maps(pred.anomaly_map, fmap, beta=beta)
+    for pred in preds:
+        amap = pred.anomaly_map
+        if mode == "few_shot":
+            fmap = few_shot_map(pred.stage_features, bank, pred.grid, amap.scores.shape)
+            amap = combine_maps(amap, fmap, beta=beta)
         maps.append(amap.scores)
         scores.append(float(amap.scores.max()) if image_score_mode == "max_map" else pred.image_score)
+    return maps, scores
+
+
+def _rebuilt_report(model, test, bank, beta, image_score_mode):
+    preds = [model.predict(s.image) for s in test]
+    maps, scores = _rebuilt_maps(preds, "few_shot", bank, beta, image_score_mode)
     labels = [1 if s.label > 0 else 0 for s in test]
     masks = [(s.mask > 0).astype(np.int64) for s in test]
     return metrics.evaluate_scores(scores, labels, maps, masks)
@@ -48,6 +59,45 @@ def test_few_shot_evaluation_equals_rebuilt_maps(tiny_model, few_shot_setup, bet
     rebuilt = _rebuilt_report(tiny_model, test, bank, beta, image_score_mode)
     assert report.metric_items() == rebuilt.metric_items()
     assert (report.image_count, report.positive_images) == (len(test), 8)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("adapter_kind, attention_mode",
+                         list(itertools.product(("fwa", "linear"), ("vv", "qkv"))))
+def test_chunked_evaluation_equals_the_per_image_rebuild(dtype, adapter_kind, attention_mode,
+                                                         monkeypatch):
+    model, corpus, preds = batch_case(dtype, adapter_kind, attention_mode)
+    bank = model.build_memory_bank([s.image for s in corpus.split("train")])
+    samples = corpus.samples
+    labels = [1 if s.label > 0 else 0 for s in samples]
+    masks = [(s.mask > 0).astype(np.int64) for s in samples]
+    cases = list(itertools.product(("zero_shot", "few_shot"), ("cls", "max_map")))
+    expected = {}
+    for mode, image_score_mode in cases:
+        maps, scores = _rebuilt_maps(preds, mode, bank, 0.5, image_score_mode)
+        report = metrics.evaluate_scores(scores, labels, maps, masks)
+        expected[mode, image_score_mode] = maps, scores, report.metric_items()
+    scored = []
+    evaluate_scores = metrics.evaluate_scores
+
+    def spy(scores, labels01, maps, masks01, **kwargs):
+        scored.append((scores, maps))
+        return evaluate_scores(scores, labels01, maps, masks01, **kwargs)
+
+    monkeypatch.setattr(metrics, "evaluate_scores", spy)
+    # one chunk of all 16 images, then chunks of 3 (the last holds one)
+    for chunk_tokens in (smodel.CHUNK_TOKENS, 3 * model.backbone.config.tokens):
+        monkeypatch.setattr(smodel, "CHUNK_TOKENS", chunk_tokens)
+        for mode, image_score_mode in cases:
+            report = metrics.evaluate_dataset(model, samples, mode=mode, bank=bank, beta=0.5,
+                                              image_score_mode=image_score_mode)
+            maps, scores, rebuilt = expected[mode, image_score_mode]
+            assert report.metric_items() == rebuilt
+            got_scores, got_maps = scored.pop()
+            assert got_scores == scores
+            for ours, theirs in zip(got_maps, maps, strict=True):
+                assert ours.dtype == np.dtype(dtype)
+                np.testing.assert_array_equal(ours, theirs)
 
 
 def test_defaults_come_from_the_run_config(few_shot_setup):

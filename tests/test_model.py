@@ -7,7 +7,9 @@ read-only for every prompt kind, a model computes in the dtype it was built
 in (float32 or float64) whatever the default at call time, and a checkpoint is
 an ``.npz`` file that round-trips bit-exactly and fails on any corruption with
 ``ArchiveError`` or ``WeightsError``. Every frozen and trainable tensor of
-five reference builds is bit-identical to a pinned digest."""
+five reference builds is bit-identical to a pinned digest. ``predict_batch``
+gives every image of any stack exactly its own ``predict``, and the feature
+cache evicts its least recently used image."""
 
 import hashlib
 import io
@@ -23,17 +25,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sowa import autodiff as ag
 from sowa import fusion, numerics, prompts, training
+from sowa import model as smodel
 from sowa.adapter import project_tokens
+from sowa.backbone import tensor_hash
 from sowa.config import PROMPT_KINDS, default_config
 from sowa.errors import ArchiveError, UsageError, WeightsError
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
 from sowa.training import batch_gradients, sample_loss
 
-from conftest import tiny_config
+from conftest import batch_case, tiny_config
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.npz"
 GOLDEN_ATOL = 1e-5
@@ -78,6 +84,65 @@ def test_every_kind_predicts_and_trains(tiny_corpus, adapter_kind, attention_mod
     assert np.isfinite(loss)
     assert grads.keys() == model.trainable().keys()
     assert len(grads) == (10 if prompt_kind == "coop" else 8)
+
+
+KINDS = list(itertools.product(("fwa", "linear"), ("vv", "qkv")))
+
+
+def _assert_same_prediction(ours, theirs):
+    np.testing.assert_array_equal(ours.anomaly_map.scores, theirs.anomaly_map.scores)
+    assert ours.image_score == theirs.image_score
+    assert ours.grid == theirs.grid
+    for a, b in zip(ours.stage_features, theirs.stage_features, strict=True):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("adapter_kind, attention_mode", KINDS)
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(range(16)), size=st.integers(1, 16))
+@example(order=list(range(16)), size=16)
+def test_predict_batch_equals_predict_on_each_image(dtype, adapter_kind, attention_mode, order, size):
+    # The full stack in order is always run: dropping the per-sample class
+    # projection changes some score of it in either dtype.
+    model, corpus, alone = batch_case(dtype, adapter_kind, attention_mode)
+    images = [s.image for s in corpus.samples]
+    picked = order[:size]
+    preds = model.predict_batch([images[i] for i in picked])
+    assert len(preds) == size
+    for i, pred in zip(picked, preds):
+        assert pred.anomaly_map.scores.dtype == np.dtype(dtype)
+        _assert_same_prediction(pred, alone[i])
+
+
+def test_a_stack_with_a_non_finite_image_or_no_image_is_a_usage_error(tiny_model, tiny_corpus):
+    images = [s.image.copy() for s in tiny_corpus.samples[:3]]
+    images[2][5, 7, 1] = np.nan
+    with pytest.raises(UsageError, match="image 2 contains non-finite"):
+        tiny_model.predict_batch(images)
+    with pytest.raises(UsageError, match="empty"):
+        tiny_model.predict_batch([])
+    with pytest.raises(UsageError, match="stack"):
+        tiny_model.predict_batch(images[0])
+
+
+def test_the_feature_cache_evicts_the_least_recently_used_image(tiny_corpus, monkeypatch):
+    monkeypatch.setattr(smodel, "FEATURE_CACHE_LIMIT", 2)
+    model = build_model(tiny_config())
+    a, b, c = (s.image for s in tiny_corpus.samples[:3])
+    first_b = model.frozen_forward(b, cache_key=1)
+    first_a = model.frozen_forward(a, cache_key=0)
+    assert model.frozen_forward(b, cache_key=1) is first_b  # b is now the most recent
+    model.frozen_forward(c, cache_key=2)
+    assert list(model._feature_cache) == [tensor_hash(b), tensor_hash(c)]
+    again = model.frozen_forward(a, cache_key=0)
+    assert again is not first_a  # recomputed, and equal bit for bit
+    assert again.image_hash == first_a.image_hash == tensor_hash(a)
+    np.testing.assert_array_equal(again.class_token, first_a.class_token)
+    for ours, theirs in zip(again.adapter_inputs, first_a.adapter_inputs, strict=True):
+        np.testing.assert_array_equal(ours, theirs)
+    assert list(model._feature_cache) == [tensor_hash(c), tensor_hash(a)]
 
 
 @pytest.mark.parametrize(

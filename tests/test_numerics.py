@@ -250,6 +250,11 @@ class TestGaussianSmooth:
         with pytest.raises(UsageError):
             _smooth(np.ones((3, 3)), -1.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(UsageError, match="finite"):
+            numerics.gaussian_kernel1d(sigma)
+
     def test_tiny_sigma_is_identity(self):
         rng = np.random.default_rng(10)
         grid = rng.normal(size=(4, 4))
