@@ -29,6 +29,7 @@ from .autodiff import ATTENTION_MODES
 from .backbone import BackboneConfig
 from .errors import ConfigError
 from .fusion import FusionConfig
+from .numerics import check_seed
 from .prompts import MAX_LEN, TEXT_HEADS
 
 ADAPTER_KINDS = ("fwa", "linear")
@@ -65,6 +66,7 @@ class RunConfig:
     optim: OptimSection = field(default_factory=OptimSection)
 
     def __post_init__(self):
+        check_seed(self.seed, ConfigError)
         if self.adapter_kind not in ADAPTER_KINDS:
             raise ConfigError(f"adapter_kind must be one of {ADAPTER_KINDS}")
         if self.attention_mode not in ATTENTION_MODES:

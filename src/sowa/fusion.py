@@ -95,13 +95,10 @@ def abnormal_probability_map(logits, grid: Tuple[int, int], image_dims: Tuple[in
     grid_h, grid_w = grid
     probs = ag.softmax_last(logits)
     abnormal = ag.reshape(probs[..., 1], (*probs.shape[:-2], grid_h, grid_w))
-    dtype = abnormal.dtype
-    row_op = numerics.linear_resample_matrix(grid_h, image_dims[0]).astype(dtype)
-    col_op = numerics.linear_resample_matrix(grid_w, image_dims[1]).astype(dtype)
-    out = ag.matmul(ag.matmul(row_op, abnormal), col_op.T)
+    out = numerics.bilinear_upsample(abnormal, *image_dims)
     if cfg.sigma > 0:
-        blur_r = numerics.gaussian_blur_matrix(image_dims[0], cfg.sigma).astype(dtype)
-        blur_c = numerics.gaussian_blur_matrix(image_dims[1], cfg.sigma).astype(dtype)
+        blur_r = numerics.gaussian_blur_matrix(image_dims[0], cfg.sigma).astype(out.dtype)
+        blur_c = numerics.gaussian_blur_matrix(image_dims[1], cfg.sigma).astype(out.dtype)
         out = ag.matmul(ag.matmul(blur_r, out), blur_c.T)
     return out
 

@@ -1,12 +1,13 @@
 """Ranking metrics for anomaly detection: AUROC, average precision, and
 per-region overlap (PRO), plus the dataset-level evaluation driver.
 
-All three metrics are computed exactly from the data's own score values (no
-binning), in float64. Tied scores are one operating point: AUROC counts a
-tied positive-negative pair as 1/2 (Mann-Whitney), AP and PRO step over
-distinct score values. So no metric depends on the index order of tied
-items, and any strictly increasing transform of the scores leaves all three
-unchanged.
+Every metric reads one threshold sweep over the data's own score values (no
+binning): running sums down the descending score order, taken at the end of
+each tie group, exact in int64 for counts and float64 for region coverage.
+So a tie group is one operating point (AUROC counts a tied positive-negative
+pair as 1/2, as Mann-Whitney does), no metric depends on the index order of
+tied items, and any strictly increasing transform of the scores leaves all
+three unchanged.
 """
 
 from __future__ import annotations
@@ -28,47 +29,34 @@ def auroc(scores, labels01) -> float:
     labels = np.asarray(labels01).ravel()
     if scores.shape != labels.shape:
         raise UsageError(f"scores {scores.shape} and labels {labels.shape} differ")
-    return _auroc(scores, labels, _descending(scores))
+    return _auroc(labels, _descending(scores))
 
 
-def _auroc(scores: np.ndarray, labels: np.ndarray, ranking) -> float:
-    """``auroc`` of float64 ``scores`` given their ``_descending`` ranking."""
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
+def _auroc(labels: np.ndarray, ranking) -> float:
+    """``auroc`` of labels whose scores have the ``_descending`` ``ranking``.
+    Twice the trapezoid under the (fp, tp) sweep is 2U (U of Mann-Whitney), an
+    exact int64 sum, so the one division by 2 P N rounds U / (P N) once."""
+    tp = _sweep(labels == 1, ranking)
+    fp = _sweep(labels == 0, ranking)
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
-        raise MetricUndefinedError(
-            f"AUROC undefined with {n_pos} positives and {n_neg} negatives"
-        )
-    ranks = _average_ranks(scores, ranking)
-    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+        raise MetricUndefinedError(f"AUROC undefined with {n_pos} positives and {n_neg} negatives")
+    twice_u = int(np.sum(np.diff(fp) * (tp[1:] + tp[:-1])))
+    return twice_u / (2 * n_pos * n_neg)
 
 
 def _descending(scores: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The stable order of ``scores`` from highest to lowest, and the
     position in that order of the last item of each tie group."""
     order = np.argsort(-scores, kind="stable")
-    return order, _group_ends(scores[order])
+    return order, np.flatnonzero(np.append(np.diff(scores[order]) != 0.0, True))
 
 
-def _group_ends(sorted_scores: np.ndarray) -> np.ndarray:
-    """Index of the last element of each run of equal values in sorted scores."""
-    return np.flatnonzero(np.append(np.diff(sorted_scores) != 0.0, True))
-
-
-def _average_ranks(scores: np.ndarray, ranking=None) -> np.ndarray:
-    """1-based ascending ranks with ties sharing their average rank.
-
-    ``ranking`` is the scores' ``_descending`` ranking, computed when not
-    given. The tie groups alone fix the ranks: the group at positions s..e
-    of the descending order holds ascending ranks n - e .. n - s, whose mean
-    n - (s + e) / 2 is exact in float64.
-    """
-    order, ends = _descending(scores) if ranking is None else ranking
-    starts = np.append(0, ends[:-1] + 1)
-    ranks = np.empty(len(scores), dtype=np.float64)
-    ranks[order] = np.repeat(len(scores) - (starts + ends) / 2.0, ends - starts + 1)
-    return ranks
+def _sweep(values: np.ndarray, ranking) -> np.ndarray:
+    """Running sums of ``values`` down the ``_descending`` ``ranking``: 0,
+    then the sum at the end of each tie group, one per threshold."""
+    order, ends = ranking
+    return np.append(0, np.cumsum(values[order])[ends])
 
 
 def average_precision(scores, labels01) -> float:
@@ -83,14 +71,12 @@ def average_precision(scores, labels01) -> float:
     labels = np.asarray(labels01).ravel()
     if scores.shape != labels.shape:
         raise UsageError(f"scores {scores.shape} and labels {labels.shape} differ")
-    n_pos = int(np.sum(labels == 1))
-    if n_pos == 0:
+    ranking = _descending(scores)
+    true_pos = _sweep(labels == 1, ranking)
+    if true_pos[-1] == 0:
         raise MetricUndefinedError("average precision undefined without positives")
-    order, ends = _descending(scores)
-    true_pos = np.cumsum(labels[order] == 1)[ends]
-    precision = true_pos / (ends + 1.0)
-    gained = np.diff(true_pos, prepend=0)
-    return float(np.sum(precision * gained) / n_pos)
+    precision = true_pos[1:] / (ranking[1] + 1.0)
+    return float(np.sum(precision * np.diff(true_pos)) / true_pos[-1])
 
 
 def label_regions(mask01: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -176,14 +162,11 @@ def _pro(regions: np.ndarray, next_region: int, ranking, fpr_limit: float) -> fl
         raise MetricUndefinedError("PRO undefined without any normal pixel")
     sizes = np.bincount(regions[regions >= 0], minlength=next_region)
 
-    order, ends = ranking
-    sorted_regions = regions[order]
-
     # one curve point per unique score value: pooled FPR and mean region TPR;
     # a normal pixel (region -1) picks the appended zero
-    step_tpr = np.append(1.0 / sizes, 0.0)[sorted_regions]
-    fprs = np.concatenate([[0.0], np.cumsum(sorted_regions < 0)[ends] / n_neg])
-    pros = np.concatenate([[0.0], np.cumsum(step_tpr)[ends] / next_region])
+    step_tpr = np.append(1.0 / sizes, 0.0)[regions]
+    fprs = _sweep(regions < 0, ranking) / n_neg
+    pros = _sweep(step_tpr, ranking) / next_region
 
     crossing = int(np.searchsorted(fprs, fpr_limit, side="left"))
     # fprs ends at 1.0 >= fpr_limit, so a crossing always exists
@@ -233,12 +216,11 @@ def evaluate_scores(
     labels = np.asarray(image_labels01)
     regions, count = _pixel_regions(pixel_maps, pixel_masks01)
     pooled_scores = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in pixel_maps])
-    pooled_masks = np.concatenate([np.asarray(g).ravel() for g in pixel_masks01])
     ranking = _descending(pooled_scores)
     return MetricsReport(
         ac_auroc=auroc(image_scores, labels),
         ac_ap=average_precision(image_scores, labels),
-        as_auroc=_auroc(pooled_scores, pooled_masks, ranking),
+        as_auroc=_auroc(regions >= 0, ranking),  # anomalous: mask value 1, as for PRO
         as_pro=_pro(regions, count, ranking, fpr_limit),
         image_count=len(labels),
         positive_images=int(np.sum(labels == 1)),

@@ -6,9 +6,9 @@ finite-difference gradient validation, where float32 noise would swamp the
 comparison.
 
 Resampling uses half-pixel-center sampling (no corner alignment) and smoothing
-uses reflective padding; both are expressed as explicit 1-D operator matrices
-so the same linear maps can be applied forward and transposed (the latter is
-what reverse-mode differentiation needs).
+uses reflective padding, both as explicit 1-D operator matrices. The one
+upsampler, ``bilinear_upsample``, applies them to an array (inference) or to an
+autodiff ``Var`` (training, whose backward applies their transposes).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import ctypes
 
 import numpy as np
 
+from . import autodiff as ag
 from .errors import UsageError
 
 _DEFAULT_DTYPE = np.float32
@@ -73,6 +74,12 @@ def precision(dtype):
         set_default_dtype(previous)
 
 
+def check_seed(seed, error=UsageError) -> None:
+    """Raise ``error`` unless ``seed`` is a non-negative integer, as numpy's seeding takes."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise error(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def linear_resample_matrix(n_in: int, n_out: int) -> np.ndarray:
     """1-D linear-interpolation operator (n_out x n_in), half-pixel centers.
 
@@ -93,25 +100,27 @@ def linear_resample_matrix(n_in: int, n_out: int) -> np.ndarray:
     return op
 
 
-def bilinear_upsample(grid, out_h: int, out_w: int) -> np.ndarray:
+def bilinear_upsample(grid, out_h: int, out_w: int):
     """Resample a 2-D grid, or each grid of a (B, h, w) stack, to
     (out_h, out_w) by separable linear interpolation.
 
     Constant input yields constant output and the result never leaves the
     input's value range; the map is linear in its input. A float grid is
-    resampled in its own dtype, any other in the default dtype. A grid of a
-    stack is resampled by the same products as on its own.
+    resampled in its own dtype, any other array in the default dtype. A grid
+    of a stack is resampled by the same products as on its own. An autodiff
+    ``Var`` gives a ``Var``, by the same products as its array.
     """
-    grid = np.asarray(grid)
-    if grid.ndim not in (2, 3):
+    if not ag.is_var(grid):
+        grid = np.asarray(grid)
+        if grid.dtype.kind != "f":
+            grid = grid.astype(_DEFAULT_DTYPE)
+    if len(grid.shape) not in (2, 3):
         raise UsageError(f"expected a 2-D grid or a stack of them, got shape {grid.shape}")
     if out_h < 1 or out_w < 1:
         raise UsageError(f"output dims must be >= 1, got {out_h}x{out_w}")
-    if grid.dtype.kind != "f":
-        grid = grid.astype(_DEFAULT_DTYPE)
     row_op = linear_resample_matrix(grid.shape[-2], out_h).astype(grid.dtype)
     col_op = linear_resample_matrix(grid.shape[-1], out_w).astype(grid.dtype)
-    return row_op @ grid @ col_op.T
+    return ag.matmul(ag.matmul(row_op, grid), col_op.T)
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:

@@ -105,7 +105,8 @@ def build_text_encoder(width: int, c_text: int, seed: int) -> FrozenTextEncoder:
 
 @dataclass
 class PromptPair:
-    """Normal/abnormal context vectors plus frozen anchor embeddings.
+    """Normal/abnormal context vectors; the anchor tokens that follow them
+    are the encoder's own frozen rows.
 
     The contexts train when their Vars require gradients. ``encode_text``
     encodes a copy that holds the contexts' arrays instead.
@@ -113,7 +114,6 @@ class PromptPair:
 
     normal_context: ag.Var  # (l, width)
     abnormal_context: ag.Var  # (l, width)
-    anchors: Dict[str, np.ndarray]
 
 
 def build_prompt_pair(kind: str, length: int, seed: int, encoder: FrozenTextEncoder) -> PromptPair:
@@ -134,15 +134,10 @@ def build_prompt_pair(kind: str, length: int, seed: int, encoder: FrozenTextEnco
         size = (length, encoder.weights["embed_table"].shape[1])
         contexts = seeded_weights({"normal_context": size, "abnormal_context": size}, seed)
         normal, abnormal = contexts.values()
-    anchors = {
-        word: encoder.token_embedding(word).copy()
-        for word in ("normal", "abnormal", "object")
-    }
     train = kind == "coop"
     return PromptPair(
         normal_context=ag.Var(normal, requires_grad=train),
         abnormal_context=ag.Var(abnormal, requires_grad=train),
-        anchors=anchors,
     )
 
 
@@ -153,7 +148,8 @@ def encode_prompts(pair: PromptPair, encoder: FrozenTextEncoder):
     single pass whose rows are the two branches' own encodings.
     """
     contexts = ag.concat([pair.normal_context, pair.abnormal_context], axis=0)
-    tails = np.stack([[pair.anchors[b], pair.anchors["object"]] for b in ("normal", "abnormal")])
+    tails = np.stack([[encoder.token_embedding(b), encoder.token_embedding("object")]
+                      for b in ("normal", "abnormal")])
     length, width = pair.normal_context.shape
     sequences = ag.concat(
         [ag.reshape(contexts, (2, length, width)), tails.astype(contexts.dtype)], axis=1

@@ -81,6 +81,7 @@ class PatternSpec:
     def __post_init__(self):
         if self.kind not in KINDS + ("mixed",):
             raise ConfigError(f"kind must be one of {KINDS + ('mixed',)}, got {self.kind!r}")
+        numerics.check_seed(self.seed, ConfigError)
         if self.octaves < 1 or self.base_cells < 2:
             raise ConfigError("need octaves >= 1 and base_cells >= 2")
         if not 0.0 <= self.amplitude <= 1.0:

@@ -3,22 +3,21 @@ Adam training loop.
 
 The loss is the unweighted sum of dice and focal terms on the per-pixel
 abnormal probabilities against the mask, plus binary cross-entropy on the
-image-level score against the label. Its fixed settings are the constants
-``DICE_EPS``, ``FOCAL_GAMMA`` and ``FOCAL_ALPHA`` below, and Adam's are
-``BETA1``, ``BETA2`` and ``EPS``; the learning rate and batch size are the
-run's ``OptimSection``. Masks and labels arrive in {-1, +1} and are remapped
-to {0, 1}. One formula scores a whole batch, the model's ``score_batch``,
-which inference runs too: the samples' cached frozen activations are
-stacked along a leading batch axis, the prompts are encoded once, and every
-term is a mean over the batch. Run on the trainable Vars it builds one
-graph per batch, whose gradients reach exactly the trainable set
-(four adapter projections and, in coop mode, the two prompt contexts); the
-backbone, the injected attention weights, the text encoder, the class
-projection and frozen contexts are constants of the graph; frozen contexts
-are not encoded in it at all, the cached text features stand in. Run on the
-parameter arrays, as the dataset loss does, it builds no graph. Targets take
-the prediction's dtype, so the loss runs in the model's dtype: a float32
-model's graph is float32 end to end.
+image-level score against the label, masks and labels remapped from
+{-1, +1} to {0, 1}. Its fixed settings are ``DICE_EPS``, ``FOCAL_GAMMA``,
+``FOCAL_ALPHA`` and Adam's ``BETA1``, ``BETA2`` and ``EPS``; the learning
+rate and batch size are the run's ``OptimSection``.
+
+Both loss functions take the samples' frozen activations, which their
+caller fetches once: ``sample_loss`` builds one graph per batch on the
+trainable Vars, and ``mean_dataset_loss`` runs the same formula on the
+parameter arrays with no graph. That formula is the model's ``score_batch``,
+which inference runs too, over activations stacked along a batch axis, and
+every term is a batch mean. The graph's gradients reach exactly the
+trainable set (the adapter projections and, in coop mode, the two prompt
+contexts); frozen contexts are not encoded in it, the cached text features
+stand in. Targets take the prediction's dtype, so a float32 model's graph is
+float32 end to end.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from . import prompts as prompts_mod
 from .backbone import tensor_hash
 from .config import OptimSection
 from .errors import TrainingError, UsageError, WeightsError
+from .numerics import check_seed
 
 PRED_CLAMP = 1e-7
 DICE_EPS = 1.0
@@ -135,8 +135,10 @@ def _batch_loss(model, samples: Sequence, acts: Sequence, projections, text):
     return composite_loss(pmap, masks, score, labels)
 
 
-def _loss_graph(model, samples: Sequence, acts: Sequence):
-    """``sample_loss`` on activations already fetched."""
+def sample_loss(model, samples: Sequence, acts: Sequence):
+    """The loss graph of a batch of samples, given their frozen activations
+    ``acts``: one stacked graph whose loss is the batch mean; returns (loss
+    Var, per-term floats)."""
     pair = model.prompt_pair
     if pair.normal_context.requires_grad or pair.abnormal_context.requires_grad:
         text = prompts_mod.encode_prompts(pair, model.encoder)
@@ -146,10 +148,26 @@ def _loss_graph(model, samples: Sequence, acts: Sequence):
     return _batch_loss(model, samples, acts, projections, text)
 
 
-def sample_loss(model, samples: Sequence, cache_keys: Optional[Sequence[int]] = None):
-    """The loss graph of a batch of samples: one stacked graph whose loss
-    is the batch mean; returns (loss Var, per-term floats)."""
-    return _loss_graph(model, samples, _features(model, samples, cache_keys))
+def mean_dataset_loss(model, samples: Sequence, acts: Sequence) -> float:
+    """Mean per-sample loss of a dataset, given each sample's frozen
+    activations ``acts``; builds no graph.
+
+    The batch formula runs on the parameter arrays and the inference text
+    features (encoded once per parameter state), in chunks of the optimizer
+    batch size so that memory does not grow with the dataset. An empty
+    dataset raises ``UsageError``.
+    """
+    if len(samples) == 0:
+        raise UsageError("cannot score an empty dataset")
+    text = model.text_features()
+    projections = [(a.weight.data, a.bias.data) for a in model.adapters]
+    bs = model.config.optim.batch_size
+    total = 0.0
+    for start in range(0, len(samples), bs):
+        chunk = samples[start : start + bs]
+        loss, _ = _batch_loss(model, chunk, acts[start : start + bs], projections, text)
+        total += float(loss) * len(chunk)
+    return total / len(samples)
 
 
 def _gradients(params: Dict[str, ag.Var], loss) -> Dict[str, np.ndarray]:
@@ -166,7 +184,7 @@ def _gradients(params: Dict[str, ag.Var], loss) -> Dict[str, np.ndarray]:
 
 def batch_gradients(model, samples: Sequence, cache_keys: Optional[Sequence[int]] = None):
     """Mean loss over a batch plus its gradients for every trainable tensor."""
-    loss, terms = sample_loss(model, samples, cache_keys)
+    loss, terms = sample_loss(model, samples, _features(model, samples, cache_keys))
     return float(loss.data), terms, _gradients(model.trainable(), loss)
 
 
@@ -234,37 +252,6 @@ class EpochReport:
     param_hashes: Dict[str, str]
 
 
-def _dataset_loss(model, samples: Sequence, features: Callable[[int], object]) -> float:
-    """``mean_dataset_loss`` with sample ``i``'s frozen activations ``features(i)``."""
-    text = model.text_features()
-    projections = [(a.weight.data, a.bias.data) for a in model.adapters]
-    bs = model.config.optim.batch_size
-    total = 0.0
-    for start in range(0, len(samples), bs):
-        chunk = samples[start : start + bs]
-        acts = [features(i) for i in range(start, start + len(chunk))]
-        loss, _ = _batch_loss(model, chunk, acts, projections, text)
-        total += float(loss) * len(chunk)
-    return total / len(samples)
-
-
-def mean_dataset_loss(model, samples: Sequence) -> float:
-    """Mean per-sample loss of a dataset, builds no graph.
-
-    The batch formula runs on the parameter arrays and the inference text
-    features (encoded once per call), in chunks of the optimizer batch size
-    so that memory does not grow with the dataset. An empty dataset raises
-    ``UsageError``.
-    """
-    if len(samples) == 0:
-        raise UsageError("cannot score an empty dataset")
-
-    def features(i):
-        return model.frozen_forward(samples[i].image, cache_key=i)
-
-    return _dataset_loss(model, samples, features)
-
-
 def _loss_key(model, frozen_hash: str, param_hashes: Dict[str, str], samples_digest: str):
     """Everything the dataset loss reads: the frozen tensors, every parameter
     (frozen prompt contexts too), the samples and the run config."""
@@ -306,6 +293,7 @@ def train_epoch(
     samples = list(samples)
     if not samples:
         raise UsageError("cannot train on an empty dataset")
+    check_seed(seed)
     trainable = model.trainable()
     if state is None:
         state = TrainState(trainable)
@@ -322,18 +310,14 @@ def train_epoch(
     if state.final_loss is not None and state.final_loss_key == key:
         initial = state.final_loss
     else:
-        initial = _dataset_loss(model, samples, acts.__getitem__)
-    order = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).permutation(
-        len(samples)
-    )
+        initial = mean_dataset_loss(model, samples, acts)
+    order = np.random.default_rng(seed).permutation(len(samples))
     batch_losses: List[float] = []
     batch_terms: List[Dict[str, float]] = []
     bs = optim.batch_size
     for start in range(0, len(samples), bs):
-        batch_idx = [int(i) for i in order[start : start + bs]]
-        loss, terms = _loss_graph(
-            model, [samples[i] for i in batch_idx], [acts[i] for i in batch_idx]
-        )
+        batch = order[start : start + bs]
+        loss, terms = sample_loss(model, [samples[i] for i in batch], [acts[i] for i in batch])
         grads = _gradients(state.params, loss)
         loss = float(loss.data)  # frees the graph before the next one is built
         adam_step(state, grads, optim.lr)
@@ -341,7 +325,7 @@ def train_epoch(
         batch_terms.append(terms)
         if log_fn is not None:
             log_fn({"step": state.step, "loss": loss, **terms})
-    final = _dataset_loss(model, samples, acts.__getitem__)
+    final = mean_dataset_loss(model, samples, acts)
     frozen_after = model.frozen_hash()
     param_hashes = _param_hashes(model)
     state.final_loss = final
@@ -408,15 +392,18 @@ def gradient_check(
 ) -> Dict[str, float]:
     """Max relative error of a batch's analytic vs central-difference gradients.
 
-    The analytic side is ``batch_gradients``; the differences come from
-    ``mean_dataset_loss``, the same formula run without a graph. Meant to run
-    on a model built in float64 mode; float32 rounding is far above useful
+    The analytic side is the backward pass of ``sample_loss``; the
+    differences come from ``mean_dataset_loss``, the same formula run without
+    a graph, on the activations fetched once for both. Meant to run on a
+    model built in float64 mode; float32 rounding is far above useful
     finite-difference resolution.
     """
+    check_seed(seed)
     params = model.trainable()
-    _, _, analytic = batch_gradients(model, samples, cache_keys=range(len(samples)))
+    acts = _features(model, samples)
+    analytic = _gradients(params, sample_loss(model, samples, acts)[0])
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     errors: Dict[str, float] = {}
     for name, var in params.items():
         count = min(coords_per_tensor, var.data.size)
@@ -426,13 +413,12 @@ def gradient_check(
             where = np.unravel_index(idx, var.data.shape)
             original = var.data[where]
             var.data[where] = original + step
-            hi = mean_dataset_loss(model, samples)
+            hi = mean_dataset_loss(model, samples, acts)
             var.data[where] = original - step
-            lo = mean_dataset_loss(model, samples)
+            lo = mean_dataset_loss(model, samples, acts)
             var.data[where] = original
             fd = (hi - lo) / (2.0 * step)
-            an = float(analytic[name].reshape(-1)[idx])
-            rel = abs(an - fd) / max(1e-8, abs(fd))
-            worst = max(worst, rel)
+            an = float(analytic[name][where])
+            worst = max(worst, abs(an - fd) / max(1e-8, abs(fd)))
         errors[name] = worst
     return errors

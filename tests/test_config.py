@@ -5,6 +5,7 @@ default document round-trips."""
 
 import json
 
+import numpy as np
 import pytest
 
 from sowa.backbone import BackboneConfig
@@ -99,6 +100,15 @@ def test_bad_section_values_in_a_document_are_config_errors():
         config_from_dict({"window": "4"})
     with pytest.raises(ConfigError, match="unknown key 'stages' in backbone"):
         config_from_dict({"backbone": {"stages": 4}})
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None, float("nan")])
+def test_a_seed_that_is_not_a_non_negative_integer_is_a_config_error(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        default_config(seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        PatternSpec(seed=seed)
+    assert default_config(seed=np.int64(3)).seed == PatternSpec(seed=np.uint32(3)).seed == 3
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])

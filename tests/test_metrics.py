@@ -8,7 +8,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage, stats
@@ -205,16 +205,26 @@ def test_label_regions_equal_the_breadth_first_labels_on_random_masks():
         np.testing.assert_array_equal(labels, expected)
 
 
-def test_average_ranks_equal_scipy_rankdata():
-    rng = np.random.default_rng(5)
-    for levels in (None, 1, 3, 50):
-        for n in (1, 2, 7, 100, 1000):
-            scores = rng.normal(size=n)
-            if levels is not None:
-                scores = rng.integers(0, levels, size=n).astype(np.float64)
-            np.testing.assert_array_equal(
-                metrics._average_ranks(scores), stats.rankdata(scores, method="average")
-            )
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(  # tied levels, or any float32 value
+            st.one_of(st.integers(0, 9).map(lambda k: k / 7.0),
+                      st.floats(-1e6, 1e6, width=32)),
+            st.integers(0, 1),
+        ),
+        min_size=2, max_size=400,
+    ),
+    st.sampled_from([np.float64, np.float32]),
+)
+def test_auroc_equals_the_scipy_rank_sum_bit_for_bit(items, dtype):
+    """The sweep's trapezoid is the rank-sum statistic, rounded once."""
+    scores = np.array([s for s, _ in items]).astype(dtype).astype(np.float64)  # float32 pooled
+    labels = np.array([y for _, y in items])
+    n_pos, n_neg = int(labels.sum()), int((labels == 0).sum())
+    assume(n_pos and n_neg)
+    u = stats.rankdata(scores)[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    assert metrics.auroc(scores, labels) == float(u) / (n_pos * n_neg)
 
 
 def test_shared_pixel_order_equals_separate_auroc_and_pro_on_ties():

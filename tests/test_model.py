@@ -50,7 +50,8 @@ def test_predict_creates_no_var(tiny_model, tiny_corpus, var_count):
     assert var_count == []
     assert all(isinstance(f, np.ndarray) for f in pred.stage_features)
     assert isinstance(pred.anomaly_map.scores, np.ndarray)
-    sample_loss(tiny_model, tiny_corpus.samples[:1])  # the count does see a graph
+    samples = tiny_corpus.samples[:1]
+    sample_loss(tiny_model, samples, training._features(tiny_model, samples))  # a graph is seen
     assert var_count
 
 
@@ -60,7 +61,7 @@ def test_sample_loss_reaches_every_trainable(tiny_model, tiny_corpus):
     for var in params.values():
         var.zero_grad()
     sample = next(s for s in tiny_corpus.samples if s.label > 0)
-    loss, _ = sample_loss(tiny_model, [sample])
+    loss, _ = sample_loss(tiny_model, [sample], training._features(tiny_model, [sample]))
     loss.backward()
     try:
         for name, var in params.items():
@@ -216,7 +217,8 @@ def test_text_encoded_once_per_parameter_state(tiny_corpus, encode_calls, tmp_pa
         features = model.predict(image).stage_features
         for stage, rows in enumerate(features):
             np.testing.assert_array_equal(bank.stages[stage][i * len(rows):(i + 1) * len(rows)], rows)
-    training.mean_dataset_loss(model, tiny_corpus.samples[:4])
+    samples = tiny_corpus.samples[:4]
+    training.mean_dataset_loss(model, samples, training._features(model, samples))
     assert len(encode_calls) == 1
 
     # Adam rebinds the context arrays

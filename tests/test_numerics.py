@@ -131,6 +131,30 @@ class TestBilinearUpsample:
             want = numerics.bilinear_upsample(grid, 224, 224)
         np.testing.assert_array_equal(numerics.bilinear_upsample(grid, 224, 224), want)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_var_is_resampled_by_the_same_products_as_its_array(self, dtype):
+        grid = np.random.default_rng(5).uniform(size=(3, 4, 5)).astype(dtype)
+        out = numerics.bilinear_upsample(ag.Var(grid, requires_grad=True), 9, 7)
+        assert ag.is_var(out) and out.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(out.data, numerics.bilinear_upsample(grid, 9, 7))
+
+    def test_a_var_passes_a_finite_difference_gradient_check(self):
+        rng = np.random.default_rng(6)
+        grid, weights = rng.uniform(size=(2, 3, 4)), rng.normal(size=(2, 7, 6))
+
+        def loss(g):
+            return ag.sum_(ag.mul(numerics.bilinear_upsample(g, 7, 6), weights))
+
+        var = ag.Var(grid, requires_grad=True)
+        loss(var).backward()
+        step = 1e-6
+        for idx in np.ndindex(grid.shape):
+            hi, lo = grid.copy(), grid.copy()
+            hi[idx] += step
+            lo[idx] -= step
+            fd = (loss(hi) - loss(lo)) / (2 * step)
+            assert abs(var.grad[idx] - fd) <= 1e-7 * max(1.0, abs(fd)), idx
+
     def test_constant_field(self):
         out = numerics.bilinear_upsample(np.full((1, 1), 3.25), 5, 7)
         np.testing.assert_allclose(out, np.full((5, 7), 3.25), atol=1e-6)

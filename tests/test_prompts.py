@@ -10,7 +10,7 @@ from sowa import autodiff as ag
 from sowa import numerics, training
 from sowa.errors import WeightsError
 from sowa.model import build_model
-from sowa.prompts import encode_prompts
+from sowa.prompts import VOCABULARY, FrozenTextEncoder, encode_prompts, encode_text
 
 from conftest import tiny_config
 
@@ -77,6 +77,20 @@ def test_coop_gradient_reaches_both_contexts(tiny_model):
     np.testing.assert_allclose(both[1], abnormal_only[1], rtol=1e-5, atol=1e-7)
 
 
+def test_anchor_tokens_are_the_encoders_frozen_rows(tiny_model):
+    """The pair holds nothing but its contexts: the anchor tokens are read
+    from the encoder's read-only table, which ``frozen_hash`` covers."""
+    pair, encoder = tiny_model.prompt_pair, tiny_model.encoder
+    with pytest.raises(ValueError, match="read-only"):
+        encoder.token_embedding("object")[:] += 1.0
+    table = encoder.weights["embed_table"].copy()
+    table[VOCABULARY.index("object")] += 1.0
+    edited = FrozenTextEncoder(weights={**encoder.weights, "embed_table": table})
+    assert edited.hashes() != encoder.hashes()
+    assert not np.array_equal(encode_prompts(pair, edited).data, encode_prompts(pair, encoder).data)
+    np.testing.assert_array_equal(tiny_model.text_features(), encode_text(pair, encoder))
+
+
 @pytest.mark.parametrize("prompt_kind", ["coop", "template"])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_one_batched_pass_equals_the_per_branch_encodings(prompt_kind, dtype):
@@ -85,7 +99,7 @@ def test_one_batched_pass_equals_the_per_branch_encodings(prompt_kind, dtype):
     pair, encoder = model.prompt_pair, model.encoder
     rows = []
     for branch, context in (("normal", pair.normal_context), ("abnormal", pair.abnormal_context)):
-        tail = np.stack([pair.anchors[branch], pair.anchors["object"]])
+        tail = np.stack([encoder.token_embedding(branch), encoder.token_embedding("object")])
         rows.append(encoder.encode_sequence(np.concatenate([context.data, tail])))
     want = np.concatenate(rows)
     for got in (encode_prompts(pair, encoder), model.text_features()):

@@ -71,7 +71,8 @@ def test_float32_gradients_match_the_float64_oracle(model64, tiny_corpus):
 def test_loss_graph_runs_in_the_model_dtype(tiny_corpus, dtype):
     with numerics.precision(dtype):
         model = build_model(tiny_config())
-        loss, _ = training.sample_loss(model, tiny_corpus.samples[:8])
+        samples = tiny_corpus.samples[:8]
+        loss, _ = training.sample_loss(model, samples, training._features(model, samples))
     nodes = ag._toposort(loss)
     assert len(nodes) == 232
     assert [n for n in nodes if n.dtype != np.dtype(dtype)] == []
@@ -112,7 +113,7 @@ def test_frozen_prompts_reuse_the_cached_text(tiny_corpus, monkeypatch, prompt_k
 
     monkeypatch.setattr(prompts, "encode_prompts", refuse)
     monkeypatch.setattr(smodel, "encode_prompts", refuse)
-    loss, _ = training.sample_loss(model, samples)
+    loss, _ = training.sample_loss(model, samples, acts)
     assert float(loss.data) == float(want.data)
 
 
@@ -133,8 +134,9 @@ def test_prompts_encoded_once_per_batch_and_dataset_loss_builds_no_graph(
     samples = tiny_corpus.samples[:8]
     training.batch_gradients(tiny_model, samples, cache_keys=range(8))
     assert len(calls) == 1
+    acts = training._features(tiny_model, tiny_corpus.samples)
     del calls[:], var_count[:]
-    training.mean_dataset_loss(tiny_model, tiny_corpus.samples)  # 16 samples, 2 chunks
+    training.mean_dataset_loss(tiny_model, tiny_corpus.samples, acts)  # 16 samples, 2 chunks
     assert len(calls) <= 1
     assert var_count == []
 
@@ -145,10 +147,45 @@ def test_feature_cache_never_serves_another_image():
         synth_generate(PatternSpec(kind="mixed", seed=seed), 8, image_size=64).samples
         for seed in (0, 1)
     )
-    training.mean_dataset_loss(model, first)  # caches under keys 0..7
-    cached = training.mean_dataset_loss(model, second)  # the same keys, other images
+
+    def loss(samples):  # looked up under keys 0..7 whatever the images
+        return training.mean_dataset_loss(model, samples, training._features(model, samples, range(8)))
+
+    loss(first)
+    cached = loss(second)  # the same keys, other images
     model.clear_cache()
-    assert cached == training.mean_dataset_loss(model, second)
+    assert cached == loss(second)
+
+
+def test_train_epoch_runs_the_public_loss_functions(tiny_corpus, monkeypatch):
+    """One ``sample_loss`` per step and one ``mean_dataset_loss`` per dataset
+    pass, each looked up on the module, where a tracer or a test patches it."""
+    calls = []
+    for name in ("sample_loss", "mean_dataset_loss"):
+        def counting(*args, _name=name, _function=getattr(training, name)):
+            calls.append(_name)
+            return _function(*args)
+
+        monkeypatch.setattr(training, name, counting)
+    model = build_model(tiny_config())
+    _, state = training.train_epoch(model, tiny_corpus.samples, model.config.optim)  # 2 steps
+    assert calls == ["mean_dataset_loss", "sample_loss", "sample_loss", "mean_dataset_loss"]
+    del calls[:]
+    training.train_epoch(model, tiny_corpus.samples, model.config.optim, seed=1, state=state)
+    assert calls == ["sample_loss", "sample_loss", "mean_dataset_loss"]
+
+
+@pytest.mark.parametrize("seed", [-3, 1.5, True, "0", None])
+def test_a_seed_that_is_not_a_non_negative_integer_is_a_usage_error(tiny_corpus, seed):
+    model = build_model(tiny_config())
+    before = model.state_tensors()
+    with pytest.raises(UsageError, match="seed"):
+        training.train_epoch(model, tiny_corpus.samples[:4], model.config.optim, seed=seed)
+    with pytest.raises(UsageError, match="seed"):
+        training.gradient_check(model, tiny_corpus.samples[:2], seed=seed)
+    after = model.state_tensors()
+    assert all(np.array_equal(after[n], v) for n, v in before.items())
+    training.train_epoch(model, tiny_corpus.samples[:4], model.config.optim, seed=np.int64(3))
 
 
 def test_one_epoch_lowers_loss_and_keeps_frozen_tensors(tiny_corpus):
@@ -207,12 +244,12 @@ def test_checkpoint_with_adam_state_resumes_bit_identically(tiny_corpus, tmp_pat
 
 def test_empty_batch_rejected(tiny_model):
     with pytest.raises(UsageError):
-        training.sample_loss(tiny_model, [])
+        training.sample_loss(tiny_model, [], [])
 
 
 def test_empty_dataset_loss_rejected(tiny_model):
     with pytest.raises(UsageError, match="empty"):
-        training.mean_dataset_loss(tiny_model, [])
+        training.mean_dataset_loss(tiny_model, [], [])
 
 
 def test_train_state_of_another_model_rejected(tiny_corpus):
@@ -250,7 +287,7 @@ def test_continued_epoch_reuses_the_final_loss_without_a_second_pass(tiny_corpus
     chunks = -(-len(samples) // model.config.optim.batch_size)
     first, state = training.train_epoch(model, samples, model.config.optim, seed=0)
     assert len(dataset_passes) == 2 * chunks
-    fresh = training.mean_dataset_loss(model, samples)
+    fresh = training.mean_dataset_loss(model, samples, training._features(model, samples))
     del dataset_passes[:]
     second, _ = training.train_epoch(model, samples, model.config.optim, seed=1, state=state)
     assert len(dataset_passes) == chunks  # the final pass only
@@ -297,7 +334,7 @@ def test_any_change_since_the_last_epoch_recomputes_the_initial_loss(
     samples = _own_copies(tiny_corpus.samples)
     first, state = training.train_epoch(model, samples, model.config.optim, seed=0)
     samples, state = change(model, samples, state)
-    fresh = training.mean_dataset_loss(model, samples)
+    fresh = training.mean_dataset_loss(model, samples, training._features(model, samples))
     if change is not _fresh_state:
         assert fresh != first.final_loss  # the change moves the loss
     del dataset_passes[:]
@@ -313,7 +350,7 @@ def test_frozen_prompt_contexts_are_part_of_the_loss_key(tiny_corpus):
     first, state = training.train_epoch(model, samples, model.config.optim)
     context = model.prompt_pair.normal_context  # a parameter, not in the train state
     context.data = context.data * np.linspace(0.5, 1.5, context.shape[-1], dtype=context.dtype)
-    fresh = training.mean_dataset_loss(model, samples)
+    fresh = training.mean_dataset_loss(model, samples, training._features(model, samples))
     assert fresh != first.final_loss
     second, _ = training.train_epoch(model, samples, model.config.optim, seed=1, state=state)
     assert second.initial_loss == fresh
