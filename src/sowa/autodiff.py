@@ -247,10 +247,7 @@ def tanh(x):
 
 
 def power(x, p: float):
-    """x ** p for a constant exponent; p == 0 short-circuits to ones."""
-    if p == 0:
-        one = np.ones_like(x.data if is_var(x) else np.asarray(x))
-        return Var(one) if is_var(x) else one
+    """x ** p for a constant exponent."""
     if not is_var(x):
         return np.asarray(x) ** p
     data = x.data**p
@@ -405,7 +402,7 @@ def layer_norm(x, scale, offset, eps: float = 1e-5):
 
 
 def attention(x, w_q, w_k, w_v, w_o, heads: int, mode: str):
-    """Multi-head self-attention over (N, C) tokens or a stacked (B, N, C) batch.
+    """Multi-head self-attention over a stacked (B, N, C) batch of token sets.
 
     ``mode='qkv'`` scores queries against keys; ``mode='vv'`` scores the
     values against themselves (CLIP Surgery), so per head the pre-softmax
@@ -414,21 +411,17 @@ def attention(x, w_q, w_k, w_v, w_o, heads: int, mode: str):
     if mode not in ATTENTION_MODES:
         raise UsageError(f"attention mode must be one of {ATTENTION_MODES}, got {mode!r}")
     shape = tuple(x.shape)
-    if len(shape) not in (2, 3):
-        raise UsageError(f"expected (N, C) or (B, N, C) tokens, got {shape}")
-    *batch, n, c = shape
+    if len(shape) != 3:
+        raise UsageError(f"expected a (B, N, C) stack of tokens, got {shape}")
+    b, n, c = shape
     if c % heads or w_v.shape[0] != c:
         raise UsageError(f"token width {c} does not fit {heads} heads and weights {w_v.shape}")
-    lead = len(batch)
-    # (..., n, c) -> (..., heads, n, dh) and back
-    to_heads = tuple(range(lead)) + (lead + 1, lead, lead + 2)
 
-    def split(t):
-        return transpose(reshape(t, (*batch, n, heads, c // heads)), to_heads)
+    def split(t):  # (B, N, C) -> (B, heads, N, dh)
+        return transpose(reshape(t, (b, n, heads, c // heads)), (0, 2, 1, 3))
 
     v = split(matmul(x, w_v))
     q, k = (v, v) if mode == "vv" else (split(matmul(x, w_q)), split(matmul(x, w_k)))
-    key_t = tuple(range(lead + 1)) + (lead + 2, lead + 1)
-    scores = mul(matmul(q, transpose(k, key_t)), (c // heads) ** -0.5)
-    ctx = transpose(matmul(softmax_last(scores), v), to_heads)
+    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), (c // heads) ** -0.5)
+    ctx = transpose(matmul(softmax_last(scores), v), (0, 2, 1, 3))
     return matmul(reshape(ctx, shape), w_o)

@@ -7,10 +7,13 @@ stack, and four stage outputs (the patch tokens after the last block of each
 quarter of the stack). Attention projections are bias-free so a stage's
 (W_q, W_k, W_v, W_o) quadruple can be handed to the adapters as-is.
 
-``Backbone.forward`` takes one image or a stack of them. A stack runs through
-every block along a leading image axis, with each per-image product the
-same BLAS call as on that image alone, so an image's features do not depend
-on the stack it was run in.
+``Backbone.forward`` takes a stack of images only, as every function below
+the public API does: a single image is a stack of one. Only the public
+edges ``SowaModel.predict``, ``fusion.anomaly_map``, ``fewshot.few_shot_map``
+and ``combine_maps``, and ``numerics.bilinear_upsample`` take one image. A
+stack runs through every block along its leading image axis, with each
+per-image product the same BLAS call as on that image alone, so an image's
+features do not depend on the stack it was run in.
 
 One init rule, ``seeded_weights``, draws every model tensor, frozen or
 trainable: layer-norm scales are ones, offsets and biases zeros, embeddings
@@ -53,8 +56,8 @@ class BackboneConfig:
     heads: int = 4
 
     def __post_init__(self):
-        if self.image_size < 1 or self.patch_size < 1:
-            raise ConfigError("image_size and patch_size must be positive")
+        for name in ("image_size", "patch_size", "channels", "blocks_per_stage", "heads"):
+            numerics.check_integer(getattr(self, name), name, 1, ConfigError)
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -63,8 +66,6 @@ class BackboneConfig:
             raise ConfigError(
                 f"channels {self.channels} not divisible by heads {self.heads}"
             )
-        if self.blocks_per_stage < 1:
-            raise ConfigError("blocks_per_stage must be >= 1")
 
     @property
     def grid(self) -> int:
@@ -77,14 +78,6 @@ class BackboneConfig:
     @property
     def total_blocks(self) -> int:
         return STAGES * self.blocks_per_stage
-
-
-@dataclass
-class StageFeatures:
-    """Patch-token features after each stage, plus the final class token."""
-
-    stages: List[np.ndarray]  # 4 arrays of shape (L, C)
-    class_token: np.ndarray  # (C,)
 
 
 @dataclass(frozen=True)
@@ -129,14 +122,15 @@ class Backbone:
         std = np.asarray(NORM_STD, dtype=image.dtype)
         return (image - mean) / std
 
-    def forward(self, images: np.ndarray) -> StageFeatures:
-        """Run the frozen stack on one (S, S, 3) image, or on a (B, S, S, 3)
-        stack given as one array or a sequence of images.
+    def forward(self, images) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Run the frozen stack on a (B, S, S, 3) stack of images, given as
+        one array or a sequence of images.
 
-        Computes in the weights' dtype. A stack's features carry its leading
-        axis, and each image's rows equal that image's own forward pass bit
-        for bit. An empty stack, and an image of the wrong shape or with a
-        non-finite value, raise ``UsageError``.
+        Returns the ``STAGES`` (B, L, C) patch-token stage outputs and the
+        (B, C) final class tokens, computed in the weights' dtype. Each
+        image's rows equal those of its own stack of one bit for bit. An
+        empty stack, a bare (S, S, 3) image, and an image of the wrong shape
+        or with a non-finite value raise ``UsageError``.
         """
         cfg = self.config
         try:
@@ -145,38 +139,31 @@ class Backbone:
             raise UsageError(f"images do not stack into one array: {exc}") from exc
         if images.shape[:1] == (0,):
             raise UsageError("cannot run an empty stack of images")
-        single = images.ndim == 3
-        stack = images[None] if single else images
         expected = (cfg.image_size, cfg.image_size, 3)
-        if stack.ndim != 4 or stack.shape[1:] != expected:
-            raise UsageError(f"expected images of shape {expected}, got {images.shape}")
-        finite = np.isfinite(stack).all(axis=(1, 2, 3))
+        if images.ndim != 4 or images.shape[1:] != expected:
+            raise UsageError(f"expected a stack of images of shape {expected}, got {images.shape}")
+        finite = np.isfinite(images).all(axis=(1, 2, 3))
         if not finite.all():
             raise UsageError(f"image {int(np.argmin(finite))} contains non-finite values")
-        x = self._embed(self.normalize_image(stack))
-        stage_outputs: List[np.ndarray] = []
+        x = self._embed(self.normalize_image(images))
+        stages: List[np.ndarray] = []
         for block in range(cfg.total_blocks):
             x = transformer_block(x, self.weights, block, cfg.heads)
             if (block + 1) % cfg.blocks_per_stage == 0:
-                stage_outputs.append(x[:, 1:].copy())
-        feats = StageFeatures(stages=stage_outputs, class_token=x[:, 0].copy())
-        if single:
-            feats = StageFeatures([s[0] for s in feats.stages], feats.class_token[0])
-        return feats
+                stages.append(x[:, 1:].copy())
+        return stages, x[:, 0].copy()
 
     def _embed(self, images: np.ndarray) -> np.ndarray:
-        """Normalised (S, S, 3) or (B, S, S, 3) pixels to (1 + tokens, C) or
-        (B, 1 + tokens, C) embedded tokens, the class token first."""
+        """Normalised (B, S, S, 3) pixels to (B, 1 + tokens, C) embedded
+        tokens, the class token first."""
         cfg = self.config
         g, p = cfg.grid, cfg.patch_size
-        stack = images.reshape(-1, *images.shape[-3:])
-        b = len(stack)
-        patches = stack.reshape(b, g, p, g, p, 3).transpose(0, 1, 3, 2, 4, 5)
+        b = len(images)
+        patches = images.reshape(b, g, p, g, p, 3).transpose(0, 1, 3, 2, 4, 5)
         patches = patches.reshape(b, cfg.tokens, p * p * 3)
         tokens = patches @ self.weights["patch_embed.weight"] + self.weights["patch_embed.bias"]
         cls = np.broadcast_to(self.weights["cls_token"], (b, 1, cfg.channels))
-        x = np.concatenate([cls, tokens], axis=1) + self.weights["pos_embed"]
-        return x.reshape(*images.shape[:-3], *x.shape[1:])
+        return np.concatenate([cls, tokens], axis=1) + self.weights["pos_embed"]
 
 
 def transformer_block(x, weights: Dict[str, np.ndarray], idx: int, heads: int):

@@ -29,7 +29,7 @@ from .autodiff import ATTENTION_MODES
 from .backbone import BackboneConfig
 from .errors import ConfigError
 from .fusion import FusionConfig
-from .numerics import check_seed
+from .numerics import check_integer
 from .prompts import MAX_LEN, TEXT_HEADS
 
 ADAPTER_KINDS = ("fwa", "linear")
@@ -45,8 +45,7 @@ class OptimSection:
     def __post_init__(self):
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        check_integer(self.batch_size, "batch_size", 1, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,9 @@ class RunConfig:
     optim: OptimSection = field(default_factory=OptimSection)
 
     def __post_init__(self):
-        check_seed(self.seed, ConfigError)
+        for name, minimum in (("seed", 0), ("window", 1), ("prompt_length", 1), ("c_text", 2),
+                              ("text_width", 2)):
+            check_integer(getattr(self, name), name, minimum, ConfigError)
         if self.adapter_kind not in ADAPTER_KINDS:
             raise ConfigError(f"adapter_kind must be one of {ADAPTER_KINDS}")
         if self.attention_mode not in ATTENTION_MODES:
@@ -75,15 +76,11 @@ class RunConfig:
             raise ConfigError(f"prompt_kind must be one of {PROMPT_KINDS}")
         if self.image_score_mode not in IMAGE_SCORE_MODES:
             raise ConfigError(f"image_score_mode must be one of {IMAGE_SCORE_MODES}")
-        if self.prompt_length < 1:
-            raise ConfigError("prompt_length must be >= 1")
-        if self.window < 1 or self.backbone.grid % self.window != 0:
+        if self.backbone.grid % self.window != 0:
             raise ConfigError(
                 f"window {self.window} does not tile the "
                 f"{self.backbone.grid}x{self.backbone.grid} token grid"
             )
-        if self.c_text < 2 or self.text_width < 2:
-            raise ConfigError("c_text and text_width must be >= 2")
         if self.text_width % TEXT_HEADS != 0:
             raise ConfigError(f"text_width {self.text_width} not divisible by heads {TEXT_HEADS}")
         # context + branch anchor + "object"; a template's contexts are its 4 words

@@ -19,6 +19,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import numerics
+from .backbone import STAGES
 from .errors import UsageError
 from .fusion import AnomalyMap
 
@@ -29,12 +30,12 @@ SELF_MATCH_TOLERANCE = 1e-6
 class MemoryBank:
     """Per-stage reference token features; immutable after build."""
 
-    stages: List[np.ndarray]  # 4 arrays of shape (K * L, C_text)
+    stages: List[np.ndarray]  # STAGES arrays of shape (K * L, C_text)
     image_ids: List[str]
 
     def __post_init__(self):
-        if len(self.stages) != 4:
-            raise UsageError(f"memory bank needs 4 stages, got {len(self.stages)}")
+        if len(self.stages) != STAGES:
+            raise UsageError(f"memory bank needs {STAGES} stages, got {len(self.stages)}")
         for arr in self.stages:
             arr.setflags(write=False)
 
@@ -44,7 +45,7 @@ class FewShotMap:
     """Per-level distance maps on the token grid plus their pixel-level sum;
     for a stack of queries both carry its leading axis."""
 
-    level_maps: np.ndarray  # (4, grid_h, grid_w) or (B, 4, grid_h, grid_w), distances in [0, 2]
+    level_maps: np.ndarray  # (STAGES, grid_h, grid_w) or (B, STAGES, grid_h, grid_w), in [0, 2]
     few: np.ndarray  # (imageH, imageW) or (B, imageH, imageW), sum of upsampled level maps
 
 
@@ -52,7 +53,7 @@ def build_memory_bank(
     reference_features: Sequence[Sequence[np.ndarray]],
     image_ids: Sequence[str] | None = None,
 ) -> MemoryBank:
-    """Stack per-image stage features (each 4 x (L, C)) into one bank.
+    """Stack per-image stage features (each STAGES x (L, C)) into one bank.
 
     Duplicate references are kept as-is; the bank is content-transparent.
     """
@@ -60,7 +61,7 @@ def build_memory_bank(
     if not refs:
         raise UsageError("memory bank needs at least one reference image")
     stages = []
-    for level in range(4):
+    for level in range(STAGES):
         blocks = [np.asarray(r[level]) for r in refs]
         stages.append(np.concatenate(blocks, axis=0).copy())
     ids = list(image_ids) if image_ids is not None else [str(i) for i in range(len(refs))]
@@ -75,15 +76,15 @@ def few_shot_map(
 ) -> FewShotMap:
     """Min cosine distance per token per level, summed and upsampled.
 
-    ``query_features`` are four (L, C) arrays, or four (B, L, C) stacks; a
+    ``query_features`` are ``STAGES`` (L, C) arrays or (B, L, C) stacks; a
     query of a stack gets the map it gets on its own, bit for bit. Both
     query rows and bank rows are expected unit-norm.
     """
-    if len(query_features) != 4:
-        raise UsageError(f"expected 4 query stages, got {len(query_features)}")
+    if len(query_features) != STAGES:
+        raise UsageError(f"expected {STAGES} query stages, got {len(query_features)}")
     grid_h, grid_w = grid
     levels = []
-    for level in range(4):
+    for level in range(STAGES):
         q = np.asarray(query_features[level])
         refs = bank.stages[level]
         if q.ndim not in (2, 3) or q.shape[-2] != grid_h * grid_w:
@@ -109,9 +110,9 @@ def combine_maps(zero_map: AnomalyMap, few: FewShotMap, beta: float = 0.5) -> An
     """Convex blend of the zero-shot map with the normalized few-shot map,
     for one map or a (B, H, W) stack of them.
 
-    The few-shot sum is divided by its analytic maximum 4 (four levels at
-    distance 1 under non-negative similarities) and clipped into [0, 1]
-    before blending.
+    The few-shot sum is divided by its analytic maximum ``STAGES`` (every
+    level at distance 1 under non-negative similarities) and clipped into
+    [0, 1] before blending.
     """
     if not 0.0 <= beta <= 1.0:
         raise UsageError(f"beta must be in [0, 1], got {beta}")
@@ -119,6 +120,6 @@ def combine_maps(zero_map: AnomalyMap, few: FewShotMap, beta: float = 0.5) -> An
         raise UsageError(
             f"map dims differ: zero {zero_map.scores.shape} vs few {few.few.shape}"
         )
-    few_norm = np.clip(few.few / 4.0, 0.0, 1.0)
+    few_norm = np.clip(few.few / STAGES, 0.0, 1.0)
     combined = (1.0 - beta) * zero_map.scores + beta * few_norm
     return AnomalyMap(scores=combined)

@@ -6,6 +6,9 @@ then upsampled to pixel resolution (and optionally blurred) to form the
 anomaly map. The image-level score comes from the class token through a
 frozen projection against the same text rows.
 
+``fuse``, ``abnormal_probability_map`` and ``image_score`` take stacks only;
+``anomaly_map`` takes one image's (L, 2) logits, as a stack of one.
+
 The two softmax temperatures are constants, ``TAU`` for the stage logits and
 ``TAU_CLS`` for the class score; ``FusionConfig`` holds what a run varies,
 the stage weights and the map's blur.
@@ -20,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ag
 from . import numerics
+from .backbone import STAGES
 from .errors import ConfigError, UsageError
 
 TAU = 1.0
@@ -28,12 +32,12 @@ TAU_CLS = 1.0
 
 @dataclass(frozen=True)
 class FusionConfig:
-    alpha: Tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
+    alpha: Tuple[float, ...] = (1.0,) * STAGES
     sigma: float = 0.0
 
     def __post_init__(self):
-        if len(self.alpha) != 4 or not all(np.isfinite(self.alpha)):
-            raise ConfigError(f"alpha must be 4 finite weights, got {self.alpha}")
+        if len(self.alpha) != STAGES or not all(np.isfinite(self.alpha)):
+            raise ConfigError(f"alpha must be {STAGES} finite weights, got {self.alpha}")
         if not 0 <= self.sigma < np.inf:
             raise ConfigError(f"smoothing sigma must be finite and >= 0, got {self.sigma}")
 
@@ -49,14 +53,14 @@ def fuse(stage_features: Sequence, text_features, cfg: FusionConfig):
     """Weighted sum of per-stage similarity logits: sum_i alpha_i F*_i T^T / TAU.
 
     Channel 0 scores the normal row, channel 1 the abnormal row. Accepts
-    Vars (training) or arrays, as (L, C) or a stacked (B, L, C) batch;
-    stages must agree on token count.
+    Vars (training) or arrays, each stage a (B, L, C) stack; the stages must
+    agree on B and L. Returns (B, L, 2) logits.
     """
-    if len(stage_features) != 4:
-        raise UsageError(f"expected 4 stage feature maps, got {len(stage_features)}")
-    lengths = {f.shape[-2] for f in stage_features}
-    if len(lengths) != 1:
-        raise UsageError(f"stages disagree on token count: {sorted(lengths)}")
+    if len(stage_features) != STAGES:
+        raise UsageError(f"expected {STAGES} stage feature maps, got {len(stage_features)}")
+    shapes = sorted({tuple(f.shape[:-1]) for f in stage_features})
+    if len(shapes) != 1 or len(shapes[0]) != 2:
+        raise UsageError(f"expected (B, L, C) stage stacks of one (B, L), got {shapes}")
     text_t = ag.transpose(text_features, (1, 0))
     logits = None
     for alpha_i, feats in zip(cfg.alpha, stage_features):
@@ -73,8 +77,8 @@ def anomaly_map(
 ) -> AnomalyMap:
     """Abnormal-channel probabilities upsampled to image resolution.
 
-    ``abnormal_probability_map`` run on plain arrays, so inference maps and
-    the maps training differentiates come from one formula.
+    ``abnormal_probability_map`` on plain arrays, as a stack of one: inference
+    maps and the maps training differentiates come from one formula.
     """
     logits = logits.data if ag.is_var(logits) else np.asarray(logits)
     grid_h, grid_w = grid
@@ -83,18 +87,17 @@ def anomaly_map(
             f"expected ({grid_h * grid_w}, 2) logits for a {grid_h}x{grid_w} grid, "
             f"got {logits.shape}"
         )
-    return AnomalyMap(scores=abnormal_probability_map(logits, grid, image_dims, cfg))
+    return AnomalyMap(scores=abnormal_probability_map(logits[None], grid, image_dims, cfg)[0])
 
 
 def abnormal_probability_map(logits, grid: Tuple[int, int], image_dims: Tuple[int, int], cfg: FusionConfig):
     """Differentiable map pipeline: softmax -> reshape -> upsample -> blur.
 
-    ``logits`` is (L, 2) or a stacked (B, L, 2) batch; the map is (H, W) or
-    (B, H, W) accordingly.
+    ``logits`` is a stacked (B, L, 2) batch; the map is (B, H, W).
     """
     grid_h, grid_w = grid
     probs = ag.softmax_last(logits)
-    abnormal = ag.reshape(probs[..., 1], (*probs.shape[:-2], grid_h, grid_w))
+    abnormal = ag.reshape(probs[:, :, 1], (probs.shape[0], grid_h, grid_w))
     out = numerics.bilinear_upsample(abnormal, *image_dims)
     if cfg.sigma > 0:
         blur_r = numerics.gaussian_blur_matrix(image_dims[0], cfg.sigma).astype(out.dtype)
@@ -106,15 +109,15 @@ def abnormal_probability_map(logits, grid: Tuple[int, int], image_dims: Tuple[in
 def image_score(class_token: np.ndarray, cls_proj: np.ndarray, text_features):
     """Two-way softmax score of the projected class token; abnormal side.
 
-    ``class_token`` is (C_vis,) for one scalar score or (B, C_vis) for B
-    scores. Differentiable in ``text_features`` when given as a Var.
+    ``class_token`` is a (B, C_vis) stack, scored to (B,) scores.
+    Differentiable in ``text_features`` when given as a Var.
 
     Each sample is scored as a (1, C) row through both products: BLAS
     rounds a one-row product differently from a row of a larger one, and
     this keeps a sample's score independent of the batch it is scored in.
     """
-    rows = np.asarray(class_token)[..., None, :] @ np.asarray(cls_proj)
+    rows = np.asarray(class_token)[:, None, :] @ np.asarray(cls_proj)
     f_cls = ag.l2_normalize_rows(rows)
     sims = ag.mul(ag.matmul(f_cls, ag.transpose(text_features, (1, 0))), 1.0 / TAU_CLS)
     probs = ag.softmax_last(sims)
-    return probs[..., 0, 1]
+    return probs[:, 0, 1]

@@ -8,17 +8,17 @@ is created once, marked read-only, and hash-checked by the frozen-contract tests
 A checkpoint is a numpy ``.npz`` file of the parameters, plus any extra tensors
 such as the optimizer's moments.
 
-Images run in stacks. One frozen pass, ``frozen_forward`` (backbone, then
-the windowed attention), takes a (B, S, S, 3) stack, and one scoring
+Images run in stacks only. One frozen pass, ``frozen_forward`` (backbone,
+then the windowed attention), takes a (B, S, S, 3) stack, and one scoring
 formula, ``score_batch``, turns its activations into stage features, maps
 and scores: training runs it on the parameter Vars, ``predict_batch`` on
-their arrays, and ``predict`` is a stack of one. ``evaluate_dataset`` and
-``build_memory_bank`` run their images ``chunk_size`` at a time, as many as
-``CHUNK_TOKENS`` patch tokens hold. Every per-image product of a stack is
-the BLAS call that image makes alone; a one-row product (the class
-token's) is kept one row per image, because BLAS rounds it differently
-from a row of a larger product. So a prediction is the same bit for bit
-in any stack, in any order.
+their arrays. Only ``predict`` and its ``Prediction`` take and give a single
+image, as a stack of one. ``evaluate_dataset`` and ``build_memory_bank``
+run their images ``chunk_size`` at a time, as many as ``CHUNK_TOKENS``
+patch tokens hold. Every per-image product of a stack is the BLAS call that
+image makes alone; a one-row product (the class token's) is kept one row
+per image, because BLAS rounds it differently from a row of a larger
+product. So a prediction is the same bit for bit in any stack, in any order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .adapter import (
     new_adapter_params,
     project_tokens,
 )
-from .backbone import Backbone, init_synthetic, seeded_weights, tensor_hash
+from .backbone import STAGES, Backbone, init_synthetic, seeded_weights, tensor_hash
 from .config import RunConfig
 from .errors import ArchiveError, UsageError, WeightsError
 from .fewshot import MemoryBank, build_memory_bank
@@ -65,11 +65,11 @@ _SEED_OFFSETS = {"encoder": 1000003, "prompts": 2000003, "adapters": 3000003, "c
 
 @dataclass
 class FrozenActivations:
-    """Constants of the frozen pass: adapter inputs + class token, for one
-    image or, with a leading axis, for a stack."""
+    """Constants of the frozen pass over a stack of B images: adapter inputs
+    + class tokens."""
 
-    adapter_inputs: List[np.ndarray]  # 4 x (L, C_vis) or (B, L, C_vis), post-attention for fwa
-    class_token: np.ndarray  # (C_vis,) or (B, C_vis)
+    adapter_inputs: List[np.ndarray]  # STAGES x (B, L, C_vis), post-attention for fwa
+    class_token: np.ndarray  # (B, C_vis)
     image_hash: Optional[str] = None  # the image's cache key; None when not cached
 
 
@@ -77,7 +77,7 @@ class FrozenActivations:
 class Prediction:
     anomaly_map: AnomalyMap
     image_score: float
-    stage_features: List[np.ndarray]  # 4 x (L, C_text), unit-norm rows
+    stage_features: List[np.ndarray]  # STAGES x (L, C_text), unit-norm rows
     grid: Tuple[int, int]
 
 
@@ -115,10 +115,10 @@ class SowaModel:
         return max(1, CHUNK_TOKENS // self.backbone.config.tokens)
 
     def frozen_forward(self, images, cache_key: Optional[int] = None) -> FrozenActivations:
-        """Backbone + (for fwa) frozen windowed attention, on one (S, S, 3)
-        image or a stack of them (see ``Backbone.forward``); cacheable.
+        """Backbone + (for fwa) frozen windowed attention, on a (B, S, S, 3)
+        stack of images (see ``Backbone.forward``); cacheable.
 
-        A stack's activations carry its leading axis. Any non-None
+        Any non-None
         ``cache_key`` opts in to the cache. Entries are matched by the input
         itself (its ``tensor_hash``), never by the key, so a key reused for
         another image cannot return stale features. A cached entry carries
@@ -131,8 +131,7 @@ class SowaModel:
             if hit is not None:
                 self._feature_cache[cache_key] = hit  # now the most recently used
                 return hit
-        feats = self.backbone.forward(images)
-        inputs = feats.stages
+        inputs, class_tokens = self.backbone.forward(images)
         if self.config.adapter_kind == "fwa":
             window = (self.config.window, self.config.window)
             inputs = [
@@ -143,9 +142,9 @@ class SowaModel:
                     window,
                     mode=self.config.attention_mode,
                 )
-                for stage, tokens in enumerate(feats.stages)
+                for stage, tokens in enumerate(inputs)
             ]
-        out = FrozenActivations(inputs, feats.class_token, image_hash=cache_key)
+        out = FrozenActivations(inputs, class_tokens, image_hash=cache_key)
         if cache_key is not None:
             self._feature_cache[cache_key] = out
             if len(self._feature_cache) > FEATURE_CACHE_LIMIT:
@@ -189,7 +188,7 @@ class SowaModel:
         """The one scoring formula, over a stacked batch: adapted stage
         features, abnormal probability map and image score.
 
-        ``inputs`` are the four (B, L, C_vis) adapter inputs and
+        ``inputs`` are the ``STAGES`` (B, L, C_vis) adapter inputs and
         ``class_tokens`` the (B, C_vis) class tokens of a frozen pass.
         ``projections`` (one (weight, bias) per stage) and the (2, C_text)
         ``text`` rows are Vars, which build a graph (training), or arrays,
@@ -213,8 +212,6 @@ class SowaModel:
         bit. Builds no autodiff graph; an empty stack, or one image passed
         as a bare (S, S, 3) array, raises ``UsageError``.
         """
-        if isinstance(images, np.ndarray) and images.ndim != 4:
-            raise UsageError(f"expected a stack of images, got an array of shape {images.shape}")
         acts = self.frozen_forward(images)
         projections = [(a.weight.data, a.bias.data) for a in self.adapters]
         stars, pmap, scores = self.score_batch(
@@ -327,7 +324,7 @@ def build_model(config: RunConfig) -> SowaModel:
     c_vis = config.backbone.channels
     adapters = [
         new_adapter_params(c_vis, config.c_text, seed=seed + _SEED_OFFSETS["adapters"] + i)
-        for i in range(4)
+        for i in range(STAGES)
     ]
     cls_init = seeded_weights({"cls_proj": (c_vis, config.c_text)}, seed + _SEED_OFFSETS["cls"])
     cls_proj = cls_init["cls_proj"]

@@ -74,10 +74,12 @@ def precision(dtype):
         set_default_dtype(previous)
 
 
-def check_seed(seed, error=UsageError) -> None:
-    """Raise ``error`` unless ``seed`` is a non-negative integer, as numpy's seeding takes."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise error(f"seed must be a non-negative integer, got {seed!r}")
+def check_integer(value, name: str, minimum: int = 0, error=UsageError) -> None:
+    """Raise ``error`` unless ``value`` is an integer (a Python or numpy
+    integer, not a bool) of at least ``minimum``; the default is a seed as
+    numpy's seeding takes it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def linear_resample_matrix(n_in: int, n_out: int) -> np.ndarray:

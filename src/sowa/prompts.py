@@ -10,7 +10,9 @@ feature space. Each branch is encoded independently as
 and the last token's projected, unit-normalized embedding becomes that
 branch's row of the 2 x C_text feature matrix (row 0 normal, row 1 abnormal,
 always in that order). The two sequences have the same length and go through
-the encoder together, as one (2, n, width) batch. Prompt kinds differ only in
+the encoder together, as one (2, n, width) batch: like every function below
+the public API, ``FrozenTextEncoder.encode_sequence`` takes batches only, and
+one sequence is a batch of one. Prompt kinds differ only in
 how the contexts start and whether they train (``build_prompt_pair``): a
 ``template`` pair holds the words "a photo of a" / "a photo of an", so its
 rows encode the sentences "a photo of a normal object" and "a photo of an
@@ -73,23 +75,23 @@ class FrozenTextEncoder:
         return self.weights["embed_table"][VOCABULARY.index(word)]
 
     def encode_sequence(self, vectors):
-        """Encode a (n, width) embedding sequence to a (1, C_text) unit-norm row,
-        or a (B, n, width) batch of sequences to (B, C_text) rows in one pass.
+        """Encode a (B, n, width) batch of embedding sequences to (B, C_text)
+        unit-norm rows in one pass; one sequence is a batch of one.
 
         Accepts an autodiff Var (gradients flow to the input sequence only;
         encoder weights are constants) or a plain array.
         """
-        n = vectors.shape[-2]
+        n = vectors.shape[1]
         if n > MAX_LEN:
             raise UsageError(f"sequence length {n} exceeds max_len {MAX_LEN}")
         x = ag.add(vectors, self.weights["pos_embed"][:n])
         for b in range(TEXT_BLOCKS):
             x = transformer_block(x, self.weights, b, TEXT_HEADS)
-        # every token is projected, so a lone sequence and a batch row take the
-        # same matrix-product shape and agree bit for bit (BLAS rounds a
-        # one-row product differently)
+        # every token is projected, so a batch of one and a row of a larger
+        # batch take the same matrix-product shape and agree bit for bit (BLAS
+        # rounds a one-row product differently)
         projected = ag.matmul(x, self.weights["text_proj"])
-        return ag.l2_normalize_rows(ag.reshape(projected[..., n - 1, :], (-1, projected.shape[-1])))
+        return ag.l2_normalize_rows(projected[:, n - 1])
 
 
 def build_text_encoder(width: int, c_text: int, seed: int) -> FrozenTextEncoder:

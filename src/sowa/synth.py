@@ -81,9 +81,8 @@ class PatternSpec:
     def __post_init__(self):
         if self.kind not in KINDS + ("mixed",):
             raise ConfigError(f"kind must be one of {KINDS + ('mixed',)}, got {self.kind!r}")
-        numerics.check_seed(self.seed, ConfigError)
-        if self.octaves < 1 or self.base_cells < 2:
-            raise ConfigError("need octaves >= 1 and base_cells >= 2")
+        for name, minimum in (("seed", 0), ("octaves", 1), ("base_cells", 2)):
+            numerics.check_integer(getattr(self, name), name, minimum, ConfigError)
         if not 0.0 <= self.amplitude <= 1.0:
             raise ConfigError("amplitude must lie in [0, 1]")
 

@@ -33,7 +33,7 @@ from . import prompts as prompts_mod
 from .backbone import tensor_hash
 from .config import OptimSection
 from .errors import TrainingError, UsageError, WeightsError
-from .numerics import check_seed
+from .numerics import check_integer
 
 PRED_CLAMP = 1e-7
 DICE_EPS = 1.0
@@ -116,19 +116,19 @@ def composite_loss(map_scores, mask_pm1, score, label_pm1):
 
 
 def _features(model, samples: Sequence, cache_keys=None) -> list:
-    """Each sample's frozen activations, one ``frozen_forward`` call apiece."""
+    """Each sample's frozen activations, one stack-of-one ``frozen_forward`` call apiece."""
     keys = [None] * len(samples) if cache_keys is None else cache_keys
-    return [model.frozen_forward(s.image, cache_key=k) for s, k in zip(samples, keys)]
+    return [model.frozen_forward(s.image[None], cache_key=k) for s, k in zip(samples, keys)]
 
 
 def _batch_loss(model, samples: Sequence, acts: Sequence, projections, text):
-    """The loss of ``model.score_batch`` over a stacked batch of samples and
-    their frozen activations ``acts``, on ``projections`` (one (weight, bias)
-    per stage) and ``text`` rows given as Vars or arrays."""
+    """The loss of ``model.score_batch`` over a batch of samples, their frozen
+    activations ``acts`` joined into one stack, on ``projections`` (one
+    (weight, bias) per stage) and ``text`` rows given as Vars or arrays."""
     if not samples:
         raise UsageError("cannot score an empty batch")
-    inputs = [np.stack([a.adapter_inputs[i] for a in acts]) for i in range(len(projections))]
-    classes = np.stack([a.class_token for a in acts])
+    inputs = [np.concatenate([a.adapter_inputs[i] for a in acts]) for i in range(len(projections))]
+    classes = np.concatenate([a.class_token for a in acts])
     _, pmap, score = model.score_batch(inputs, classes, projections, text)
     masks = np.stack([s.mask for s in samples])
     labels = [s.label for s in samples]
@@ -293,7 +293,7 @@ def train_epoch(
     samples = list(samples)
     if not samples:
         raise UsageError("cannot train on an empty dataset")
-    check_seed(seed)
+    check_integer(seed, "seed")
     trainable = model.trainable()
     if state is None:
         state = TrainState(trainable)
@@ -398,7 +398,7 @@ def gradient_check(
     model built in float64 mode; float32 rounding is far above useful
     finite-difference resolution.
     """
-    check_seed(seed)
+    check_integer(seed, "seed")
     params = model.trainable()
     acts = _features(model, samples)
     analytic = _gradients(params, sample_loss(model, samples, acts)[0])

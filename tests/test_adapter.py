@@ -34,34 +34,33 @@ def _adapt(params, tokens, w, grid_dims, window):
 
 class TestWindowPartition:
     def test_index_arithmetic_4x4_into_2x2(self):
-        tokens = np.arange(16, dtype=np.float32)[:, None] * np.ones((1, 3), dtype=np.float32)
-        wg = window_partition(tokens, 4, 4, 2, 2)
-        assert wg.windows.shape == (4, 4, 3)
-        np.testing.assert_array_equal(wg.windows[0, :, 0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(wg.windows[1, :, 0], [2, 3, 6, 7])
-        np.testing.assert_array_equal(wg.windows[3, :, 0], [10, 11, 14, 15])
+        tokens = np.arange(16, dtype=np.float32)[None, :, None] * np.ones(3, dtype=np.float32)
+        windows = window_partition(tokens, 4, 4, 2, 2)[0]
+        assert windows.shape == (4, 4, 3)
+        np.testing.assert_array_equal(windows[0, :, 0], [0, 1, 4, 5])
+        np.testing.assert_array_equal(windows[1, :, 0], [2, 3, 6, 7])
+        np.testing.assert_array_equal(windows[3, :, 0], [10, 11, 14, 15])
 
     def test_whole_grid_window(self, rng):
-        tokens = rng.normal(size=(12, 5)).astype(np.float32)
-        wg = window_partition(tokens, 3, 4, 3, 4)
-        assert wg.windows.shape == (1, 12, 5)
-        np.testing.assert_array_equal(wg.windows[0], tokens)
+        tokens = rng.normal(size=(1, 12, 5)).astype(np.float32)
+        windows = window_partition(tokens, 3, 4, 3, 4)
+        assert windows.shape == (1, 1, 12, 5)
+        np.testing.assert_array_equal(windows[:, 0], tokens)
 
     def test_unit_windows(self, rng):
-        tokens = rng.normal(size=(6, 2)).astype(np.float32)
-        wg = window_partition(tokens, 2, 3, 1, 1)
-        assert wg.windows.shape == (6, 1, 2)
-        np.testing.assert_array_equal(wg.windows[:, 0, :], tokens)
+        tokens = rng.normal(size=(1, 6, 2)).astype(np.float32)
+        windows = window_partition(tokens, 2, 3, 1, 1)
+        assert windows.shape == (1, 6, 1, 2)
+        np.testing.assert_array_equal(windows[:, :, 0, :], tokens)
 
     def test_content_preserving_multiset(self, rng):
-        tokens = rng.normal(size=(24, 4)).astype(np.float32)
-        wg = window_partition(tokens, 4, 6, 2, 3)
-        flat = wg.windows.reshape(-1, 4)
-        assert sorted(map(tuple, flat)) == sorted(map(tuple, tokens))
+        tokens = rng.normal(size=(1, 24, 4)).astype(np.float32)
+        flat = window_partition(tokens, 4, 6, 2, 3).reshape(-1, 4)
+        assert sorted(map(tuple, flat)) == sorted(map(tuple, tokens[0]))
 
     def test_non_divisible_rejected_with_dims(self):
         with pytest.raises(ConfigError, match="3x3.*4x4|4x4"):
-            window_partition(np.zeros((16, 2), dtype=np.float32), 4, 4, 3, 3)
+            window_partition(np.zeros((1, 16, 2), dtype=np.float32), 4, 4, 3, 3)
 
     def test_round_trip_all_divisible_combos(self, rng):
         for grid_h in range(1, 13):
@@ -72,24 +71,24 @@ class TestWindowPartition:
                     for w in range(1, grid_w + 1):
                         if grid_w % w:
                             continue
-                        tokens = rng.normal(size=(grid_h * grid_w, 3)).astype(np.float32)
-                        wg = window_partition(tokens, grid_h, grid_w, h, w)
-                        back = window_reverse(wg)
+                        tokens = rng.normal(size=(1, grid_h * grid_w, 3)).astype(np.float32)
+                        windows = window_partition(tokens, grid_h, grid_w, h, w)
+                        back = window_reverse(windows, grid_h, grid_w, h, w)
                         np.testing.assert_array_equal(back, tokens)
 
     def test_reverse_inconsistent_dims_rejected(self, rng):
-        wg = window_partition(rng.normal(size=(16, 2)).astype(np.float32), 4, 4, 2, 2)
-        wg.windows = wg.windows[:3]
+        windows = window_partition(rng.normal(size=(1, 16, 2)).astype(np.float32), 4, 4, 2, 2)
         with pytest.raises(UsageError):
-            window_reverse(wg)
+            window_reverse(windows[:, :3], 4, 4, 2, 2)
 
     def test_a_stack_partitions_each_grid_and_round_trips_exactly(self, rng):
         tokens = rng.normal(size=(3, 24, 4)).astype(np.float32)
-        wg = window_partition(tokens, 4, 6, 2, 3)
-        assert wg.windows.shape == (3, 4, 6, 4)
-        for one, windows in zip(tokens, wg.windows):
-            np.testing.assert_array_equal(windows, window_partition(one, 4, 6, 2, 3).windows)
-        np.testing.assert_array_equal(window_reverse(wg), tokens)
+        windows = window_partition(tokens, 4, 6, 2, 3)
+        assert windows.shape == (3, 4, 6, 4)
+        for i in range(len(tokens)):
+            np.testing.assert_array_equal(windows[i : i + 1],
+                                          window_partition(tokens[i : i + 1], 4, 6, 2, 3))
+        np.testing.assert_array_equal(window_reverse(windows, 4, 6, 2, 3), tokens)
 
 
 class TestVVAttention:
@@ -97,17 +96,17 @@ class TestVVAttention:
 
     def test_single_token_equals_projected_value(self):
         w = _weights(c=8, heads=2, seed=1)
-        token = np.random.default_rng(2).normal(size=(1, 8)).astype(np.float32)
+        token = np.random.default_rng(2).normal(size=(1, 1, 8)).astype(np.float32)
         out = _attend(token, w)
         expected = (token @ w.w_v) @ w.w_o
         np.testing.assert_allclose(out, expected, atol=1e-6)
 
     def test_identical_tokens_identical_outputs(self):
         w = _weights(c=8, heads=2, seed=3)
-        token = np.random.default_rng(4).normal(size=(1, 8)).astype(np.float32)
-        stacked = np.repeat(token, 5, axis=0)
-        out = _attend(stacked, w)
-        single = _attend(token, w)
+        token = np.random.default_rng(4).normal(size=(1, 1, 8)).astype(np.float32)
+        stacked = np.repeat(token, 5, axis=1)
+        out = _attend(stacked, w)[0]
+        single = _attend(token, w)[0]
         for row in out:
             np.testing.assert_allclose(row, single[0], atol=1e-6)
 
@@ -115,14 +114,14 @@ class TestVVAttention:
         # C=2, one head, identity projections, tokens e1 and e2:
         # scores = I/sqrt(2), row softmax a = e^(1/sqrt(2)) / (e^(1/sqrt(2)) + 1)
         w = _weights(c=2, heads=1, identity=True)
-        tokens = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+        tokens = np.array([[[1.0, 0.0], [0.0, 1.0]]], dtype=np.float32)
         a = np.exp(1 / np.sqrt(2)) / (np.exp(1 / np.sqrt(2)) + 1)
-        expected = np.array([[a, 1 - a], [1 - a, a]])
+        expected = np.array([[[a, 1 - a], [1 - a, a]]])
         np.testing.assert_allclose(_attend(tokens, w), expected, atol=1e-6)
 
     def test_pre_softmax_scores_symmetric(self, monkeypatch):
         w = _weights(c=8, heads=2, seed=5)
-        tokens = np.random.default_rng(6).normal(size=(7, 8)).astype(np.float32)
+        tokens = np.random.default_rng(6).normal(size=(1, 7, 8)).astype(np.float32)
         seen, softmax = [], ag.softmax_last
 
         def recording(x):
@@ -132,19 +131,20 @@ class TestVVAttention:
         monkeypatch.setattr(ag, "softmax_last", recording)
         _attend(tokens, w)
         (scores,) = seen
-        assert scores.shape == (2, 7, 7)
+        assert scores.shape == (1, 2, 7, 7)
+        scores = scores[0]
         np.testing.assert_allclose(scores, np.swapaxes(scores, 1, 2), atol=1e-6)
-        v = (tokens @ w.w_v).reshape(7, 2, 4)
+        v = (tokens[0] @ w.w_v).reshape(7, 2, 4)
         expected = np.einsum("ihd,jhd->hij", v, v) / 2.0
         np.testing.assert_allclose(scores, expected, rtol=1e-5, atol=1e-6)
 
     def test_permutation_equivariance(self):
         w = _weights(c=8, heads=2, seed=7)
         rng = np.random.default_rng(8)
-        tokens = rng.normal(size=(6, 8)).astype(np.float32)
+        tokens = rng.normal(size=(1, 6, 8)).astype(np.float32)
         perm = rng.permutation(6)
         np.testing.assert_allclose(
-            _attend(tokens[perm], w), _attend(tokens, w)[perm], atol=1e-6
+            _attend(tokens[:, perm], w), _attend(tokens, w)[:, perm], atol=1e-6
         )
 
     def test_batched_matches_sequential_loop(self):
@@ -153,8 +153,8 @@ class TestVVAttention:
         windows = rng.normal(size=(5, 4, 8)).astype(np.float32)
         batched = _attend(windows, w)
         for i in range(5):
-            solo = _attend(windows[i], w)
-            np.testing.assert_allclose(batched[i], solo, rtol=1e-6, atol=1e-7)
+            solo = _attend(windows[i : i + 1], w)
+            np.testing.assert_allclose(batched[i : i + 1], solo, rtol=1e-6, atol=1e-7)
 
     def test_locality_across_windows(self):
         w = _weights(c=8, heads=2, seed=11)
@@ -170,12 +170,12 @@ class TestVVAttention:
 
     def test_qkv_mode_uses_query_key(self):
         w = _weights(c=8, heads=2, seed=13)
-        tokens = np.random.default_rng(14).normal(size=(4, 8)).astype(np.float32)
+        tokens = np.random.default_rng(14).normal(size=(1, 4, 8)).astype(np.float32)
         assert not np.allclose(_attend(tokens, w, mode="vv"), _attend(tokens, w, mode="qkv"))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(UsageError):
-            _attend(np.zeros((2, 8), dtype=np.float32), _weights(), mode="vq")
+            _attend(np.zeros((1, 2, 8), dtype=np.float32), _weights(), mode="vq")
 
 
 class TestAdapterForward:
@@ -185,11 +185,11 @@ class TestAdapterForward:
         # h = w = 1: attention over one token is the value path
         w = _weights(c=8, heads=2, seed=15)
         params = new_adapter_params(8, 6, seed=16)
-        tokens = np.random.default_rng(17).normal(size=(12, 8)).astype(np.float32)
+        tokens = np.random.default_rng(17).normal(size=(1, 12, 8)).astype(np.float32)
         out = _adapt(params, tokens, w, (3, 4), (1, 1))
         value_path = (tokens @ w.w_v) @ w.w_o
         projected = value_path @ params.weight.data + params.bias.data
-        expected = projected / np.linalg.norm(projected, axis=1, keepdims=True)
+        expected = projected / np.linalg.norm(projected, axis=-1, keepdims=True)
         np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-6)
 
     def test_linear_kind_zero_input_gives_bias_direction(self):
@@ -204,15 +204,15 @@ class TestAdapterForward:
     def test_rows_unit_norm(self):
         w = _weights(c=8, heads=2, seed=19)
         params = new_adapter_params(8, 6, seed=20)
-        tokens = np.random.default_rng(21).normal(size=(16, 8)).astype(np.float32)
+        tokens = np.random.default_rng(21).normal(size=(1, 16, 8)).astype(np.float32)
         out = _adapt(params, tokens, w, (4, 4), (2, 2))
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-6)
 
     def test_frozen_weights_untouched(self):
         w = _weights(c=8, heads=2, seed=22)
         before = [tensor_hash(m) for m in (w.w_q, w.w_k, w.w_v, w.w_o)]
         params = new_adapter_params(8, 6, seed=23)
-        tokens = np.random.default_rng(24).normal(size=(16, 8)).astype(np.float32)
+        tokens = np.random.default_rng(24).normal(size=(1, 16, 8)).astype(np.float32)
         _adapt(params, tokens, w, (4, 4), (2, 2))
         assert [tensor_hash(m) for m in (w.w_q, w.w_k, w.w_v, w.w_o)] == before
 
@@ -221,5 +221,6 @@ class TestAdapterForward:
         w = _weights(c=8, heads=2, seed=25)
         tokens = np.random.default_rng(26).normal(size=(3, 16, 8)).astype(np.float32)
         stacked = attended_features(tokens, w, (4, 4), (2, 2), mode)
-        for one, out in zip(tokens, stacked):
-            np.testing.assert_array_equal(out, attended_features(one, w, (4, 4), (2, 2), mode))
+        for i in range(len(tokens)):
+            alone = attended_features(tokens[i : i + 1], w, (4, 4), (2, 2), mode)
+            np.testing.assert_array_equal(stacked[i : i + 1], alone)

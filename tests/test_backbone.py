@@ -48,35 +48,35 @@ class TestInit:
 
 class TestForward:
     def test_output_shapes(self, backbone, image):
-        feats = backbone.forward(image)
-        assert len(feats.stages) == 4
-        for stage in feats.stages:
-            assert stage.shape == (16, 32)
-        assert feats.class_token.shape == (32,)
+        stages, class_tokens = backbone.forward(image[None])
+        assert len(stages) == 4
+        for stage in stages:
+            assert stage.shape == (1, 16, 32)
+        assert class_tokens.shape == (1, 32)
 
     def test_deterministic(self, backbone, image):
-        a = backbone.forward(image)
-        b = backbone.forward(image)
-        for sa, sb in zip(a.stages, b.stages):
+        a_stages, a_class = backbone.forward(image[None])
+        b_stages, b_class = backbone.forward(image[None])
+        for sa, sb in zip(a_stages, b_stages, strict=True):
             np.testing.assert_array_equal(sa, sb)
-        np.testing.assert_array_equal(a.class_token, b.class_token)
+        np.testing.assert_array_equal(a_class, b_class)
 
     def test_dimension_mismatch_rejected(self, backbone):
         with pytest.raises(UsageError):
-            backbone.forward(np.zeros((16, 16, 3), dtype=np.float32))
+            backbone.forward(np.zeros((1, 16, 16, 3), dtype=np.float32))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_stack_gives_each_image_its_own_features(self, dtype):
         with numerics.precision(dtype):
             backbone = init_synthetic(CFG, seed=11)
         images = np.random.default_rng(4).uniform(size=(3, 32, 32, 3))
-        stacked = backbone.forward(images)
-        for i, image in enumerate(images):
-            alone = backbone.forward(image)
-            for stage, rows in zip(stacked.stages, alone.stages):
+        stages, class_tokens = backbone.forward(images)
+        for i in range(len(images)):
+            alone_stages, alone_class = backbone.forward(images[i : i + 1])
+            for stage, rows in zip(stages, alone_stages, strict=True):
                 assert stage.dtype == dtype
-                np.testing.assert_array_equal(stage[i], rows)
-            np.testing.assert_array_equal(stacked.class_token[i], alone.class_token)
+                np.testing.assert_array_equal(stage[i : i + 1], rows)
+            np.testing.assert_array_equal(class_tokens[i : i + 1], alone_class)
 
     def test_bad_stacks_rejected(self, backbone, image):
         bad = np.stack([image, image, image])
@@ -92,7 +92,7 @@ class TestForward:
 
     def test_attention_rows_sum_to_one(self, backbone, image):
         # re-run one attention block by hand on the embedded sequence
-        x = backbone._embed(backbone.normalize_image(image))
+        x = backbone._embed(backbone.normalize_image(image[None]))[0]
         w = backbone.weights
         n, c = x.shape
         dh = c // CFG.heads

@@ -111,6 +111,21 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_a_config_error(seed):
     assert default_config(seed=np.int64(3)).seed == PatternSpec(seed=np.uint32(3)).seed == 3
 
 
+@pytest.mark.parametrize("field, value", [
+    ("backbone.heads", 0), ("backbone.heads", -4), ("backbone.channels", 0),
+    ("backbone.image_size", 64.0), ("backbone.blocks_per_stage", 1.5), ("window", 4.0),
+    ("c_text", 32.0), ("prompt_length", 3.5), ("optim.batch_size", 2.5),
+    ("pattern.octaves", 1.5), ("pattern.base_cells", 4.0),
+])
+def test_an_integer_field_that_is_not_an_integer_in_range_is_a_config_error(field, value):
+    section, _, name = field.rpartition(".")
+    with pytest.raises(ConfigError, match=name):
+        if section == "pattern":
+            PatternSpec(**{name: value})
+        else:
+            default_config(**({section: {name: value}} if section else {name: value}))
+
+
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
 def test_a_non_finite_blur_width_is_a_config_error(sigma):
     with pytest.raises(ConfigError, match="sigma"):

@@ -21,9 +21,9 @@ def test_anomaly_map_equals_differentiable_map(sigma):
     cfg = FusionConfig(sigma=sigma)
     logits = _logits()
     amap = anomaly_map(logits, GRID, IMAGE, cfg)
-    graph = abnormal_probability_map(ag.Var(logits), GRID, IMAGE, cfg)
+    graph = abnormal_probability_map(ag.Var(logits[None]), GRID, IMAGE, cfg)
     assert isinstance(amap.scores, np.ndarray) and amap.scores.shape == IMAGE
-    np.testing.assert_array_equal(amap.scores, graph.data)
+    np.testing.assert_array_equal(amap.scores, graph.data[0])
     from_var = anomaly_map(ag.Var(logits), GRID, IMAGE, cfg)
     np.testing.assert_array_equal(from_var.scores, amap.scores)
 

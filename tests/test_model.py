@@ -9,7 +9,8 @@ an ``.npz`` file that round-trips bit-exactly and fails on any corruption with
 ``ArchiveError`` or ``WeightsError``. Every frozen and trainable tensor of
 five reference builds is bit-identical to a pinned digest. ``predict_batch``
 gives every image of any stack exactly its own ``predict``, and the feature
-cache evicts its least recently used image."""
+cache evicts its least recently used image. Below the public API every pass
+takes stacks only: a bare single image or token set is a ``UsageError``."""
 
 import hashlib
 import io
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 from sowa import autodiff as ag
 from sowa import fusion, numerics, prompts, training
 from sowa import model as smodel
-from sowa.adapter import project_tokens
+from sowa.adapter import project_tokens, window_partition
 from sowa.backbone import tensor_hash
 from sowa.config import PROMPT_KINDS, default_config
 from sowa.errors import ArchiveError, UsageError, WeightsError
@@ -128,10 +129,24 @@ def test_a_stack_with_a_non_finite_image_or_no_image_is_a_usage_error(tiny_model
         tiny_model.predict_batch(images[0])
 
 
+@pytest.mark.parametrize("call", ["forward", "frozen_forward", "attention", "window_partition"])
+def test_a_bare_single_input_below_the_public_api_is_a_usage_error(tiny_model, tiny_image, call):
+    w = tiny_model.backbone.stage_attention_weights(1)
+    tokens = np.zeros((tiny_model.backbone.config.tokens, w.w_v.shape[0]), np.float32)
+    calls = {
+        "forward": lambda: tiny_model.backbone.forward(tiny_image),
+        "frozen_forward": lambda: tiny_model.frozen_forward(tiny_image),
+        "attention": lambda: ag.attention(tokens, w.w_q, w.w_k, w.w_v, w.w_o, w.heads, "vv"),
+        "window_partition": lambda: window_partition(tokens, *tiny_model.grid, 2, 2),
+    }
+    with pytest.raises(UsageError, match="stack"):
+        calls[call]()
+
+
 def test_the_feature_cache_evicts_the_least_recently_used_image(tiny_corpus, monkeypatch):
     monkeypatch.setattr(smodel, "FEATURE_CACHE_LIMIT", 2)
     model = build_model(tiny_config())
-    a, b, c = (s.image for s in tiny_corpus.samples[:3])
+    a, b, c = (s.image[None] for s in tiny_corpus.samples[:3])
     first_b = model.frozen_forward(b, cache_key=1)
     first_a = model.frozen_forward(a, cache_key=0)
     assert model.frozen_forward(b, cache_key=1) is first_b  # b is now the most recent
@@ -281,15 +296,15 @@ def test_text_features_are_read_only_for_every_prompt_kind(prompt_kind, tmp_path
 def _pipeline_dtypes(model, sample):
     """Dtypes of the inference outputs and of the training graph's stages."""
     pred = model.predict(sample.image)
-    acts = model.frozen_forward(sample.image)
+    acts = model.frozen_forward(sample.image[None])
     cfg = model.config.fusion
     text = prompts.encode_prompts(model.prompt_pair, model.encoder)
-    stars = [project_tokens(a.weight, a.bias, x[None])
+    stars = [project_tokens(a.weight, a.bias, x)
              for a, x in zip(model.adapters, acts.adapter_inputs)]
     logits = fusion.fuse(stars, text, cfg)
     size = model.backbone.config.image_size
     pmap = fusion.abnormal_probability_map(logits, model.grid, (size, size), cfg)
-    score = fusion.image_score(acts.class_token[None], model.cls_proj, text)
+    score = fusion.image_score(acts.class_token, model.cls_proj, text)
     grads = batch_gradients(model, [sample])[2]
     dtypes = {
         "map": pred.anomaly_map.scores.dtype,

@@ -35,8 +35,8 @@ def test_template_text_is_the_encoding_of_the_two_sentences():
     model = build_model(tiny_config(prompt_kind="template"))
     encoder = model.encoder
     sentences = ("a photo of a normal object", "a photo of an abnormal object")
-    expected = np.concatenate([  # each sentence encodes to a (1, C_text) row
-        encoder.encode_sequence(np.stack([encoder.token_embedding(w) for w in text.split()]))
+    expected = np.concatenate([  # each sentence, a batch of one, encodes to a (1, C_text) row
+        encoder.encode_sequence(np.stack([encoder.token_embedding(w) for w in text.split()])[None])
         for text in sentences
     ])
     np.testing.assert_array_equal(model.text_features(), expected)
@@ -100,7 +100,7 @@ def test_one_batched_pass_equals_the_per_branch_encodings(prompt_kind, dtype):
     rows = []
     for branch, context in (("normal", pair.normal_context), ("abnormal", pair.abnormal_context)):
         tail = np.stack([encoder.token_embedding(branch), encoder.token_embedding("object")])
-        rows.append(encoder.encode_sequence(np.concatenate([context.data, tail])))
+        rows.append(encoder.encode_sequence(np.concatenate([context.data, tail])[None]))
     want = np.concatenate(rows)
     for got in (encode_prompts(pair, encoder), model.text_features()):
         got = got.data if ag.is_var(got) else got
