@@ -22,6 +22,12 @@ weights, never get a ``grad``. A node adopts its first gradient as its
 writes into the gradient it is given. So an intermediate's ``grad`` may share
 memory with other intermediates' grads. A leaf copies its first gradient and
 owns its ``grad``.
+
+The array branches of the composite formulas (``softmax_last``, ``gelu``,
+``layer_norm``, ``attention``) run the same operations in the same order as
+their ``Var`` branches, so the two give the same bits, but may compute in
+place to skip full-array temporaries: only on arrays they allocated
+themselves, never on an argument.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import numpy as np
 from .errors import UsageError
 
 ATTENTION_MODES = ("vv", "qkv")
+GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
 class Var:
@@ -369,8 +376,10 @@ def softmax_last(x):
         raise UsageError("softmax of an empty array is undefined")
     shift = np.max(data, axis=-1, keepdims=True)
     if not is_var(x):
-        e = np.exp(data - shift)
-        return e / np.sum(e, axis=-1, keepdims=True)
+        e = np.subtract(data, shift)
+        e = np.exp(e, out=e if e.dtype.kind == "f" else None)  # exp of integers is float
+        e /= np.sum(e, axis=-1, keepdims=True)
+        return e
     e = exp(add(x, -shift))
     return div(e, sum_(e, axis=-1, keepdims=True))
 
@@ -385,15 +394,46 @@ def l2_normalize_rows(x, eps: float = 1e-12):
     return div(x, maximum(norm, eps))
 
 
+def _writable(buf, *operands):
+    """``buf``, an array the caller allocated, as the ``out`` of a ufunc over
+    it and ``operands`` when the result has its dtype; else None, so that an
+    integer buffer given a float result, or a float32 one given a float64
+    operand, gets a fresh array as out of place."""
+    return buf if np.result_type(buf, *operands) == buf.dtype else None
+
+
 def gelu(x):
     """tanh-approximate GELU."""
-    c = float(np.sqrt(2.0 / np.pi))
-    inner = mul(add(x, mul(mul(mul(x, x), x), 0.044715)), c)
+    if not is_var(x):
+        x = np.asarray(x)
+        t = np.multiply(x, x, out=np.empty_like(x))
+        np.multiply(t, x, out=t)
+        t = np.multiply(t, 0.044715, out=_writable(t, 0.044715))
+        np.add(x, t, out=t)
+        np.multiply(t, GELU_C, out=t)
+        np.tanh(t, out=t)
+        np.add(t, 1.0, out=t)
+        np.multiply(x, t, out=t)
+        np.multiply(t, 0.5, out=t)
+        return t
+    inner = mul(add(x, mul(mul(mul(x, x), x), 0.044715)), GELU_C)
     return mul(mul(x, add(tanh(inner), 1.0)), 0.5)
 
 
 def layer_norm(x, scale, offset, eps: float = 1e-5):
-    """Row-wise layer normalization over the last axis."""
+    """Row-wise layer normalization over the last axis.
+
+    A mean is the sum times the reciprocal of the width, as ``mean`` of a
+    ``Var`` computes it, in both branches.
+    """
+    if not is_var(x):
+        x = np.asarray(x)
+        inv_width = 1.0 / float(x.shape[-1])
+        centered = np.subtract(x, np.sum(x, axis=-1, keepdims=True) * inv_width)
+        var = np.sum(centered * centered, axis=-1, keepdims=True) * inv_width
+        np.divide(centered, np.sqrt(var + eps), out=centered)
+        out = np.multiply(centered, scale, out=_writable(centered, scale, offset))
+        return np.add(out, offset, out=_writable(out, offset))
     mu = mean(x, axis=-1, keepdims=True)
     centered = add(x, mul(mu, -1.0))
     var = mean(mul(centered, centered), axis=-1, keepdims=True)
@@ -422,6 +462,10 @@ def attention(x, w_q, w_k, w_v, w_o, heads: int, mode: str):
 
     v = split(matmul(x, w_v))
     q, k = (v, v) if mode == "vv" else (split(matmul(x, w_q)), split(matmul(x, w_k)))
-    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), (c // heads) ** -0.5)
+    scores, scale = matmul(q, transpose(k, (0, 1, 3, 2))), (c // heads) ** -0.5
+    if is_var(scores):
+        scores = mul(scores, scale)
+    else:  # a fresh array
+        scores = np.multiply(scores, scale, out=_writable(scores, scale))
     ctx = transpose(matmul(softmax_last(scores), v), (0, 2, 1, 3))
     return matmul(reshape(ctx, shape), w_o)

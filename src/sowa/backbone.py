@@ -118,9 +118,18 @@ class Backbone:
         )
 
     def normalize_image(self, image: np.ndarray) -> np.ndarray:
-        mean = np.asarray(NORM_MEAN, dtype=image.dtype)
-        std = np.asarray(NORM_STD, dtype=image.dtype)
-        return (image - mean) / std
+        """``(image - NORM_MEAN) / NORM_STD`` per channel, in the image's dtype.
+
+        Each pixel row is one run of W·3 values against the constants tiled
+        along it: the same arithmetic, in one inner loop per row instead of
+        one per pixel, as a 3-long broadcast axis costs.
+        """
+        width = image.shape[-2]
+        mean = np.tile(np.asarray(NORM_MEAN, dtype=image.dtype), width)
+        std = np.tile(np.asarray(NORM_STD, dtype=image.dtype), width)
+        out = np.subtract(image.reshape(*image.shape[:-2], -1), mean)
+        out /= std
+        return out.reshape(image.shape)
 
     def forward(self, images) -> Tuple[List[np.ndarray], np.ndarray]:
         """Run the frozen stack on a (B, S, S, 3) stack of images, given as

@@ -21,7 +21,6 @@ width and output width are the only text settings here (``text_width``,
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -29,7 +28,7 @@ from .autodiff import ATTENTION_MODES
 from .backbone import BackboneConfig
 from .errors import ConfigError
 from .fusion import FusionConfig
-from .numerics import check_integer
+from .numerics import check_float, check_integer
 from .prompts import MAX_LEN, TEXT_HEADS
 
 ADAPTER_KINDS = ("fwa", "linear")
@@ -43,8 +42,7 @@ class OptimSection:
     batch_size: int = 8
 
     def __post_init__(self):
-        if not 0 < self.lr < math.inf:
-            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        check_float(self.lr, "lr", 0.0, error=ConfigError, low_open=True)
         check_integer(self.batch_size, "batch_size", 1, ConfigError)
 
 
@@ -86,8 +84,7 @@ class RunConfig:
         # context + branch anchor + "object"; a template's contexts are its 4 words
         if self.prompt_kind != "template" and self.prompt_length + 2 > MAX_LEN:
             raise ConfigError(f"prompt_length {self.prompt_length} + 2 anchors > max_len {MAX_LEN}")
-        if not 0.0 <= self.few_shot_beta <= 1.0:
-            raise ConfigError("few_shot_beta must lie in [0, 1]")
+        check_float(self.few_shot_beta, "few_shot_beta", 0.0, 1.0, ConfigError)
 
     def to_dict(self) -> Dict:
         def convert(obj):

@@ -36,10 +36,11 @@ class FusionConfig:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if len(self.alpha) != STAGES or not all(np.isfinite(self.alpha)):
-            raise ConfigError(f"alpha must be {STAGES} finite weights, got {self.alpha}")
-        if not 0 <= self.sigma < np.inf:
-            raise ConfigError(f"smoothing sigma must be finite and >= 0, got {self.sigma}")
+        if not isinstance(self.alpha, (tuple, list)) or len(self.alpha) != STAGES:
+            raise ConfigError(f"alpha must be {STAGES} finite weights, got {self.alpha!r}")
+        for i, weight in enumerate(self.alpha):
+            numerics.check_float(weight, f"alpha[{i}]", error=ConfigError)
+        numerics.check_float(self.sigma, "sigma", 0.0, error=ConfigError)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 
 import numpy as np
 
@@ -80,6 +81,20 @@ def check_integer(value, name: str, minimum: int = 0, error=UsageError) -> None:
     numpy's seeding takes it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_float(value, name: str, low: float = -math.inf, high: float = math.inf,
+                error=UsageError, low_open: bool = False) -> None:
+    """Raise ``error`` unless ``value`` is a finite real number (a Python or
+    numpy integer or float, not a bool) in [low, high], or in (low, high]
+    when ``low_open``; the float counterpart of ``check_integer``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or (isinstance(value, (float, np.floating)) and not math.isfinite(value))
+            or not (low < value if low_open else low <= value) or not value <= high):
+        left = "(" if low_open or low == -math.inf else "["
+        right = "]" if high < math.inf else ")"
+        raise error(f"{name} must be a finite number in {left}{low:g}, {high:g}{right}, "
+                    f"got {value!r}")
 
 
 def linear_resample_matrix(n_in: int, n_out: int) -> np.ndarray:

@@ -83,8 +83,7 @@ class PatternSpec:
             raise ConfigError(f"kind must be one of {KINDS + ('mixed',)}, got {self.kind!r}")
         for name, minimum in (("seed", 0), ("octaves", 1), ("base_cells", 2)):
             numerics.check_integer(getattr(self, name), name, minimum, ConfigError)
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise ConfigError("amplitude must lie in [0, 1]")
+        numerics.check_float(self.amplitude, "amplitude", 0.0, 1.0, ConfigError)
 
 
 def _sample_rng(spec: PatternSpec, index: int, stream: int = 0) -> np.random.Generator:

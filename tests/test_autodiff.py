@@ -200,6 +200,73 @@ def test_numpy_branch_matches_var_branch():
     np.testing.assert_allclose(ag.l2_normalize_rows(x), var_norm, atol=1e-12)
 
 
+def _read_only(rng, shape, dtype, scale=1.0):
+    arr = (rng.normal(size=shape) * scale).astype(dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def _composite_ops(rng, dtype, width):
+    """(name, op, inputs) for each composite formula with an array branch of its own."""
+    mats = [_read_only(rng, (width, width), dtype, width**-0.5) for _ in range(4)]
+    return [
+        ("softmax_last", ag.softmax_last, [_read_only(rng, (3, 7, width), dtype, 4.0)]),
+        ("gelu", ag.gelu, [_read_only(rng, (5, width), dtype, 3.0)]),
+        ("layer_norm", ag.layer_norm, [_read_only(rng, (5, width), dtype, 2.0),
+                                       _read_only(rng, (width,), dtype),
+                                       _read_only(rng, (width,), dtype)]),
+        ("attention_vv", lambda x, *w: ag.attention(x, *w, 4, "vv"),
+         [_read_only(rng, (2, 9, width), dtype)] + mats),
+        ("attention_qkv", lambda x, *w: ag.attention(x, *w, 4, "qkv"),
+         [_read_only(rng, (2, 9, width), dtype)] + mats),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [48, 64])
+def test_array_branches_equal_their_var_branches_bit_for_bit(dtype, width):
+    # a width of 48 has no exact reciprocal, so a mean must be the Var branch's sum * (1 / width)
+    for name, op, inputs in _composite_ops(np.random.default_rng(width), dtype, width):
+        plain = op(*inputs)
+        graph = op(ag.Var(inputs[0], requires_grad=True), *inputs[1:])
+        assert isinstance(plain, np.ndarray) and plain.dtype == dtype, name
+        np.testing.assert_allclose(plain, graph.data, rtol=0, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_array_branches_never_write_into_their_inputs(dtype):
+    # every input is read-only, so a write into one would raise
+    for name, op, inputs in _composite_ops(np.random.default_rng(5), dtype, 16):
+        before = [arr.tobytes() for arr in inputs]
+        out = op(*inputs)
+        assert all(out is not arr and not np.shares_memory(out, arr) for arr in inputs), name
+        assert [arr.tobytes() for arr in inputs] == before, name
+
+
+def test_integer_input_keeps_its_float64_result():
+    row = np.array([[1, 2, 4, 7]])
+    as_float = row.astype(np.float64)
+    for name, out, expected in [
+        ("softmax_last", ag.softmax_last(np.array([1, 2])), ag.softmax_last(np.array([1.0, 2.0]))),
+        ("gelu", ag.gelu(np.array([1, 2])), ag.gelu(np.array([1.0, 2.0]))),
+        ("layer_norm", ag.layer_norm(row, np.ones(4), np.zeros(4)),
+         ag.layer_norm(as_float, np.ones(4), np.zeros(4))),
+        ("layer_norm, integer weights", ag.layer_norm(row, np.ones(4, int), np.zeros(4, int)),
+         ag.layer_norm(as_float, np.ones(4), np.zeros(4))),
+    ]:
+        assert out.dtype == np.float64, name
+        np.testing.assert_array_equal(out, expected, err_msg=name)
+
+
+def test_float32_input_with_float64_weights_promotes_as_out_of_place():
+    x = np.random.default_rng(6).normal(size=(3, 8)).astype(np.float32)
+    scale, offset = np.full(8, 1.5), np.full(8, 0.25)
+    out = ag.layer_norm(x, scale, offset)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, ag.layer_norm(x, np.ones(8, np.float32),
+                                                     np.zeros(8, np.float32)) * scale + offset)
+
+
 def test_backward_requires_scalar():
     x = ag.Var(np.ones(3), requires_grad=True)
     with pytest.raises(UsageError):

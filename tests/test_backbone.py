@@ -3,7 +3,7 @@ import pytest
 
 from sowa import autodiff as ag
 from sowa import numerics
-from sowa.backbone import BackboneConfig, init_synthetic, tensor_hash
+from sowa.backbone import NORM_MEAN, NORM_STD, BackboneConfig, init_synthetic, tensor_hash
 from sowa.errors import ConfigError, UsageError
 
 CFG = BackboneConfig(image_size=32, patch_size=8, channels=32, heads=4)
@@ -106,6 +106,26 @@ class TestForward:
         scores = np.einsum("ihd,jhd->hij", q, k) / np.sqrt(dh)
         attn = ag.softmax_last(scores)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
+
+
+class TestNormalizeImage:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count, size", [(3, 64), (2, 224), (1, 30)])
+    def test_equals_the_per_channel_formula_bit_for_bit(self, backbone, count, size, dtype):
+        images = np.random.default_rng(size).uniform(size=(count, size, size, 3)).astype(dtype)
+        images.setflags(write=False)
+        before = images.tobytes()
+        out = backbone.normalize_image(images)
+        mean = np.asarray(NORM_MEAN, dtype=dtype)
+        std = np.asarray(NORM_STD, dtype=dtype)
+        assert out.dtype == dtype and out.shape == images.shape
+        np.testing.assert_array_equal(out, (images - mean) / std)
+        assert images.tobytes() == before
+
+    def test_a_non_contiguous_stack(self, backbone):
+        images = np.random.default_rng(0).uniform(size=(4, 32, 32, 3)).astype(np.float32)[::2]
+        expected = (images - np.float32(0.5)) / np.float32(0.25)
+        np.testing.assert_array_equal(backbone.normalize_image(images), expected)
 
 
 class TestStageWeights:

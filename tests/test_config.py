@@ -68,6 +68,10 @@ def test_window_that_does_not_tile_the_grid_is_a_config_error():
         lambda: RunConfig(image_score_mode="mean_map"),
         lambda: RunConfig(c_text=1),
         lambda: RunConfig(prompt_length=0),
+        lambda: FusionConfig(alpha=1.0),
+        lambda: FusionConfig(alpha=None),
+        lambda: FusionConfig(alpha="abcd"),
+        lambda: FusionConfig(alpha=(1.0,) * 5),
     ],
 )
 def test_invalid_config_object_rejected_on_construction(make):
@@ -124,6 +128,26 @@ def test_an_integer_field_that_is_not_an_integer_in_range_is_a_config_error(fiel
             PatternSpec(**{name: value})
         else:
             default_config(**({section: {name: value}} if section else {name: value}))
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: OptimSection(lr=v), "lr"),
+    (lambda v: FusionConfig(sigma=v), "sigma"),
+    (lambda v: FusionConfig(alpha=(1.0, 1.0, v, 1.0)), r"alpha\[2\]"),
+    (lambda v: RunConfig(few_shot_beta=v), "few_shot_beta"),
+    (lambda v: PatternSpec(amplitude=v), "amplitude"),
+])
+@pytest.mark.parametrize("value", ["0.1", None, True, np.bool_(True), float("inf"), [0.5]])
+def test_a_float_field_that_is_not_a_finite_number_is_a_config_error(make, name, value):
+    with pytest.raises(ConfigError, match=name):
+        make(value)
+
+
+def test_float_fields_take_integers_and_numpy_floats():
+    assert OptimSection(lr=1).lr == 1
+    assert RunConfig(few_shot_beta=np.float32(0.25)).few_shot_beta == 0.25
+    assert FusionConfig(alpha=(1, np.float64(0.5), 2.0, -1.0), sigma=np.int64(2)).sigma == 2
+    assert PatternSpec(amplitude=0).amplitude == 0
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])

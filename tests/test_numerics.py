@@ -297,3 +297,20 @@ class TestPrecisionMode:
         with pytest.raises(UsageError):
             numerics.set_default_dtype("int32")
 
+
+class TestCheckFloat:
+    @pytest.mark.parametrize("value", [0.5, 0, 1, np.float32(0.25), np.int8(1)])
+    def test_accepts_a_finite_real_in_range(self, value):
+        numerics.check_float(value, "x", 0.0, 1.0)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), np.float64("inf"), True,
+                                       np.bool_(False), "0.5", None, 1j, [0.5]])
+    def test_rejects_anything_else(self, value):
+        with pytest.raises(UsageError, match=r"x must be a finite number in \[0, 1\]"):
+            numerics.check_float(value, "x", 0.0, 1.0)
+
+    def test_open_lower_bound_and_error_class(self):
+        numerics.check_float(1e-300, "lr", 0.0, low_open=True)
+        with pytest.raises(ValueError, match=r"lr must be a finite number in \(0, inf\)"):
+            numerics.check_float(0.0, "lr", 0.0, error=ValueError, low_open=True)
+        numerics.check_float(10**400, "big")  # an int is finite whatever its size
