@@ -14,14 +14,17 @@ arrays and runs plain numpy with no graph at all. A Python scalar operand
 takes the other operand's dtype in both modes, as NumPy's weak scalars do,
 so float32 inputs give a float32 graph and float32 outputs.
 
-Backward pays only for gradients that reach a tracked Var (one that requires
-gradients, directly or through its parents): a closure computes a parent's
-gradient only when that parent is tracked, so constants, such as frozen
-weights, never get a ``grad``. A node adopts its first gradient as its
-``grad``, cast to its dtype, and adds later ones out of place. No closure
-writes into the gradient it is given. So an intermediate's ``grad`` may share
-memory with other intermediates' grads. A leaf copies its first gradient and
-owns its ``grad``.
+Every primitive but the n-ary ``concat`` is its numpy forward and one
+gradient rule per operand, a module-level function, dispatched by one rule
+(``_unary``, ``_binary``): arrays give the forward's result; with a ``Var``
+operand, one node whose backward sends each tracked operand (one that
+requires gradients, directly or through its parents) its rule's gradient,
+summed over the axes it was broadcast along. So a node costs one closure,
+and constants, such as frozen weights, never get a ``grad``. A node adopts
+its first gradient as its ``grad``, cast to its dtype, and adds later ones
+out of place. No rule writes into the gradient it is given, so an
+intermediate's ``grad`` may share memory with other intermediates' grads. A
+leaf copies its first gradient and owns its ``grad``.
 
 The array branches of the composite formulas (``softmax_last``, ``gelu``,
 ``layer_norm``, ``attention``) run the same operations in the same order as
@@ -111,10 +114,6 @@ def is_var(x) -> bool:
     return isinstance(x, Var)
 
 
-def _any_var(*xs) -> bool:
-    return any(isinstance(x, Var) for x in xs)
-
-
 def _lift(x, like=None) -> Var:
     """``x`` as a graph constant; a Python scalar takes the dtype of ``like``."""
     if isinstance(x, Var):
@@ -147,198 +146,134 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def add(a, b):
-    if not _any_var(a, b):
-        return np.add(a, b)
+def _unary(forward, grad, x, *args):
+    """Dispatch ``forward(x, *args)``; the rule is ``grad(g, x, out, *args)`` on data."""
+    if not isinstance(x, Var):
+        return forward(x, *args)
+    data = forward(x.data, *args)
+    return _node(data, (x,), lambda g: x._accumulate(grad(g, x.data, data, *args)))
+
+
+def _binary(forward, grad_a, grad_b, a, b):
+    """Dispatch ``forward(a, b)``; each rule is ``grad(g, a, b)`` on the operands' data."""
+    if not (isinstance(a, Var) or isinstance(b, Var)):
+        return forward(a, b)
     a, b = _lift(a, b), _lift(b, a)
-    data = a.data + b.data
+    data = forward(a.data, b.data)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        for operand, grad in ((a, grad_a), (b, grad_b)):
+            if operand.requires_grad:
+                operand._accumulate(_unbroadcast(grad(g, a.data, b.data), operand.data.shape))
 
     return _node(data, (a, b), backward)
+
+
+_grad_through = lambda g, a, b: g
+_grad_mul_a = lambda g, a, b: g * b
+_grad_mul_b = lambda g, a, b: g * a
+_grad_div_a = lambda g, a, b: g / b
+_grad_div_b = lambda g, a, b: -g * a / (b * b)
+_grad_matmul_a = lambda g, a, b: g @ np.swapaxes(b, -1, -2)
+_grad_matmul_b = lambda g, a, b: np.swapaxes(a, -1, -2) @ g
+_grad_exp = lambda g, x, out: g * out
+_grad_log = lambda g, x, out: g / x
+_grad_sqrt = lambda g, x, out: g * 0.5 / out
+_grad_tanh = lambda g, x, out: g * (1.0 - out * out)
+_power = lambda x, p: np.asarray(x) ** p
+_grad_power = lambda g, x, out, p: g * p * x ** (p - 1)
+_grad_clip = lambda g, x, out, lo, hi: g * ((x >= lo) & (x <= hi))
+_grad_maximum = lambda g, x, out, threshold: g * (x > threshold)
+_sum = lambda x, axis, keepdims: np.sum(x, axis=axis, keepdims=keepdims)
+_grad_reshape = lambda g, x, out, shape: g.reshape(x.shape)
+_grad_transpose = lambda g, x, out, axes: np.transpose(g, np.argsort(axes))
+_take = lambda x, key: np.asarray(x)[key]
+
+
+def _grad_sum(g, x, out, axis, keepdims):
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, x.shape).copy()
+
+
+def _grad_take(g, x, out, key):
+    full = np.zeros_like(x)
+    np.add.at(full, key, g)
+    return full
+
+
+def add(a, b):
+    return _binary(np.add, _grad_through, _grad_through, a, b)
 
 
 def mul(a, b):
-    if not _any_var(a, b):
-        return np.multiply(a, b)
-    a, b = _lift(a, b), _lift(b, a)
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _node(data, (a, b), backward)
+    return _binary(np.multiply, _grad_mul_a, _grad_mul_b, a, b)
 
 
 def div(a, b):
-    if not _any_var(a, b):
-        return np.divide(a, b)
-    a, b = _lift(a, b), _lift(b, a)
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(data, (a, b), backward)
+    return _binary(np.divide, _grad_div_a, _grad_div_b, a, b)
 
 
 def matmul(a, b):
-    if not _any_var(a, b):
-        return np.matmul(a, b)
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise UsageError(f"matmul of Vars needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-
-    return _node(data, (a, b), backward)
+    if is_var(a) or is_var(b):
+        a, b = _lift(a, b), _lift(b, a)
+        if a.data.ndim < 2 or b.data.ndim < 2:
+            raise UsageError(f"matmul of Vars needs rank >= 2 operands, got {a.shape} and {b.shape}")
+    return _binary(np.matmul, _grad_matmul_a, _grad_matmul_b, a, b)
 
 
 def exp(x):
-    if not is_var(x):
-        return np.exp(x)
-    data = np.exp(x.data)
-
-    def backward(g):
-        x._accumulate(g * data)
-
-    return _node(data, (x,), backward)
+    return _unary(np.exp, _grad_exp, x)
 
 
 def log(x):
-    if not is_var(x):
-        return np.log(x)
-    data = np.log(x.data)
-
-    def backward(g):
-        x._accumulate(g / x.data)
-
-    return _node(data, (x,), backward)
+    return _unary(np.log, _grad_log, x)
 
 
 def sqrt(x):
-    if not is_var(x):
-        return np.sqrt(x)
-    data = np.sqrt(x.data)
-
-    def backward(g):
-        x._accumulate(g * 0.5 / data)
-
-    return _node(data, (x,), backward)
+    return _unary(np.sqrt, _grad_sqrt, x)
 
 
 def tanh(x):
-    if not is_var(x):
-        return np.tanh(x)
-    data = np.tanh(x.data)
-
-    def backward(g):
-        x._accumulate(g * (1.0 - data * data))
-
-    return _node(data, (x,), backward)
+    return _unary(np.tanh, _grad_tanh, x)
 
 
 def power(x, p: float):
     """x ** p for a constant exponent."""
-    if not is_var(x):
-        return np.asarray(x) ** p
-    data = x.data**p
-
-    def backward(g):
-        x._accumulate(g * p * x.data ** (p - 1))
-
-    return _node(data, (x,), backward)
+    return _unary(_power, _grad_power, x, p)
 
 
 def clip(x, lo: float, hi: float):
     """Clamp with straight-through gradient inside [lo, hi], zero outside."""
-    if not is_var(x):
-        return np.clip(x, lo, hi)
-    data = np.clip(x.data, lo, hi)
-    mask = (x.data >= lo) & (x.data <= hi)
-
-    def backward(g):
-        x._accumulate(g * mask)
-
-    return _node(data, (x,), backward)
+    return _unary(np.clip, _grad_clip, x, lo, hi)
 
 
 def maximum(x, threshold: float):
     """max(x, threshold) against a scalar; gradient flows where x > threshold."""
-    if not is_var(x):
-        return np.maximum(x, threshold)
-    data = np.maximum(x.data, threshold)
-    mask = x.data > threshold
-
-    def backward(g):
-        x._accumulate(g * mask)
-
-    return _node(data, (x,), backward)
+    return _unary(np.maximum, _grad_maximum, x, threshold)
 
 
 def sum_(x, axis=None, keepdims: bool = False):
-    if not is_var(x):
-        return np.sum(x, axis=axis, keepdims=keepdims)
-    data = np.sum(x.data, axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, axes)
-        x._accumulate(np.broadcast_to(g, x.data.shape).copy())
-
-    return _node(data, (x,), backward)
+    return _unary(_sum, _grad_sum, x, axis, keepdims)
 
 
 def mean(x, axis=None, keepdims: bool = False):
-    if not is_var(x):
-        return np.mean(x, axis=axis, keepdims=keepdims)
-    size = x.data.size if axis is None else np.prod(
-        [x.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / float(size))
+    """The sum times the reciprocal of the count, for arrays and Vars alike."""
+    shape = x.shape if is_var(x) else np.shape(x)
+    count = np.prod(shape if axis is None else np.take(shape, axis))
+    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / float(count))
 
 
 def reshape(x, shape):
-    if not is_var(x):
-        return np.reshape(x, shape)
-    data = x.data.reshape(shape)
-
-    def backward(g):
-        x._accumulate(g.reshape(x.data.shape))
-
-    return _node(data, (x,), backward)
+    return _unary(np.reshape, _grad_reshape, x, shape)
 
 
 def transpose(x, axes):
-    if not is_var(x):
-        return np.transpose(x, axes)
-    data = np.transpose(x.data, axes)
-    inverse = np.argsort(axes)
-
-    def backward(g):
-        x._accumulate(np.transpose(g, inverse))
-
-    return _node(data, (x,), backward)
+    return _unary(np.transpose, _grad_transpose, x, axes)
 
 
 def concat(parts, axis: int = 0):
-    if not _any_var(*parts):
+    if not any(is_var(p) for p in parts):
         return np.concatenate(parts, axis=axis)
     parts = [_lift(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
@@ -353,16 +288,7 @@ def concat(parts, axis: int = 0):
 
 
 def take(x, key):
-    if not is_var(x):
-        return np.asarray(x)[key]
-    data = x.data[key]
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, key, g)
-        x._accumulate(full)
-
-    return _node(data, (x,), backward)
+    return _unary(_take, _grad_take, x, key)
 
 
 def softmax_last(x):
@@ -421,16 +347,10 @@ def gelu(x):
 
 
 def layer_norm(x, scale, offset, eps: float = 1e-5):
-    """Row-wise layer normalization over the last axis.
-
-    A mean is the sum times the reciprocal of the width, as ``mean`` of a
-    ``Var`` computes it, in both branches.
-    """
+    """Row-wise layer normalization over the last axis."""
     if not is_var(x):
-        x = np.asarray(x)
-        inv_width = 1.0 / float(x.shape[-1])
-        centered = np.subtract(x, np.sum(x, axis=-1, keepdims=True) * inv_width)
-        var = np.sum(centered * centered, axis=-1, keepdims=True) * inv_width
+        centered = np.subtract(x, mean(x, axis=-1, keepdims=True))
+        var = mean(centered * centered, axis=-1, keepdims=True)
         np.divide(centered, np.sqrt(var + eps), out=centered)
         out = np.multiply(centered, scale, out=_writable(centered, scale, offset))
         return np.add(out, offset, out=_writable(out, offset))

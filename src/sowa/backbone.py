@@ -118,12 +118,15 @@ class Backbone:
         )
 
     def normalize_image(self, image: np.ndarray) -> np.ndarray:
-        """``(image - NORM_MEAN) / NORM_STD`` per channel, in the image's dtype.
+        """``(image - NORM_MEAN) / NORM_STD`` per channel, in the image's dtype
+        if it is a float one and in the default float dtype otherwise.
 
         Each pixel row is one run of W·3 values against the constants tiled
         along it: the same arithmetic, in one inner loop per row instead of
         one per pixel, as a 3-long broadcast axis costs.
         """
+        if image.dtype.kind != "f":
+            image = image.astype(numerics.default_dtype())
         width = image.shape[-2]
         mean = np.tile(np.asarray(NORM_MEAN, dtype=image.dtype), width)
         std = np.tile(np.asarray(NORM_STD, dtype=image.dtype), width)

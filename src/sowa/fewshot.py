@@ -56,15 +56,18 @@ def build_memory_bank(
     """Stack per-image stage features (each STAGES x (L, C)) into one bank.
 
     Duplicate references are kept as-is; the bank is content-transparent.
+    ``image_ids``, when given, names each reference, one id per image.
     """
     refs = list(reference_features)
     if not refs:
         raise UsageError("memory bank needs at least one reference image")
+    ids = list(image_ids) if image_ids is not None else [str(i) for i in range(len(refs))]
+    if len(ids) != len(refs):
+        raise UsageError(f"{len(ids)} image ids for {len(refs)} reference images")
     stages = []
     for level in range(STAGES):
         blocks = [np.asarray(r[level]) for r in refs]
         stages.append(np.concatenate(blocks, axis=0).copy())
-    ids = list(image_ids) if image_ids is not None else [str(i) for i in range(len(refs))]
     return MemoryBank(stages=stages, image_ids=ids)
 
 

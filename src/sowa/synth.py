@@ -27,6 +27,7 @@ from . import numerics
 from .errors import ConfigError, DataError, UsageError
 
 KINDS = ("point", "line", "plane", "motley")
+SPLITS = ("train", "test")
 
 # (min_fraction, max_fraction) of anomalous pixels per pattern family
 AREA_BOUNDS: Dict[str, Tuple[float, float]] = {
@@ -65,8 +66,11 @@ class Dataset:
     samples: List[Sample]
 
     def split(self, name: str) -> List[Sample]:
+        """The samples of split ``name``: ``"train"``, ``"test"`` or ``"all"``."""
         if name == "all":
             return list(self.samples)
+        if name not in SPLITS:
+            raise UsageError(f"split must be one of {SPLITS + ('all',)}, got {name!r}")
         return [s for s in self.samples if s.split == name]
 
 

@@ -206,13 +206,46 @@ def _read_only(rng, shape, dtype, scale=1.0):
     return arr
 
 
-def _composite_ops(rng, dtype, width):
-    """(name, op, inputs) for each composite formula with an array branch of its own."""
+def _positive(rng, shape, dtype):
+    arr = rng.uniform(0.5, 2.0, size=shape).astype(dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+# return a view of their input, as numpy's reshape and transpose do
+_VIEW_OPS = ("reshape", "transpose")
+
+
+def _every_op(rng, dtype, width):
+    """(name, op, inputs) for every primitive and every composite formula;
+    inputs are read-only, and positive where the op needs it."""
     mats = [_read_only(rng, (width, width), dtype, width**-0.5) for _ in range(4)]
+
+    def rows(scale=1.0):
+        return _read_only(rng, (5, width), dtype, scale)
+
     return [
+        ("add", ag.add, [rows(), _read_only(rng, (width,), dtype)]),
+        ("mul", ag.mul, [rows(), _read_only(rng, (width,), dtype)]),
+        ("div", ag.div, [rows(), _positive(rng, (width,), dtype)]),
+        ("matmul", ag.matmul, [rows(), mats[0]]),
+        ("exp", ag.exp, [rows(2.0)]),
+        ("log", ag.log, [_positive(rng, (5, width), dtype)]),
+        ("sqrt", ag.sqrt, [_positive(rng, (5, width), dtype)]),
+        ("tanh", ag.tanh, [rows(2.0)]),
+        ("power", lambda x: ag.power(x, 1.7), [_positive(rng, (5, width), dtype)]),
+        ("clip", lambda x: ag.clip(x, -0.5, 0.5), [rows()]),
+        ("maximum", lambda x: ag.maximum(x, 0.0), [rows()]),
+        ("sum_", lambda x: ag.sum_(x, axis=-1), [rows()]),
+        ("mean", lambda x: ag.mean(x, axis=-1), [rows()]),
+        ("reshape", lambda x: ag.reshape(x, (width, 5)), [rows()]),
+        ("transpose", lambda x: ag.transpose(x, (1, 0)), [rows()]),
+        ("take", lambda x: ag.take(x, (slice(None), [0, 2, 2])), [rows()]),
+        ("concat", lambda a, b: ag.concat([a, b], axis=0), [rows(), rows()]),
+        ("l2_normalize_rows", ag.l2_normalize_rows, [rows()]),
         ("softmax_last", ag.softmax_last, [_read_only(rng, (3, 7, width), dtype, 4.0)]),
-        ("gelu", ag.gelu, [_read_only(rng, (5, width), dtype, 3.0)]),
-        ("layer_norm", ag.layer_norm, [_read_only(rng, (5, width), dtype, 2.0),
+        ("gelu", ag.gelu, [rows(3.0)]),
+        ("layer_norm", ag.layer_norm, [rows(2.0),
                                        _read_only(rng, (width,), dtype),
                                        _read_only(rng, (width,), dtype)]),
         ("attention_vv", lambda x, *w: ag.attention(x, *w, 4, "vv"),
@@ -225,8 +258,8 @@ def _composite_ops(rng, dtype, width):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("width", [48, 64])
 def test_array_branches_equal_their_var_branches_bit_for_bit(dtype, width):
-    # a width of 48 has no exact reciprocal, so a mean must be the Var branch's sum * (1 / width)
-    for name, op, inputs in _composite_ops(np.random.default_rng(width), dtype, width):
+    # a width of 48 has no exact reciprocal, so a mean must be the sum * (1 / width) in both
+    for name, op, inputs in _every_op(np.random.default_rng(width), dtype, width):
         plain = op(*inputs)
         graph = op(ag.Var(inputs[0], requires_grad=True), *inputs[1:])
         assert isinstance(plain, np.ndarray) and plain.dtype == dtype, name
@@ -236,10 +269,12 @@ def test_array_branches_equal_their_var_branches_bit_for_bit(dtype, width):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_array_branches_never_write_into_their_inputs(dtype):
     # every input is read-only, so a write into one would raise
-    for name, op, inputs in _composite_ops(np.random.default_rng(5), dtype, 16):
+    for name, op, inputs in _every_op(np.random.default_rng(5), dtype, 16):
         before = [arr.tobytes() for arr in inputs]
         out = op(*inputs)
-        assert all(out is not arr and not np.shares_memory(out, arr) for arr in inputs), name
+        assert all(out is not arr for arr in inputs), name
+        if name not in _VIEW_OPS:
+            assert not any(np.shares_memory(out, arr) for arr in inputs), name
         assert [arr.tobytes() for arr in inputs] == before, name
 
 

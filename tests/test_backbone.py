@@ -127,6 +127,12 @@ class TestNormalizeImage:
         expected = (images - np.float32(0.5)) / np.float32(0.25)
         np.testing.assert_array_equal(backbone.normalize_image(images), expected)
 
+    def test_an_integer_stack_normalises_as_its_default_float_cast(self, backbone):
+        images = np.random.default_rng(1).integers(0, 256, size=(1, 32, 32, 3), dtype=np.uint8)
+        out = backbone.normalize_image(images)
+        assert out.dtype == numerics.default_dtype() == np.float32
+        np.testing.assert_array_equal(out, backbone.normalize_image(images.astype(np.float32)))
+
 
 class TestStageWeights:
     def test_aliases_last_block_of_stage(self, backbone):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sowa import numerics
+from sowa.errors import UsageError
 from sowa.fewshot import build_memory_bank, combine_maps, few_shot_map
 from sowa.fusion import AnomalyMap
 
@@ -43,6 +44,14 @@ def test_level_maps_equal_brute_force_min_cosine_distance(rng):
     np.testing.assert_allclose(fmap.level_maps, expected, rtol=0, atol=1e-5)
     np.testing.assert_allclose(
         fmap.few, numerics.bilinear_upsample(fmap.level_maps.sum(axis=0), *DIMS), rtol=0, atol=1e-6)
+
+
+def test_image_ids_name_each_reference_or_raise(rng):
+    refs = [[_unit_rows(rng, 4) for _ in range(4)] for _ in range(4)]
+    assert build_memory_bank(refs, image_ids="abcd").image_ids == list("abcd")
+    for ids in (["only-one"], list("abcde")):
+        with pytest.raises(UsageError, match="image ids"):
+            build_memory_bank(refs, image_ids=ids)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])

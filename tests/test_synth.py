@@ -87,6 +87,11 @@ def test_split_partitions_the_samples(corpora):
     assert all(s.label == -1 for s in train)
 
 
+def test_an_unknown_split_name_raises(corpora):
+    with pytest.raises(UsageError, match="'train', 'test', 'all'"):
+        corpora[("mixed", 32, 0)].split("tset")
+
+
 def _sample(**overrides):
     fields = dict(image=np.zeros((4, 4, 3), dtype=np.float32), label=-1,
                   mask=np.full((4, 4), -1, dtype=np.int8), category="c", split="test",
