@@ -258,9 +258,12 @@ def sum_(x, axis=None, keepdims: bool = False):
 
 
 def mean(x, axis=None, keepdims: bool = False):
-    """The sum times the reciprocal of the count, for arrays and Vars alike."""
+    """The sum times the reciprocal of the count, for arrays and Vars alike.
+    Empty input is rejected."""
     shape = x.shape if is_var(x) else np.shape(x)
     count = np.prod(shape if axis is None else np.take(shape, axis))
+    if count == 0:
+        raise UsageError(f"mean over no elements (shape {shape}, axis {axis}) is undefined")
     return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / float(count))
 
 

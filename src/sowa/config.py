@@ -1,33 +1,35 @@
 """Run configuration: one document for a whole run.
 
-Every config object, here and in the modules that own a section
-(``BackboneConfig``, ``FusionConfig``), is a frozen dataclass that checks
-itself on construction and raises ``ConfigError``, so an object that exists
-is valid and no function checks it again. ``to_dict`` and
-``config_from_dict`` convert to and from nested plain dicts mirroring the
-dataclass layout below; unknown keys are rejected so typos fail loudly.
+Every config object, here and in ``backbone`` (``BackboneConfig``), is a
+frozen dataclass that checks itself on construction and raises
+``ConfigError``, so an object that exists is valid and no function checks it
+again. ``to_dict`` and ``config_from_dict`` convert to and from nested plain
+dicts mirroring the dataclass layout below; unknown keys are rejected so
+typos fail loudly.
 
 Only what a run can vary is a field. The fixed settings are module
 constants: the MLP ratio and input normalisation in ``backbone``; the text
 encoder's heads, blocks and maximum length in ``prompts``, where the text
 width and output width are the only text settings here (``text_width``,
 ``c_text``); the fusion and class-score temperatures in ``fusion``
-(``TAU``, ``TAU_CLS``); and the loss (equal dice, focal and BCE weights,
-``FOCAL_GAMMA``, ``FOCAL_ALPHA``, ``DICE_EPS``) and Adam's ``BETA1``,
-``BETA2`` and ``EPS`` in ``training``. Every tensor is drawn from the run's
-``seed`` by the one init rule, ``backbone.seeded_weights``.
+(``TAU``, ``TAU_CLS``), whose one run setting is ``stage_weights``, one
+weight per ``backbone.STAGES``; and the loss (equal dice, focal and BCE
+weights, ``FOCAL_GAMMA``, ``FOCAL_ALPHA``, ``DICE_EPS``) and Adam's
+``BETA1``, ``BETA2`` and ``EPS`` in ``training``. Every tensor is drawn from
+the run's ``seed`` by the one init rule, ``backbone.seeded_weights``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
+
+import numpy as np
 
 from .autodiff import ATTENTION_MODES
-from .backbone import BackboneConfig
+from .backbone import STAGES, BackboneConfig
 from .errors import ConfigError
-from .fusion import FusionConfig
 from .numerics import check_float, check_integer
 from .prompts import MAX_LEN, TEXT_HEADS
 
@@ -58,8 +60,8 @@ class RunConfig:
     text_width: int = 32
     image_score_mode: str = "max_map"
     few_shot_beta: float = 0.5
+    stage_weights: Tuple[float, ...] = (1.0,) * STAGES  # alpha_i of ``fusion.fuse``
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    fusion: FusionConfig = field(default_factory=FusionConfig)
     optim: OptimSection = field(default_factory=OptimSection)
 
     def __post_init__(self):
@@ -85,6 +87,12 @@ class RunConfig:
         if self.prompt_kind != "template" and self.prompt_length + 2 > MAX_LEN:
             raise ConfigError(f"prompt_length {self.prompt_length} + 2 anchors > max_len {MAX_LEN}")
         check_float(self.few_shot_beta, "few_shot_beta", 0.0, 1.0, ConfigError)
+        weights = tuple(self.stage_weights) if np.iterable(self.stage_weights) else ()
+        if len(weights) != STAGES:
+            raise ConfigError(f"stage_weights must be {STAGES} numbers, got {self.stage_weights!r}")
+        for i, weight in enumerate(weights):
+            check_float(weight, f"stage_weights[{i}]", error=ConfigError)
+        object.__setattr__(self, "stage_weights", weights)  # a tuple, so the config hashes
 
     def to_dict(self) -> Dict:
         def convert(obj):
@@ -99,7 +107,6 @@ class RunConfig:
 
 _SECTION_TYPES = {
     "backbone": BackboneConfig,
-    "fusion": FusionConfig,
     "optim": OptimSection,
 }
 

@@ -117,8 +117,7 @@ def combine_maps(zero_map: AnomalyMap, few: FewShotMap, beta: float = 0.5) -> An
     level at distance 1 under non-negative similarities) and clipped into
     [0, 1] before blending.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise UsageError(f"beta must be in [0, 1], got {beta}")
+    numerics.check_float(beta, "beta", 0, 1)
     if zero_map.scores.shape != few.few.shape:
         raise UsageError(
             f"map dims differ: zero {zero_map.scores.shape} vs few {few.few.shape}"

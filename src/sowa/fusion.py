@@ -2,16 +2,16 @@
 
 Stage similarity logits are summed with per-stage weights first and the
 per-token two-way softmax is applied after the sum; the abnormal channel is
-then upsampled to pixel resolution (and optionally blurred) to form the
-anomaly map. The image-level score comes from the class token through a
-frozen projection against the same text rows.
+then upsampled to pixel resolution to form the anomaly map. The image-level
+score comes from the class token through a frozen projection against the
+same text rows.
 
 ``fuse``, ``abnormal_probability_map`` and ``image_score`` take stacks only;
 ``anomaly_map`` takes one image's (L, 2) logits, as a stack of one.
 
 The two softmax temperatures are constants, ``TAU`` for the stage logits and
-``TAU_CLS`` for the class score; ``FusionConfig`` holds what a run varies,
-the stage weights and the map's blur.
+``TAU_CLS`` for the class score; the stage weights are the run's
+``RunConfig.stage_weights``.
 """
 
 from __future__ import annotations
@@ -24,23 +24,10 @@ import numpy as np
 from . import autodiff as ag
 from . import numerics
 from .backbone import STAGES
-from .errors import ConfigError, UsageError
+from .errors import UsageError
 
 TAU = 1.0
 TAU_CLS = 1.0
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    alpha: Tuple[float, ...] = (1.0,) * STAGES
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.alpha, (tuple, list)) or len(self.alpha) != STAGES:
-            raise ConfigError(f"alpha must be {STAGES} finite weights, got {self.alpha!r}")
-        for i, weight in enumerate(self.alpha):
-            numerics.check_float(weight, f"alpha[{i}]", error=ConfigError)
-        numerics.check_float(self.sigma, "sigma", 0.0, error=ConfigError)
 
 
 @dataclass
@@ -50,8 +37,9 @@ class AnomalyMap:
     scores: np.ndarray  # (imageH, imageW), or (B, imageH, imageW) for a stack
 
 
-def fuse(stage_features: Sequence, text_features, cfg: FusionConfig):
-    """Weighted sum of per-stage similarity logits: sum_i alpha_i F*_i T^T / TAU.
+def fuse(stage_features: Sequence, text_features, stage_weights: Sequence[float]):
+    """Weighted sum of per-stage similarity logits: sum_i alpha_i F*_i T^T / TAU,
+    alpha_i the ``stage_weights``.
 
     Channel 0 scores the normal row, channel 1 the abnormal row. Accepts
     Vars (training) or arrays, each stage a (B, L, C) stack; the stages must
@@ -64,18 +52,13 @@ def fuse(stage_features: Sequence, text_features, cfg: FusionConfig):
         raise UsageError(f"expected (B, L, C) stage stacks of one (B, L), got {shapes}")
     text_t = ag.transpose(text_features, (1, 0))
     logits = None
-    for alpha_i, feats in zip(cfg.alpha, stage_features):
+    for alpha_i, feats in zip(stage_weights, stage_features):
         term = ag.mul(ag.matmul(feats, text_t), alpha_i / TAU)
         logits = term if logits is None else ag.add(logits, term)
     return logits
 
 
-def anomaly_map(
-    logits,
-    grid: Tuple[int, int],
-    image_dims: Tuple[int, int],
-    cfg: FusionConfig,
-) -> AnomalyMap:
+def anomaly_map(logits, grid: Tuple[int, int], image_dims: Tuple[int, int]) -> AnomalyMap:
     """Abnormal-channel probabilities upsampled to image resolution.
 
     ``abnormal_probability_map`` on plain arrays, as a stack of one: inference
@@ -88,23 +71,18 @@ def anomaly_map(
             f"expected ({grid_h * grid_w}, 2) logits for a {grid_h}x{grid_w} grid, "
             f"got {logits.shape}"
         )
-    return AnomalyMap(scores=abnormal_probability_map(logits[None], grid, image_dims, cfg)[0])
+    return AnomalyMap(scores=abnormal_probability_map(logits[None], grid, image_dims)[0])
 
 
-def abnormal_probability_map(logits, grid: Tuple[int, int], image_dims: Tuple[int, int], cfg: FusionConfig):
-    """Differentiable map pipeline: softmax -> reshape -> upsample -> blur.
+def abnormal_probability_map(logits, grid: Tuple[int, int], image_dims: Tuple[int, int]):
+    """Differentiable map pipeline: softmax -> reshape -> upsample.
 
     ``logits`` is a stacked (B, L, 2) batch; the map is (B, H, W).
     """
     grid_h, grid_w = grid
     probs = ag.softmax_last(logits)
     abnormal = ag.reshape(probs[:, :, 1], (probs.shape[0], grid_h, grid_w))
-    out = numerics.bilinear_upsample(abnormal, *image_dims)
-    if cfg.sigma > 0:
-        blur_r = numerics.gaussian_blur_matrix(image_dims[0], cfg.sigma).astype(out.dtype)
-        blur_c = numerics.gaussian_blur_matrix(image_dims[1], cfg.sigma).astype(out.dtype)
-        out = ag.matmul(ag.matmul(blur_r, out), blur_c.T)
-    return out
+    return numerics.bilinear_upsample(abnormal, *image_dims)
 
 
 def image_score(class_token: np.ndarray, cls_proj: np.ndarray, text_features):

@@ -7,7 +7,8 @@ each tie group, exact in int64 for counts and float64 for region coverage.
 So a tie group is one operating point (AUROC counts a tied positive-negative
 pair as 1/2, as Mann-Whitney does), no metric depends on the index order of
 tied items, and any strictly increasing transform of the scores leaves all
-three unchanged.
+three unchanged. ``auroc`` and ``average_precision`` take labels 0 or 1
+(bools too); any other label is a ``UsageError``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,19 @@ from .fusion import AnomalyMap
 
 def auroc(scores, labels01) -> float:
     """Probability a random positive outranks a random negative, ties at 1/2."""
+    scores, labels = _scores_and_labels(scores, labels01)
+    return _auroc(labels, _descending(scores))
+
+
+def _scores_and_labels(scores, labels01) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat float64 scores and their labels, each label 0 or 1 (bools too)."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels01).ravel()
     if scores.shape != labels.shape:
         raise UsageError(f"scores {scores.shape} and labels {labels.shape} differ")
-    return _auroc(labels, _descending(scores))
+    if labels.dtype != bool and not np.all((labels == 0) | (labels == 1)):
+        raise UsageError(f"labels must be 0 or 1, got {np.unique(labels)}")
+    return scores, labels
 
 
 def _auroc(labels: np.ndarray, ranking) -> float:
@@ -67,10 +76,7 @@ def average_precision(scores, labels01) -> float:
     items enter together, so the value does not depend on their index order
     and is invariant under strictly increasing transforms of the scores.
     """
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels01).ravel()
-    if scores.shape != labels.shape:
-        raise UsageError(f"scores {scores.shape} and labels {labels.shape} differ")
+    scores, labels = _scores_and_labels(scores, labels01)
     ranking = _descending(scores)
     true_pos = _sweep(labels == 1, ranking)
     if true_pos[-1] == 0:

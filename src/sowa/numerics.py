@@ -1,14 +1,14 @@
-"""Dense-array numerical substrate: normalization, resampling, smoothing.
+"""Dense-array numerical substrate: float width, argument checks, resampling.
 
 Arrays are plain numpy ndarrays, row-major, 32-bit floats by default. A 64-bit
 mode can be selected (globally or via the ``precision`` context manager) for
 finite-difference gradient validation, where float32 noise would swamp the
 comparison.
 
-Resampling uses half-pixel-center sampling (no corner alignment) and smoothing
-uses reflective padding, both as explicit 1-D operator matrices. The one
-upsampler, ``bilinear_upsample``, applies them to an array (inference) or to an
-autodiff ``Var`` (training, whose backward applies their transposes).
+Resampling uses half-pixel-center sampling (no corner alignment) as explicit
+1-D operator matrices. The one upsampler, ``bilinear_upsample``, applies them
+to an array (inference) or to an autodiff ``Var`` (training, whose backward
+applies their transposes).
 """
 
 from __future__ import annotations
@@ -139,36 +139,3 @@ def bilinear_upsample(grid, out_h: int, out_w: int):
     col_op = linear_resample_matrix(grid.shape[-1], out_w).astype(grid.dtype)
     return ag.matmul(ag.matmul(row_op, grid), col_op.T)
 
-
-def gaussian_kernel1d(sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian kernel truncated at 4 sigma."""
-    if not 0 <= sigma < np.inf:
-        raise UsageError(f"sigma must be finite and >= 0, got {sigma}")
-    radius = int(4.0 * sigma + 0.5)
-    if sigma == 0 or radius == 0:
-        return np.ones(1, dtype=np.float64)
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-    return kernel / kernel.sum()
-
-
-def _reflect_index(i: int, n: int) -> int:
-    # Symmetric reflection (edge sample repeated): ... 1 0 | 0 1 ... n-1 | n-1 ...
-    if n == 1:
-        return 0
-    period = 2 * n
-    i = i % period
-    if i < 0:
-        i += period
-    return i if i < n else period - 1 - i
-
-
-def gaussian_blur_matrix(n: int, sigma: float) -> np.ndarray:
-    """1-D Gaussian blur operator (n x n) with reflective padding, in float64."""
-    kernel = gaussian_kernel1d(sigma)
-    radius = (len(kernel) - 1) // 2
-    op = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for k, weight in enumerate(kernel):
-            op[i, _reflect_index(i + k - radius, n)] += weight
-    return op

@@ -217,8 +217,7 @@ def generate_sample(spec: PatternSpec, index: int, image_size: int, category: st
     ``image_size`` must be at least 10: point centres keep 4 pixels from the
     border, and below 10 pixels a motley blob covers more than its area bound.
     """
-    if image_size < 10:
-        raise UsageError(f"image_size must be >= 10, got {image_size}")
+    numerics.check_integer(image_size, "image_size", 10)
     rng = _sample_rng(spec, index)
     image = _background(rng, image_size, spec)
     mask = np.zeros((image_size, image_size), dtype=bool)
@@ -259,8 +258,7 @@ def synth_generate(spec: PatternSpec, n: int, image_size: int = 64) -> Dataset:
     """Generate ``n`` samples: half normal (alternating train/test), half
     defective (always test). ``image_size`` must be at least 10, as for
     ``generate_sample``."""
-    if n < 1:
-        raise UsageError(f"need n >= 1 samples, got {n}")
+    numerics.check_integer(n, "n", 1)
     category = f"synthetic_{spec.kind}"
     samples = [generate_sample(spec, i, image_size, category) for i in range(n)]
     return Dataset(samples=samples)

@@ -33,7 +33,7 @@ from . import prompts as prompts_mod
 from .backbone import tensor_hash
 from .config import OptimSection
 from .errors import TrainingError, UsageError, WeightsError
-from .numerics import check_integer
+from .numerics import check_float, check_integer
 
 PRED_CLAMP = 1e-7
 DICE_EPS = 1.0
@@ -399,6 +399,8 @@ def gradient_check(
     finite-difference resolution.
     """
     check_integer(seed, "seed")
+    check_integer(coords_per_tensor, "coords_per_tensor", 1)
+    check_float(step, "step", 0.0, low_open=True)
     params = model.trainable()
     acts = _features(model, samples)
     analytic = _gradients(params, sample_loss(model, samples, acts)[0])

@@ -90,6 +90,16 @@ def test_reductions():
     _fd_check(lambda a: ag.sum_(ag.mean(a, axis=1)), [(3, 4)])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ag.mean(np.zeros((0,), np.float32)),
+    lambda: ag.mean(ag.Var(np.zeros(0))),
+    lambda: ag.mean(np.zeros((3, 0)), axis=-1),
+])
+def test_mean_of_nothing_is_a_usage_error(call):
+    with pytest.raises(UsageError, match="mean over no elements"):
+        call()
+
+
 def test_shape_ops():
     _fd_check(lambda a: ag.sum_(ag.mul(ag.reshape(a, (6,)), 2.0)), [(2, 3)])
     _fd_check(lambda a: ag.sum_(ag.mul(ag.transpose(a, (1, 0, 2)), 1.5)), [(2, 3, 4)])

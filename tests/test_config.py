@@ -11,7 +11,6 @@ import pytest
 from sowa.backbone import BackboneConfig
 from sowa.config import OptimSection, RunConfig, config_from_dict, default_config
 from sowa.errors import ConfigError
-from sowa.fusion import FusionConfig
 from sowa.model import build_model
 from sowa.prompts import MAX_LEN
 from sowa.synth import PatternSpec
@@ -19,10 +18,9 @@ from sowa.synth import PatternSpec
 DEFAULT_DOCUMENT = {
     "seed": 0, "adapter_kind": "fwa", "attention_mode": "vv", "window": 4,
     "prompt_kind": "coop", "prompt_length": 12, "c_text": 32, "text_width": 32,
-    "image_score_mode": "max_map", "few_shot_beta": 0.5,
+    "image_score_mode": "max_map", "few_shot_beta": 0.5, "stage_weights": [1.0, 1.0, 1.0, 1.0],
     "backbone": {"image_size": 64, "patch_size": 8, "channels": 64, "blocks_per_stage": 2,
                  "heads": 4},
-    "fusion": {"alpha": [1.0, 1.0, 1.0, 1.0], "sigma": 0.0},
     "optim": {"lr": 0.001, "batch_size": 8},
 }
 
@@ -45,9 +43,8 @@ def test_window_that_does_not_tile_the_grid_is_a_config_error():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: FusionConfig(alpha=(1.0, 1.0, 1.0)),
-        lambda: FusionConfig(alpha=(1.0, 1.0, 1.0, float("nan"))),
-        lambda: FusionConfig(sigma=-1.0),
+        lambda: RunConfig(stage_weights=(1.0, 1.0, 1.0)),
+        lambda: RunConfig(stage_weights=(1.0, 1.0, 1.0, float("nan"))),
         lambda: BackboneConfig(patch_size=0),
         lambda: PatternSpec(octaves=0),
         lambda: PatternSpec(base_cells=1),
@@ -68,10 +65,10 @@ def test_window_that_does_not_tile_the_grid_is_a_config_error():
         lambda: RunConfig(image_score_mode="mean_map"),
         lambda: RunConfig(c_text=1),
         lambda: RunConfig(prompt_length=0),
-        lambda: FusionConfig(alpha=1.0),
-        lambda: FusionConfig(alpha=None),
-        lambda: FusionConfig(alpha="abcd"),
-        lambda: FusionConfig(alpha=(1.0,) * 5),
+        lambda: RunConfig(stage_weights=1.0),
+        lambda: RunConfig(stage_weights=None),
+        lambda: RunConfig(stage_weights="abcd"),
+        lambda: RunConfig(stage_weights=(1.0,) * 5),
     ],
 )
 def test_invalid_config_object_rejected_on_construction(make):
@@ -99,7 +96,9 @@ def test_prompt_length_is_bounded_only_for_kinds_with_that_many_contexts():
 
 def test_bad_section_values_in_a_document_are_config_errors():
     with pytest.raises(ConfigError):
-        config_from_dict({"fusion": {"sigma": -1.0}})
+        config_from_dict({"stage_weights": [1.0, 1.0, "1.0", 1.0]})
+    with pytest.raises(ConfigError, match="unknown config key 'fusion'"):
+        config_from_dict({"fusion": {"alpha": [1.0, 1.0, 1.0, 1.0]}})
     with pytest.raises(ConfigError):
         config_from_dict({"window": "4"})
     with pytest.raises(ConfigError, match="unknown key 'stages' in backbone"):
@@ -132,8 +131,7 @@ def test_an_integer_field_that_is_not_an_integer_in_range_is_a_config_error(fiel
 
 @pytest.mark.parametrize("make, name", [
     (lambda v: OptimSection(lr=v), "lr"),
-    (lambda v: FusionConfig(sigma=v), "sigma"),
-    (lambda v: FusionConfig(alpha=(1.0, 1.0, v, 1.0)), r"alpha\[2\]"),
+    (lambda v: RunConfig(stage_weights=(1.0, 1.0, v, 1.0)), r"stage_weights\[2\]"),
     (lambda v: RunConfig(few_shot_beta=v), "few_shot_beta"),
     (lambda v: PatternSpec(amplitude=v), "amplitude"),
 ])
@@ -146,16 +144,17 @@ def test_a_float_field_that_is_not_a_finite_number_is_a_config_error(make, name,
 def test_float_fields_take_integers_and_numpy_floats():
     assert OptimSection(lr=1).lr == 1
     assert RunConfig(few_shot_beta=np.float32(0.25)).few_shot_beta == 0.25
-    assert FusionConfig(alpha=(1, np.float64(0.5), 2.0, -1.0), sigma=np.int64(2)).sigma == 2
+    assert RunConfig(stage_weights=(1, np.float64(0.5), 2.0, np.int64(-1))).stage_weights[3] == -1
     assert PatternSpec(amplitude=0).amplitude == 0
 
 
-@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
-def test_a_non_finite_blur_width_is_a_config_error(sigma):
-    with pytest.raises(ConfigError, match="sigma"):
-        FusionConfig(sigma=sigma)
-    with pytest.raises(ConfigError, match="sigma"):
-        default_config(fusion={"sigma": sigma})
+@pytest.mark.parametrize("weights", [[0.0, 0.5, 1.0, 2.0], (0.0, 0.5, 1.0, 2.0),
+                                     np.array([0.0, 0.5, 1.0, 2.0]), range(4)])
+def test_stage_weights_are_stored_as_a_tuple_and_round_trip(weights):
+    config = RunConfig(stage_weights=weights)
+    assert isinstance(config.stage_weights, tuple) and config.stage_weights == tuple(weights)
+    assert config_from_dict(json.loads(json.dumps(config.to_dict()))) == config
+    assert hash(config) == hash(RunConfig(stage_weights=tuple(weights)))
 
 
 def test_fixed_settings_are_not_config_keys():
@@ -164,4 +163,4 @@ def test_fixed_settings_are_not_config_keys():
             config_from_dict(document)
     leaves = [v for section in default_config().to_dict().values()
               for v in (section.values() if isinstance(section, dict) else [section])]
-    assert len(leaves) == 19
+    assert len(leaves) == 18

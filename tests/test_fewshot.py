@@ -7,7 +7,7 @@ import pytest
 
 from sowa import numerics
 from sowa.errors import UsageError
-from sowa.fewshot import build_memory_bank, combine_maps, few_shot_map
+from sowa.fewshot import FewShotMap, build_memory_bank, combine_maps, few_shot_map
 from sowa.fusion import AnomalyMap
 
 GRID = (4, 4)
@@ -67,6 +67,15 @@ def test_combine_maps_endpoints(rng, beta):
     combined = combine_maps(zero, fmap, beta=beta)
     expected = zero.scores if beta == 0.0 else np.clip(fmap.few / 4.0, 0.0, 1.0)
     np.testing.assert_array_equal(combined.scores, expected)
+
+
+@pytest.mark.parametrize("beta", [True, None, "0.5", -0.1, 1.5, float("nan")])
+def test_a_beta_that_is_not_a_number_in_zero_one_is_a_usage_error(beta):
+    zero = AnomalyMap(scores=np.zeros(DIMS, np.float32))
+    few = FewShotMap(level_maps=np.zeros((4, *GRID), np.float32), few=np.ones(DIMS, np.float32))
+    with pytest.raises(UsageError, match="beta"):
+        combine_maps(zero, few, beta=beta)
+    assert combine_maps(zero, few, beta=np.float32(1)).scores.max() == 0.25  # STAGES = 4
 
 
 def test_a_float64_model_scores_few_shot_in_float64_outside_its_precision(tiny_corpus):

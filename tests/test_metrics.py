@@ -292,6 +292,21 @@ def test_average_precision_does_not_depend_on_tie_order():
     assert metrics.average_precision([3, 2, 2, 1], [0, 1, 0, 1]) == pytest.approx(5 / 12)
 
 
+@pytest.mark.parametrize("metric", [metrics.auroc, metrics.average_precision])
+@pytest.mark.parametrize("labels", [[2, 1, 0, 0], [1, -1, 0, 0], [1, 0.5, 0, 0], [1, np.nan, 0, 0]])
+def test_a_label_outside_zero_and_one_is_a_usage_error(metric, labels):
+    with pytest.raises(UsageError, match="labels must be 0 or 1"):
+        metric([0.9, 0.8, 0.7, 0.1], labels)
+
+
+@pytest.mark.parametrize("metric", [metrics.auroc, metrics.average_precision])
+def test_bool_and_float_labels_equal_integer_labels(metric):
+    scores = [0.9, 0.8, 0.7, 0.1]
+    want = metric(scores, [1, 0, 1, 0])
+    assert metric(scores, np.array([True, False, True, False])) == want
+    assert metric(scores, [1.0, 0.0, 1.0, 0.0]) == want
+
+
 # integer score levels, so that ties are common and a lookup table of
 # increasing values is an exact strictly increasing transform
 LEVELS = 6

@@ -209,82 +209,6 @@ class TestBilinearUpsample:
             numerics.bilinear_upsample(np.ones((2, 2)), 0, 4)
 
 
-def _gaussian_oracle(grid, sigma):
-    """Direct truncated-kernel evaluation with symmetric reflection."""
-    radius = int(4.0 * sigma + 0.5)
-    offsets = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-    kernel /= kernel.sum()
-    h, w = grid.shape
-
-    def reflect(i, n):
-        period = 2 * n
-        i %= period
-        return i if i < n else period - 1 - i
-
-    out = np.zeros_like(grid, dtype=np.float64)
-    for r in range(h):
-        for c in range(w):
-            acc = 0.0
-            for dr, kr in zip(offsets, kernel):
-                for dc, kc in zip(offsets, kernel):
-                    acc += kr * kc * grid[reflect(r + dr, h), reflect(c + dc, w)]
-            out[r, c] = acc
-    return out
-
-
-def _smooth(grid, sigma):
-    """Separable blur with the 1-D operator the anomaly map applies."""
-    rows = numerics.gaussian_blur_matrix(grid.shape[0], sigma)
-    cols = numerics.gaussian_blur_matrix(grid.shape[1], sigma)
-    return rows @ grid @ cols.T
-
-
-class TestGaussianSmooth:
-    def test_sigma_zero_identity(self):
-        rng = np.random.default_rng(7)
-        grid = rng.normal(size=(5, 6))
-        np.testing.assert_array_equal(_smooth(grid, 0.0), grid)
-
-    def test_constant_invariance(self):
-        out = _smooth(np.full((8, 8), 0.7), 2.0)
-        np.testing.assert_allclose(out, np.full((8, 8), 0.7), atol=1e-6)
-
-    def test_delta_matches_direct_kernel(self):
-        grid = np.zeros((5, 5))
-        grid[2, 2] = 1.0
-        np.testing.assert_allclose(
-            _smooth(grid, 1.0), _gaussian_oracle(grid, 1.0), atol=1e-6
-        )
-
-    def test_random_matches_direct_kernel(self):
-        rng = np.random.default_rng(8)
-        grid = rng.uniform(size=(9, 7))
-        np.testing.assert_allclose(
-            _smooth(grid, 1.5), _gaussian_oracle(grid, 1.5), atol=1e-6
-        )
-
-    def test_mean_preserved(self):
-        rng = np.random.default_rng(9)
-        grid = rng.uniform(size=(32, 32))
-        out = _smooth(grid, 2.0)
-        assert abs(out.mean() - grid.mean()) < 1e-4
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(UsageError):
-            _smooth(np.ones((3, 3)), -1.0)
-
-    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
-    def test_non_finite_sigma_rejected(self, sigma):
-        with pytest.raises(UsageError, match="finite"):
-            numerics.gaussian_kernel1d(sigma)
-
-    def test_tiny_sigma_is_identity(self):
-        rng = np.random.default_rng(10)
-        grid = rng.normal(size=(4, 4))
-        np.testing.assert_allclose(_smooth(grid, 1e-9), grid, atol=1e-9)
-
-
 class TestPrecisionMode:
     def test_context_manager_switches_dtype(self):
         assert numerics.default_dtype() == np.float32

@@ -116,3 +116,11 @@ def test_image_sizes_below_ten_are_rejected(size):
     with pytest.raises(UsageError, match="image_size"):
         generate_sample(spec, 1, size, "synthetic_mixed")
 
+
+
+@pytest.mark.parametrize("n, size", [(2.5, 32), (True, 32), ("4", 32), (0, 32), (4, 32.0), (4, True)])
+def test_a_count_or_size_that_is_not_an_integer_is_a_usage_error(n, size):
+    spec = PatternSpec(kind="mixed", seed=0)
+    with pytest.raises(UsageError, match="image_size" if n == 4 else "n must be"):
+        synth_generate(spec, n, image_size=size)
+    assert len(synth_generate(spec, np.int64(2), image_size=np.int32(16)).samples) == 2

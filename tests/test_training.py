@@ -41,6 +41,15 @@ def test_float64_gradient_check_through_the_batch(model64, tiny_corpus):
     assert max(errors.values()) <= 1e-5, errors
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"coords_per_tensor": 0}, {"coords_per_tensor": 1.5}, {"coords_per_tensor": True},
+    {"step": 0.0}, {"step": -1e-5}, {"step": float("nan")}, {"step": float("inf")}, {"step": None},
+])
+def test_a_gradient_check_that_could_not_check_is_a_usage_error(tiny_model, tiny_corpus, kwargs):
+    with pytest.raises(UsageError, match=next(iter(kwargs))):
+        training.gradient_check(tiny_model, tiny_corpus.samples[:2], **kwargs)
+
+
 def test_batch_equals_mean_of_single_sample_calls(model64, tiny_corpus):
     samples = tiny_corpus.samples[:4]
     assert {s.label for s in samples} == {-1, 1}
