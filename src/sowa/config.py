@@ -12,23 +12,22 @@ constants: the MLP ratio and input normalisation in ``backbone``; the text
 encoder's heads, blocks and maximum length in ``prompts``, where the text
 width and output width are the only text settings here (``text_width``,
 ``c_text``); the fusion and class-score temperatures in ``fusion``
-(``TAU``, ``TAU_CLS``), whose one run setting is ``stage_weights``, one
-weight per ``backbone.STAGES``; and the loss (equal dice, focal and BCE
-weights, ``FOCAL_GAMMA``, ``FOCAL_ALPHA``, ``DICE_EPS``) and Adam's
-``BETA1``, ``BETA2`` and ``EPS`` in ``training``. Every tensor is drawn from
-the run's ``seed`` by the one init rule, ``backbone.seeded_weights``.
+(``TAU``, ``TAU_CLS``); and the loss (equal dice, focal and BCE weights,
+``FOCAL_GAMMA``, ``FOCAL_ALPHA``, ``DICE_EPS``) and Adam's ``BETA1``,
+``BETA2`` and ``EPS`` in ``training``. Every tensor is drawn from the run's
+``seed`` by the one init rule, ``backbone.seeded_weights``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
 from .autodiff import ATTENTION_MODES
-from .backbone import STAGES, BackboneConfig
+from .backbone import BackboneConfig
 from .errors import ConfigError
 from .numerics import check_float, check_integer
 from .prompts import MAX_LEN, TEXT_HEADS
@@ -60,7 +59,6 @@ class RunConfig:
     text_width: int = 32
     image_score_mode: str = "max_map"
     few_shot_beta: float = 0.5
-    stage_weights: Tuple[float, ...] = (1.0,) * STAGES  # alpha_i of ``fusion.fuse``
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     optim: OptimSection = field(default_factory=OptimSection)
 
@@ -87,22 +85,11 @@ class RunConfig:
         if self.prompt_kind != "template" and self.prompt_length + 2 > MAX_LEN:
             raise ConfigError(f"prompt_length {self.prompt_length} + 2 anchors > max_len {MAX_LEN}")
         check_float(self.few_shot_beta, "few_shot_beta", 0.0, 1.0, ConfigError)
-        weights = tuple(self.stage_weights) if np.iterable(self.stage_weights) else ()
-        if len(weights) != STAGES:
-            raise ConfigError(f"stage_weights must be {STAGES} numbers, got {self.stage_weights!r}")
-        for i, weight in enumerate(weights):
-            check_float(weight, f"stage_weights[{i}]", error=ConfigError)
-        object.__setattr__(self, "stage_weights", weights)  # a tuple, so the config hashes
 
     def to_dict(self) -> Dict:
-        def convert(obj):
-            if dataclasses.is_dataclass(obj):
-                return {k: convert(v) for k, v in dataclasses.asdict(obj).items()}
-            if isinstance(obj, tuple):
-                return list(obj)
-            return obj
-
-        return convert(self)
+        """Nested plain dicts of Python values: numpy scalars become their ``item()``."""
+        return dataclasses.asdict(self, dict_factory=lambda items: {
+            k: v.item() if isinstance(v, np.generic) else v for k, v in items})
 
 
 _SECTION_TYPES = {
@@ -116,13 +103,8 @@ def _build_section(cls, data: Dict, context: str):
     unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {context}")
-    kwargs = {}
-    for name, value in data.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
     try:
-        return cls(**kwargs)
+        return cls(**data)
     except TypeError as exc:
         raise ConfigError(f"bad {context} section: {exc}") from exc
 

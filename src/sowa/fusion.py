@@ -1,17 +1,16 @@
 """Hierarchical fusion of adapted stage features with text features.
 
-Stage similarity logits are summed with per-stage weights first and the
-per-token two-way softmax is applied after the sum; the abnormal channel is
-then upsampled to pixel resolution to form the anomaly map. The image-level
-score comes from the class token through a frozen projection against the
-same text rows.
+Stage similarity logits are summed first, every stage weighing the same,
+and the per-token two-way softmax is applied after the sum; the abnormal
+channel is then upsampled to pixel resolution to form the anomaly map. The
+image-level score comes from the class token through a frozen projection
+against the same text rows.
 
 ``fuse``, ``abnormal_probability_map`` and ``image_score`` take stacks only;
 ``anomaly_map`` takes one image's (L, 2) logits, as a stack of one.
 
 The two softmax temperatures are constants, ``TAU`` for the stage logits and
-``TAU_CLS`` for the class score; the stage weights are the run's
-``RunConfig.stage_weights``.
+``TAU_CLS`` for the class score.
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ class AnomalyMap:
     scores: np.ndarray  # (imageH, imageW), or (B, imageH, imageW) for a stack
 
 
-def fuse(stage_features: Sequence, text_features, stage_weights: Sequence[float]):
-    """Weighted sum of per-stage similarity logits: sum_i alpha_i F*_i T^T / TAU,
-    alpha_i the ``stage_weights``.
+def fuse(stage_features: Sequence, text_features):
+    """Sum of per-stage similarity logits: sum_i F*_i T^T / TAU.
 
     Channel 0 scores the normal row, channel 1 the abnormal row. Accepts
     Vars (training) or arrays, each stage a (B, L, C) stack; the stages must
@@ -51,11 +49,10 @@ def fuse(stage_features: Sequence, text_features, stage_weights: Sequence[float]
     if len(shapes) != 1 or len(shapes[0]) != 2:
         raise UsageError(f"expected (B, L, C) stage stacks of one (B, L), got {shapes}")
     text_t = ag.transpose(text_features, (1, 0))
-    logits = None
-    for alpha_i, feats in zip(stage_weights, stage_features):
-        term = ag.mul(ag.matmul(feats, text_t), alpha_i / TAU)
-        logits = term if logits is None else ag.add(logits, term)
-    return logits
+    logits = ag.matmul(stage_features[0], text_t)
+    for feats in stage_features[1:]:
+        logits = ag.add(logits, ag.matmul(feats, text_t))
+    return ag.mul(logits, 1.0 / TAU)
 
 
 def anomaly_map(logits, grid: Tuple[int, int], image_dims: Tuple[int, int]) -> AnomalyMap:

@@ -196,7 +196,7 @@ class SowaModel:
         stage features, the (B, H, W) map and the (B,) scores.
         """
         stars = [project_tokens(w, b, x) for (w, b), x in zip(projections, inputs)]
-        logits = fusion_mod.fuse(stars, text, self.config.stage_weights)
+        logits = fusion_mod.fuse(stars, text)
         size = self.backbone.config.image_size
         pmap = fusion_mod.abnormal_probability_map(logits, self.grid, (size, size))
         score = fusion_mod.image_score(class_tokens, self.cls_proj, text)

@@ -41,13 +41,14 @@ def test_the_map_is_upsampled_abnormal_probability():
     np.testing.assert_allclose(out, expected, atol=1e-6)
 
 
-def test_fuse_sums_the_weighted_stage_logits():
+def test_fuse_sums_the_stage_logits():
     rng = np.random.default_rng(4)
     stages = [rng.normal(size=(2, 12, 5)) for _ in range(4)]
     text = rng.normal(size=(2, 5))
-    weights = (0.0, 0.5, 1.0, 2.0)
-    want = sum(w * (f @ text.T) / TAU for w, f in zip(weights, stages))
-    np.testing.assert_allclose(fuse(stages, text, weights), want, rtol=1e-12)
+    want = sum(f @ text.T for f in stages) / TAU
+    np.testing.assert_allclose(fuse(stages, text), want, rtol=1e-12)
+    with pytest.raises(UsageError, match="expected 4 stage feature maps, got 3"):
+        fuse(stages[:3], text)
 
 
 def test_bad_input_rejected():

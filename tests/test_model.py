@@ -118,15 +118,6 @@ def test_predict_batch_equals_predict_on_each_image(dtype, adapter_kind, attenti
         _assert_same_prediction(pred, alone[i])
 
 
-def test_the_run_stage_weights_weight_the_map(tiny_model, tiny_corpus):
-    image = tiny_corpus.samples[1].image
-    zero = build_model(tiny_config(stage_weights=[0, 0, 0, 0])).predict(image)
-    np.testing.assert_allclose(zero.anomaly_map.scores, 0.5, atol=1e-6)  # softmax of (0, 0)
-    assert zero.image_score == tiny_model.predict(image).image_score  # the class token's score
-    doubled = build_model(tiny_config(stage_weights=(2.0,) * 4)).predict(image)
-    assert not np.allclose(doubled.anomaly_map.scores, tiny_model.predict(image).anomaly_map.scores)
-
-
 def test_a_stack_with_a_non_finite_image_or_no_image_is_a_usage_error(tiny_model, tiny_corpus):
     images = [s.image.copy() for s in tiny_corpus.samples[:3]]
     images[2][5, 7, 1] = np.nan
@@ -309,7 +300,7 @@ def _pipeline_dtypes(model, sample):
     text = prompts.encode_prompts(model.prompt_pair, model.encoder)
     stars = [project_tokens(a.weight, a.bias, x)
              for a, x in zip(model.adapters, acts.adapter_inputs)]
-    logits = fusion.fuse(stars, text, model.config.stage_weights)
+    logits = fusion.fuse(stars, text)
     size = model.backbone.config.image_size
     pmap = fusion.abnormal_probability_map(logits, model.grid, (size, size))
     score = fusion.image_score(acts.class_token, model.cls_proj, text)
