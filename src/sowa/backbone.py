@@ -20,8 +20,9 @@ trainable: layer-norm scales are ones, offsets and biases zeros, embeddings
 and prompt contexts N(0, 0.02), every other matrix N(0, 1/sqrt(fan_in)), all
 in the default dtype. ``block_shapes`` is the one weight layout of a
 transformer block, here and in the text encoder. The stand-in's fixed
-settings are constants: the MLP is ``MLP_RATIO`` times the block width, and
-pixels are normalised by ``NORM_MEAN`` and ``NORM_STD`` per channel.
+settings are constants: each of the ``STAGES`` stages is ``BLOCKS_PER_STAGE``
+blocks, the MLP is ``MLP_RATIO`` times the block width, and pixels are
+normalised by ``NORM_MEAN`` and ``NORM_STD`` per channel.
 
 All weights are created once and marked read-only; nothing in this module is
 trainable.
@@ -40,6 +41,7 @@ from . import numerics
 from .errors import ConfigError, UsageError
 
 STAGES = 4
+BLOCKS_PER_STAGE = 2
 MLP_RATIO = 4.0
 NORM_MEAN = (0.5, 0.5, 0.5)
 NORM_STD = (0.25, 0.25, 0.25)
@@ -52,11 +54,10 @@ class BackboneConfig:
     image_size: int = 64
     patch_size: int = 8
     channels: int = 64
-    blocks_per_stage: int = 2
     heads: int = 4
 
     def __post_init__(self):
-        for name in ("image_size", "patch_size", "channels", "blocks_per_stage", "heads"):
+        for name in ("image_size", "patch_size", "channels", "heads"):
             numerics.check_integer(getattr(self, name), name, 1, ConfigError)
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
@@ -74,10 +75,6 @@ class BackboneConfig:
     @property
     def tokens(self) -> int:
         return self.grid * self.grid
-
-    @property
-    def total_blocks(self) -> int:
-        return STAGES * self.blocks_per_stage
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ class Backbone:
         """(W_q, W_k, W_v, W_o) of the last block of ``stage`` (1-based)."""
         if not 1 <= stage <= STAGES:
             raise UsageError(f"stage must be in 1..{STAGES}, got {stage}")
-        block = stage * self.config.blocks_per_stage - 1
+        block = stage * BLOCKS_PER_STAGE - 1
         w = self.weights
         return AttentionWeights(
             w_q=w[f"blocks.{block}.attn.w_q"],
@@ -159,9 +156,9 @@ class Backbone:
             raise UsageError(f"image {int(np.argmin(finite))} contains non-finite values")
         x = self._embed(self.normalize_image(images))
         stages: List[np.ndarray] = []
-        for block in range(cfg.total_blocks):
+        for block in range(STAGES * BLOCKS_PER_STAGE):
             x = transformer_block(x, self.weights, block, cfg.heads)
-            if (block + 1) % cfg.blocks_per_stage == 0:
+            if (block + 1) % BLOCKS_PER_STAGE == 0:
                 stages.append(x[:, 1:].copy())
         return stages, x[:, 0].copy()
 
@@ -247,6 +244,6 @@ def init_synthetic(config: BackboneConfig, seed: int) -> Backbone:
         "patch_embed.bias": (c,),
         "pos_embed": (config.tokens + 1, c),
         "cls_token": (c,),
-        **block_shapes(config.total_blocks, c, int(round(MLP_RATIO * c))),
+        **block_shapes(STAGES * BLOCKS_PER_STAGE, c, int(round(MLP_RATIO * c))),
     }
     return Backbone(config=config, weights=seeded_weights(shapes, seed))

@@ -8,14 +8,15 @@ dicts mirroring the dataclass layout below; unknown keys are rejected so
 typos fail loudly.
 
 Only what a run can vary is a field. The fixed settings are module
-constants: the MLP ratio and input normalisation in ``backbone``; the text
-encoder's heads, blocks and maximum length in ``prompts``, where the text
-width and output width are the only text settings here (``text_width``,
-``c_text``); the fusion and class-score temperatures in ``fusion``
-(``TAU``, ``TAU_CLS``); and the loss (equal dice, focal and BCE weights,
-``FOCAL_GAMMA``, ``FOCAL_ALPHA``, ``DICE_EPS``) and Adam's ``BETA1``,
-``BETA2`` and ``EPS`` in ``training``. Every tensor is drawn from the run's
-``seed`` by the one init rule, ``backbone.seeded_weights``.
+constants: the blocks per stage (``BLOCKS_PER_STAGE``), MLP ratio and input
+normalisation in ``backbone``; the text encoder's heads, blocks and maximum
+length in ``prompts``, where the text width and output width are the only
+text settings here (``text_width``, ``c_text``); the fusion and
+class-score temperatures in ``fusion`` (``TAU``, ``TAU_CLS``); and the loss
+(equal dice, focal and BCE weights, ``FOCAL_GAMMA``, ``FOCAL_ALPHA``,
+``DICE_EPS``) and Adam's ``BETA1``, ``BETA2`` and ``EPS`` in ``training``.
+Every tensor is drawn from the run's ``seed`` by the one init rule,
+``backbone.seeded_weights``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .numerics import check_float, check_integer
 from .prompts import MAX_LEN, TEXT_HEADS
 
 ADAPTER_KINDS = ("fwa", "linear")
-PROMPT_KINDS = ("coop", "template", "fixed_pair")
+PROMPT_KINDS = ("coop", "template")
 IMAGE_SCORE_MODES = ("cls", "max_map")
 
 
@@ -45,6 +46,12 @@ class OptimSection:
     def __post_init__(self):
         check_float(self.lr, "lr", 0.0, error=ConfigError, low_open=True)
         check_integer(self.batch_size, "batch_size", 1, ConfigError)
+
+
+_SECTION_TYPES = {
+    "backbone": BackboneConfig,
+    "optim": OptimSection,
+}
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,9 @@ class RunConfig:
     optim: OptimSection = field(default_factory=OptimSection)
 
     def __post_init__(self):
+        for name, cls in _SECTION_TYPES.items():
+            if not isinstance(getattr(self, name), cls):
+                raise ConfigError(f"{name} must be {cls.__name__}, got {getattr(self, name)!r}")
         for name, minimum in (("seed", 0), ("window", 1), ("prompt_length", 1), ("c_text", 2),
                               ("text_width", 2)):
             check_integer(getattr(self, name), name, minimum, ConfigError)
@@ -92,12 +102,6 @@ class RunConfig:
             k: v.item() if isinstance(v, np.generic) else v for k, v in items})
 
 
-_SECTION_TYPES = {
-    "backbone": BackboneConfig,
-    "optim": OptimSection,
-}
-
-
 def _build_section(cls, data: Dict, context: str):
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(fields))
@@ -116,14 +120,10 @@ def config_from_dict(data: Dict) -> RunConfig:
     unknown = sorted(set(data) - top_fields)
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
-    kwargs = {}
-    for name, value in data.items():
-        if name in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"section {name!r} must be an object")
-            kwargs[name] = _build_section(_SECTION_TYPES[name], value, name)
-        else:
-            kwargs[name] = value
+    kwargs = dict(data)
+    for name, cls in _SECTION_TYPES.items():
+        if isinstance(kwargs.get(name), dict):  # any other value fails RunConfig's type check
+            kwargs[name] = _build_section(cls, kwargs[name], name)
     try:
         return RunConfig(**kwargs)
     except TypeError as exc:

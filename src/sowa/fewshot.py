@@ -40,15 +40,6 @@ class MemoryBank:
             arr.setflags(write=False)
 
 
-@dataclass
-class FewShotMap:
-    """Per-level distance maps on the token grid plus their pixel-level sum;
-    for a stack of queries both carry its leading axis."""
-
-    level_maps: np.ndarray  # (STAGES, grid_h, grid_w) or (B, STAGES, grid_h, grid_w), in [0, 2]
-    few: np.ndarray  # (imageH, imageW) or (B, imageH, imageW), sum of upsampled level maps
-
-
 def build_memory_bank(
     reference_features: Sequence[Sequence[np.ndarray]],
     image_ids: Sequence[str] | None = None,
@@ -57,6 +48,7 @@ def build_memory_bank(
 
     Duplicate references are kept as-is; the bank is content-transparent.
     ``image_ids``, when given, names each reference, one id per image.
+    References that are not ``STAGES`` (L, C) arrays of one C raise ``UsageError``.
     """
     refs = list(reference_features)
     if not refs:
@@ -64,10 +56,14 @@ def build_memory_bank(
     ids = list(image_ids) if image_ids is not None else [str(i) for i in range(len(refs))]
     if len(ids) != len(refs):
         raise UsageError(f"{len(ids)} image ids for {len(refs)} reference images")
+    if any(len(r) != STAGES for r in refs):
+        raise UsageError(f"every reference needs {STAGES} stages, got {[len(r) for r in refs]}")
     stages = []
     for level in range(STAGES):
         blocks = [np.asarray(r[level]) for r in refs]
-        stages.append(np.concatenate(blocks, axis=0).copy())
+        if any(b.ndim != 2 or b.shape[1] != blocks[0].shape[1] for b in blocks):
+            raise UsageError(f"level {level}: bad reference shapes {[b.shape for b in blocks]}")
+        stages.append(np.concatenate(blocks, axis=0))  # a new array, which the bank freezes
     return MemoryBank(stages=stages, image_ids=ids)
 
 
@@ -76,8 +72,9 @@ def few_shot_map(
     bank: MemoryBank,
     grid: Tuple[int, int],
     image_dims: Tuple[int, int],
-) -> FewShotMap:
-    """Min cosine distance per token per level, summed and upsampled.
+) -> np.ndarray:
+    """Min cosine distance per token per level, summed over the levels and
+    upsampled: an (imageH, imageW) map, or a (B, imageH, imageW) stack.
 
     ``query_features`` are ``STAGES`` (L, C) arrays or (B, L, C) stacks; a
     query of a stack gets the map it gets on its own, bit for bit. Both
@@ -103,14 +100,12 @@ def few_shot_map(
         dist[np.abs(dist) < SELF_MATCH_TOLERANCE] = 0.0
         dist = np.clip(dist, 0.0, 2.0)
         levels.append(dist.reshape(*q.shape[:-2], grid_h, grid_w))
-    level_maps = np.stack(levels, axis=-3)
-    total = level_maps.sum(axis=-3)
-    few = numerics.bilinear_upsample(total, image_dims[0], image_dims[1])
-    return FewShotMap(level_maps=level_maps, few=few)
+    total = np.stack(levels, axis=-3).sum(axis=-3)
+    return numerics.bilinear_upsample(total, image_dims[0], image_dims[1])
 
 
-def combine_maps(zero_map: AnomalyMap, few: FewShotMap, beta: float = 0.5) -> AnomalyMap:
-    """Convex blend of the zero-shot map with the normalized few-shot map,
+def combine_maps(zero_map: AnomalyMap, few: np.ndarray, beta: float = 0.5) -> AnomalyMap:
+    """Convex blend of the zero-shot map with the normalized ``few_shot_map``,
     for one map or a (B, H, W) stack of them.
 
     The few-shot sum is divided by its analytic maximum ``STAGES`` (every
@@ -118,10 +113,8 @@ def combine_maps(zero_map: AnomalyMap, few: FewShotMap, beta: float = 0.5) -> An
     [0, 1] before blending.
     """
     numerics.check_float(beta, "beta", 0, 1)
-    if zero_map.scores.shape != few.few.shape:
-        raise UsageError(
-            f"map dims differ: zero {zero_map.scores.shape} vs few {few.few.shape}"
-        )
-    few_norm = np.clip(few.few / STAGES, 0.0, 1.0)
+    if zero_map.scores.shape != few.shape:
+        raise UsageError(f"map dims differ: zero {zero_map.scores.shape} vs few {few.shape}")
+    few_norm = np.clip(few / STAGES, 0.0, 1.0)
     combined = (1.0 - beta) * zero_map.scores + beta * few_norm
     return AnomalyMap(scores=combined)

@@ -8,7 +8,8 @@ So a tie group is one operating point (AUROC counts a tied positive-negative
 pair as 1/2, as Mann-Whitney does), no metric depends on the index order of
 tied items, and any strictly increasing transform of the scores leaves all
 three unchanged. ``auroc`` and ``average_precision`` take labels 0 or 1
-(bools too); any other label is a ``UsageError``.
+(bools too); any other label is a ``UsageError``, as is a NaN score, which
+has no rank (±inf ranks as it compares).
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ def _auroc(labels: np.ndarray, ranking) -> float:
 def _descending(scores: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The stable order of ``scores`` from highest to lowest, and the
     position in that order of the last item of each tie group."""
+    if np.isnan(scores).any():
+        raise UsageError(f"{int(np.isnan(scores).sum())} of {scores.size} scores are NaN")
     order = np.argsort(-scores, kind="stable")
     return order, np.flatnonzero(np.append(np.diff(scores[order]) != 0.0, True))
 
@@ -91,9 +94,12 @@ def label_regions(mask01: np.ndarray) -> Tuple[np.ndarray, int]:
 
     Union-find over the row runs of the mask: a run joins every run on the
     row above whose column span touches its own, diagonals included. The
-    Python loop visits runs and their contacts, never single pixels.
+    Python loop visits runs and their contacts, never single pixels. A mask
+    that is not 2-D raises ``UsageError``.
     """
     mask = np.asarray(mask01) == 1
+    if mask.ndim != 2:
+        raise UsageError(f"a mask must be 2-D, got shape {mask.shape}")
     h, w = mask.shape
     steps = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
     rows, starts = np.nonzero(steps == 1)

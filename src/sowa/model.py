@@ -3,8 +3,8 @@ injected frozen weights, the dual-prompt text path, and fusion into maps and
 scores.
 
 The parameters are the adapter projections and the two prompt contexts, which
-train for ``coop`` and are frozen for the other prompt kinds; every other tensor
-is created once, marked read-only, and hash-checked by the frozen-contract tests.
+train for ``coop`` and are frozen for ``template``; every other tensor is
+created once, marked read-only, and hash-checked by the frozen-contract tests.
 A checkpoint is a numpy ``.npz`` file of the parameters, plus any extra tensors
 such as the optimizer's moments.
 
@@ -75,6 +75,9 @@ class FrozenActivations:
 
 @dataclass
 class Prediction:
+    """One image's map, stage features and ``image_score``, the class-token
+    score, which ``evaluate_dataset``'s default ``max_map`` does not read."""
+
     anomaly_map: AnomalyMap
     image_score: float
     stage_features: List[np.ndarray]  # STAGES x (L, C_text), unit-norm rows
@@ -118,11 +121,10 @@ class SowaModel:
         """Backbone + (for fwa) frozen windowed attention, on a (B, S, S, 3)
         stack of images (see ``Backbone.forward``); cacheable.
 
-        Any non-None
-        ``cache_key`` opts in to the cache. Entries are matched by the input
-        itself (its ``tensor_hash``), never by the key, so a key reused for
-        another image cannot return stale features. A cached entry carries
-        that hash as its ``image_hash``. The cache keeps the
+        Any non-None ``cache_key`` opts in to the cache. Entries are matched
+        by the input itself (its ``tensor_hash``), never by the key, so a key
+        reused for another image cannot return stale features. A cached entry
+        carries that hash as its ``image_hash``. The cache keeps the
         ``FEATURE_CACHE_LIMIT`` most recently used entries.
         """
         if cache_key is not None:
@@ -222,7 +224,8 @@ class SowaModel:
         ]
 
     def predict(self, image: np.ndarray) -> Prediction:
-        """Map, score and stage features of one image: a stack of one."""
+        """Map, class-token score (unread by ``evaluate_dataset``'s default
+        ``max_map``) and stage features of one image: a stack of one."""
         return self.predict_batch([image])[0]
 
     def build_memory_bank(self, images: Sequence[np.ndarray], ids=None) -> MemoryBank:

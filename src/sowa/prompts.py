@@ -122,8 +122,8 @@ def build_prompt_pair(kind: str, length: int, seed: int, encoder: FrozenTextEnco
     """The two contexts of a prompt kind: how they start and whether they train.
 
     ``coop`` trains seeded Gaussian(0, 0.02) contexts of ``length`` vectors per
-    branch, ``fixed_pair`` freezes the same, and ``template`` freezes the words
-    "a photo of a" / "a photo of an" (``length`` unused).
+    branch, and ``template`` freezes the words "a photo of a" / "a photo of an"
+    (``length`` unused).
     """
     if kind == "template":
         normal, abnormal = (

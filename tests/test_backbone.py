@@ -3,7 +3,9 @@ import pytest
 
 from sowa import autodiff as ag
 from sowa import numerics
-from sowa.backbone import NORM_MEAN, NORM_STD, BackboneConfig, init_synthetic, tensor_hash
+from sowa.backbone import (
+    BLOCKS_PER_STAGE, NORM_MEAN, NORM_STD, BackboneConfig, init_synthetic, tensor_hash,
+)
 from sowa.errors import ConfigError, UsageError
 
 CFG = BackboneConfig(image_size=32, patch_size=8, channels=32, heads=4)
@@ -38,8 +40,6 @@ class TestInit:
             BackboneConfig(image_size=60, patch_size=8)
         with pytest.raises(ConfigError):
             BackboneConfig(channels=30, heads=4)
-        with pytest.raises(ConfigError):
-            BackboneConfig(blocks_per_stage=0)
 
     def test_weights_read_only(self, backbone):
         with pytest.raises(ValueError):
@@ -137,7 +137,7 @@ class TestNormalizeImage:
 class TestStageWeights:
     def test_aliases_last_block_of_stage(self, backbone):
         w = backbone.stage_attention_weights(1)
-        block = CFG.blocks_per_stage - 1
+        block = BLOCKS_PER_STAGE - 1
         assert w.w_q is backbone.weights[f"blocks.{block}.attn.w_q"]
         assert w.heads == CFG.heads
 

@@ -19,8 +19,7 @@ DEFAULT_DOCUMENT = {
     "seed": 0, "adapter_kind": "fwa", "attention_mode": "vv", "window": 4,
     "prompt_kind": "coop", "prompt_length": 12, "c_text": 32, "text_width": 32,
     "image_score_mode": "max_map", "few_shot_beta": 0.5,
-    "backbone": {"image_size": 64, "patch_size": 8, "channels": 64, "blocks_per_stage": 2,
-                 "heads": 4},
+    "backbone": {"image_size": 64, "patch_size": 8, "channels": 64, "heads": 4},
     "optim": {"lr": 0.001, "batch_size": 8},
 }
 
@@ -59,10 +58,15 @@ def test_window_that_does_not_tile_the_grid_is_a_config_error():
         lambda: PatternSpec(kind="scratch"),
         lambda: PatternSpec(amplitude=2.0),
         lambda: RunConfig(prompt_kind="soft"),
+        lambda: RunConfig(prompt_kind="fixed_pair"),
         lambda: RunConfig(attention_mode="qk"),
         lambda: RunConfig(image_score_mode="mean_map"),
         lambda: RunConfig(c_text=1),
         lambda: RunConfig(prompt_length=0),
+        lambda: RunConfig(optim=None),
+        lambda: RunConfig(optim={"lr": 0.1}),
+        lambda: RunConfig(backbone={"image_size": 64}),
+        lambda: RunConfig(backbone=OptimSection()),
     ],
 )
 def test_invalid_config_object_rejected_on_construction(make):
@@ -83,9 +87,8 @@ def test_prompt_length_is_bounded_only_for_kinds_with_that_many_contexts():
     max_len = MAX_LEN
     template = default_config(prompt_kind="template", prompt_length=max_len)
     assert build_model(template).prompt_pair.normal_context.shape[0] == 4
-    for kind in ("coop", "fixed_pair"):
-        with pytest.raises(ConfigError, match=f"prompt_length {max_len}"):
-            default_config(prompt_kind=kind, prompt_length=max_len)
+    with pytest.raises(ConfigError, match=f"prompt_length {max_len}"):
+        default_config(prompt_kind="coop", prompt_length=max_len)
 
 
 def test_bad_section_values_in_a_document_are_config_errors():
@@ -95,6 +98,9 @@ def test_bad_section_values_in_a_document_are_config_errors():
         config_from_dict({"window": "4"})
     with pytest.raises(ConfigError, match="unknown key 'stages' in backbone"):
         config_from_dict({"backbone": {"stages": 4}})
+    for section in ("backbone", "optim"):
+        with pytest.raises(ConfigError, match=section):
+            config_from_dict({section: [0.1]})
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None, float("nan")])
@@ -108,7 +114,7 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_a_config_error(seed):
 
 @pytest.mark.parametrize("field, value", [
     ("backbone.heads", 0), ("backbone.heads", -4), ("backbone.channels", 0),
-    ("backbone.image_size", 64.0), ("backbone.blocks_per_stage", 1.5), ("window", 4.0),
+    ("backbone.image_size", 64.0), ("window", 4.0),
     ("c_text", 32.0), ("prompt_length", 3.5), ("optim.batch_size", 2.5),
     ("pattern.octaves", 1.5), ("pattern.base_cells", 4.0),
 ])
@@ -149,9 +155,9 @@ def test_numpy_scalar_fields_give_a_json_document_that_round_trips():
 
 def test_fixed_settings_are_not_config_keys():
     for document in ({"loss": {"dice": 1.0}}, {"fusion": {"tau": 1.0}}, {"optim": {"beta2": 0.9}},
-                     {"stage_weights": [1.0] * 4}):
+                     {"stage_weights": [1.0] * 4}, {"backbone": {"blocks_per_stage": 2}}):
         with pytest.raises(ConfigError, match="unknown"):
             config_from_dict(document)
     leaves = [v for section in default_config().to_dict().values()
               for v in (section.values() if isinstance(section, dict) else [section])]
-    assert len(leaves) == 17
+    assert len(leaves) == 16

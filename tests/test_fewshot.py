@@ -1,13 +1,14 @@
 """Few-shot scoring against oracles: a bank member scores exactly zero, the
-level maps equal a brute-force minimum cosine distance, and ``combine_maps``
-hits both ends of its ``beta`` blend."""
+map is the upsampled sum of brute-force minimum cosine distances,
+``combine_maps`` hits both ends of its ``beta`` blend, and references that
+do not form a bank raise ``UsageError``."""
 
 import numpy as np
 import pytest
 
 from sowa import numerics
 from sowa.errors import UsageError
-from sowa.fewshot import FewShotMap, build_memory_bank, combine_maps, few_shot_map
+from sowa.fewshot import build_memory_bank, combine_maps, few_shot_map
 from sowa.fusion import AnomalyMap
 
 GRID = (4, 4)
@@ -25,11 +26,10 @@ def test_a_bank_member_scores_exactly_zero(tiny_model, tiny_corpus):
     for image in images:
         pred = tiny_model.predict(image)
         fmap = few_shot_map(pred.stage_features, bank, pred.grid, pred.anomaly_map.scores.shape)
-        assert np.all(fmap.level_maps == 0.0)
-        assert np.all(fmap.few == 0.0)
+        assert np.all(fmap == 0.0)
 
 
-def test_level_maps_equal_brute_force_min_cosine_distance(rng):
+def test_the_map_is_the_upsampled_sum_of_brute_force_min_cosine_distances(rng):
     tokens = GRID[0] * GRID[1]
     query = [_unit_rows(rng, tokens) for _ in range(4)]
     refs = [[_unit_rows(rng, tokens) for _ in range(4)] for _ in range(3)]
@@ -41,9 +41,8 @@ def test_level_maps_equal_brute_force_min_cosine_distance(rng):
         for t, q in enumerate(query[level].astype(np.float64)):
             cosines = [q @ r / (np.linalg.norm(q) * np.linalg.norm(r)) for r in bank_rows]
             expected[level].flat[t] = 1.0 - max(cosines)
-    np.testing.assert_allclose(fmap.level_maps, expected, rtol=0, atol=1e-5)
     np.testing.assert_allclose(
-        fmap.few, numerics.bilinear_upsample(fmap.level_maps.sum(axis=0), *DIMS), rtol=0, atol=1e-6)
+        fmap, numerics.bilinear_upsample(expected.sum(axis=0), *DIMS), rtol=0, atol=4e-5)
 
 
 def test_image_ids_name_each_reference_or_raise(rng):
@@ -52,6 +51,17 @@ def test_image_ids_name_each_reference_or_raise(rng):
     for ids in (["only-one"], list("abcde")):
         with pytest.raises(UsageError, match="image ids"):
             build_memory_bank(refs, image_ids=ids)
+
+
+@pytest.mark.parametrize("refs, match", [
+    ([[np.ones((4, 6), np.float32)] * 3], r"4 stages, got \[3\]"),
+    ([[np.ones((4, 6), np.float32)] * 4, [np.ones((4, 6), np.float32)] * 5], r"got \[4, 5\]"),
+    ([[np.ones((4, 6), np.float32)] * 4, [np.ones((4, 5), np.float32)] * 4], "level 0"),
+    ([[np.ones(6, np.float32)] * 4], "level 0"),
+], ids=["three-stages", "five-stages", "two-widths", "one-dimensional"])
+def test_references_that_do_not_form_a_bank_are_a_usage_error(refs, match):
+    with pytest.raises(UsageError, match=match):
+        build_memory_bank(refs)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -63,16 +73,16 @@ def test_combine_maps_endpoints(rng, beta):
     signs = np.where(np.arange(tokens) % 3 == 0, -1.0, 1.0).astype(np.float32)[:, None]
     bank = build_memory_bank([[row] * 4])
     fmap = few_shot_map([signs * row] * 4, bank, GRID, DIMS)
-    assert fmap.few.min() < 4.0 < fmap.few.max()  # the normalised term clips in places
+    assert fmap.min() < 4.0 < fmap.max()  # the normalised term clips in places
     combined = combine_maps(zero, fmap, beta=beta)
-    expected = zero.scores if beta == 0.0 else np.clip(fmap.few / 4.0, 0.0, 1.0)
+    expected = zero.scores if beta == 0.0 else np.clip(fmap / 4.0, 0.0, 1.0)
     np.testing.assert_array_equal(combined.scores, expected)
 
 
 @pytest.mark.parametrize("beta", [True, None, "0.5", -0.1, 1.5, float("nan")])
 def test_a_beta_that_is_not_a_number_in_zero_one_is_a_usage_error(beta):
     zero = AnomalyMap(scores=np.zeros(DIMS, np.float32))
-    few = FewShotMap(level_maps=np.zeros((4, *GRID), np.float32), few=np.ones(DIMS, np.float32))
+    few = np.ones(DIMS, np.float32)
     with pytest.raises(UsageError, match="beta"):
         combine_maps(zero, few, beta=beta)
     assert combine_maps(zero, few, beta=np.float32(1)).scores.max() == 0.25  # STAGES = 4
@@ -91,5 +101,5 @@ def test_a_float64_model_scores_few_shot_in_float64_outside_its_precision(tiny_c
         inside = few_shot_map(pred.stage_features, bank, pred.grid, pred.anomaly_map.scores.shape)
     assert numerics.default_dtype() == np.float32
     outside = few_shot_map(pred.stage_features, bank, pred.grid, pred.anomaly_map.scores.shape)
-    assert inside.few.dtype == outside.few.dtype == np.float64
-    np.testing.assert_array_equal(outside.few, inside.few)
+    assert inside.dtype == outside.dtype == np.float64
+    np.testing.assert_array_equal(outside, inside)

@@ -307,6 +307,42 @@ def test_bool_and_float_labels_equal_integer_labels(metric):
     assert metric(scores, [1.0, 0.0, 1.0, 0.0]) == want
 
 
+_MASK = np.array([[1, 0], [0, 0]])
+_MAP = np.array([[0.9, 0.3], [0.1, 0.2]])
+_NAN_MAP = np.array([[0.9, np.nan], [0.1, 0.2]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: metrics.auroc([np.nan, 1, 0, 0.5], [1, 0, 1, 0]),
+    lambda: metrics.average_precision([np.nan, 1, 0, 0.5], [1, 0, 1, 0]),
+    lambda: metrics.pro([_NAN_MAP], [_MASK]),
+    lambda: metrics.evaluate_scores([np.nan, 0.5], [1, 0], [_MAP, _MAP], [_MASK, _MASK]),
+    lambda: metrics.evaluate_scores([0.9, 0.5], [1, 0], [_MAP, _NAN_MAP], [_MASK, _MASK]),
+], ids=["auroc", "average_precision", "pro", "evaluate_scores-image", "evaluate_scores-pixel"])
+def test_a_nan_score_is_a_usage_error(call):
+    with pytest.raises(UsageError, match="NaN"):
+        call()
+
+
+def test_infinite_scores_rank_as_they_compare():
+    labels = [1, 0, 1, 0]
+    for metric in (metrics.auroc, metrics.average_precision):
+        assert metric([np.inf, 1, 0, -np.inf], labels) == metric([9, 1, 0, -9], labels)
+    infinite = np.array([[np.inf, 0.3], [-np.inf, 0.2]])
+    assert metrics.pro([infinite], [_MASK]) == metrics.pro([np.nan_to_num(infinite)], [_MASK])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: metrics.label_regions(np.ones((2, 3, 3))),
+    lambda: metrics.pro([np.zeros((2, 3, 3))], [np.ones((2, 3, 3))]),
+    lambda: metrics.evaluate_scores([0.9, 0.5], [1, 0], [np.zeros((2, 3, 3))] * 2,
+                                    [np.ones((2, 3, 3))] * 2),
+], ids=["label_regions", "pro", "evaluate_scores"])
+def test_a_mask_that_is_not_two_dimensional_is_a_usage_error(call):
+    with pytest.raises(UsageError, match="2-D"):
+        call()
+
+
 # integer score levels, so that ties are common and a lookup table of
 # increasing values is an exact strictly increasing transform
 LEVELS = 6

@@ -74,7 +74,7 @@ def test_sample_loss_reaches_every_trainable(tiny_model, tiny_corpus):
 
 @pytest.mark.parametrize(
     "adapter_kind, attention_mode, prompt_kind",
-    list(itertools.product(("fwa", "linear"), ("vv", "qkv"), ("coop", "template", "fixed_pair"))),
+    list(itertools.product(("fwa", "linear"), ("vv", "qkv"), ("coop", "template"))),
 )
 def test_every_kind_predicts_and_trains(tiny_corpus, adapter_kind, attention_mode, prompt_kind):
     model = build_model(tiny_config(
@@ -512,8 +512,8 @@ WEIGHT_DIGESTS = {
         dict(prompt_kind="template"), "float32",
         "cd9604e20d2c975967073a915bacb13725b0eb5f6c263b1d8809e4b4d6d5caef",
     ),
-    "fixed_pair-seed3": (
-        dict(seed=3, prompt_kind="fixed_pair"), "float32",
+    "seed3": (
+        dict(seed=3), "float32",
         "f4f40f08f7c147a1cf2245de17203589adfb7c6fd6f82dddf0175d418ba397d3",
     ),
     "float64-seed5": (

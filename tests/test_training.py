@@ -107,9 +107,8 @@ def test_backward_leaves_every_constant_without_grad(tiny_model, tiny_corpus, mo
     assert [v for v in constants if v.grad is not None] == []
 
 
-@pytest.mark.parametrize("prompt_kind", ["template", "fixed_pair"])
-def test_frozen_prompts_reuse_the_cached_text(tiny_corpus, monkeypatch, prompt_kind):
-    model = build_model(tiny_config(prompt_kind=prompt_kind))
+def test_frozen_prompts_reuse_the_cached_text(tiny_corpus, monkeypatch):
+    model = build_model(tiny_config(prompt_kind="template"))
     samples = tiny_corpus.samples[:4]
     graph_text = prompts.encode_prompts(model.prompt_pair, model.encoder)
     projections = [(a.weight, a.bias) for a in model.adapters]
@@ -182,6 +181,24 @@ def test_train_epoch_runs_the_public_loss_functions(tiny_corpus, monkeypatch):
     del calls[:]
     training.train_epoch(model, tiny_corpus.samples, model.config.optim, seed=1, state=state)
     assert calls == ["sample_loss", "sample_loss", "mean_dataset_loss"]
+
+
+def test_log_fn_gets_one_record_per_step_of_chained_epochs(tiny_corpus):
+    """A record is the state's step count, which runs on across epochs, the
+    step's loss and its terms: the report's ``batch_losses`` and ``batch_terms``."""
+    model = build_model(tiny_config())
+    samples = tiny_corpus.samples[:12]  # two steps an epoch, the second of 4 samples
+    records = []
+    first, state = training.train_epoch(model, samples, model.config.optim, log_fn=records.append)
+    second, _ = training.train_epoch(model, samples, model.config.optim, seed=1, state=state,
+                                     log_fn=records.append)
+    losses = first.batch_losses + second.batch_losses
+    terms = first.batch_terms + second.batch_terms
+    assert [r["step"] for r in records] == [1, 2, 3, 4]
+    assert (first.steps, second.steps) == (2, 4)
+    for step, record in enumerate(records, start=1):
+        assert list(record) == ["step", "loss", "dice", "focal", "bce"]
+        assert record == {"step": step, "loss": losses[step - 1], **terms[step - 1]}
 
 
 @pytest.mark.parametrize("seed", [-3, 1.5, True, "0", None])
