@@ -11,18 +11,19 @@ trainable, and a ``linear`` adapter kind skips the attention entirely for the
 corresponding ablation.
 
 Every function takes a stacked (B, L, C) batch of token grids only; one
-image's grid is a stack of one. The windows of all images of a batch go
-through one attention call.
+image's grid is a stack of one. The windows of all images of a batch, or of
+each part of a large one, go through one attention call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from . import autodiff as ag
+from . import numerics
 from .backbone import AttentionWeights, seeded_weights
 from .errors import ConfigError, UsageError
 
@@ -85,15 +86,22 @@ def attended_features(
     """partition -> batched per-window attention -> reverse, from a (B, L, C)
     stack of token grids to a (B, L, C) stack of maps.
 
-    Every window of every image goes through one attention call.
+    Every window of every image of a part goes through one attention call;
+    the windows of a stack of at least two ``numerics.CHUNK_TOKENS`` parts
+    are attended and reversed in parts on ``numerics.WORKERS`` threads,
+    with the same bits.
     """
     dims = (*grid_dims, *window)
     windows = window_partition(tokens, *dims)
-    attended = ag.attention(
-        windows.reshape(-1, *windows.shape[2:]),
-        weights.w_q, weights.w_k, weights.w_v, weights.w_o, weights.heads, mode,
-    )
-    return window_reverse(attended.reshape(windows.shape), *dims)
+
+    def attend(part: np.ndarray) -> List[np.ndarray]:
+        attended = ag.attention(
+            part.reshape(-1, *part.shape[2:]),
+            weights.w_q, weights.w_k, weights.w_v, weights.w_o, weights.heads, mode,
+        )
+        return [window_reverse(attended.reshape(part.shape), *dims)]
+
+    return numerics.map_image_parts(attend, windows, grid_dims[0] * grid_dims[1])[0]
 
 
 def project_tokens(weight, bias, tokens):

@@ -13,7 +13,8 @@ edges ``SowaModel.predict``, ``fusion.anomaly_map``, ``fewshot.few_shot_map``
 and ``combine_maps``, and ``numerics.bilinear_upsample`` take one image. A
 stack runs through every block along its leading image axis, with each
 per-image product the same BLAS call as on that image alone, so an image's
-features do not depend on the stack it was run in.
+features do not depend on the stack it was run in, nor on the thread: a
+large stack runs in parts on two threads (``numerics.map_image_parts``).
 
 One init rule, ``seeded_weights``, draws every model tensor, frozen or
 trainable: layer-norm scales are ones, offsets and biases zeros, embeddings
@@ -136,10 +137,13 @@ class Backbone:
         one array or a sequence of images.
 
         Returns the ``STAGES`` (B, L, C) patch-token stage outputs and the
-        (B, C) final class tokens, computed in the weights' dtype. Each
-        image's rows equal those of its own stack of one bit for bit. An
-        empty stack, a bare (S, S, 3) image, and an image of the wrong shape
-        or with a non-finite value raise ``UsageError``.
+        (B, C) final class tokens, computed in the weights' dtype. A stack
+        of at least two ``numerics.CHUNK_TOKENS`` parts runs in parts on
+        ``numerics.WORKERS`` threads (``numerics.map_image_parts``). Each
+        image's rows equal those of its own stack of one bit for bit, in any
+        stack and on any thread. An empty stack, a bare (S, S, 3) image, and
+        an image of the wrong shape or with a non-finite value raise
+        ``UsageError``.
         """
         cfg = self.config
         try:
@@ -154,13 +158,19 @@ class Backbone:
         finite = np.isfinite(images).all(axis=(1, 2, 3))
         if not finite.all():
             raise UsageError(f"image {int(np.argmin(finite))} contains non-finite values")
+        *stages, class_tokens = numerics.map_image_parts(self._blocks, images, cfg.tokens)
+        return stages, class_tokens
+
+    def _blocks(self, images: np.ndarray) -> List[np.ndarray]:
+        """Normalise, embed and run every block on a checked stack: the
+        ``STAGES`` stage outputs, then the class tokens."""
         x = self._embed(self.normalize_image(images))
         stages: List[np.ndarray] = []
         for block in range(STAGES * BLOCKS_PER_STAGE):
-            x = transformer_block(x, self.weights, block, cfg.heads)
+            x = transformer_block(x, self.weights, block, self.config.heads)
             if (block + 1) % BLOCKS_PER_STAGE == 0:
                 stages.append(x[:, 1:].copy())
-        return stages, x[:, 0].copy()
+        return stages + [x[:, 0].copy()]
 
     def _embed(self, images: np.ndarray) -> np.ndarray:
         """Normalised (B, S, S, 3) pixels to (B, 1 + tokens, C) embedded

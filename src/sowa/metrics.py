@@ -5,11 +5,16 @@ Every metric reads one threshold sweep over the data's own score values (no
 binning): running sums down the descending score order, taken at the end of
 each tie group, exact in int64 for counts and float64 for region coverage.
 So a tie group is one operating point (AUROC counts a tied positive-negative
-pair as 1/2, as Mann-Whitney does), no metric depends on the index order of
-tied items, and any strictly increasing transform of the scores leaves all
-three unchanged. ``auroc`` and ``average_precision`` take labels 0 or 1
-(bools too); any other label is a ``UsageError``, as is a NaN score, which
-has no rank (±inf ranks as it compares).
+pair as 1/2, as Mann-Whitney does), and any strictly increasing transform of
+the scores leaves all three unchanged. The sort is numpy's default, not a
+stable one, so tied items come in an order of its choosing. AUROC and AP
+read only exact counts and do not depend on that order; PRO's coverage sums
+do in their last bits, since float64 addition rounds by the order of the
+items added. ``auroc`` and ``average_precision`` take labels 0 or 1 (bools
+too); any other label is a ``UsageError``, as is a NaN score, which has no
+rank (±inf ranks as it compares). No scores at all is a
+``MetricUndefinedError``. Maps and masks come as lists of (H, W) arrays or
+as two (B, H, W) stacks.
 """
 
 from __future__ import annotations
@@ -32,11 +37,14 @@ def auroc(scores, labels01) -> float:
 
 
 def _scores_and_labels(scores, labels01) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat float64 scores and their labels, each label 0 or 1 (bools too)."""
+    """Flat float64 scores and their labels, each label 0 or 1 (bools too).
+    No scores at all is a ``MetricUndefinedError``."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels01).ravel()
     if scores.shape != labels.shape:
         raise UsageError(f"scores {scores.shape} and labels {labels.shape} differ")
+    if scores.size == 0:
+        raise MetricUndefinedError("metric undefined without any scores")
     if labels.dtype != bool and not np.all((labels == 0) | (labels == 1)):
         raise UsageError(f"labels must be 0 or 1, got {np.unique(labels)}")
     return scores, labels
@@ -56,11 +64,11 @@ def _auroc(labels: np.ndarray, ranking) -> float:
 
 
 def _descending(scores: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The stable order of ``scores`` from highest to lowest, and the
-    position in that order of the last item of each tie group."""
+    """An order of ``scores`` from highest to lowest, tied items in no set
+    order, and the position in that order of the last item of each tie group."""
     if np.isnan(scores).any():
         raise UsageError(f"{int(np.isnan(scores).sum())} of {scores.size} scores are NaN")
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)
     return order, np.flatnonzero(np.append(np.diff(scores[order]) != 0.0, True))
 
 
@@ -146,7 +154,7 @@ def pro(maps: Sequence[np.ndarray], masks01: Sequence[np.ndarray], fpr_limit: fl
 
 def _pixel_regions(maps, masks01) -> Tuple[np.ndarray, int]:
     """Each pooled pixel's region (-1 when normal) and the region count."""
-    if len(maps) != len(masks01) or not maps:
+    if len(maps) != len(masks01) or len(maps) == 0:
         raise UsageError("maps and masks must be non-empty and aligned")
 
     region_of_pixel: List[np.ndarray] = []

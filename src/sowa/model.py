@@ -14,11 +14,15 @@ formula, ``score_batch``, turns its activations into stage features, maps
 and scores: training runs it on the parameter Vars, ``predict_batch`` on
 their arrays. Only ``predict`` and its ``Prediction`` take and give a single
 image, as a stack of one. ``evaluate_dataset`` and ``build_memory_bank``
-run their images ``chunk_size`` at a time, as many as ``CHUNK_TOKENS``
-patch tokens hold. Every per-image product of a stack is the BLAS call that
-image makes alone; a one-row product (the class token's) is kept one row
-per image, because BLAS rounds it differently from a row of a larger
-product. So a prediction is the same bit for bit in any stack, in any order.
+run their images ``chunk_size`` at a time: ``numerics.CHUNK_TOKENS`` patch
+tokens for each of the ``numerics.WORKERS`` threads, 16 images at 64 px and
+4 at 224 px on two. The frozen pass splits such a chunk into one part per
+thread (backbone and windowed attention, ``numerics.map_image_parts``);
+the calling thread runs the first part and every other step of the model.
+Every per-image product of a stack is the BLAS call that image makes alone;
+a one-row product (the class token's) is kept one row per image, because
+BLAS rounds it differently from a row of a larger product. So a prediction
+is the same bit for bit in any stack, in any order, on any thread.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 
 from . import autodiff as ag
 from . import fusion as fusion_mod
+from . import numerics
 from .adapter import (
     AdapterParams,
     attended_features,
@@ -52,11 +57,6 @@ from .prompts import (
     encode_text,
 )
 
-# Images per chunk where many are run (``evaluate_dataset``, memory banks):
-# this many patch tokens, so 8 images at 64 px and 2 at 224 px. Chunks of
-# 4-16 images ran a 64 px evaluation about a third faster than one image at
-# a time, while chunks above 2 ran 224 px images up to 20% slower.
-CHUNK_TOKENS = 512
 # Most images whose frozen activations the feature cache keeps (LRU): about
 # 64 KB each at 64 px and 256 KB at 224 px.
 FEATURE_CACHE_LIMIT = 256
@@ -114,8 +114,9 @@ class SowaModel:
     @property
     def chunk_size(self) -> int:
         """Images per ``predict_batch`` call where many are run: as many as
-        ``CHUNK_TOKENS`` patch tokens hold, at least one."""
-        return max(1, CHUNK_TOKENS // self.backbone.config.tokens)
+        ``numerics.CHUNK_TOKENS`` patch tokens hold per thread, on
+        ``numerics.WORKERS`` threads; at least one."""
+        return max(1, numerics.WORKERS * numerics.CHUNK_TOKENS // self.backbone.config.tokens)
 
     def frozen_forward(self, images, cache_key: Optional[int] = None) -> FrozenActivations:
         """Backbone + (for fwa) frozen windowed attention, on a (B, S, S, 3)

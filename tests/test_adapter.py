@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from sowa import adapter, numerics
 from sowa.adapter import (
     attended_features,
     new_adapter_params,
@@ -215,6 +218,33 @@ class TestAdapterForward:
         tokens = np.random.default_rng(24).normal(size=(1, 16, 8)).astype(np.float32)
         _adapt(params, tokens, w, (4, 4), (2, 2))
         assert [tensor_hash(m) for m in (w.w_q, w.w_k, w.w_v, w.w_o)] == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_split_stack_is_attended_as_each_grid_alone(self, dtype, monkeypatch):
+        """17 grids of 8x8 tokens are two parts, of 9 and 8 grids, on two threads."""
+        w = _weights(c=8, heads=2, seed=27)
+        w = AttentionWeights(*(m.astype(dtype) for m in (w.w_q, w.w_k, w.w_v, w.w_o)), w.heads)
+        tokens = np.random.default_rng(28).normal(size=(17, 64, 8)).astype(dtype)
+        threads = set()
+        reverse = adapter.window_reverse
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return reverse(*args)
+
+        monkeypatch.setattr(adapter, "window_reverse", spy)
+        monkeypatch.setattr(numerics, "WORKERS", 2)
+        split = attended_features(tokens, w, (8, 8), (4, 4))
+        assert len(threads) == 2
+        monkeypatch.setattr(numerics, "WORKERS", 1)
+        np.testing.assert_array_equal(split, attended_features(tokens, w, (8, 8), (4, 4)))
+        assert split.dtype == dtype
+        for i in (0, 8, 9, 16):  # the ends of both parts
+            alone = attended_features(tokens[i : i + 1], w, (8, 8), (4, 4))
+            np.testing.assert_array_equal(split[i : i + 1], alone)
+        # a bare grid is rejected whole, before any split
+        with pytest.raises(UsageError, match=r"got \(1088, 8\)"):
+            attended_features(tokens.reshape(-1, 8), w, (8, 8), (4, 4))
 
     @pytest.mark.parametrize("mode", ["vv", "qkv"])
     def test_a_stack_is_attended_as_each_grid_alone(self, mode):

@@ -1,10 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 
 from sowa import autodiff as ag
 from sowa import numerics
 from sowa.backbone import (
-    BLOCKS_PER_STAGE, NORM_MEAN, NORM_STD, BackboneConfig, init_synthetic, tensor_hash,
+    BLOCKS_PER_STAGE, NORM_MEAN, NORM_STD, Backbone, BackboneConfig, init_synthetic, tensor_hash,
 )
 from sowa.errors import ConfigError, UsageError
 
@@ -77,6 +79,34 @@ class TestForward:
                 assert stage.dtype == dtype
                 np.testing.assert_array_equal(stage[i : i + 1], rows)
             np.testing.assert_array_equal(class_tokens[i : i + 1], alone_class)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_split_stack_gives_each_image_its_own_features(self, dtype, monkeypatch):
+        """17 images at 64 px are two parts, of 9 and 8 images, on two threads."""
+        with numerics.precision(dtype):
+            backbone = init_synthetic(BackboneConfig(), seed=12)
+        images = np.random.default_rng(6).uniform(size=(17, 64, 64, 3))
+        threads = set()
+        blocks = Backbone._blocks
+
+        def spy(self, part):
+            threads.add(threading.get_ident())
+            return blocks(self, part)
+
+        monkeypatch.setattr(Backbone, "_blocks", spy)
+        monkeypatch.setattr(numerics, "WORKERS", 2)
+        split = backbone.forward(images)
+        assert len(threads) == 2
+        monkeypatch.setattr(numerics, "WORKERS", 1)
+        serial = backbone.forward(images)
+        for ours, theirs in zip([*split[0], split[1]], [*serial[0], serial[1]], strict=True):
+            assert ours.dtype == dtype
+            np.testing.assert_array_equal(ours, theirs)
+        for i in (0, 8, 9, 16):  # the ends of both parts
+            alone_stages, alone_class = backbone.forward(images[i : i + 1])
+            for stage, rows in zip(split[0], alone_stages, strict=True):
+                np.testing.assert_array_equal(stage[i : i + 1], rows)
+            np.testing.assert_array_equal(split[1][i : i + 1], alone_class)
 
     def test_bad_stacks_rejected(self, backbone, image):
         bad = np.stack([image, image, image])

@@ -4,6 +4,7 @@ rebuilt from ``predict``, the few-shot map and the blend, image by image,
 whatever chunks it runs the images in."""
 
 import itertools
+import threading
 from collections import deque
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage, stats
 
-from sowa import metrics
+from sowa import adapter, metrics, numerics
 from sowa import model as smodel
+from sowa.backbone import Backbone
 from sowa.errors import MetricUndefinedError, UsageError
 from sowa.fewshot import combine_maps, few_shot_map
 from sowa.model import build_model
@@ -85,9 +87,11 @@ def test_chunked_evaluation_equals_the_per_image_rebuild(dtype, adapter_kind, at
         return evaluate_scores(scores, labels01, maps, masks01, **kwargs)
 
     monkeypatch.setattr(metrics, "evaluate_scores", spy)
-    # one chunk of all 16 images, then chunks of 3 (the last holds one)
-    for chunk_tokens in (smodel.CHUNK_TOKENS, 3 * model.backbone.config.tokens):
-        monkeypatch.setattr(smodel, "CHUNK_TOKENS", chunk_tokens)
+    monkeypatch.setattr(numerics, "WORKERS", 2)
+    # one serial chunk of all 16 images; then chunks of 6, the first two run
+    # as two parts of 3 on two threads and the last (of 4) as one part
+    for chunk_tokens in (numerics.CHUNK_TOKENS, 3 * model.backbone.config.tokens):
+        monkeypatch.setattr(numerics, "CHUNK_TOKENS", chunk_tokens)
         for mode, image_score_mode in cases:
             report = metrics.evaluate_dataset(model, samples, mode=mode, bank=bank, beta=0.5,
                                               image_score_mode=image_score_mode)
@@ -98,6 +102,33 @@ def test_chunked_evaluation_equals_the_per_image_rebuild(dtype, adapter_kind, at
             for ours, theirs in zip(got_maps, maps, strict=True):
                 assert ours.dtype == np.dtype(dtype)
                 np.testing.assert_array_equal(ours, theirs)
+
+
+def test_traced_steps_of_an_evaluation_run_on_the_calling_thread(tiny_model, few_shot_setup,
+                                                                  monkeypatch):
+    """The frozen pass runs parts of a chunk on a pool thread, but every
+    callable a span tracer wraps runs on the caller's thread."""
+    test, bank = few_shot_setup
+    monkeypatch.setattr(numerics, "WORKERS", 2)
+    monkeypatch.setattr(numerics, "CHUNK_TOKENS", 2 * tiny_model.backbone.config.tokens)
+    threads = {}
+
+    def recorded(name, fn):
+        def spy(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return spy
+
+    for owner, name in ((Backbone, "forward"), (smodel, "attended_features"),
+                        (smodel, "project_tokens"), (metrics, "few_shot_map"),
+                        (Backbone, "_blocks"), (adapter, "window_reverse")):
+        monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+    metrics.evaluate_dataset(tiny_model, test, mode="few_shot", bank=bank)
+    caller = {threading.get_ident()}
+    for name in ("forward", "attended_features", "project_tokens", "few_shot_map"):
+        assert threads[name] == caller, name
+    # the parts inside the traced steps did run on two threads
+    assert len(threads["_blocks"]) == len(threads["window_reverse"]) == 2
 
 
 def test_defaults_come_from_the_run_config(few_shot_setup):
@@ -297,6 +328,26 @@ def test_average_precision_does_not_depend_on_tie_order():
 def test_a_label_outside_zero_and_one_is_a_usage_error(metric, labels):
     with pytest.raises(UsageError, match="labels must be 0 or 1"):
         metric([0.9, 0.8, 0.7, 0.1], labels)
+
+
+@pytest.mark.parametrize("metric", [metrics.auroc, metrics.average_precision])
+def test_no_scores_are_metric_undefined(metric):
+    for empty in ([], np.zeros((0, 3))):
+        with pytest.raises(MetricUndefinedError, match="without any scores"):
+            metric(empty, empty)
+
+
+def test_stacked_maps_and_masks_score_as_lists():
+    rng = np.random.default_rng(9)
+    maps = rng.integers(0, 5, size=(4, 6, 5)) / 5.0
+    masks = (rng.uniform(size=(4, 6, 5)) < 0.3).astype(np.int64)
+    masks[0, 0, 0], masks[1, 0, 0] = 1, 0
+    scores, labels = [0.2, 0.9, 0.4, 0.7], [0, 1, 0, 1]
+    assert metrics.pro(maps, masks) == metrics.pro(list(maps), list(masks))
+    stacked = metrics.evaluate_scores(scores, labels, maps, masks)
+    assert stacked == metrics.evaluate_scores(scores, labels, list(maps), list(masks))
+    with pytest.raises(UsageError, match="non-empty"):
+        metrics.pro(maps[:0], masks[:0])
 
 
 @pytest.mark.parametrize("metric", [metrics.auroc, metrics.average_precision])

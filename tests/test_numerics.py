@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -238,3 +245,75 @@ class TestCheckFloat:
         with pytest.raises(ValueError, match=r"lr must be a finite number in \(0, inf\)"):
             numerics.check_float(0.0, "lr", 0.0, error=ValueError, low_open=True)
         numerics.check_float(10**400, "big")  # an int is finite whatever its size
+
+
+class TestMapImageParts:
+    def test_parts_run_in_order_on_two_threads_in_the_callers_context(self, monkeypatch):
+        monkeypatch.setattr(numerics, "WORKERS", 2)
+        monkeypatch.setattr(numerics, "CHUNK_TOKENS", 4)
+        seen = []
+
+        def fn(part):
+            seen.append((threading.get_ident(), np.geterr()["divide"]))
+            return [part * 2, part[:, :1]]
+
+        stack = np.arange(30.0).reshape(5, 6)  # 6 tokens an image: parts of 3 and 2 images
+        with np.errstate(divide="ignore"):
+            doubled, first = numerics.map_image_parts(fn, stack, tokens=6)
+        np.testing.assert_array_equal(doubled, stack * 2)
+        np.testing.assert_array_equal(first, stack[:, :1])
+        assert {divide for _, divide in seen} == {"ignore"}
+        assert len({thread for thread, _ in seen}) == 2
+        seen.clear()
+        assert numerics.map_image_parts(fn, stack[:1], tokens=6)[0].shape == (1, 6)
+        assert seen == [(threading.get_ident(), np.geterr()["divide"])]  # one part: no pool
+
+    def test_an_error_in_a_part_is_raised_after_every_part_has_ended(self, monkeypatch):
+        monkeypatch.setattr(numerics, "WORKERS", 2)
+        monkeypatch.setattr(numerics, "CHUNK_TOKENS", 1)
+        ended = []
+
+        def fn(part):
+            if part[0] == 0:  # the calling thread's part
+                raise ValueError("first part")
+            time.sleep(0.05)
+            ended.append(part[0])
+            return [part]
+
+        with pytest.raises(ValueError, match="first part"):
+            numerics.map_image_parts(fn, np.arange(2), tokens=1)
+        assert ended == [1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_runs_a_split_forward(self):
+        """The child of a process whose pool has started gets a pool of its
+        own: the parent's threads do not exist in it."""
+        code = (
+            "import os, signal, sys, time, warnings\n"
+            "import numpy as np\n"
+            "from sowa import numerics\n"
+            "from sowa.backbone import BackboneConfig, init_synthetic\n"
+            "numerics.WORKERS = 2\n"
+            "backbone = init_synthetic(BackboneConfig(), seed=0)\n"
+            "images = np.random.default_rng(0).uniform(size=(16, 64, 64, 3))\n"
+            "expected = backbone.forward(images)[1]  # two parts: the pool starts\n"
+            "with warnings.catch_warnings():\n"
+            "    # Python 3.12 and later warn on a fork while other threads run\n"
+            "    warnings.simplefilter('ignore', DeprecationWarning)\n"
+            "    pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(0 if np.array_equal(backbone.forward(images)[1], expected) else 1)\n"
+            "deadline = time.monotonic() + 60\n"
+            "while time.monotonic() < deadline:\n"
+            "    done, status = os.waitpid(pid, os.WNOHANG)\n"
+            "    if done:\n"
+            "        sys.exit(os.waitstatus_to_exitcode(status))\n"
+            "    time.sleep(0.02)\n"
+            "os.kill(pid, signal.SIGKILL)\n"
+            "os.waitpid(pid, 0)\n"
+            "sys.exit('the forked child hung')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ag.__file__).resolve().parent.parent))
+        run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, timeout=120,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
