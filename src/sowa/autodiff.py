@@ -365,30 +365,34 @@ def layer_norm(x, scale, offset, eps: float = 1e-5):
 
 
 def attention(x, w_q, w_k, w_v, w_o, heads: int, mode: str):
-    """Multi-head self-attention over a stacked (B, N, C) batch of token sets.
+    """Multi-head self-attention over a (B, ..., N, C) stack of token sets.
 
     ``mode='qkv'`` scores queries against keys; ``mode='vv'`` scores the
     values against themselves (CLIP Surgery), so per head the pre-softmax
-    scores V V^T / sqrt(d_head) are symmetric and W_q, W_k go unused.
+    scores V V^T / sqrt(d_head) are symmetric and W_q, W_k go unused. Weights
+    may be stacked, e.g. (STAGES, C, C) against a (B, STAGES, N, C) stack: a
+    set's products are then the ones it makes alone against its own slice.
     """
     if mode not in ATTENTION_MODES:
         raise UsageError(f"attention mode must be one of {ATTENTION_MODES}, got {mode!r}")
     shape = tuple(x.shape)
-    if len(shape) != 3:
-        raise UsageError(f"expected a (B, N, C) stack of tokens, got {shape}")
-    b, n, c = shape
-    if c % heads or w_v.shape[0] != c:
+    if len(shape) < 3:
+        raise UsageError(f"expected a (B, ..., N, C) stack of token sets, got {shape}")
+    *lead, n, c = shape
+    if c % heads or w_v.shape[-2] != c:
         raise UsageError(f"token width {c} does not fit {heads} heads and weights {w_v.shape}")
+    r = len(lead)
+    swap = (*range(r), r + 1, r, r + 2)  # (..., N, heads, dh) <-> (..., heads, N, dh)
 
-    def split(t):  # (B, N, C) -> (B, heads, N, dh)
-        return transpose(reshape(t, (b, n, heads, c // heads)), (0, 2, 1, 3))
+    def split(t):
+        return transpose(reshape(t, (*lead, n, heads, c // heads)), swap)
 
     v = split(matmul(x, w_v))
     q, k = (v, v) if mode == "vv" else (split(matmul(x, w_q)), split(matmul(x, w_k)))
-    scores, scale = matmul(q, transpose(k, (0, 1, 3, 2))), (c // heads) ** -0.5
+    scores, scale = matmul(q, transpose(k, (*range(r + 1), r + 2, r + 1))), (c // heads) ** -0.5
     if is_var(scores):
         scores = mul(scores, scale)
     else:  # a fresh array
         scores = np.multiply(scores, scale, out=_writable(scores, scale))
-    ctx = transpose(matmul(softmax_last(scores), v), (0, 2, 1, 3))
+    ctx = transpose(matmul(softmax_last(scores), v), swap)
     return matmul(reshape(ctx, shape), w_o)

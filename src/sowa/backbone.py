@@ -4,8 +4,9 @@ block layout that build every model tensor.
 A seeded, desk-scale stand-in for a large pretrained visual encoder: standard
 pre-norm blocks with QKV attention, a class token carried through the whole
 stack, and four stage outputs (the patch tokens after the last block of each
-quarter of the stack). Attention projections are bias-free so a stage's
-(W_q, W_k, W_v, W_o) quadruple can be handed to the adapters as-is.
+quarter of the stack), held as one (B, STAGES, L, C) array. Attention
+projections are bias-free so the stages' (W_q, W_k, W_v, W_o) quadruples
+can be handed to the adapter as-is, stacked (STAGES, C, C).
 
 ``Backbone.forward`` takes a stack of images only, as every function below
 the public API does: a single image is a stack of one. Only the public
@@ -101,17 +102,13 @@ class Backbone:
     def hashes(self) -> Dict[str, str]:
         return {name: tensor_hash(arr) for name, arr in sorted(self.weights.items())}
 
-    def stage_attention_weights(self, stage: int) -> AttentionWeights:
-        """(W_q, W_k, W_v, W_o) of the last block of ``stage`` (1-based)."""
-        if not 1 <= stage <= STAGES:
-            raise UsageError(f"stage must be in 1..{STAGES}, got {stage}")
-        block = stage * BLOCKS_PER_STAGE - 1
-        w = self.weights
+    def stage_attention_weights(self) -> AttentionWeights:
+        """(W_q, W_k, W_v, W_o) of the last block of every stage, each
+        stacked (STAGES, C, C) in stage order."""
+        last = [(stage + 1) * BLOCKS_PER_STAGE - 1 for stage in range(STAGES)]
         return AttentionWeights(
-            w_q=w[f"blocks.{block}.attn.w_q"],
-            w_k=w[f"blocks.{block}.attn.w_k"],
-            w_v=w[f"blocks.{block}.attn.w_v"],
-            w_o=w[f"blocks.{block}.attn.w_o"],
+            *(np.stack([self.weights[f"blocks.{b}.attn.{m}"] for b in last])
+              for m in ("w_q", "w_k", "w_v", "w_o")),
             heads=self.config.heads,
         )
 
@@ -132,11 +129,11 @@ class Backbone:
         out /= std
         return out.reshape(image.shape)
 
-    def forward(self, images) -> Tuple[List[np.ndarray], np.ndarray]:
+    def forward(self, images) -> Tuple[np.ndarray, np.ndarray]:
         """Run the frozen stack on a (B, S, S, 3) stack of images, given as
         one array or a sequence of images.
 
-        Returns the ``STAGES`` (B, L, C) patch-token stage outputs and the
+        Returns the (B, STAGES, L, C) patch-token stage outputs and the
         (B, C) final class tokens, computed in the weights' dtype. A stack
         of at least two ``numerics.CHUNK_TOKENS`` parts runs in parts on
         ``numerics.WORKERS`` threads (``numerics.map_image_parts``). Each
@@ -158,19 +155,18 @@ class Backbone:
         finite = np.isfinite(images).all(axis=(1, 2, 3))
         if not finite.all():
             raise UsageError(f"image {int(np.argmin(finite))} contains non-finite values")
-        *stages, class_tokens = numerics.map_image_parts(self._blocks, images, cfg.tokens)
-        return stages, class_tokens
+        return tuple(numerics.map_image_parts(self._blocks, images, cfg.tokens))
 
     def _blocks(self, images: np.ndarray) -> List[np.ndarray]:
         """Normalise, embed and run every block on a checked stack: the
-        ``STAGES`` stage outputs, then the class tokens."""
+        (B, STAGES, L, C) stage outputs and the (B, C) class tokens."""
         x = self._embed(self.normalize_image(images))
-        stages: List[np.ndarray] = []
+        stages = np.empty((len(x), STAGES, x.shape[1] - 1, x.shape[2]), dtype=x.dtype)
         for block in range(STAGES * BLOCKS_PER_STAGE):
             x = transformer_block(x, self.weights, block, self.config.heads)
             if (block + 1) % BLOCKS_PER_STAGE == 0:
-                stages.append(x[:, 1:].copy())
-        return stages + [x[:, 0].copy()]
+                stages[:, block // BLOCKS_PER_STAGE] = x[:, 1:]
+        return [stages, x[:, 0].copy()]
 
     def _embed(self, images: np.ndarray) -> np.ndarray:
         """Normalised (B, S, S, 3) pixels to (B, 1 + tokens, C) embedded

@@ -1,10 +1,11 @@
 """Memory bank of reference features and few-shot anomaly scoring.
 
 The bank stores the adapter outputs of K normal reference images at each of
-the four stages. A query token's per-level distance is one minus its best
-cosine similarity over every reference token at that level; the four level
-maps are summed and upsampled to pixel resolution, then blended with the
-zero-shot map.
+the four stages, as one (STAGES, K * L, C) array. A query token's per-level
+distance is one minus its best cosine similarity over every reference token
+at that level; the four level maps are summed and upsampled to pixel
+resolution, then blended with the zero-shot map. The levels are one array
+axis, so every level of every query of a stack is one batched product.
 
 Distances below SELF_MATCH_TOLERANCE snap to exactly zero so that querying a
 bank member yields an identically-zero map despite float32 rounding of
@@ -28,47 +29,50 @@ SELF_MATCH_TOLERANCE = 1e-6
 
 @dataclass
 class MemoryBank:
-    """Per-stage reference token features; immutable after build."""
+    """Reference token features of every stage; immutable after build.
 
-    stages: List[np.ndarray]  # STAGES arrays of shape (K * L, C_text)
+    The bank freezes a copy of ``features`` that it owns, so the caller's
+    array stays writable. Anything but a (STAGES, rows, C) array whose rows
+    are a whole number of images per id raises ``UsageError``.
+    """
+
+    features: np.ndarray  # (STAGES, K * L, C_text), image-major rows within a stage
     image_ids: List[str]
 
     def __post_init__(self):
-        if len(self.stages) != STAGES:
-            raise UsageError(f"memory bank needs {STAGES} stages, got {len(self.stages)}")
-        for arr in self.stages:
-            arr.setflags(write=False)
+        shape, k = np.shape(self.features), len(self.image_ids)
+        if len(shape) != 3 or shape[0] != STAGES or k == 0 or shape[1] == 0 or shape[1] % k:
+            raise UsageError(f"memory bank needs a ({STAGES}, rows, C) array with rows a "
+                             f"multiple of its {k} image ids, got shape {shape}")
+        self.features = np.array(self.features)
+        self.features.setflags(write=False)
 
 
-def build_memory_bank(
-    reference_features: Sequence[Sequence[np.ndarray]],
-    image_ids: Sequence[str] | None = None,
-) -> MemoryBank:
-    """Stack per-image stage features (each STAGES x (L, C)) into one bank.
+def build_memory_bank(reference_features, image_ids: Sequence[str] | None = None) -> MemoryBank:
+    """Join the references' stage features, a (K, STAGES, L, C) stack or K
+    (STAGES, L, C) arrays, into one bank.
 
     Duplicate references are kept as-is; the bank is content-transparent.
     ``image_ids``, when given, names each reference, one id per image.
-    References that are not ``STAGES`` (L, C) arrays of one C raise ``UsageError``.
+    References that do not stack into one (K, STAGES, L, C) array raise
+    ``UsageError``.
     """
-    refs = list(reference_features)
-    if not refs:
+    try:
+        refs = np.asarray(reference_features)
+    except ValueError as exc:  # references of differing shapes
+        raise UsageError(f"references do not stack into one array: {exc}") from exc
+    if len(refs) == 0:
         raise UsageError("memory bank needs at least one reference image")
+    if refs.ndim != 4 or refs.shape[1] != STAGES:
+        raise UsageError(f"references must be a (K, {STAGES}, L, C) stack, got {refs.shape}")
     ids = list(image_ids) if image_ids is not None else [str(i) for i in range(len(refs))]
     if len(ids) != len(refs):
         raise UsageError(f"{len(ids)} image ids for {len(refs)} reference images")
-    if any(len(r) != STAGES for r in refs):
-        raise UsageError(f"every reference needs {STAGES} stages, got {[len(r) for r in refs]}")
-    stages = []
-    for level in range(STAGES):
-        blocks = [np.asarray(r[level]) for r in refs]
-        if any(b.ndim != 2 or b.shape[1] != blocks[0].shape[1] for b in blocks):
-            raise UsageError(f"level {level}: bad reference shapes {[b.shape for b in blocks]}")
-        stages.append(np.concatenate(blocks, axis=0))  # a new array, which the bank freezes
-    return MemoryBank(stages=stages, image_ids=ids)
+    return MemoryBank(refs.swapaxes(0, 1).reshape(STAGES, -1, refs.shape[-1]), image_ids=ids)
 
 
 def few_shot_map(
-    query_features: Sequence[np.ndarray],
+    query_features,
     bank: MemoryBank,
     grid: Tuple[int, int],
     image_dims: Tuple[int, int],
@@ -76,31 +80,23 @@ def few_shot_map(
     """Min cosine distance per token per level, summed over the levels and
     upsampled: an (imageH, imageW) map, or a (B, imageH, imageW) stack.
 
-    ``query_features`` are ``STAGES`` (L, C) arrays or (B, L, C) stacks; a
-    query of a stack gets the map it gets on its own, bit for bit. Both
-    query rows and bank rows are expected unit-norm.
+    ``query_features`` is one (STAGES, L, C) query or a (B, STAGES, L, C)
+    stack; a query of a stack gets the map it gets on its own, bit for bit.
+    Both query rows and bank rows are expected unit-norm.
     """
-    if len(query_features) != STAGES:
-        raise UsageError(f"expected {STAGES} query stages, got {len(query_features)}")
     grid_h, grid_w = grid
-    levels = []
-    for level in range(STAGES):
-        q = np.asarray(query_features[level])
-        refs = bank.stages[level]
-        if q.ndim not in (2, 3) or q.shape[-2] != grid_h * grid_w:
-            raise UsageError(
-                f"level {level}: query of shape {q.shape} does not fill grid {grid_h}x{grid_w}"
-            )
-        if q.shape[-1] != refs.shape[1]:
-            raise UsageError(
-                f"level {level}: query width {q.shape[-1]} != bank width {refs.shape[1]}"
-            )
-        best = (q @ refs.T).max(axis=-1)
-        dist = 1.0 - best
-        dist[np.abs(dist) < SELF_MATCH_TOLERANCE] = 0.0
-        dist = np.clip(dist, 0.0, 2.0)
-        levels.append(dist.reshape(*q.shape[:-2], grid_h, grid_w))
-    total = np.stack(levels, axis=-3).sum(axis=-3)
+    q = np.asarray(query_features)
+    refs = bank.features
+    if q.ndim not in (3, 4) or q.shape[-3:-1] != (STAGES, grid_h * grid_w):
+        raise UsageError(f"query of shape {q.shape} is not (B, {STAGES}, L, C) or "
+                         f"({STAGES}, L, C) with L filling grid {grid_h}x{grid_w}")
+    if q.shape[-1] != refs.shape[-1]:
+        raise UsageError(f"query width {q.shape[-1]} != bank width {refs.shape[-1]}")
+    best = (q @ refs.swapaxes(-1, -2)).max(axis=-1)
+    dist = 1.0 - best
+    dist[np.abs(dist) < SELF_MATCH_TOLERANCE] = 0.0
+    dist = np.clip(dist, 0.0, 2.0)
+    total = dist.reshape(*q.shape[:-2], grid_h, grid_w).sum(axis=-3)
     return numerics.bilinear_upsample(total, image_dims[0], image_dims[1])
 
 

@@ -1,10 +1,10 @@
 """Hierarchical fusion of adapted stage features with text features.
 
-Stage similarity logits are summed first, every stage weighing the same,
-and the per-token two-way softmax is applied after the sum; the abnormal
-channel is then upsampled to pixel resolution to form the anomaly map. The
-image-level score comes from the class token through a frozen projection
-against the same text rows.
+Stage similarity logits are summed first, over the stage axis, every stage
+weighing the same, and the per-token two-way softmax is applied after the
+sum; the abnormal channel is then upsampled to pixel resolution to form the
+anomaly map. The image-level score comes from the class token through a
+frozen projection against the same text rows.
 
 ``fuse``, ``abnormal_probability_map`` and ``image_score`` take stacks only;
 ``anomaly_map`` takes one image's (L, 2) logits, as a stack of one.
@@ -16,7 +16,7 @@ The two softmax temperatures are constants, ``TAU`` for the stage logits and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -36,23 +36,18 @@ class AnomalyMap:
     scores: np.ndarray  # (imageH, imageW), or (B, imageH, imageW) for a stack
 
 
-def fuse(stage_features: Sequence, text_features):
+def fuse(stage_features, text_features):
     """Sum of per-stage similarity logits: sum_i F*_i T^T / TAU.
 
-    Channel 0 scores the normal row, channel 1 the abnormal row. Accepts
-    Vars (training) or arrays, each stage a (B, L, C) stack; the stages must
-    agree on B and L. Returns (B, L, 2) logits.
+    Channel 0 scores the normal row, channel 1 the abnormal row. Accepts a
+    Var (training) or an array of (B, STAGES, L, C) stage features: one
+    product, then a sum over the stage axis. Returns (B, L, 2) logits.
     """
-    if len(stage_features) != STAGES:
-        raise UsageError(f"expected {STAGES} stage feature maps, got {len(stage_features)}")
-    shapes = sorted({tuple(f.shape[:-1]) for f in stage_features})
-    if len(shapes) != 1 or len(shapes[0]) != 2:
-        raise UsageError(f"expected (B, L, C) stage stacks of one (B, L), got {shapes}")
-    text_t = ag.transpose(text_features, (1, 0))
-    logits = ag.matmul(stage_features[0], text_t)
-    for feats in stage_features[1:]:
-        logits = ag.add(logits, ag.matmul(feats, text_t))
-    return ag.mul(logits, 1.0 / TAU)
+    shape = tuple(stage_features.shape)
+    if len(shape) != 4 or shape[1] != STAGES:
+        raise UsageError(f"expected (B, {STAGES}, L, C) stage features, got {shape}")
+    logits = ag.matmul(stage_features, ag.transpose(text_features, (1, 0)))
+    return ag.mul(ag.sum_(logits, axis=1), 1.0 / TAU)
 
 
 def anomaly_map(logits, grid: Tuple[int, int], image_dims: Tuple[int, int]) -> AnomalyMap:

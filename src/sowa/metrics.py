@@ -28,6 +28,7 @@ from .config import IMAGE_SCORE_MODES
 from .errors import MetricUndefinedError, UsageError
 from .fewshot import MemoryBank, combine_maps, few_shot_map
 from .fusion import AnomalyMap
+from .numerics import check_float
 
 
 def auroc(scores, labels01) -> float:
@@ -145,8 +146,11 @@ def pro(maps: Sequence[np.ndarray], masks01: Sequence[np.ndarray], fpr_limit: fl
 
     Regions are 8-connected components of each mask. The curve is sampled at
     every unique score value (descending), integrated by trapezoid with
-    linear interpolation at the FPR limit, and normalized by the limit.
+    linear interpolation at the FPR limit, and normalized by the limit. An
+    ``fpr_limit`` that is not a finite number in (0, 1] raises ``UsageError``
+    before any mask is labelled.
     """
+    check_float(fpr_limit, "fpr_limit", 0, 1, low_open=True)
     regions, count = _pixel_regions(maps, masks01)
     scores = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in maps])
     return _pro(regions, count, _descending(scores), fpr_limit)
@@ -173,8 +177,6 @@ def _pixel_regions(maps, masks01) -> Tuple[np.ndarray, int]:
 def _pro(regions: np.ndarray, next_region: int, ranking, fpr_limit: float) -> float:
     """``pro`` of the pooled pixels' regions, given the ``_descending``
     ranking of their scores."""
-    if not 0.0 < fpr_limit <= 1.0:
-        raise UsageError(f"fpr_limit must be in (0, 1], got {fpr_limit}")
     if next_region == 0:
         raise MetricUndefinedError("PRO undefined without any anomalous region")
     n_neg = int(np.sum(regions < 0))
@@ -233,6 +235,7 @@ def evaluate_scores(
     The pooled pixels are copied to float64 and sorted once; pixel AUROC
     and PRO share that order and equal ``auroc`` and ``pro`` bit for bit.
     """
+    check_float(fpr_limit, "fpr_limit", 0, 1, low_open=True)
     labels = np.asarray(image_labels01)
     regions, count = _pixel_regions(pixel_maps, pixel_masks01)
     pooled_scores = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in pixel_maps])
@@ -262,7 +265,8 @@ def evaluate_dataset(
     an object with ``anomaly_map``, ``image_score``, ``stage_features`` and
     ``grid``; ``chunk_size``, the number of images per ``predict_batch``
     call; and a run ``config``. The samples go through ``predict_batch`` in
-    chunks of ``chunk_size``. In few-shot mode each chunk's maps are blended
+    chunks of ``chunk_size``. In few-shot mode each chunk's (STAGES, L, C)
+    stage features are stacked into one query, and its maps are blended
     with the memory-bank distance maps with weight ``beta``; the image
     score then comes from the class-token path (``cls``) or the map maximum
     (``max_map``). ``beta`` and ``image_score_mode`` default to the run
@@ -288,7 +292,7 @@ def evaluate_dataset(
         preds = model.predict_batch([s.image for s in samples[start : start + step]])
         chunk = np.stack([p.anomaly_map.scores for p in preds])
         if mode == "few_shot":
-            features = [np.stack(level) for level in zip(*(p.stage_features for p in preds))]
+            features = np.stack([p.stage_features for p in preds])
             fmap = few_shot_map(features, bank, preds[0].grid, chunk.shape[1:])
             chunk = combine_maps(AnomalyMap(chunk), fmap, beta=beta).scores
         maps.extend(chunk)

@@ -1,8 +1,12 @@
-"""Full model assembly: frozen backbone, four window-attention adapters with
+"""Full model assembly: frozen backbone, the window-attention adapter with
 injected frozen weights, the dual-prompt text path, and fusion into maps and
 scores.
 
-The parameters are the adapter projections and the two prompt contexts, which
+The four stages are one array axis next to the image axis, from the frozen
+pass down to the memory bank: (B, STAGES, L, C) activations and features,
+one (STAGES, C_vis, C_text) adapter weight and one (STAGES, C_text) bias.
+
+The parameters are the adapter projection and the two prompt contexts, which
 train for ``coop`` and are frozen for ``template``; every other tensor is
 created once, marked read-only, and hash-checked by the frozen-contract tests.
 A checkpoint is a numpy ``.npz`` file of the parameters, plus any extra tensors
@@ -19,10 +23,11 @@ tokens for each of the ``numerics.WORKERS`` threads, 16 images at 64 px and
 4 at 224 px on two. The frozen pass splits such a chunk into one part per
 thread (backbone and windowed attention, ``numerics.map_image_parts``);
 the calling thread runs the first part and every other step of the model.
-Every per-image product of a stack is the BLAS call that image makes alone;
-a one-row product (the class token's) is kept one row per image, because
-BLAS rounds it differently from a row of a larger product. So a prediction
-is the same bit for bit in any stack, in any order, on any thread.
+Every per-image product of a stack, and every stage's slice of one, is the
+BLAS call that image's stage makes alone; a one-row product (the class
+token's) is kept one row per image, because BLAS rounds it differently from
+a row of a larger product. So a prediction is the same bit for bit in any
+stack, in any order, on any thread.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .adapter import (
     new_adapter_params,
     project_tokens,
 )
-from .backbone import STAGES, Backbone, init_synthetic, seeded_weights, tensor_hash
+from .backbone import Backbone, init_synthetic, seeded_weights, tensor_hash
 from .config import RunConfig
 from .errors import ArchiveError, UsageError, WeightsError
 from .fewshot import MemoryBank, build_memory_bank
@@ -68,19 +73,20 @@ class FrozenActivations:
     """Constants of the frozen pass over a stack of B images: adapter inputs
     + class tokens."""
 
-    adapter_inputs: List[np.ndarray]  # STAGES x (B, L, C_vis), post-attention for fwa
+    adapter_inputs: np.ndarray  # (B, STAGES, L, C_vis), post-attention for fwa
     class_token: np.ndarray  # (B, C_vis)
     image_hash: Optional[str] = None  # the image's cache key; None when not cached
 
 
 @dataclass
 class Prediction:
-    """One image's map, stage features and ``image_score``, the class-token
-    score, which ``evaluate_dataset``'s default ``max_map`` does not read."""
+    """One image's map, its stage features as one (STAGES, L, C_text) array,
+    and ``image_score``, the class-token score, which ``evaluate_dataset``'s
+    default ``max_map`` does not read."""
 
     anomaly_map: AnomalyMap
     image_score: float
-    stage_features: List[np.ndarray]  # STAGES x (L, C_text), unit-norm rows
+    stage_features: np.ndarray  # (STAGES, L, C_text), unit-norm rows
     grid: Tuple[int, int]
 
 
@@ -89,7 +95,7 @@ class SowaModel:
     config: RunConfig
     backbone: Backbone
     encoder: FrozenTextEncoder
-    adapters: List[AdapterParams]
+    adapter: AdapterParams
     prompt_pair: PromptPair
     cls_proj: np.ndarray
     _feature_cache: Dict[str, FrozenActivations] = field(default_factory=dict, repr=False)
@@ -137,16 +143,8 @@ class SowaModel:
         inputs, class_tokens = self.backbone.forward(images)
         if self.config.adapter_kind == "fwa":
             window = (self.config.window, self.config.window)
-            inputs = [
-                attended_features(
-                    tokens,
-                    self.backbone.stage_attention_weights(stage + 1),
-                    self.grid,
-                    window,
-                    mode=self.config.attention_mode,
-                )
-                for stage, tokens in enumerate(inputs)
-            ]
+            inputs = attended_features(inputs, self.backbone.stage_attention_weights(), self.grid,
+                                       window, mode=self.config.attention_mode)
         out = FrozenActivations(inputs, class_tokens, image_hash=cache_key)
         if cache_key is not None:
             self._feature_cache[cache_key] = out
@@ -159,14 +157,13 @@ class SowaModel:
 
     # ------------------------------------------------------------- trainable
     def parameters(self) -> Dict[str, ag.Var]:
-        """Adapter projections and both prompt contexts: what a checkpoint holds."""
-        params: Dict[str, ag.Var] = {}
-        for i, adapter in enumerate(self.adapters):
-            params[f"adapter.{i}.weight"] = adapter.weight
-            params[f"adapter.{i}.bias"] = adapter.bias
-        params["prompt.normal_context"] = self.prompt_pair.normal_context
-        params["prompt.abnormal_context"] = self.prompt_pair.abnormal_context
-        return params
+        """Adapter projection and both prompt contexts: what a checkpoint holds."""
+        return {
+            "adapter.weight": self.adapter.weight,
+            "adapter.bias": self.adapter.bias,
+            "prompt.normal_context": self.prompt_pair.normal_context,
+            "prompt.abnormal_context": self.prompt_pair.abnormal_context,
+        }
 
     def trainable(self) -> Dict[str, ag.Var]:
         """The parameters that require gradients."""
@@ -187,18 +184,18 @@ class SowaModel:
         return self._text_cache[1]
 
     # ------------------------------------------------------------ scoring
-    def score_batch(self, inputs: Sequence, class_tokens: np.ndarray, projections, text):
+    def score_batch(self, inputs: np.ndarray, class_tokens: np.ndarray, projection, text):
         """The one scoring formula, over a stacked batch: adapted stage
         features, abnormal probability map and image score.
 
-        ``inputs`` are the ``STAGES`` (B, L, C_vis) adapter inputs and
+        ``inputs`` are the (B, STAGES, L, C_vis) adapter inputs and
         ``class_tokens`` the (B, C_vis) class tokens of a frozen pass.
-        ``projections`` (one (weight, bias) per stage) and the (2, C_text)
+        ``projection``, the adapter's (weight, bias), and the (2, C_text)
         ``text`` rows are Vars, which build a graph (training), or arrays,
-        which do not (inference). Returns the four (B, L, C_text) unit-norm
-        stage features, the (B, H, W) map and the (B,) scores.
+        which do not (inference). Returns the (B, STAGES, L, C_text)
+        unit-norm stage features, the (B, H, W) map and the (B,) scores.
         """
-        stars = [project_tokens(w, b, x) for (w, b), x in zip(projections, inputs)]
+        stars = project_tokens(*projection, inputs)
         logits = fusion_mod.fuse(stars, text)
         size = self.backbone.config.image_size
         pmap = fusion_mod.abnormal_probability_map(logits, self.grid, (size, size))
@@ -215,12 +212,12 @@ class SowaModel:
         as a bare (S, S, 3) array, raises ``UsageError``.
         """
         acts = self.frozen_forward(images)
-        projections = [(a.weight.data, a.bias.data) for a in self.adapters]
+        projection = (self.adapter.weight.data, self.adapter.bias.data)
         stars, pmap, scores = self.score_batch(
-            acts.adapter_inputs, acts.class_token, projections, self.text_features()
+            acts.adapter_inputs, acts.class_token, projection, self.text_features()
         )
         return [
-            Prediction(AnomalyMap(pmap[i]), float(scores[i]), [s[i] for s in stars], self.grid)
+            Prediction(AnomalyMap(pmap[i]), float(scores[i]), stars[i], self.grid)
             for i in range(len(pmap))
         ]
 
@@ -231,15 +228,12 @@ class SowaModel:
 
     def build_memory_bank(self, images: Sequence[np.ndarray], ids=None) -> MemoryBank:
         """A bank of the images' stage features, which need no text features:
-        ``chunk_size`` images per frozen pass, then the adapter projections."""
-        images = list(images)
-        per_image = []
-        for start in range(0, len(images), self.chunk_size):
-            acts = self.frozen_forward(images[start : start + self.chunk_size])
-            pairs = zip(self.adapters, acts.adapter_inputs)
-            stars = [project_tokens(a.weight.data, a.bias.data, x) for a, x in pairs]
-            per_image += zip(*stars)  # each image's four stage features
-        return build_memory_bank(per_image, image_ids=ids)
+        ``chunk_size`` images per frozen pass, then the adapter projection."""
+        images, step = list(images), self.chunk_size
+        weight, bias = self.adapter.weight.data, self.adapter.bias.data
+        stars = [project_tokens(weight, bias, self.frozen_forward(chunk).adapter_inputs)
+                 for chunk in (images[i : i + step] for i in range(0, len(images), step))]
+        return build_memory_bank(np.concatenate(stars) if stars else [], image_ids=ids)
 
     # ------------------------------------------------------------ checkpoints
     def state_tensors(self) -> Dict[str, np.ndarray]:
@@ -325,10 +319,7 @@ def build_model(config: RunConfig) -> SowaModel:
         config.prompt_kind, config.prompt_length, seed + _SEED_OFFSETS["prompts"], encoder
     )
     c_vis = config.backbone.channels
-    adapters = [
-        new_adapter_params(c_vis, config.c_text, seed=seed + _SEED_OFFSETS["adapters"] + i)
-        for i in range(STAGES)
-    ]
+    adapter = new_adapter_params(c_vis, config.c_text, seed=seed + _SEED_OFFSETS["adapters"])
     cls_init = seeded_weights({"cls_proj": (c_vis, config.c_text)}, seed + _SEED_OFFSETS["cls"])
     cls_proj = cls_init["cls_proj"]
     cls_proj.setflags(write=False)
@@ -336,7 +327,7 @@ def build_model(config: RunConfig) -> SowaModel:
         config=config,
         backbone=backbone,
         encoder=encoder,
-        adapters=adapters,
+        adapter=adapter,
         prompt_pair=pair,
         cls_proj=cls_proj,
     )

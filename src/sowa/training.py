@@ -12,12 +12,12 @@ Both loss functions take the samples' frozen activations, which their
 caller fetches once: ``sample_loss`` builds one graph per batch on the
 trainable Vars, and ``mean_dataset_loss`` runs the same formula on the
 parameter arrays with no graph. That formula is the model's ``score_batch``,
-which inference runs too, over activations stacked along a batch axis, and
-every term is a batch mean. The graph's gradients reach exactly the
-trainable set (the adapter projections and, in coop mode, the two prompt
-contexts); frozen contexts are not encoded in it, the cached text features
-stand in. Targets take the prediction's dtype, so a float32 model's graph is
-float32 end to end.
+which inference runs too, over (B, STAGES, L, C) activations joined along
+the image axis, and every term is a batch mean. The graph's gradients reach
+exactly the trainable set (the adapter's stacked weight and bias and, in
+coop mode, the two prompt contexts); frozen contexts are not encoded in it,
+the cached text features stand in. Targets take the prediction's dtype, so
+a float32 model's graph is float32 end to end.
 """
 
 from __future__ import annotations
@@ -121,15 +121,16 @@ def _features(model, samples: Sequence, cache_keys=None) -> list:
     return [model.frozen_forward(s.image[None], cache_key=k) for s, k in zip(samples, keys)]
 
 
-def _batch_loss(model, samples: Sequence, acts: Sequence, projections, text):
+def _batch_loss(model, samples: Sequence, acts: Sequence, projection, text):
     """The loss of ``model.score_batch`` over a batch of samples, their frozen
-    activations ``acts`` joined into one stack, on ``projections`` (one
-    (weight, bias) per stage) and ``text`` rows given as Vars or arrays."""
+    activations ``acts`` joined into one stack along the image axis, on the
+    adapter's ``projection`` (weight, bias) and ``text`` rows given as Vars
+    or arrays."""
     if not samples:
         raise UsageError("cannot score an empty batch")
-    inputs = [np.concatenate([a.adapter_inputs[i] for a in acts]) for i in range(len(projections))]
+    inputs = np.concatenate([a.adapter_inputs for a in acts])
     classes = np.concatenate([a.class_token for a in acts])
-    _, pmap, score = model.score_batch(inputs, classes, projections, text)
+    _, pmap, score = model.score_batch(inputs, classes, projection, text)
     masks = np.stack([s.mask for s in samples])
     labels = [s.label for s in samples]
     return composite_loss(pmap, masks, score, labels)
@@ -144,8 +145,8 @@ def sample_loss(model, samples: Sequence, acts: Sequence):
         text = prompts_mod.encode_prompts(pair, model.encoder)
     else:
         text = model.text_features()  # frozen contexts: the cached constant
-    projections = [(a.weight, a.bias) for a in model.adapters]
-    return _batch_loss(model, samples, acts, projections, text)
+    projection = (model.adapter.weight, model.adapter.bias)
+    return _batch_loss(model, samples, acts, projection, text)
 
 
 def mean_dataset_loss(model, samples: Sequence, acts: Sequence) -> float:
@@ -160,12 +161,12 @@ def mean_dataset_loss(model, samples: Sequence, acts: Sequence) -> float:
     if len(samples) == 0:
         raise UsageError("cannot score an empty dataset")
     text = model.text_features()
-    projections = [(a.weight.data, a.bias.data) for a in model.adapters]
+    projection = (model.adapter.weight.data, model.adapter.bias.data)
     bs = model.config.optim.batch_size
     total = 0.0
     for start in range(0, len(samples), bs):
         chunk = samples[start : start + bs]
-        loss, _ = _batch_loss(model, chunk, acts[start : start + bs], projections, text)
+        loss, _ = _batch_loss(model, chunk, acts[start : start + bs], projection, text)
         total += float(loss) * len(chunk)
     return total / len(samples)
 

@@ -11,7 +11,7 @@ from sowa.adapter import (
     window_partition,
     window_reverse,
 )
-from sowa.backbone import AttentionWeights, tensor_hash
+from sowa.backbone import STAGES, AttentionWeights, tensor_hash
 from sowa.errors import ConfigError, UsageError
 import sowa.autodiff as ag
 
@@ -23,6 +23,13 @@ def _weights(c=8, heads=2, seed=0, identity=False):
     rng = np.random.default_rng(seed)
     mats = [rng.normal(0, c**-0.5, size=(c, c)).astype(np.float32) for _ in range(4)]
     return AttentionWeights(w_q=mats[0], w_k=mats[1], w_v=mats[2], w_o=mats[3], heads=heads)
+
+
+def _stage_weights(c=8, heads=2, seed=0, dtype=np.float32):
+    """Stacked (STAGES, c, c) weights, stage ``i`` drawn as ``_weights`` from ``seed + i``."""
+    stages = [_weights(c, heads, seed + i) for i in range(STAGES)]
+    return AttentionWeights(*(np.stack([getattr(w, m) for w in stages]).astype(dtype)
+                              for m in ("w_q", "w_k", "w_v", "w_o")), heads)
 
 
 def _attend(tokens, w, mode="vv"):
@@ -92,6 +99,13 @@ class TestWindowPartition:
             np.testing.assert_array_equal(windows[i : i + 1],
                                           window_partition(tokens[i : i + 1], 4, 6, 2, 3))
         np.testing.assert_array_equal(window_reverse(windows, 4, 6, 2, 3), tokens)
+        stages = rng.normal(size=(3, STAGES, 24, 4)).astype(np.float32)  # any axes before L
+        windows = window_partition(stages, 4, 6, 2, 3)
+        assert windows.shape == (3, STAGES, 4, 6, 4)
+        for stage in range(STAGES):
+            np.testing.assert_array_equal(windows[:, stage],
+                                          window_partition(stages[:, stage], 4, 6, 2, 3))
+        np.testing.assert_array_equal(window_reverse(windows, 4, 6, 2, 3), stages)
 
 
 class TestVVAttention:
@@ -185,46 +199,50 @@ class TestAdapterForward:
     """``attended_features`` then ``project_tokens``, as ``SowaModel`` runs them."""
 
     def test_unit_window_degeneracy(self):
-        # h = w = 1: attention over one token is the value path
-        w = _weights(c=8, heads=2, seed=15)
+        # h = w = 1: attention over one token is the value path, stage by stage
+        w = _stage_weights(c=8, heads=2, seed=15)
         params = new_adapter_params(8, 6, seed=16)
-        tokens = np.random.default_rng(17).normal(size=(1, 12, 8)).astype(np.float32)
+        assert params.weight.shape == (STAGES, 8, 6) and params.bias.shape == (STAGES, 6)
+        tokens = np.random.default_rng(17).normal(size=(1, STAGES, 12, 8)).astype(np.float32)
         out = _adapt(params, tokens, w, (3, 4), (1, 1))
-        value_path = (tokens @ w.w_v) @ w.w_o
-        projected = value_path @ params.weight.data + params.bias.data
-        expected = projected / np.linalg.norm(projected, axis=-1, keepdims=True)
-        np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-6)
+        for stage in range(STAGES):
+            value_path = (tokens[:, stage] @ w.w_v[stage]) @ w.w_o[stage]
+            projected = value_path @ params.weight.data[stage] + params.bias.data[stage]
+            expected = projected / np.linalg.norm(projected, axis=-1, keepdims=True)
+            np.testing.assert_allclose(out[:, stage], expected, rtol=1e-5, atol=1e-6)
 
     def test_linear_kind_zero_input_gives_bias_direction(self):
         # the linear kind projects the backbone tokens without attention
         params = new_adapter_params(8, 6, seed=18)
-        params.bias.data = np.arange(6, dtype=np.float32)
-        out = project_tokens(params.weight.data, params.bias.data, np.zeros((4, 8), dtype=np.float32))
-        expected = np.arange(6, dtype=np.float32) / np.sqrt(55.0)
-        for row in out:
-            np.testing.assert_allclose(row, expected, atol=1e-6)
+        params.bias.data = np.arange(6 * STAGES, dtype=np.float32).reshape(STAGES, 6)
+        zeros = np.zeros((2, STAGES, 4, 8), dtype=np.float32)
+        out = project_tokens(params.weight.data, params.bias.data, zeros)
+        for stage in range(STAGES):
+            bias = params.bias.data[stage]
+            for row in out[:, stage].reshape(-1, 6):
+                np.testing.assert_allclose(row, bias / np.linalg.norm(bias), atol=1e-6)
 
     def test_rows_unit_norm(self):
-        w = _weights(c=8, heads=2, seed=19)
+        w = _stage_weights(c=8, heads=2, seed=19)
         params = new_adapter_params(8, 6, seed=20)
-        tokens = np.random.default_rng(21).normal(size=(1, 16, 8)).astype(np.float32)
+        tokens = np.random.default_rng(21).normal(size=(1, STAGES, 16, 8)).astype(np.float32)
         out = _adapt(params, tokens, w, (4, 4), (2, 2))
+        assert out.shape == (1, STAGES, 16, 6)
         np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-6)
 
     def test_frozen_weights_untouched(self):
-        w = _weights(c=8, heads=2, seed=22)
+        w = _stage_weights(c=8, heads=2, seed=22)
         before = [tensor_hash(m) for m in (w.w_q, w.w_k, w.w_v, w.w_o)]
         params = new_adapter_params(8, 6, seed=23)
-        tokens = np.random.default_rng(24).normal(size=(1, 16, 8)).astype(np.float32)
+        tokens = np.random.default_rng(24).normal(size=(1, STAGES, 16, 8)).astype(np.float32)
         _adapt(params, tokens, w, (4, 4), (2, 2))
         assert [tensor_hash(m) for m in (w.w_q, w.w_k, w.w_v, w.w_o)] == before
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_split_stack_is_attended_as_each_grid_alone(self, dtype, monkeypatch):
-        """17 grids of 8x8 tokens are two parts, of 9 and 8 grids, on two threads."""
-        w = _weights(c=8, heads=2, seed=27)
-        w = AttentionWeights(*(m.astype(dtype) for m in (w.w_q, w.w_k, w.w_v, w.w_o)), w.heads)
-        tokens = np.random.default_rng(28).normal(size=(17, 64, 8)).astype(dtype)
+        """17 images of four 8x8 grids are two parts, of 9 and 8 images, on two threads."""
+        w = _stage_weights(c=8, heads=2, seed=27, dtype=dtype)
+        tokens = np.random.default_rng(28).normal(size=(17, STAGES, 64, 8)).astype(dtype)
         threads = set()
         reverse = adapter.window_reverse
 
@@ -243,14 +261,42 @@ class TestAdapterForward:
             alone = attended_features(tokens[i : i + 1], w, (8, 8), (4, 4))
             np.testing.assert_array_equal(split[i : i + 1], alone)
         # a bare grid is rejected whole, before any split
-        with pytest.raises(UsageError, match=r"got \(1088, 8\)"):
+        with pytest.raises(UsageError, match=r"got \(4352, 8\)"):
             attended_features(tokens.reshape(-1, 8), w, (8, 8), (4, 4))
 
     @pytest.mark.parametrize("mode", ["vv", "qkv"])
     def test_a_stack_is_attended_as_each_grid_alone(self, mode):
-        w = _weights(c=8, heads=2, seed=25)
-        tokens = np.random.default_rng(26).normal(size=(3, 16, 8)).astype(np.float32)
+        w = _stage_weights(c=8, heads=2, seed=25)
+        tokens = np.random.default_rng(26).normal(size=(3, STAGES, 16, 8)).astype(np.float32)
         stacked = attended_features(tokens, w, (4, 4), (2, 2), mode)
         for i in range(len(tokens)):
             alone = attended_features(tokens[i : i + 1], w, (4, 4), (2, 2), mode)
             np.testing.assert_array_equal(stacked[i : i + 1], alone)
+            for stage in range(STAGES):  # and each stage as its own grid, on its own weights
+                own = AttentionWeights(w.w_q[stage], w.w_k[stage], w.w_v[stage], w.w_o[stage],
+                                       w.heads)
+                one = attended_features(tokens[i : i + 1, stage], own, (4, 4), (2, 2), mode)
+                np.testing.assert_array_equal(stacked[i : i + 1, stage], one)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_stacked_projection_and_its_gradients_are_each_stage_alone(dtype):
+    """One (B, STAGES, L, C) projection equals each stage's own (B, L, C)
+    affine map and row normalization on its slices, with a (C_text,) bias,
+    forward and backward, bit for bit."""
+    params = new_adapter_params(64, 32, seed=29)
+    params.bias.data = np.random.default_rng(31).normal(size=params.bias.shape)
+    rng = np.random.default_rng(30)
+    tokens = rng.normal(size=(8, STAGES, 64, 64)).astype(dtype)
+    probe = rng.normal(size=(8, STAGES, 64, 32)).astype(dtype)
+    weight, bias = (ag.Var(p.data.astype(dtype), requires_grad=True)
+                    for p in (params.weight, params.bias))
+    stacked = project_tokens(weight, bias, tokens)
+    ag.sum_(ag.mul(stacked, probe)).backward()
+    for stage in range(STAGES):
+        w, b = (ag.Var(p.data[stage].copy(), requires_grad=True) for p in (weight, bias))
+        alone = ag.l2_normalize_rows(ag.add(ag.matmul(tokens[:, stage], w), b))
+        ag.sum_(ag.mul(alone, probe[:, stage])).backward()
+        np.testing.assert_array_equal(stacked.data[:, stage], alone.data)
+        np.testing.assert_array_equal(weight.grad[stage], w.grad)
+        np.testing.assert_array_equal(bias.grad[stage], b.grad)

@@ -176,12 +176,27 @@ def test_attention_gradients():
     )
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["vv", "qkv"])
+def test_a_stage_stack_attends_as_each_stage_alone(mode, dtype):
+    """(B, W, STAGES, N, C) token sets against (STAGES, C, C) weights: each
+    stage's sets are the same bits as their own call on that stage's weights."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 3, 4, 5, 8)).astype(dtype)
+    mats = [rng.normal(0.0, 8**-0.5, size=(4, 8, 8)).astype(dtype) for _ in range(4)]
+    out = ag.attention(x, *mats, 2, mode)
+    assert out.shape == x.shape and out.dtype == dtype
+    for stage in range(4):
+        alone = ag.attention(x[:, :, stage].reshape(-1, 5, 8), *(m[stage] for m in mats), 2, mode)
+        np.testing.assert_array_equal(out[:, :, stage], alone.reshape(2, 3, 5, 8))
+
+
 def test_attention_rejects_bad_input():
     w = np.eye(4)
     with pytest.raises(UsageError):
         ag.attention(np.ones((1, 3, 4)), w, w, w, w, 2, "vq")
-    with pytest.raises(UsageError):
-        ag.attention(np.ones((2, 2, 3, 4)), w, w, w, w, 2, "vv")
+    with pytest.raises(UsageError, match="stack"):
+        ag.attention(np.ones((3, 4)), w, w, w, w, 2, "vv")
     with pytest.raises(UsageError, match="width 5"):
         ag.attention(np.ones((1, 3, 5)), w, w, w, w, 2, "vv")
     with pytest.raises(UsageError, match="3 heads"):

@@ -6,7 +6,8 @@ import pytest
 from sowa import autodiff as ag
 from sowa import numerics
 from sowa.backbone import (
-    BLOCKS_PER_STAGE, NORM_MEAN, NORM_STD, Backbone, BackboneConfig, init_synthetic, tensor_hash,
+    BLOCKS_PER_STAGE, NORM_MEAN, NORM_STD, STAGES, Backbone, BackboneConfig, init_synthetic,
+    tensor_hash,
 )
 from sowa.errors import ConfigError, UsageError
 
@@ -51,16 +52,13 @@ class TestInit:
 class TestForward:
     def test_output_shapes(self, backbone, image):
         stages, class_tokens = backbone.forward(image[None])
-        assert len(stages) == 4
-        for stage in stages:
-            assert stage.shape == (1, 16, 32)
+        assert stages.shape == (1, STAGES, 16, 32)
         assert class_tokens.shape == (1, 32)
 
     def test_deterministic(self, backbone, image):
         a_stages, a_class = backbone.forward(image[None])
         b_stages, b_class = backbone.forward(image[None])
-        for sa, sb in zip(a_stages, b_stages, strict=True):
-            np.testing.assert_array_equal(sa, sb)
+        np.testing.assert_array_equal(a_stages, b_stages)
         np.testing.assert_array_equal(a_class, b_class)
 
     def test_dimension_mismatch_rejected(self, backbone):
@@ -75,9 +73,8 @@ class TestForward:
         stages, class_tokens = backbone.forward(images)
         for i in range(len(images)):
             alone_stages, alone_class = backbone.forward(images[i : i + 1])
-            for stage, rows in zip(stages, alone_stages, strict=True):
-                assert stage.dtype == dtype
-                np.testing.assert_array_equal(stage[i : i + 1], rows)
+            assert stages.dtype == dtype
+            np.testing.assert_array_equal(stages[i : i + 1], alone_stages)
             np.testing.assert_array_equal(class_tokens[i : i + 1], alone_class)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -99,13 +96,12 @@ class TestForward:
         assert len(threads) == 2
         monkeypatch.setattr(numerics, "WORKERS", 1)
         serial = backbone.forward(images)
-        for ours, theirs in zip([*split[0], split[1]], [*serial[0], serial[1]], strict=True):
+        for ours, theirs in zip(split, serial, strict=True):
             assert ours.dtype == dtype
             np.testing.assert_array_equal(ours, theirs)
         for i in (0, 8, 9, 16):  # the ends of both parts
             alone_stages, alone_class = backbone.forward(images[i : i + 1])
-            for stage, rows in zip(split[0], alone_stages, strict=True):
-                np.testing.assert_array_equal(stage[i : i + 1], rows)
+            np.testing.assert_array_equal(split[0][i : i + 1], alone_stages)
             np.testing.assert_array_equal(split[1][i : i + 1], alone_class)
 
     def test_bad_stacks_rejected(self, backbone, image):
@@ -166,14 +162,19 @@ class TestNormalizeImage:
 
 class TestStageWeights:
     def test_aliases_last_block_of_stage(self, backbone):
-        w = backbone.stage_attention_weights(1)
-        block = BLOCKS_PER_STAGE - 1
-        assert w.w_q is backbone.weights[f"blocks.{block}.attn.w_q"]
+        w = backbone.stage_attention_weights()
         assert w.heads == CFG.heads
+        for name in ("w_q", "w_k", "w_v", "w_o"):
+            stacked = getattr(w, name)
+            assert stacked.shape == (STAGES, CFG.channels, CFG.channels)
+            for stage in range(STAGES):
+                block = (stage + 1) * BLOCKS_PER_STAGE - 1
+                np.testing.assert_array_equal(stacked[stage],
+                                              backbone.weights[f"blocks.{block}.attn.{name}"])
 
     def test_hash_stable_across_calls(self, backbone):
-        h1 = tensor_hash(backbone.stage_attention_weights(2).w_v)
-        h2 = tensor_hash(backbone.stage_attention_weights(2).w_v)
+        h1 = tensor_hash(backbone.stage_attention_weights().w_v)
+        h2 = tensor_hash(backbone.stage_attention_weights().w_v)
         assert h1 == h2
 
     def test_hash_keys_on_dtype_and_shape_as_well_as_bytes(self):
@@ -193,9 +194,5 @@ class TestStageWeights:
         assert tensor_hash(weight) == tensor_hash(weight.copy())
 
     def test_four_stages_pairwise_distinct(self, backbone):
-        hashes = {tensor_hash(backbone.stage_attention_weights(s).w_v) for s in (1, 2, 3, 4)}
+        hashes = {tensor_hash(w_v) for w_v in backbone.stage_attention_weights().w_v}
         assert len(hashes) == 4
-
-    def test_stage_out_of_range(self, backbone):
-        with pytest.raises(UsageError):
-            backbone.stage_attention_weights(5)

@@ -1,23 +1,25 @@
 """Few-shot scoring against oracles: a bank member scores exactly zero, the
-map is the upsampled sum of brute-force minimum cosine distances,
-``combine_maps`` hits both ends of its ``beta`` blend, and references that
-do not form a bank raise ``UsageError``."""
+map is the upsampled sum of brute-force minimum cosine distances, a query
+of a stack gets its own map bit for bit, ``combine_maps`` hits both ends of
+its ``beta`` blend, references that do not form a bank raise
+``UsageError``, and the bank freezes a copy of its own."""
 
 import numpy as np
 import pytest
 
 from sowa import numerics
+from sowa.backbone import STAGES
 from sowa.errors import UsageError
-from sowa.fewshot import build_memory_bank, combine_maps, few_shot_map
+from sowa.fewshot import MemoryBank, build_memory_bank, combine_maps, few_shot_map
 from sowa.fusion import AnomalyMap
 
 GRID = (4, 4)
 DIMS = (16, 16)
 
 
-def _unit_rows(rng, n, c=6):
-    rows = rng.normal(size=(n, c))
-    return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+def _unit_rows(rng, *shape, c=6):
+    rows = rng.normal(size=(*shape, c))
+    return (rows / np.linalg.norm(rows, axis=-1, keepdims=True)).astype(np.float32)
 
 
 def test_a_bank_member_scores_exactly_zero(tiny_model, tiny_corpus):
@@ -31,12 +33,12 @@ def test_a_bank_member_scores_exactly_zero(tiny_model, tiny_corpus):
 
 def test_the_map_is_the_upsampled_sum_of_brute_force_min_cosine_distances(rng):
     tokens = GRID[0] * GRID[1]
-    query = [_unit_rows(rng, tokens) for _ in range(4)]
-    refs = [[_unit_rows(rng, tokens) for _ in range(4)] for _ in range(3)]
+    query = _unit_rows(rng, STAGES, tokens)
+    refs = _unit_rows(rng, 3, STAGES, tokens)
     fmap = few_shot_map(query, build_memory_bank(refs), GRID, DIMS)
 
     expected = np.empty((4,) + GRID)
-    for level in range(4):
+    for level in range(STAGES):
         bank_rows = [r for ref in refs for r in ref[level].astype(np.float64)]
         for t, q in enumerate(query[level].astype(np.float64)):
             cosines = [q @ r / (np.linalg.norm(q) * np.linalg.norm(r)) for r in bank_rows]
@@ -45,8 +47,19 @@ def test_the_map_is_the_upsampled_sum_of_brute_force_min_cosine_distances(rng):
         fmap, numerics.bilinear_upsample(expected.sum(axis=0), *DIMS), rtol=0, atol=4e-5)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_query_of_a_stack_gets_its_own_map_bit_for_bit(rng, dtype):
+    tokens = GRID[0] * GRID[1]
+    bank = build_memory_bank(_unit_rows(rng, 5, STAGES, tokens).astype(dtype))
+    queries = _unit_rows(rng, 7, STAGES, tokens).astype(dtype)
+    stacked = few_shot_map(queries, bank, GRID, DIMS)
+    assert stacked.shape == (7, *DIMS) and stacked.dtype == dtype
+    for query, fmap in zip(queries, stacked, strict=True):
+        np.testing.assert_array_equal(fmap, few_shot_map(query, bank, GRID, DIMS))
+
+
 def test_image_ids_name_each_reference_or_raise(rng):
-    refs = [[_unit_rows(rng, 4) for _ in range(4)] for _ in range(4)]
+    refs = _unit_rows(rng, 4, STAGES, 4)
     assert build_memory_bank(refs, image_ids="abcd").image_ids == list("abcd")
     for ids in (["only-one"], list("abcde")):
         with pytest.raises(UsageError, match="image ids"):
@@ -54,14 +67,30 @@ def test_image_ids_name_each_reference_or_raise(rng):
 
 
 @pytest.mark.parametrize("refs, match", [
-    ([[np.ones((4, 6), np.float32)] * 3], r"4 stages, got \[3\]"),
-    ([[np.ones((4, 6), np.float32)] * 4, [np.ones((4, 6), np.float32)] * 5], r"got \[4, 5\]"),
-    ([[np.ones((4, 6), np.float32)] * 4, [np.ones((4, 5), np.float32)] * 4], "level 0"),
-    ([[np.ones(6, np.float32)] * 4], "level 0"),
-], ids=["three-stages", "five-stages", "two-widths", "one-dimensional"])
+    (np.ones((2, 3, 4, 6), np.float32), r"\(K, 4, L, C\) stack, got \(2, 3, 4, 6\)"),
+    ([np.ones((4, 4, 6), np.float32), np.ones((5, 4, 6), np.float32)], "do not stack"),
+    ([np.ones((4, 4, 6), np.float32), np.ones((4, 4, 5), np.float32)], "do not stack"),
+    (np.ones((1, 4, 6), np.float32), r"got \(1, 4, 6\)"),
+    ([], "at least one reference"),
+], ids=["three-stages", "five-stages", "two-widths", "one-dimensional", "none"])
 def test_references_that_do_not_form_a_bank_are_a_usage_error(refs, match):
     with pytest.raises(UsageError, match=match):
         build_memory_bank(refs)
+
+
+def test_the_bank_freezes_its_own_copy_and_rejects_a_malformed_array(rng):
+    features = _unit_rows(rng, STAGES, 8)
+    bank = MemoryBank(features, ["a", "b"])
+    assert features.flags.writeable  # the caller's array is left as it was
+    assert not bank.features.flags.writeable and not np.shares_memory(bank.features, features)
+    np.testing.assert_array_equal(bank.features, features)
+    refs = _unit_rows(rng, 1, STAGES, 8)
+    built = build_memory_bank(refs)  # one reference: the reshape alone would be a view
+    assert refs.flags.writeable and not np.shares_memory(built.features, refs)
+    for array, ids in [(features, ["a", "b", "c"]), (features[:3], ["a", "b"]),
+                       (features[0], ["a"]), (features[:, :0], []), (features, [])]:
+        with pytest.raises(UsageError, match="memory bank needs"):
+            MemoryBank(array, ids)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -71,8 +100,8 @@ def test_combine_maps_endpoints(rng, beta):
     # one bank row per level; query tokens are it (distance 0) or its opposite (2)
     row = _unit_rows(rng, 1)
     signs = np.where(np.arange(tokens) % 3 == 0, -1.0, 1.0).astype(np.float32)[:, None]
-    bank = build_memory_bank([[row] * 4])
-    fmap = few_shot_map([signs * row] * 4, bank, GRID, DIMS)
+    bank = build_memory_bank(np.stack([[row] * STAGES]))
+    fmap = few_shot_map(np.stack([signs * row] * STAGES), bank, GRID, DIMS)
     assert fmap.min() < 4.0 < fmap.max()  # the normalised term clips in places
     combined = combine_maps(zero, fmap, beta=beta)
     expected = zero.scores if beta == 0.0 else np.clip(fmap / 4.0, 0.0, 1.0)

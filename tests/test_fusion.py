@@ -43,12 +43,18 @@ def test_the_map_is_upsampled_abnormal_probability():
 
 def test_fuse_sums_the_stage_logits():
     rng = np.random.default_rng(4)
-    stages = [rng.normal(size=(2, 12, 5)) for _ in range(4)]
-    text = rng.normal(size=(2, 5))
-    want = sum(f @ text.T for f in stages) / TAU
-    np.testing.assert_allclose(fuse(stages, text), want, rtol=1e-12)
-    with pytest.raises(UsageError, match="expected 4 stage feature maps, got 3"):
-        fuse(stages[:3], text)
+    for dtype in (np.float32, np.float64):
+        stages = rng.normal(size=(2, 4, 12, 5)).astype(dtype)
+        text = rng.normal(size=(2, 5)).astype(dtype)
+        # the four stage products added in stage order, bit for bit
+        logits = stages[:, 0] @ text.T
+        for stage in range(1, 4):
+            logits = logits + stages[:, stage] @ text.T
+        np.testing.assert_array_equal(fuse(stages, text), logits * (1.0 / TAU))
+        graph = fuse(ag.Var(stages, requires_grad=True), text)
+        np.testing.assert_array_equal(graph.data, logits * (1.0 / TAU))
+    with pytest.raises(UsageError, match=r"\(B, 4, L, C\) stage features, got \(2, 3, 12, 5\)"):
+        fuse(stages[:, :3], text)
 
 
 def test_bad_input_rejected():

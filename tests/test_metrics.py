@@ -316,6 +316,21 @@ def test_pro_equals_brute_force_pro():
             )
 
 
+@pytest.mark.parametrize("fpr_limit", ["0.3", None, True, 0.0, -0.1, 1.5, float("nan")])
+def test_an_fpr_limit_that_is_not_a_number_in_zero_one_is_a_usage_error(fpr_limit, monkeypatch):
+    maps = [np.array([[0.9, 0.1], [0.2, 0.3]])]
+    masks = [np.array([[1, 0], [0, 0]])]
+    labelled = []
+    monkeypatch.setattr(metrics, "label_regions", lambda mask: labelled.append(mask))
+    with pytest.raises(UsageError, match="fpr_limit"):
+        metrics.pro(maps, masks, fpr_limit=fpr_limit)
+    with pytest.raises(UsageError, match="fpr_limit"):
+        metrics.evaluate_scores([0.2, 0.8], [0, 1], maps, masks, fpr_limit=fpr_limit)
+    assert labelled == []  # refused before any mask is labelled
+    monkeypatch.undo()
+    assert metrics.pro(maps, masks, fpr_limit=np.float32(1)) == metrics.pro(maps, masks, 1.0)
+
+
 def test_average_precision_does_not_depend_on_tie_order():
     for labels in ([1, 0, 0], [0, 1, 0]):
         assert metrics.average_precision([0.5, 0.5, 0.1], labels) == 0.5

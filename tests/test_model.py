@@ -33,7 +33,7 @@ from sowa import autodiff as ag
 from sowa import fusion, numerics, prompts, training
 from sowa import model as smodel
 from sowa.adapter import project_tokens, window_partition
-from sowa.backbone import tensor_hash
+from sowa.backbone import STAGES, tensor_hash
 from sowa.config import PROMPT_KINDS, default_config
 from sowa.errors import ArchiveError, UsageError, WeightsError
 from sowa.model import build_model
@@ -49,7 +49,8 @@ GOLDEN_ATOL = 1e-5
 def test_predict_creates_no_var(tiny_model, tiny_corpus, var_count):
     pred = tiny_model.predict(tiny_corpus.samples[0].image)
     assert var_count == []
-    assert all(isinstance(f, np.ndarray) for f in pred.stage_features)
+    assert isinstance(pred.stage_features, np.ndarray)
+    assert pred.stage_features.shape == (STAGES, tiny_model.backbone.config.tokens, 16)
     assert isinstance(pred.anomaly_map.scores, np.ndarray)
     samples = tiny_corpus.samples[:1]
     sample_loss(tiny_model, samples, training._features(tiny_model, samples))  # a graph is seen
@@ -58,7 +59,7 @@ def test_predict_creates_no_var(tiny_model, tiny_corpus, var_count):
 
 def test_sample_loss_reaches_every_trainable(tiny_model, tiny_corpus):
     params = tiny_model.trainable()
-    assert len(params) == 10  # 4 adapters x (weight, bias) + 2 prompt contexts
+    assert len(params) == 4  # the adapter's weight and bias + 2 prompt contexts
     for var in params.values():
         var.zero_grad()
     sample = next(s for s in tiny_corpus.samples if s.label > 0)
@@ -67,6 +68,9 @@ def test_sample_loss_reaches_every_trainable(tiny_model, tiny_corpus):
     try:
         for name, var in params.items():
             assert var.grad is not None and np.any(var.grad != 0), name
+        for name in ("adapter.weight", "adapter.bias"):  # every stage's slice
+            assert params[name].grad.shape[0] == STAGES
+            assert all(np.any(g != 0) for g in params[name].grad), name
     finally:
         for var in params.values():
             var.zero_grad()
@@ -85,7 +89,7 @@ def test_every_kind_predicts_and_trains(tiny_corpus, adapter_kind, attention_mod
     loss, _, grads = batch_gradients(model, tiny_corpus.samples[:2])
     assert np.isfinite(loss)
     assert grads.keys() == model.trainable().keys()
-    assert len(grads) == (10 if prompt_kind == "coop" else 8)
+    assert len(grads) == (4 if prompt_kind == "coop" else 2)
 
 
 KINDS = list(itertools.product(("fwa", "linear"), ("vv", "qkv")))
@@ -95,9 +99,8 @@ def _assert_same_prediction(ours, theirs):
     np.testing.assert_array_equal(ours.anomaly_map.scores, theirs.anomaly_map.scores)
     assert ours.image_score == theirs.image_score
     assert ours.grid == theirs.grid
-    for a, b in zip(ours.stage_features, theirs.stage_features, strict=True):
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
+    assert ours.stage_features.dtype == theirs.stage_features.dtype
+    np.testing.assert_array_equal(ours.stage_features, theirs.stage_features)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -131,8 +134,8 @@ def test_a_stack_with_a_non_finite_image_or_no_image_is_a_usage_error(tiny_model
 
 @pytest.mark.parametrize("call", ["forward", "frozen_forward", "attention", "window_partition"])
 def test_a_bare_single_input_below_the_public_api_is_a_usage_error(tiny_model, tiny_image, call):
-    w = tiny_model.backbone.stage_attention_weights(1)
-    tokens = np.zeros((tiny_model.backbone.config.tokens, w.w_v.shape[0]), np.float32)
+    w = tiny_model.backbone.stage_attention_weights()
+    tokens = np.zeros((tiny_model.backbone.config.tokens, w.w_v.shape[-1]), np.float32)
     calls = {
         "forward": lambda: tiny_model.backbone.forward(tiny_image),
         "frozen_forward": lambda: tiny_model.frozen_forward(tiny_image),
@@ -156,8 +159,7 @@ def test_the_feature_cache_evicts_the_least_recently_used_image(tiny_corpus, mon
     assert again is not first_a  # recomputed, and equal bit for bit
     assert again.image_hash == first_a.image_hash == tensor_hash(a)
     np.testing.assert_array_equal(again.class_token, first_a.class_token)
-    for ours, theirs in zip(again.adapter_inputs, first_a.adapter_inputs, strict=True):
-        np.testing.assert_array_equal(ours, theirs)
+    np.testing.assert_array_equal(again.adapter_inputs, first_a.adapter_inputs)
     assert list(model._feature_cache) == [tensor_hash(c), tensor_hash(a)]
 
 
@@ -229,9 +231,9 @@ def test_text_encoded_once_per_parameter_state(tiny_corpus, encode_calls, tmp_pa
     bank = model.build_memory_bank(images)  # stage features need no text
     assert encode_calls == []
     for i, image in enumerate(images):
-        features = model.predict(image).stage_features
-        for stage, rows in enumerate(features):
-            np.testing.assert_array_equal(bank.stages[stage][i * len(rows):(i + 1) * len(rows)], rows)
+        features = model.predict(image).stage_features  # (STAGES, L, C)
+        rows = features.shape[1]
+        np.testing.assert_array_equal(bank.features[:, i * rows:(i + 1) * rows], features)
     samples = tiny_corpus.samples[:4]
     training.mean_dataset_loss(model, samples, training._features(model, samples))
     assert len(encode_calls) == 1
@@ -298,8 +300,7 @@ def _pipeline_dtypes(model, sample):
     pred = model.predict(sample.image)
     acts = model.frozen_forward(sample.image[None])
     text = prompts.encode_prompts(model.prompt_pair, model.encoder)
-    stars = [project_tokens(a.weight, a.bias, x)
-             for a, x in zip(model.adapters, acts.adapter_inputs)]
+    stars = project_tokens(model.adapter.weight, model.adapter.bias, acts.adapter_inputs)
     logits = fusion.fuse(stars, text)
     size = model.backbone.config.image_size
     pmap = fusion.abnormal_probability_map(logits, model.grid, (size, size))
@@ -324,7 +325,7 @@ def test_the_model_computes_in_its_default_dtype(tiny_corpus, dtype):
     with numerics.precision(dtype):
         model = build_model(tiny_config())
         dtypes = _pipeline_dtypes(model, tiny_corpus.samples[1])
-    assert len(dtypes) == 7 + 4 + 10
+    assert len(dtypes) == 7 + 4 + 4
     assert {name: d for name, d in dtypes.items() if d != np.dtype(dtype)} == {}
 
 
@@ -373,13 +374,13 @@ def test_two_saves_of_a_model_are_byte_identical(tmp_path, monkeypatch):
 
 def test_save_rejects_a_non_finite_tensor_and_an_extra_named_like_a_parameter(tmp_path):
     model = build_model(tiny_config())
-    weight = model.parameters()["adapter.0.weight"].data.copy()
-    with pytest.raises(UsageError, match="adapter.0.weight"):
-        model.save_checkpoint(tmp_path / "c.npz", extra={"adapter.0.weight": weight + 1})
+    weight = model.parameters()["adapter.weight"].data.copy()
+    with pytest.raises(UsageError, match="adapter.weight"):
+        model.save_checkpoint(tmp_path / "c.npz", extra={"adapter.weight": weight + 1})
     with pytest.raises(UsageError, match="non-finite"):
         model.save_checkpoint(tmp_path / "c.npz", extra={"adam.step": np.asarray([np.nan])})
-    model.parameters()["adapter.1.bias"].data[0] = np.inf
-    with pytest.raises(UsageError, match="adapter.1.bias"):
+    model.parameters()["adapter.bias"].data[1, 0] = np.inf
+    with pytest.raises(UsageError, match="adapter.bias"):
         model.save_checkpoint(tmp_path / "c.npz")
 
 
@@ -390,7 +391,7 @@ def _write_truncated(path, tensors):
 
 def _write_bare_npy(path, tensors):
     with open(path, "wb") as fh:
-        np.save(fh, tensors["adapter.0.weight"])
+        np.save(fh, tensors["adapter.weight"])
 
 
 def _write_object_member(path, tensors):
@@ -434,6 +435,22 @@ def test_a_checkpoint_that_does_not_fit_binds_nothing(change, tmp_path):
         tensors["prompt.abnormal_context"] = changed
     np.savez(tmp_path / "c.npz", **tensors)
     with pytest.raises(WeightsError, match="prompt.abnormal_context"):
+        model.load_checkpoint(tmp_path / "c.npz")
+    for name, value in model.state_tensors().items():
+        np.testing.assert_array_equal(value, before[name])
+
+
+def test_a_checkpoint_of_one_tensor_per_stage_is_refused_and_binds_nothing(tmp_path):
+    """One adapter.{i}.weight and adapter.{i}.bias pair per stage, as earlier
+    versions wrote, leaves adapter.weight unbound: the file is refused."""
+    model = build_model(tiny_config())
+    before = model.state_tensors()
+    tensors = build_model(tiny_config(seed=8)).state_tensors()
+    for part in ("weight", "bias"):
+        stacked = tensors.pop(f"adapter.{part}")
+        tensors.update({f"adapter.{i}.{part}": s for i, s in enumerate(stacked)})
+    np.savez(tmp_path / "c.npz", **tensors)
+    with pytest.raises(WeightsError, match="'adapter.weight'"):
         model.load_checkpoint(tmp_path / "c.npz")
     for name, value in model.state_tensors().items():
         np.testing.assert_array_equal(value, before[name])
@@ -528,6 +545,12 @@ def _weight_digest(model) -> str:
     tensors.update({f"text_encoder.{n}": a for n, a in model.encoder.weights.items()})
     tensors["cls_proj"] = model.cls_proj
     tensors.update({n: v.data for n, v in model.parameters().items()})
+    # the adapter's stage slices under the names they were pinned by, one
+    # tensor per stage: adapter.{i}.weight and adapter.{i}.bias
+    for part in ("weight", "bias"):
+        stacked = tensors.pop(f"adapter.{part}")
+        assert stacked.shape[0] == STAGES
+        tensors.update({f"adapter.{i}.{part}": s for i, s in enumerate(stacked)})
     digest = hashlib.sha256()
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])

@@ -18,7 +18,7 @@ from sowa import autodiff as ag
 from sowa import model as smodel
 from sowa import numerics
 from sowa import prompts, training
-from sowa.backbone import tensor_hash
+from sowa.backbone import STAGES, tensor_hash
 from sowa.config import default_config
 from sowa.errors import UsageError, WeightsError
 from sowa.model import build_model
@@ -35,9 +35,16 @@ def model64():
 
 
 def test_float64_gradient_check_through_the_batch(model64, tiny_corpus):
+    coords = 32  # per tensor: 64 adapter coordinates in all
+    # the coordinates gradient_check draws hit every stage's slice of both adapter tensors
+    rng = np.random.default_rng(0)
+    for name, var in model64.trainable().items():
+        picked = rng.choice(var.data.size, size=min(coords, var.data.size), replace=False)
+        if name.startswith("adapter."):
+            assert set(np.unravel_index(picked, var.shape)[0]) == set(range(STAGES)), name
     with numerics.precision("float64"):
-        errors = training.gradient_check(model64, tiny_corpus.samples[:3], coords_per_tensor=8)
-    assert len(errors) == 10
+        errors = training.gradient_check(model64, tiny_corpus.samples[:3], coords_per_tensor=coords)
+    assert len(errors) == 4
     assert max(errors.values()) <= 1e-5, errors
 
 
@@ -83,7 +90,7 @@ def test_loss_graph_runs_in_the_model_dtype(tiny_corpus, dtype):
         samples = tiny_corpus.samples[:8]
         loss, _ = training.sample_loss(model, samples, training._features(model, samples))
     nodes = ag._toposort(loss)
-    assert len(nodes) == 228
+    assert len(nodes) == 197
     assert [n for n in nodes if n.dtype != np.dtype(dtype)] == []
 
 
@@ -103,7 +110,7 @@ def test_backward_leaves_every_constant_without_grad(tiny_model, tiny_corpus, mo
     held = [c.cell_contents for n in nodes if n._backward for c in n._backward.__closure__]
     held += [v for parts in held if isinstance(parts, list) for v in parts]  # concat
     constants = [v for v in held if ag.is_var(v) and not v.requires_grad]
-    assert len(constants) > 60  # 92 in this graph
+    assert len(constants) > 60  # 83 in this graph
     assert [v for v in constants if v.grad is not None] == []
 
 
@@ -111,9 +118,9 @@ def test_frozen_prompts_reuse_the_cached_text(tiny_corpus, monkeypatch):
     model = build_model(tiny_config(prompt_kind="template"))
     samples = tiny_corpus.samples[:4]
     graph_text = prompts.encode_prompts(model.prompt_pair, model.encoder)
-    projections = [(a.weight, a.bias) for a in model.adapters]
+    projection = (model.adapter.weight, model.adapter.bias)
     acts = training._features(model, samples)
-    want, _ = training._batch_loss(model, samples, acts, projections, graph_text)
+    want, _ = training._batch_loss(model, samples, acts, projection, graph_text)
     model.text_features()  # the one encoding of this parameter state
 
     def refuse(*args, **kwargs):
@@ -331,8 +338,8 @@ def _edit_image(model, samples, state):
 
 
 def _edit_parameter(model, samples, state):
-    var = model.trainable()["adapter.1.weight"]
-    var.data[0, 0] += 1e-3  # in place, as gradient_check does
+    var = model.trainable()["adapter.weight"]
+    var.data[1, 0, 0] += 1e-3  # in place, as gradient_check does
     return samples, state
 
 
@@ -411,24 +418,27 @@ def _two_steps(tensors):
 
 
 def _short_first_moment(tensors):
-    tensors["adam.m.adapter.0.weight"] = np.zeros(1, dtype=np.float32)
+    tensors["adam.m.adapter.weight"] = np.zeros(1, dtype=np.float32)
 
 
 def _broadcast_second_moment(tensors):
-    tensors["adam.v.adapter.0.weight"] = np.zeros(tensors["adam.v.adapter.0.weight"].shape[1:],
-                                                  dtype=np.float32)
+    # one stage's slice, which broadcasts against the whole (STAGES, C_vis, C_text)
+    tensors["adam.v.adapter.weight"] = np.zeros(tensors["adam.v.adapter.weight"].shape[1:],
+                                                dtype=np.float32)
 
 
 def _infinite_moment(tensors):
-    tensors["adam.m.adapter.1.bias"] = np.full_like(tensors["adam.m.adapter.1.bias"], np.inf)
+    tensors["adam.m.adapter.bias"] = tensors["adam.m.adapter.bias"].copy()
+    tensors["adam.m.adapter.bias"][1] = np.inf
 
 
 def _negative_second_moment(tensors):
-    tensors["adam.v.adapter.2.bias"] = np.full_like(tensors["adam.v.adapter.2.bias"], -1.0)
+    tensors["adam.v.adapter.bias"] = tensors["adam.v.adapter.bias"].copy()
+    tensors["adam.v.adapter.bias"][2] = -1.0
 
 
 def _integer_moment(tensors):
-    tensors["adam.m.adapter.3.bias"] = tensors["adam.m.adapter.3.bias"].astype(np.int32)
+    tensors["adam.m.adapter.bias"] = tensors["adam.m.adapter.bias"].astype(np.int32)
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -443,6 +453,11 @@ def test_optimizer_state_that_does_not_fit_raises_and_binds_nothing(tiny_corpus,
     fresh = training.TrainState(model.trainable())
     training.restore_optimizer(fresh, dict(tensors))  # the saved state fits
     assert fresh.step == 1
+    for kind in ("m", "v"):  # one moment per stacked tensor, every stage's slice set
+        for name in ("adapter.weight", "adapter.bias"):
+            moment = getattr(fresh, kind)[name]
+            assert moment.shape[0] == STAGES and all(s.any() for s in moment), (kind, name)
+            np.testing.assert_array_equal(moment, tensors[f"adam.{kind}.{name}"])
     corrupt(tensors)
     target = training.TrainState(model.trainable())
     with pytest.raises(WeightsError):
