@@ -48,7 +48,7 @@ MLP_RATIO = 4.0
 NORM_MEAN = (0.5, 0.5, 0.5)
 NORM_STD = (0.25, 0.25, 0.25)
 # tensors drawn from N(0, 0.02) rather than N(0, 1/sqrt(fan_in))
-EMBEDDINGS = ("pos_embed", "cls_token", "embed_table", "normal_context", "abnormal_context")
+EMBEDDINGS = ("pos_embed", "cls_token", "embed_table", "contexts")
 
 
 @dataclass(frozen=True)
@@ -94,23 +94,30 @@ class AttentionWeights:
 class Backbone:
     config: BackboneConfig
     weights: Dict[str, np.ndarray] = field(repr=False)
+    _stage_weights: AttentionWeights = field(init=False, repr=False)
 
     def __post_init__(self):
-        for arr in self.weights.values():
+        # the last block of every stage holds views of one (STAGES, C, C)
+        # stack per matrix, so the adapter's weights are stacked once and
+        # share their bytes with the blocks (and ``hashes``)
+        last = [(stage + 1) * BLOCKS_PER_STAGE - 1 for stage in range(STAGES)]
+        stacks = []
+        for m in ("w_q", "w_k", "w_v", "w_o"):
+            names = [f"blocks.{b}.attn.{m}" for b in last]
+            stacks.append(np.stack([self.weights[n] for n in names]))
+            self.weights.update(zip(names, stacks[-1]))
+        self._stage_weights = AttentionWeights(*stacks, heads=self.config.heads)
+        for arr in [*self.weights.values(), *stacks]:
             arr.setflags(write=False)
 
     def hashes(self) -> Dict[str, str]:
         return {name: tensor_hash(arr) for name, arr in sorted(self.weights.items())}
 
     def stage_attention_weights(self) -> AttentionWeights:
-        """(W_q, W_k, W_v, W_o) of the last block of every stage, each
-        stacked (STAGES, C, C) in stage order."""
-        last = [(stage + 1) * BLOCKS_PER_STAGE - 1 for stage in range(STAGES)]
-        return AttentionWeights(
-            *(np.stack([self.weights[f"blocks.{b}.attn.{m}"] for b in last])
-              for m in ("w_q", "w_k", "w_v", "w_o")),
-            heads=self.config.heads,
-        )
+        """(W_q, W_k, W_v, W_o) of the last block of every stage, each a
+        read-only (STAGES, C, C) stack in stage order; the same object on
+        every call."""
+        return self._stage_weights
 
     def normalize_image(self, image: np.ndarray) -> np.ndarray:
         """``(image - NORM_MEAN) / NORM_STD`` per channel, in the image's dtype

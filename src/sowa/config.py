@@ -11,12 +11,14 @@ Only what a run can vary is a field. The fixed settings are module
 constants: the blocks per stage (``BLOCKS_PER_STAGE``), MLP ratio and input
 normalisation in ``backbone``; the text encoder's heads, blocks and maximum
 length in ``prompts``, where the text width and output width are the only
-text settings here (``text_width``, ``c_text``); the fusion and
+encoder settings here (``text_width``, ``c_text``); the fusion and
 class-score temperatures in ``fusion`` (``TAU``, ``TAU_CLS``); and the loss
 (equal dice, focal and BCE weights, ``FOCAL_GAMMA``, ``FOCAL_ALPHA``,
 ``DICE_EPS``) and Adam's ``BETA1``, ``BETA2`` and ``EPS`` in ``training``.
 Every tensor is drawn from the run's ``seed`` by the one init rule,
-``backbone.seeded_weights``.
+``backbone.seeded_weights``. ``prompt_kind`` and ``prompt_length`` choose
+the one (2, prompt_length, text_width) prompt contexts tensor
+(``prompts.build_prompt_contexts``); a ``template``'s is (2, 4, text_width).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class RunConfig:
     attention_mode: str = "vv"
     window: int = 4
     prompt_kind: str = "coop"
-    prompt_length: int = 12  # context vectors per branch; ``template`` ignores it
+    prompt_length: int = 12  # l of the (2, l, text_width) contexts; ``template`` ignores it
     c_text: int = 32
     text_width: int = 32
     image_score_mode: str = "max_map"

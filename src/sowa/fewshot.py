@@ -5,7 +5,7 @@ the four stages, as one (STAGES, K * L, C) array. A query token's per-level
 distance is one minus its best cosine similarity over every reference token
 at that level; the four level maps are summed and upsampled to pixel
 resolution, then blended with the zero-shot map. The levels are one array
-axis, so every level of every query of a stack is one batched product.
+axis, so every level of a query is one batched product.
 
 Distances below SELF_MATCH_TOLERANCE snap to exactly zero so that querying a
 bank member yields an identically-zero map despite float32 rounding of
@@ -82,8 +82,13 @@ def few_shot_map(
 
     ``query_features`` is one (STAGES, L, C) query or a (B, STAGES, L, C)
     stack; a query of a stack gets the map it gets on its own, bit for bit.
-    Both query rows and bank rows are expected unit-norm.
+    Both query rows and bank rows are expected unit-norm. The queries of a
+    stack are scored one at a time, so the (STAGES, L, K * L) similarities
+    of one query are the largest temporary. A ``bank`` that is not a
+    ``MemoryBank`` raises ``UsageError``.
     """
+    if not isinstance(bank, MemoryBank):
+        raise UsageError(f"bank must be a MemoryBank, got {type(bank).__name__}")
     grid_h, grid_w = grid
     q = np.asarray(query_features)
     refs = bank.features
@@ -92,7 +97,9 @@ def few_shot_map(
                          f"({STAGES}, L, C) with L filling grid {grid_h}x{grid_w}")
     if q.shape[-1] != refs.shape[-1]:
         raise UsageError(f"query width {q.shape[-1]} != bank width {refs.shape[-1]}")
-    best = (q @ refs.swapaxes(-1, -2)).max(axis=-1)
+    best = np.empty(q.shape[:-1], dtype=np.result_type(q, refs))
+    for i in np.ndindex(q.shape[:-3]):  # one (STAGES, L, C) query at a time
+        best[i] = (q[i] @ refs.swapaxes(-1, -2)).max(axis=-1)
     dist = 1.0 - best
     dist[np.abs(dist) < SELF_MATCH_TOLERANCE] = 0.0
     dist = np.clip(dist, 0.0, 2.0)

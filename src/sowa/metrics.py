@@ -234,9 +234,12 @@ def evaluate_scores(
 
     The pooled pixels are copied to float64 and sorted once; pixel AUROC
     and PRO share that order and equal ``auroc`` and ``pro`` bit for bit.
+    Image scores and pixel maps of differing counts raise ``UsageError``.
     """
     check_float(fpr_limit, "fpr_limit", 0, 1, low_open=True)
     labels = np.asarray(image_labels01)
+    if np.size(image_scores) != len(pixel_maps):
+        raise UsageError(f"{np.size(image_scores)} image scores for {len(pixel_maps)} pixel maps")
     regions, count = _pixel_regions(pixel_maps, pixel_masks01)
     pooled_scores = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in pixel_maps])
     ranking = _descending(pooled_scores)
@@ -278,8 +281,8 @@ def evaluate_dataset(
         image_score_mode = model.config.image_score_mode
     if mode not in ("zero_shot", "few_shot"):
         raise UsageError(f"mode must be zero_shot or few_shot, got {mode!r}")
-    if mode == "few_shot" and bank is None:
-        raise UsageError("few_shot evaluation requires a memory bank")
+    if mode == "few_shot" and not isinstance(bank, MemoryBank):
+        raise UsageError(f"few_shot evaluation requires a memory bank, got {type(bank).__name__}")
     if image_score_mode not in IMAGE_SCORE_MODES:
         raise UsageError(f"unknown image_score_mode {image_score_mode!r}")
     samples = list(samples)

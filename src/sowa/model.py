@@ -6,11 +6,12 @@ The four stages are one array axis next to the image axis, from the frozen
 pass down to the memory bank: (B, STAGES, L, C) activations and features,
 one (STAGES, C_vis, C_text) adapter weight and one (STAGES, C_text) bias.
 
-The parameters are the adapter projection and the two prompt contexts, which
-train for ``coop`` and are frozen for ``template``; every other tensor is
-created once, marked read-only, and hash-checked by the frozen-contract tests.
-A checkpoint is a numpy ``.npz`` file of the parameters, plus any extra tensors
-such as the optimizer's moments.
+The parameters are the adapter projection and the one (2, l, width) tensor
+of prompt contexts, which trains for ``coop`` and is frozen for
+``template``; every other tensor is created once, marked read-only, and
+hash-checked by the frozen-contract tests. A checkpoint is a numpy ``.npz``
+file of the parameters (``adapter.weight``, ``adapter.bias`` and
+``prompt.contexts``), plus any extra tensors such as the optimizer's moments.
 
 Images run in stacks only. One frozen pass, ``frozen_forward`` (backbone,
 then the windowed attention), takes a (B, S, S, 3) stack, and one scoring
@@ -53,14 +54,7 @@ from .config import RunConfig
 from .errors import ArchiveError, UsageError, WeightsError
 from .fewshot import MemoryBank, build_memory_bank
 from .fusion import AnomalyMap
-from .prompts import (
-    FrozenTextEncoder,
-    PromptPair,
-    build_prompt_pair,
-    build_text_encoder,
-    encode_prompts,  # noqa: F401  not called here; perfbench/tracer.py looks it up in this module
-    encode_text,
-)
+from .prompts import FrozenTextEncoder, build_prompt_contexts, build_text_encoder, encode_prompts
 
 # Most images whose frozen activations the feature cache keeps (LRU): about
 # 64 KB each at 64 px and 256 KB at 224 px.
@@ -96,7 +90,7 @@ class SowaModel:
     backbone: Backbone
     encoder: FrozenTextEncoder
     adapter: AdapterParams
-    prompt_pair: PromptPair
+    prompt_contexts: ag.Var  # (2, l, width): row 0 normal, row 1 abnormal
     cls_proj: np.ndarray
     _feature_cache: Dict[str, FrozenActivations] = field(default_factory=dict, repr=False)
     _text_cache: Optional[Tuple[str, np.ndarray]] = field(default=None, repr=False)
@@ -157,12 +151,11 @@ class SowaModel:
 
     # ------------------------------------------------------------- trainable
     def parameters(self) -> Dict[str, ag.Var]:
-        """Adapter projection and both prompt contexts: what a checkpoint holds."""
+        """Adapter projection and the prompt contexts: what a checkpoint holds."""
         return {
             "adapter.weight": self.adapter.weight,
             "adapter.bias": self.adapter.bias,
-            "prompt.normal_context": self.prompt_pair.normal_context,
-            "prompt.abnormal_context": self.prompt_pair.abnormal_context,
+            "prompt.contexts": self.prompt_contexts,
         }
 
     def trainable(self) -> Dict[str, ag.Var]:
@@ -172,13 +165,13 @@ class SowaModel:
     def text_features(self) -> np.ndarray:
         """The (2, C_text) text features; row 0 normal, row 1 abnormal.
 
-        The encoding is kept, read-only, keyed on the contents of the two
-        contexts: in-place edits and rebinding both re-encode.
+        ``encode_prompts`` on the contexts' array, so no graph is built. The
+        encoding is kept, read-only, keyed on the contents of the contexts:
+        in-place edits and rebinding both re-encode.
         """
-        pair = self.prompt_pair
-        key = tensor_hash(pair.normal_context.data) + tensor_hash(pair.abnormal_context.data)
+        key = tensor_hash(self.prompt_contexts.data)
         if self._text_cache is None or self._text_cache[0] != key:
-            text = encode_text(pair, self.encoder)
+            text = encode_prompts(self.prompt_contexts.data, self.encoder)
             text.setflags(write=False)
             self._text_cache = (key, text)
         return self._text_cache[1]
@@ -315,7 +308,7 @@ def build_model(config: RunConfig) -> SowaModel:
     seed = config.seed
     backbone = init_synthetic(config.backbone, seed)
     encoder = build_text_encoder(config.text_width, config.c_text, seed + _SEED_OFFSETS["encoder"])
-    pair = build_prompt_pair(
+    contexts = build_prompt_contexts(
         config.prompt_kind, config.prompt_length, seed + _SEED_OFFSETS["prompts"], encoder
     )
     c_vis = config.backbone.channels
@@ -328,6 +321,6 @@ def build_model(config: RunConfig) -> SowaModel:
         backbone=backbone,
         encoder=encoder,
         adapter=adapter,
-        prompt_pair=pair,
+        prompt_contexts=contexts,
         cls_proj=cls_proj,
     )

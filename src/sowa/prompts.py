@@ -1,9 +1,10 @@
 """Dual prompts and the frozen text-encoding path.
 
-Every prompt kind is one pair of context sequences (normal / abnormal);
-everything else is frozen: a small seeded vocabulary of anchor embeddings,
-a two-block transformer encoder, and the projection into the shared text
-feature space. Each branch is encoded independently as
+Every prompt kind is one (2, l, width) tensor of context sequences, row 0
+normal and row 1 abnormal; everything else is frozen: a small seeded
+vocabulary of anchor embeddings, a two-block transformer encoder, and the
+projection into the shared text feature space. Each branch is encoded
+independently as
 
     [context_1 .. context_l, <branch anchor>, "object"]
 
@@ -12,11 +13,12 @@ branch's row of the 2 x C_text feature matrix (row 0 normal, row 1 abnormal,
 always in that order). The two sequences have the same length and go through
 the encoder together, as one (2, n, width) batch: like every function below
 the public API, ``FrozenTextEncoder.encode_sequence`` takes batches only, and
-one sequence is a batch of one. Prompt kinds differ only in
-how the contexts start and whether they train (``build_prompt_pair``): a
-``template`` pair holds the words "a photo of a" / "a photo of an", so its
-rows encode the sentences "a photo of a normal object" and "a photo of an
-abnormal object".
+one sequence is a batch of one. One function, ``encode_prompts``, encodes
+the contexts for training (given the Var) and inference (given its array).
+Prompt kinds differ only in how the contexts start and whether they train
+(``build_prompt_contexts``): ``template`` contexts hold the words "a photo
+of a" / "a photo of an", so their rows encode the sentences "a photo of a
+normal object" and "a photo of an abnormal object".
 
 There is no tokenizer: "tokens" are vocabulary IDs with fixed embeddings.
 The encoder's shape is fixed apart from its width and output width:
@@ -28,7 +30,7 @@ start, as CoOp's do, from N(0, 0.02).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
@@ -105,67 +107,34 @@ def build_text_encoder(width: int, c_text: int, seed: int) -> FrozenTextEncoder:
     return FrozenTextEncoder(weights=seeded_weights(shapes, seed))
 
 
-@dataclass
-class PromptPair:
-    """Normal/abnormal context vectors; the anchor tokens that follow them
-    are the encoder's own frozen rows.
-
-    The contexts train when their Vars require gradients. ``encode_text``
-    encodes a copy that holds the contexts' arrays instead.
-    """
-
-    normal_context: ag.Var  # (l, width)
-    abnormal_context: ag.Var  # (l, width)
-
-
-def build_prompt_pair(kind: str, length: int, seed: int, encoder: FrozenTextEncoder) -> PromptPair:
-    """The two contexts of a prompt kind: how they start and whether they train.
+def build_prompt_contexts(kind: str, length: int, seed: int, encoder: FrozenTextEncoder) -> ag.Var:
+    """The (2, l, width) contexts of a prompt kind, row 0 normal and row 1
+    abnormal: how they start and whether they train.
 
     ``coop`` trains seeded Gaussian(0, 0.02) contexts of ``length`` vectors per
     branch, and ``template`` freezes the words "a photo of a" / "a photo of an"
     (``length`` unused).
     """
     if kind == "template":
-        normal, abnormal = (
-            np.stack([encoder.token_embedding(w) for w in ("a", "photo", "of", article)])
-            for article in ("a", "an")
-        )
+        contexts = np.stack([[encoder.token_embedding(w) for w in ("a", "photo", "of", article)]
+                             for article in ("a", "an")])
     else:
         if length < 1:
             raise UsageError(f"context length must be >= 1, got {length}")
-        size = (length, encoder.weights["embed_table"].shape[1])
-        contexts = seeded_weights({"normal_context": size, "abnormal_context": size}, seed)
-        normal, abnormal = contexts.values()
-    train = kind == "coop"
-    return PromptPair(
-        normal_context=ag.Var(normal, requires_grad=train),
-        abnormal_context=ag.Var(abnormal, requires_grad=train),
-    )
+        width = encoder.weights["embed_table"].shape[1]
+        contexts = seeded_weights({"contexts": (2, length, width)}, seed)["contexts"]
+    return ag.Var(contexts, requires_grad=kind == "coop")
 
 
-def encode_prompts(pair: PromptPair, encoder: FrozenTextEncoder):
-    """Both branches stacked to (2, C_text); a Var when the contexts are Vars.
+def encode_prompts(contexts, encoder: FrozenTextEncoder):
+    """The (2, C_text) text features of (2, l, width) ``contexts``: a Var,
+    which builds a graph (training), when they are a Var, and an array when
+    they are an array (inference).
 
-    The two sequences go through the encoder as one (2, n, width) batch, a
-    single pass whose rows are the two branches' own encodings.
+    Each branch's anchor tail is appended on the sequence axis, and the two
+    sequences go through the encoder as one (2, n, width) batch, a single
+    pass whose rows are the two branches' own encodings.
     """
-    contexts = ag.concat([pair.normal_context, pair.abnormal_context], axis=0)
     tails = np.stack([[encoder.token_embedding(b), encoder.token_embedding("object")]
                       for b in ("normal", "abnormal")])
-    length, width = pair.normal_context.shape
-    sequences = ag.concat(
-        [ag.reshape(contexts, (2, length, width)), tails.astype(contexts.dtype)], axis=1
-    )
-    return encoder.encode_sequence(sequences)
-
-
-def encode_text(pair: PromptPair, encoder: FrozenTextEncoder) -> np.ndarray:
-    """The (2, C_text) prompt features as a plain array (inference view).
-
-    The same formula as ``encode_prompts`` run on the context arrays, so no
-    graph is built.
-    """
-    arrays = replace(
-        pair, normal_context=pair.normal_context.data, abnormal_context=pair.abnormal_context.data
-    )
-    return encode_prompts(arrays, encoder)
+    return encoder.encode_sequence(ag.concat([contexts, tails.astype(contexts.dtype)], axis=1))

@@ -172,6 +172,17 @@ class TestStageWeights:
                 np.testing.assert_array_equal(stacked[stage],
                                               backbone.weights[f"blocks.{block}.attn.{name}"])
 
+    def test_stacked_once_and_shared_with_the_blocks(self, backbone):
+        w = backbone.stage_attention_weights()
+        assert backbone.stage_attention_weights() is w
+        for name in ("w_q", "w_k", "w_v", "w_o"):
+            stacked = getattr(w, name)
+            assert not stacked.flags.writeable
+            for stage in range(STAGES):
+                block = (stage + 1) * BLOCKS_PER_STAGE - 1
+                entry = backbone.weights[f"blocks.{block}.attn.{name}"]
+                assert np.shares_memory(stacked[stage], entry) and not entry.flags.writeable
+
     def test_hash_stable_across_calls(self, backbone):
         h1 = tensor_hash(backbone.stage_attention_weights().w_v)
         h2 = tensor_hash(backbone.stage_attention_weights().w_v)

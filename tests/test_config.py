@@ -86,7 +86,7 @@ def test_text_settings_the_encoder_cannot_take_are_config_errors():
 def test_prompt_length_is_bounded_only_for_kinds_with_that_many_contexts():
     max_len = MAX_LEN
     template = default_config(prompt_kind="template", prompt_length=max_len)
-    assert build_model(template).prompt_pair.normal_context.shape[0] == 4
+    assert build_model(template).prompt_contexts.shape[:2] == (2, 4)
     with pytest.raises(ConfigError, match=f"prompt_length {max_len}"):
         default_config(prompt_kind="coop", prompt_length=max_len)
 

@@ -1,8 +1,11 @@
 """Few-shot scoring against oracles: a bank member scores exactly zero, the
 map is the upsampled sum of brute-force minimum cosine distances, a query
-of a stack gets its own map bit for bit, ``combine_maps`` hits both ends of
-its ``beta`` blend, references that do not form a bank raise
+of a stack gets its own map bit for bit and the stack is scored one query at
+a time, ``combine_maps`` hits both ends of its ``beta`` blend, references
+that do not form a bank, and a bank that is not a ``MemoryBank``, raise
 ``UsageError``, and the bank freezes a copy of its own."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +59,30 @@ def test_a_query_of_a_stack_gets_its_own_map_bit_for_bit(rng, dtype):
     assert stacked.shape == (7, *DIMS) and stacked.dtype == dtype
     for query, fmap in zip(queries, stacked, strict=True):
         np.testing.assert_array_equal(fmap, few_shot_map(query, bank, GRID, DIMS))
+
+
+def test_a_stack_of_queries_is_scored_one_query_at_a_time(rng):
+    """16 queries at 64 px against an 8-image bank: the whole stack's
+    (16, STAGES, 64, 512) similarities would be 8 MB in float32, one
+    query's are 0.5 MB."""
+    tokens = 8 * 8
+    bank = build_memory_bank(_unit_rows(rng, 8, STAGES, tokens, c=32))
+    queries = _unit_rows(rng, 16, STAGES, tokens, c=32)
+    tracemalloc.start()
+    try:
+        few_shot_map(queries, bank, (8, 8), (64, 64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["none", "array"])
+def test_a_bank_that_is_not_a_memory_bank_is_a_usage_error(rng, kind):
+    refs = _unit_rows(rng, 2, STAGES, GRID[0] * GRID[1])
+    bank = None if kind == "none" else build_memory_bank(refs).features.copy()
+    with pytest.raises(UsageError, match="MemoryBank"):
+        few_shot_map(refs[0], bank, GRID, DIMS)
 
 
 def test_image_ids_name_each_reference_or_raise(rng):

@@ -463,6 +463,22 @@ def test_pro_invariant_under_increasing_transforms(levels, masks, table):
     assert metrics.pro(list(table[levels]), list(masks)) == pytest.approx(plain, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["none", "array"])
+def test_a_few_shot_bank_that_is_not_a_memory_bank_is_a_usage_error(tiny_model, few_shot_setup,
+                                                                      kind):
+    test, bank = few_shot_setup
+    bank = None if kind == "none" else bank.features.copy()
+    with pytest.raises(UsageError, match="memory bank"):
+        metrics.evaluate_dataset(tiny_model, test, mode="few_shot", bank=bank)
+
+
+def test_image_scores_and_maps_of_differing_counts_are_a_usage_error():
+    mask = np.zeros((4, 4), dtype=np.int64)
+    mask[1, 2] = 1
+    with pytest.raises(UsageError, match="3 image scores for 1 pixel maps"):
+        metrics.evaluate_scores([0.1, 0.5, 0.9], [0, 1, 1], [np.arange(16.0).reshape(4, 4)], [mask])
+
+
 def test_bad_evaluation_input_rejected(tiny_model, few_shot_setup):
     test, bank = few_shot_setup
     with pytest.raises(UsageError, match="memory bank"):

@@ -59,7 +59,7 @@ def test_predict_creates_no_var(tiny_model, tiny_corpus, var_count):
 
 def test_sample_loss_reaches_every_trainable(tiny_model, tiny_corpus):
     params = tiny_model.trainable()
-    assert len(params) == 4  # the adapter's weight and bias + 2 prompt contexts
+    assert len(params) == 3  # the adapter's weight and bias + the prompt contexts
     for var in params.values():
         var.zero_grad()
     sample = next(s for s in tiny_corpus.samples if s.label > 0)
@@ -89,7 +89,7 @@ def test_every_kind_predicts_and_trains(tiny_corpus, adapter_kind, attention_mod
     loss, _, grads = batch_gradients(model, tiny_corpus.samples[:2])
     assert np.isfinite(loss)
     assert grads.keys() == model.trainable().keys()
-    assert len(grads) == (4 if prompt_kind == "coop" else 2)
+    assert len(grads) == (3 if prompt_kind == "coop" else 2)
 
 
 KINDS = list(itertools.product(("fwa", "linear"), ("vv", "qkv")))
@@ -213,7 +213,9 @@ def test_warm_predict_reuses_heap_pages():
 
 @pytest.fixture()
 def encode_calls(monkeypatch):
-    """A list that grows by one for every ``encode_prompts`` call."""
+    """A list that grows by one for every ``encode_prompts`` call, at both
+    lookup sites: ``sowa.prompts`` (training) and ``sowa.model``
+    (``text_features``)."""
     calls = []
     encode = prompts.encode_prompts
 
@@ -222,6 +224,7 @@ def encode_calls(monkeypatch):
         return encode(*args, **kwargs)
 
     monkeypatch.setattr(prompts, "encode_prompts", counting)
+    monkeypatch.setattr(smodel, "encode_prompts", counting)
     return calls
 
 
@@ -248,7 +251,7 @@ def test_text_encoded_once_per_parameter_state(tiny_corpus, encode_calls, tmp_pa
     assert len(encode_calls) == 1
 
     # an in-place edit of one element, as gradient_check makes
-    model.prompt_pair.abnormal_context.data[0, 0] += 1e-3
+    model.prompt_contexts.data[1, 0, 0] += 1e-3
     model.predict(images[0])
     assert len(encode_calls) == 2
 
@@ -259,7 +262,7 @@ def test_text_encoded_once_per_parameter_state(tiny_corpus, encode_calls, tmp_pa
     model.predict(images[0])
     assert len(encode_calls) == 3
     np.testing.assert_array_equal(
-        model.text_features(), prompts.encode_text(model.prompt_pair, model.encoder))
+        model.text_features(), prompts.encode_prompts(model.prompt_contexts.data, model.encoder))
 
 
 def test_cached_text_is_read_only_and_changes_no_output(tiny_corpus):
@@ -268,7 +271,8 @@ def test_cached_text_is_read_only_and_changes_no_output(tiny_corpus):
     assert not text.flags.writeable
     with pytest.raises(ValueError):
         text[0, 0] = 0.0
-    np.testing.assert_array_equal(text, prompts.encode_text(model.prompt_pair, model.encoder))
+    np.testing.assert_array_equal(
+        text, prompts.encode_prompts(model.prompt_contexts.data, model.encoder))
     warm = [model.predict(s.image) for s in tiny_corpus.samples[:3]]
     for sample, pred in zip(tiny_corpus.samples[:3], warm):
         cold = build_model(tiny_config()).predict(sample.image)  # encodes anew
@@ -287,10 +291,10 @@ def test_text_features_are_read_only_for_every_prompt_kind(prompt_kind, tmp_path
     model.load_checkpoint(tmp_path / "c.npz")
     text = model.text_features()
     assert not text.flags.writeable
-    for branch in ("normal_context", "abnormal_context"):  # the loaded contexts are encoded
-        np.testing.assert_array_equal(getattr(model.prompt_pair, branch).data,
-                                      getattr(saved.prompt_pair, branch).data)
-    np.testing.assert_array_equal(text, prompts.encode_text(model.prompt_pair, model.encoder))
+    # the loaded contexts are encoded
+    np.testing.assert_array_equal(model.prompt_contexts.data, saved.prompt_contexts.data)
+    np.testing.assert_array_equal(
+        text, prompts.encode_prompts(model.prompt_contexts.data, model.encoder))
     with pytest.raises(ValueError):
         text[0, 0] = 0.0
 
@@ -299,7 +303,7 @@ def _pipeline_dtypes(model, sample):
     """Dtypes of the inference outputs and of the training graph's stages."""
     pred = model.predict(sample.image)
     acts = model.frozen_forward(sample.image[None])
-    text = prompts.encode_prompts(model.prompt_pair, model.encoder)
+    text = prompts.encode_prompts(model.prompt_contexts, model.encoder)
     stars = project_tokens(model.adapter.weight, model.adapter.bias, acts.adapter_inputs)
     logits = fusion.fuse(stars, text)
     size = model.backbone.config.image_size
@@ -325,7 +329,7 @@ def test_the_model_computes_in_its_default_dtype(tiny_corpus, dtype):
     with numerics.precision(dtype):
         model = build_model(tiny_config())
         dtypes = _pipeline_dtypes(model, tiny_corpus.samples[1])
-    assert len(dtypes) == 7 + 4 + 4
+    assert len(dtypes) == 7 + 4 + 3
     assert {name: d for name, d in dtypes.items() if d != np.dtype(dtype)} == {}
 
 
@@ -430,11 +434,11 @@ def test_a_checkpoint_that_does_not_fit_binds_nothing(change, tmp_path):
     model = build_model(tiny_config())
     before = model.state_tensors()
     tensors = build_model(tiny_config(seed=8)).state_tensors()
-    changed = change(tensors.pop("prompt.abnormal_context"))  # the last one bound
+    changed = change(tensors.pop("prompt.contexts"))  # the last one bound
     if changed is not None:
-        tensors["prompt.abnormal_context"] = changed
+        tensors["prompt.contexts"] = changed
     np.savez(tmp_path / "c.npz", **tensors)
-    with pytest.raises(WeightsError, match="prompt.abnormal_context"):
+    with pytest.raises(WeightsError, match="prompt.contexts"):
         model.load_checkpoint(tmp_path / "c.npz")
     for name, value in model.state_tensors().items():
         np.testing.assert_array_equal(value, before[name])
@@ -451,6 +455,21 @@ def test_a_checkpoint_of_one_tensor_per_stage_is_refused_and_binds_nothing(tmp_p
         tensors.update({f"adapter.{i}.{part}": s for i, s in enumerate(stacked)})
     np.savez(tmp_path / "c.npz", **tensors)
     with pytest.raises(WeightsError, match="'adapter.weight'"):
+        model.load_checkpoint(tmp_path / "c.npz")
+    for name, value in model.state_tensors().items():
+        np.testing.assert_array_equal(value, before[name])
+
+
+def test_a_checkpoint_of_one_tensor_per_prompt_branch_is_refused_and_binds_nothing(tmp_path):
+    """prompt.normal_context and prompt.abnormal_context, as earlier versions
+    wrote, leave prompt.contexts unbound: the file is refused."""
+    model = build_model(tiny_config())
+    before = model.state_tensors()
+    tensors = build_model(tiny_config(seed=8)).state_tensors()
+    normal, abnormal = tensors.pop("prompt.contexts")
+    tensors.update({"prompt.normal_context": normal, "prompt.abnormal_context": abnormal})
+    np.savez(tmp_path / "c.npz", **tensors)
+    with pytest.raises(WeightsError, match="'prompt.contexts'"):
         model.load_checkpoint(tmp_path / "c.npz")
     for name, value in model.state_tensors().items():
         np.testing.assert_array_equal(value, before[name])
@@ -551,6 +570,9 @@ def _weight_digest(model) -> str:
         stacked = tensors.pop(f"adapter.{part}")
         assert stacked.shape[0] == STAGES
         tensors.update({f"adapter.{i}.{part}": s for i, s in enumerate(stacked)})
+    # and the prompt contexts' rows: prompt.normal_context and prompt.abnormal_context
+    normal, abnormal = tensors.pop("prompt.contexts")
+    tensors.update({"prompt.normal_context": normal, "prompt.abnormal_context": abnormal})
     digest = hashlib.sha256()
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])

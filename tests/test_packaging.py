@@ -1,7 +1,8 @@
 """Every console script that ``pyproject.toml`` declares can be imported,
 the package imports nothing at run time beyond the standard library and
-numpy, every name the benchmark's span tracer wraps exists, and every error
-class is raised somewhere in the package or is the base of one that is."""
+numpy, imports no name it never uses, every name the benchmark's span tracer
+wraps exists, and every error class is raised somewhere in the package or is
+the base of one that is."""
 
 import ast
 import importlib
@@ -40,6 +41,22 @@ def test_package_imports_only_stdlib_and_numpy():
             foreign += [f"{path.name}:{node.lineno} {n}" for n in names
                         if n.partition(".")[0] not in RUNTIME_MODULES]
     assert foreign == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted((ROOT / "src" / "sowa").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                for alias in node.names:  # ``import a.b`` binds ``a``
+                    imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
 
 
 def test_every_traced_site_resolves():

@@ -36,15 +36,16 @@ def model64():
 
 def test_float64_gradient_check_through_the_batch(model64, tiny_corpus):
     coords = 32  # per tensor: 64 adapter coordinates in all
-    # the coordinates gradient_check draws hit every stage's slice of both adapter tensors
+    # the coordinates gradient_check draws hit every stage's slice of both
+    # adapter tensors, and both branches' rows of the prompt contexts
     rng = np.random.default_rng(0)
     for name, var in model64.trainable().items():
         picked = rng.choice(var.data.size, size=min(coords, var.data.size), replace=False)
-        if name.startswith("adapter."):
-            assert set(np.unravel_index(picked, var.shape)[0]) == set(range(STAGES)), name
+        rows = STAGES if name.startswith("adapter.") else 2
+        assert set(np.unravel_index(picked, var.shape)[0]) == set(range(rows)), name
     with numerics.precision("float64"):
         errors = training.gradient_check(model64, tiny_corpus.samples[:3], coords_per_tensor=coords)
-    assert len(errors) == 4
+    assert len(errors) == 3
     assert max(errors.values()) <= 1e-5, errors
 
 
@@ -90,7 +91,7 @@ def test_loss_graph_runs_in_the_model_dtype(tiny_corpus, dtype):
         samples = tiny_corpus.samples[:8]
         loss, _ = training.sample_loss(model, samples, training._features(model, samples))
     nodes = ag._toposort(loss)
-    assert len(nodes) == 197
+    assert len(nodes) == 194
     assert [n for n in nodes if n.dtype != np.dtype(dtype)] == []
 
 
@@ -117,7 +118,8 @@ def test_backward_leaves_every_constant_without_grad(tiny_model, tiny_corpus, mo
 def test_frozen_prompts_reuse_the_cached_text(tiny_corpus, monkeypatch):
     model = build_model(tiny_config(prompt_kind="template"))
     samples = tiny_corpus.samples[:4]
-    graph_text = prompts.encode_prompts(model.prompt_pair, model.encoder)
+    assert not model.prompt_contexts.requires_grad
+    graph_text = prompts.encode_prompts(model.prompt_contexts, model.encoder)
     projection = (model.adapter.weight, model.adapter.bias)
     acts = training._features(model, samples)
     want, _ = training._batch_loss(model, samples, acts, projection, graph_text)
@@ -142,8 +144,8 @@ def test_prompts_encoded_once_per_batch_and_dataset_loss_builds_no_graph(
         calls.append(None)
         return encode(*args, **kwargs)
 
-    # every lookup site: the training loss and encode_text call it through
-    # ``sowa.prompts``, and ``sowa.model`` imports the name
+    # every lookup site: the training loss calls it through ``sowa.prompts``,
+    # and ``text_features`` through the name ``sowa.model`` imports
     monkeypatch.setattr(prompts, "encode_prompts", counting)
     monkeypatch.setattr(smodel, "encode_prompts", counting)
     samples = tiny_corpus.samples[:8]
@@ -233,6 +235,37 @@ def test_one_epoch_lowers_loss_and_keeps_frozen_tensors(tiny_corpus):
 def _step(model, state, batch):
     _, _, grads = training.batch_gradients(model, batch, cache_keys=range(len(batch)))
     training.adam_step(state, grads, model.config.optim.lr)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3, "0.1", None, True])
+def test_a_rate_that_is_not_a_positive_number_is_refused_before_any_change(tiny_corpus, lr):
+    model = build_model(tiny_config())
+    state = training.TrainState(model.trainable())
+    grads = training.batch_gradients(model, tiny_corpus.samples[:2])[2]
+    before = model.state_tensors()
+    with pytest.raises(UsageError, match="lr"):
+        training.adam_step(state, grads, lr)
+    assert state.step == 0
+    assert all(not m.any() for m in state.m.values())
+    for name, value in model.state_tensors().items():
+        np.testing.assert_array_equal(value, before[name])
+
+
+def test_adam_moments_round_trip_under_the_parameter_names(tiny_corpus):
+    model = build_model(tiny_config())
+    state = training.TrainState(model.trainable())
+    _step(model, state, tiny_corpus.samples[:4])
+    tensors = training.optimizer_tensors(state)
+    names = ("adapter.weight", "adapter.bias", "prompt.contexts")
+    assert sorted(tensors) == sorted(["adam.step", *(f"adam.{k}.{n}" for k in "mv" for n in names)])
+    assert tensors["adam.m.prompt.contexts"].shape == model.prompt_contexts.shape
+    restored = training.restore_optimizer(training.TrainState(model.trainable()), tensors)
+    assert restored.step == state.step == 1
+    for kind in ("m", "v"):
+        for name in names:
+            saved = getattr(state, kind)[name]
+            assert saved.any(), (kind, name)
+            np.testing.assert_array_equal(getattr(restored, kind)[name], saved)
 
 
 def test_a_continued_epoch_steps_at_the_rate_it_is_given(tiny_corpus):
@@ -381,7 +414,7 @@ def test_frozen_prompt_contexts_are_part_of_the_loss_key(tiny_corpus):
     model = build_model(tiny_config(prompt_kind="template"))
     samples = tiny_corpus.samples
     first, state = training.train_epoch(model, samples, model.config.optim)
-    context = model.prompt_pair.normal_context  # a parameter, not in the train state
+    context = model.prompt_contexts  # a parameter, not in the train state
     context.data = context.data * np.linspace(0.5, 1.5, context.shape[-1], dtype=context.dtype)
     fresh = training.mean_dataset_loss(model, samples, training._features(model, samples))
     assert fresh != first.final_loss
