@@ -349,19 +349,16 @@ def gelu(x):
     return mul(mul(x, add(tanh(inner), 1.0)), 0.5)
 
 
-def layer_norm(x, scale, offset, eps: float = 1e-5):
-    """Row-wise layer normalization over the last axis."""
+def layer_norm(x, eps: float = 1e-5):
+    """Row-wise layer normalization over the last axis, with no affine part."""
     if not is_var(x):
         centered = np.subtract(x, mean(x, axis=-1, keepdims=True))
         var = mean(centered * centered, axis=-1, keepdims=True)
-        np.divide(centered, np.sqrt(var + eps), out=centered)
-        out = np.multiply(centered, scale, out=_writable(centered, scale, offset))
-        return np.add(out, offset, out=_writable(out, offset))
+        return np.divide(centered, np.sqrt(var + eps), out=centered)
     mu = mean(x, axis=-1, keepdims=True)
     centered = add(x, mul(mu, -1.0))
     var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(var, eps)))
-    return add(mul(normed, scale), offset)
+    return div(centered, sqrt(add(var, eps)))
 
 
 def attention(x, w_q, w_k, w_v, w_o, heads: int, mode: str):

@@ -1,12 +1,15 @@
 """Frozen vision-transformer feature extractor, and the one init rule and
 block layout that build every model tensor.
 
-A seeded, desk-scale stand-in for a large pretrained visual encoder: standard
-pre-norm blocks with QKV attention, a class token carried through the whole
-stack, and four stage outputs (the patch tokens after the last block of each
+A seeded, desk-scale stand-in for a large pretrained visual encoder: pre-norm
+blocks with QKV attention, a class token carried through the whole stack,
+and four stage outputs (the patch tokens after the last block of each
 quarter of the stack), held as one (B, STAGES, L, C) array. Attention
 projections are bias-free so the stages' (W_q, W_k, W_v, W_o) quadruples
-can be handed to the adapter as-is, stacked (STAGES, C, C).
+can be handed to the adapter as-is, stacked (STAGES, C, C). Unlike CLIP's,
+the stand-in's layer norms have no affine scale and offset, and its MLPs
+and patch embedding no biases: frozen at their init of ones and zeros,
+they would only multiply by one and add zero.
 
 ``Backbone.forward`` takes a stack of images only, as every function below
 the public API does: a single image is a stack of one. Only the public
@@ -18,9 +21,9 @@ features do not depend on the stack it was run in, nor on the thread: a
 large stack runs in parts on two threads (``numerics.map_image_parts``).
 
 One init rule, ``seeded_weights``, draws every model tensor, frozen or
-trainable: layer-norm scales are ones, offsets and biases zeros, embeddings
-and prompt contexts N(0, 0.02), every other matrix N(0, 1/sqrt(fan_in)), all
-in the default dtype. ``block_shapes`` is the one weight layout of a
+trainable: the adapter bias is zeros, embeddings and prompt contexts
+N(0, 0.02), every other matrix N(0, 1/sqrt(fan_in)), all in the default
+dtype. ``block_shapes`` is the one weight layout of a
 transformer block, here and in the text encoder. The stand-in's fixed
 settings are constants: each of the ``STAGES`` stages is ``BLOCKS_PER_STAGE``
 blocks, the MLP is ``MLP_RATIO`` times the block width, and pixels are
@@ -183,7 +186,7 @@ class Backbone:
         b = len(images)
         patches = images.reshape(b, g, p, g, p, 3).transpose(0, 1, 3, 2, 4, 5)
         patches = patches.reshape(b, cfg.tokens, p * p * 3)
-        tokens = patches @ self.weights["patch_embed.weight"] + self.weights["patch_embed.bias"]
+        tokens = patches @ self.weights["patch_embed.weight"]
         cls = np.broadcast_to(self.weights["cls_token"], (b, 1, cfg.channels))
         return np.concatenate([cls, tokens], axis=1) + self.weights["pos_embed"]
 
@@ -195,12 +198,10 @@ def transformer_block(x, weights: Dict[str, np.ndarray], idx: int, heads: int):
     a Var (the weights are always constants).
     """
     pre = f"blocks.{idx}"
-    h = ag.layer_norm(x, weights[f"{pre}.ln1.scale"], weights[f"{pre}.ln1.offset"])
     attn = [weights[f"{pre}.attn.{m}"] for m in ("w_q", "w_k", "w_v", "w_o")]
-    x = ag.add(x, ag.attention(h, *attn, heads, "qkv"))
-    h = ag.layer_norm(x, weights[f"{pre}.ln2.scale"], weights[f"{pre}.ln2.offset"])
-    h = ag.gelu(ag.add(ag.matmul(h, weights[f"{pre}.mlp.w1"]), weights[f"{pre}.mlp.b1"]))
-    return ag.add(x, ag.add(ag.matmul(h, weights[f"{pre}.mlp.w2"]), weights[f"{pre}.mlp.b2"]))
+    x = ag.add(x, ag.attention(ag.layer_norm(x), *attn, heads, "qkv"))
+    h = ag.gelu(ag.matmul(ag.layer_norm(x), weights[f"{pre}.mlp.w1"]))
+    return ag.add(x, ag.matmul(h, weights[f"{pre}.mlp.w2"]))
 
 
 def tensor_hash(arr: np.ndarray) -> str:
@@ -217,19 +218,15 @@ def tensor_hash(arr: np.ndarray) -> str:
 
 def block_shapes(blocks: int, width: int, hidden: int) -> Dict[str, Tuple[int, ...]]:
     """Names and shapes of the weights ``transformer_block`` reads, blocks 0..blocks-1."""
-    layout = {"ln1.scale": (width,), "ln1.offset": (width,),
-              **{f"attn.{m}": (width, width) for m in ("w_q", "w_k", "w_v", "w_o")},
-              "ln2.scale": (width,), "ln2.offset": (width,),
-              "mlp.w1": (width, hidden), "mlp.b1": (hidden,),
-              "mlp.w2": (hidden, width), "mlp.b2": (width,)}
+    layout = {**{f"attn.{m}": (width, width) for m in ("w_q", "w_k", "w_v", "w_o")},
+              "mlp.w1": (width, hidden), "mlp.w2": (hidden, width)}
     return {f"blocks.{b}.{name}": shape for b in range(blocks) for name, shape in layout.items()}
 
 
 def seeded_weights(shapes: Dict[str, Tuple[int, ...]], seed: int) -> Dict[str, np.ndarray]:
     """Every named tensor of ``shapes``, drawn in order from one stream seeded by ``seed``.
 
-    By the last part of its name: a layer-norm ``scale`` is ones; an
-    ``offset`` or bias (``bias``, ``b1``, ``b2``) is zeros; an embedding or
+    By the last part of its name: a ``bias`` is zeros; an embedding or
     prompt context (``EMBEDDINGS``) is N(0, 0.02); every other matrix is
     N(0, 1/sqrt(fan_in)), its first dimension being the fan-in. All are in
     the default dtype. Equal shapes and seeds give bit-identical tensors.
@@ -238,9 +235,7 @@ def seeded_weights(shapes: Dict[str, Tuple[int, ...]], seed: int) -> Dict[str, n
     weights: Dict[str, np.ndarray] = {}
     for name, shape in shapes.items():
         short = name.rsplit(".", 1)[-1]
-        if short == "scale":
-            arr = np.ones(shape)
-        elif short in ("offset", "bias", "b1", "b2"):
+        if short == "bias":
             arr = np.zeros(shape)
         else:
             std = 0.02 if short in EMBEDDINGS else 1.0 / np.sqrt(shape[0])
@@ -254,7 +249,6 @@ def init_synthetic(config: BackboneConfig, seed: int) -> Backbone:
     c = config.channels
     shapes = {
         "patch_embed.weight": (config.patch_size * config.patch_size * 3, c),
-        "patch_embed.bias": (c,),
         "pos_embed": (config.tokens + 1, c),
         "cls_token": (c,),
         **block_shapes(STAGES * BLOCKS_PER_STAGE, c, int(round(MLP_RATIO * c))),

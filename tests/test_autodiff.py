@@ -118,10 +118,7 @@ def test_softmax_last_and_norm():
 
 def test_gelu_layer_norm():
     _fd_check(lambda a: ag.sum_(ag.gelu(a)), [(3, 4)])
-    _fd_check(
-        lambda a, s, o: ag.sum_(ag.mul(ag.layer_norm(a, s, o), np.ones((2, 6)))),
-        [(2, 6), (6,), (6,)],
-    )
+    _fd_check(lambda a: ag.sum_(ag.mul(ag.layer_norm(a), np.arange(6.0))), [(2, 6)])
 
 
 def test_gelu_matches_power_formula():
@@ -270,9 +267,7 @@ def _every_op(rng, dtype, width):
         ("l2_normalize_rows", ag.l2_normalize_rows, [rows()]),
         ("softmax_last", ag.softmax_last, [_read_only(rng, (3, 7, width), dtype, 4.0)]),
         ("gelu", ag.gelu, [rows(3.0)]),
-        ("layer_norm", ag.layer_norm, [rows(2.0),
-                                       _read_only(rng, (width,), dtype),
-                                       _read_only(rng, (width,), dtype)]),
+        ("layer_norm", ag.layer_norm, [rows(2.0)]),
         ("attention_vv", lambda x, *w: ag.attention(x, *w, 4, "vv"),
          [_read_only(rng, (2, 9, width), dtype)] + mats),
         ("attention_qkv", lambda x, *w: ag.attention(x, *w, 4, "qkv"),
@@ -309,22 +304,10 @@ def test_integer_input_keeps_its_float64_result():
     for name, out, expected in [
         ("softmax_last", ag.softmax_last(np.array([1, 2])), ag.softmax_last(np.array([1.0, 2.0]))),
         ("gelu", ag.gelu(np.array([1, 2])), ag.gelu(np.array([1.0, 2.0]))),
-        ("layer_norm", ag.layer_norm(row, np.ones(4), np.zeros(4)),
-         ag.layer_norm(as_float, np.ones(4), np.zeros(4))),
-        ("layer_norm, integer weights", ag.layer_norm(row, np.ones(4, int), np.zeros(4, int)),
-         ag.layer_norm(as_float, np.ones(4), np.zeros(4))),
+        ("layer_norm", ag.layer_norm(row), ag.layer_norm(as_float)),
     ]:
         assert out.dtype == np.float64, name
         np.testing.assert_array_equal(out, expected, err_msg=name)
-
-
-def test_float32_input_with_float64_weights_promotes_as_out_of_place():
-    x = np.random.default_rng(6).normal(size=(3, 8)).astype(np.float32)
-    scale, offset = np.full(8, 1.5), np.full(8, 0.25)
-    out = ag.layer_norm(x, scale, offset)
-    assert out.dtype == np.float64
-    np.testing.assert_array_equal(out, ag.layer_norm(x, np.ones(8, np.float32),
-                                                     np.zeros(8, np.float32)) * scale + offset)
 
 
 def test_backward_requires_scalar():
@@ -377,8 +360,8 @@ def test_python_scalars_keep_the_array_dtype(dtype):
                 assert data.dtype == dtype, (op.__name__, type(operand).__name__)
     # composite formulas full of scalar constants, and their gradients
     leaf = ag.Var(x, requires_grad=True)
-    var = ag.gelu(ag.layer_norm(leaf, np.ones(3, dtype), np.zeros(3, dtype)))
-    plain = ag.gelu(ag.layer_norm(x, np.ones(3, dtype), np.zeros(3, dtype)))
+    var = ag.gelu(ag.layer_norm(leaf))
+    plain = ag.gelu(ag.layer_norm(x))
     assert var.data.dtype == plain.dtype == dtype
     np.testing.assert_allclose(var.data, plain, atol=1e-6 if dtype == np.float32 else 1e-12)
     ag.mean(var).backward()

@@ -126,7 +126,6 @@ class TestForward:
         mu = h.mean(axis=-1, keepdims=True)
         centered = h - mu
         normed = centered / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + 1e-5)
-        normed = normed * w["blocks.0.ln1.scale"] + w["blocks.0.ln1.offset"]
         q = (normed @ w["blocks.0.attn.w_q"]).reshape(n, CFG.heads, dh)
         k = (normed @ w["blocks.0.attn.w_k"]).reshape(n, CFG.heads, dh)
         scores = np.einsum("ihd,jhd->hij", q, k) / np.sqrt(dh)

@@ -468,6 +468,22 @@ def test_a_checkpoint_of_one_tensor_per_prompt_branch_is_refused_and_binds_nothi
     tensors = build_model(tiny_config(seed=8)).state_tensors()
     normal, abnormal = tensors.pop("prompt.contexts")
     tensors.update({"prompt.normal_context": normal, "prompt.abnormal_context": abnormal})
+    # and the identity tensors the init once made (ones and zeros, no draws):
+    # the layer-norm scales and offsets, MLP biases and patch-embedding bias
+    c, dtype = model.backbone.config.channels, model.backbone.weights["pos_embed"].dtype
+    identity = {"backbone.patch_embed.bias": np.zeros(c, dtype)}
+    for prefix, weights in (("backbone", model.backbone.weights),
+                            ("text_encoder", model.encoder.weights)):
+        for name in [n for n in weights if n.endswith(".mlp.w1")]:
+            width, hidden = weights[name].shape
+            block = f"{prefix}.{name[: -len('.mlp.w1')]}"
+            identity.update({f"{block}.mlp.b1": np.zeros(hidden, dtype),
+                             f"{block}.mlp.b2": np.zeros(width, dtype)})
+            for ln in ("ln1", "ln2"):
+                identity.update({f"{block}.{ln}.scale": np.ones(width, dtype),
+                                 f"{block}.{ln}.offset": np.zeros(width, dtype)})
+    assert not identity.keys() & tensors.keys()
+    tensors.update(identity)
     np.savez(tmp_path / "c.npz", **tensors)
     with pytest.raises(WeightsError, match="'prompt.contexts'"):
         model.load_checkpoint(tmp_path / "c.npz")
@@ -573,6 +589,22 @@ def _weight_digest(model) -> str:
     # and the prompt contexts' rows: prompt.normal_context and prompt.abnormal_context
     normal, abnormal = tensors.pop("prompt.contexts")
     tensors.update({"prompt.normal_context": normal, "prompt.abnormal_context": abnormal})
+    # and the identity tensors the init once made (ones and zeros, no draws):
+    # the layer-norm scales and offsets, MLP biases and patch-embedding bias
+    c, dtype = model.backbone.config.channels, model.backbone.weights["pos_embed"].dtype
+    identity = {"backbone.patch_embed.bias": np.zeros(c, dtype)}
+    for prefix, weights in (("backbone", model.backbone.weights),
+                            ("text_encoder", model.encoder.weights)):
+        for name in [n for n in weights if n.endswith(".mlp.w1")]:
+            width, hidden = weights[name].shape
+            block = f"{prefix}.{name[: -len('.mlp.w1')]}"
+            identity.update({f"{block}.mlp.b1": np.zeros(hidden, dtype),
+                             f"{block}.mlp.b2": np.zeros(width, dtype)})
+            for ln in ("ln1", "ln2"):
+                identity.update({f"{block}.{ln}.scale": np.ones(width, dtype),
+                                 f"{block}.{ln}.offset": np.zeros(width, dtype)})
+    assert not identity.keys() & tensors.keys()
+    tensors.update(identity)
     digest = hashlib.sha256()
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])

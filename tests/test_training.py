@@ -91,7 +91,7 @@ def test_loss_graph_runs_in_the_model_dtype(tiny_corpus, dtype):
         samples = tiny_corpus.samples[:8]
         loss, _ = training.sample_loss(model, samples, training._features(model, samples))
     nodes = ag._toposort(loss)
-    assert len(nodes) == 194
+    assert len(nodes) == 182
     assert [n for n in nodes if n.dtype != np.dtype(dtype)] == []
 
 
