@@ -4,8 +4,9 @@ A ``Var`` wraps an ndarray and records the closure that routes output
 gradients back to its parents; ``backward()`` walks the tape in reverse
 topological order. The primitives are broadcast arithmetic, (stacked)
 matmul of operands of rank >= 2, a few elementwise transcendentals,
-reductions, shape ops, and indexed gather; the model's shared formulas (GELU,
-layer norm, multi-head attention) are composed from them.
+reductions, shape ops, and indexed gather; the model's shared GELU and
+layer norm are composed from them. Multi-head attention is one node, with
+one forward for arrays and Vars and an analytic gradient for its input.
 
 The functional helpers (``exp``, ``matmul``, ``softmax_last`` ...) accept
 either ``Var`` or plain ndarray and return the same kind, so model formulas
@@ -27,10 +28,11 @@ intermediate's ``grad`` may share memory with other intermediates' grads. A
 leaf copies its first gradient and owns its ``grad``.
 
 The array branches of the composite formulas (``softmax_last``, ``gelu``,
-``layer_norm``, ``attention``) run the same operations in the same order as
-their ``Var`` branches, so the two give the same bits, but may compute in
-place to skip full-array temporaries: only on arrays they allocated
-themselves, never on an argument.
+``layer_norm``) run the same operations in the same order as their ``Var``
+branches, so the two give the same bits, but may compute in place to skip
+full-array temporaries: only on arrays they allocated themselves, never on
+an argument. ``attention`` has one forward, so its two kinds agree by
+construction.
 """
 
 from __future__ import annotations
@@ -323,21 +325,13 @@ def l2_normalize_rows(x, eps: float = 1e-12):
     return div(x, maximum(norm, eps))
 
 
-def _writable(buf, *operands):
-    """``buf``, an array the caller allocated, as the ``out`` of a ufunc over
-    it and ``operands`` when the result has its dtype; else None, so that an
-    integer buffer given a float result, or a float32 one given a float64
-    operand, gets a fresh array as out of place."""
-    return buf if np.result_type(buf, *operands) == buf.dtype else None
-
-
 def gelu(x):
     """tanh-approximate GELU."""
     if not is_var(x):
         x = np.asarray(x)
         t = np.multiply(x, x, out=np.empty_like(x))
         np.multiply(t, x, out=t)
-        t = np.multiply(t, 0.044715, out=_writable(t, 0.044715))
+        t = np.multiply(t, 0.044715, out=t if t.dtype.kind == "f" else None)  # of integers: float
         np.add(x, t, out=t)
         np.multiply(t, GELU_C, out=t)
         np.tanh(t, out=t)
@@ -350,10 +344,17 @@ def gelu(x):
 
 
 def layer_norm(x, eps: float = 1e-5):
-    """Row-wise layer normalization over the last axis, with no affine part."""
+    """Row-wise layer normalization over the last axis, with no affine part.
+
+    The array branch takes each mean as the sum times ``1 / width``, the
+    bits of ``mean`` on the Var branch, without its dispatch."""
     if not is_var(x):
-        centered = np.subtract(x, mean(x, axis=-1, keepdims=True))
-        var = mean(centered * centered, axis=-1, keepdims=True)
+        x = np.asarray(x)
+        if x.shape[-1] == 0:
+            raise UsageError(f"mean over no elements (shape {x.shape}, axis -1) is undefined")
+        inv = 1.0 / x.shape[-1]
+        centered = np.subtract(x, np.sum(x, axis=-1, keepdims=True) * inv)
+        var = np.sum(centered * centered, axis=-1, keepdims=True) * inv
         return np.divide(centered, np.sqrt(var + eps), out=centered)
     mu = mean(x, axis=-1, keepdims=True)
     centered = add(x, mul(mu, -1.0))
@@ -362,16 +363,29 @@ def layer_norm(x, eps: float = 1e-5):
 
 
 def attention(x, w_q, w_k, w_v, w_o, heads: int, mode: str):
-    """Multi-head self-attention over a (B, ..., N, C) stack of token sets.
+    """Multi-head self-attention over a (B, ..., N, C) stack of token sets,
+    one node with one forward for arrays and Vars alike.
 
     ``mode='qkv'`` scores queries against keys; ``mode='vv'`` scores the
     values against themselves (CLIP Surgery), so per head the pre-softmax
     scores V V^T / sqrt(d_head) are symmetric and W_q, W_k go unused. Weights
     may be stacked, e.g. (STAGES, C, C) against a (B, STAGES, N, C) stack: a
     set's products are then the ones it makes alone against its own slice.
+    They are frozen constants: a Var weight raises ``UsageError``, and the
+    gradient flows to ``x`` only.
+
+    The forward scales the (N, d_head) queries, not the N x N scores, and
+    forms the scores keys-first, (..., N_k, N_q): the max shift and the sums
+    then reduce over axis -2, whole rows per numpy inner loop, where a
+    last-axis reduction runs one short loop per row. It exponentiates in
+    place, multiplies by V, and then divides the (..., N_q, d_head) product
+    by the sums: the deferred normalisation of online softmax (arXiv
+    1805.02867) and FlashAttention (arXiv 2205.14135), without the tiling.
     """
     if mode not in ATTENTION_MODES:
         raise UsageError(f"attention mode must be one of {ATTENTION_MODES}, got {mode!r}")
+    if any(is_var(w) for w in (w_q, w_k, w_v, w_o)):
+        raise UsageError("attention weights are frozen constants: pass arrays, not Vars")
     shape = tuple(x.shape)
     if len(shape) < 3:
         raise UsageError(f"expected a (B, ..., N, C) stack of token sets, got {shape}")
@@ -380,16 +394,40 @@ def attention(x, w_q, w_k, w_v, w_o, heads: int, mode: str):
         raise UsageError(f"token width {c} does not fit {heads} heads and weights {w_v.shape}")
     r = len(lead)
     swap = (*range(r), r + 1, r, r + 2)  # (..., N, heads, dh) <-> (..., heads, N, dh)
+    scale = (c // heads) ** -0.5
 
     def split(t):
-        return transpose(reshape(t, (*lead, n, heads, c // heads)), swap)
+        return t.reshape(*lead, n, heads, c // heads).transpose(swap)
 
-    v = split(matmul(x, w_v))
-    q, k = (v, v) if mode == "vv" else (split(matmul(x, w_q)), split(matmul(x, w_k)))
-    scores, scale = matmul(q, transpose(k, (*range(r + 1), r + 2, r + 1))), (c // heads) ** -0.5
-    if is_var(scores):
-        scores = mul(scores, scale)
-    else:  # a fresh array
-        scores = np.multiply(scores, scale, out=_writable(scores, scale))
-    ctx = transpose(matmul(softmax_last(scores), v), swap)
-    return matmul(reshape(ctx, shape), w_o)
+    def merge(t):
+        return t.transpose(swap).reshape(*lead, n, c)
+
+    data = x.data if is_var(x) else np.asarray(x)
+    v = split(data @ w_v)
+    q, k = (v, v) if mode == "vv" else (split(data @ w_q), split(data @ w_k))
+    q = q * scale
+    e = np.matmul(k, np.swapaxes(q, -1, -2))  # (..., heads, N_k, N_q), a fresh array
+    e -= e.max(axis=-2, keepdims=True)
+    np.exp(e, out=e)
+    sums = e.sum(axis=-2, keepdims=True)
+    ctx = np.swapaxes(e, -1, -2) @ v
+    ctx /= np.swapaxes(sums, -1, -2)
+    out = merge(ctx) @ w_o
+    if not is_var(x):
+        return out
+
+    def backward(g):
+        p = e / sums
+        dctx = split(g @ np.swapaxes(w_o, -1, -2))
+        dv = p @ dctx
+        ds = v @ np.swapaxes(dctx, -1, -2)  # dL/dp, keys-first
+        ds -= (ds * p).sum(axis=-2, keepdims=True)
+        ds *= p
+        dk, dq = ds @ q, np.swapaxes(ds, -1, -2) @ k * scale
+        if mode == "vv":
+            dx = merge(dq + dk + dv) @ np.swapaxes(w_v, -1, -2)
+        else:
+            dx = sum(merge(d) @ np.swapaxes(w, -1, -2) for d, w in ((dq, w_q), (dk, w_k), (dv, w_v)))
+        x._accumulate(_unbroadcast(dx, shape))
+
+    return _node(out, (x,), backward)

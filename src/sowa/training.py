@@ -221,14 +221,17 @@ class TrainState:
 def adam_step(state: TrainState, grads: Dict[str, np.ndarray], lr: float) -> TrainState:
     """Standard bias-corrected Adam at rate ``lr``; mutates parameters in place.
 
-    A missing or non-finite gradient raises ``TrainingError``, and an ``lr``
-    that is not a finite float above zero ``UsageError``, before any state
-    changes.
+    A missing or non-finite gradient, or one not of its parameter's shape,
+    raises ``TrainingError``, and an ``lr`` that is not a finite float above
+    zero ``UsageError``, before any state changes.
     """
     check_float(lr, "lr", 0.0, low_open=True)
-    for name in state.params:
+    for name, var in state.params.items():
         if name not in grads:
             raise TrainingError(f"missing gradient for {name!r}")
+        if np.shape(grads[name]) != var.data.shape:
+            raise TrainingError(f"gradient for {name!r} is {np.shape(grads[name])}, "
+                                f"expected {var.data.shape}; step aborted")
         if not np.all(np.isfinite(grads[name])):
             raise TrainingError(f"non-finite gradient for {name!r}; step aborted")
     state.step += 1
@@ -369,9 +372,14 @@ def restore_optimizer(state: TrainState, tensors: Dict[str, np.ndarray]) -> Trai
 
     ``adam.step`` must be one finite, non-negative integer, and each
     ``adam.m.*`` and ``adam.v.*`` tensor finite floats of its parameter's
-    shape, the second moments non-negative. Anything else raises
-    ``WeightsError`` and binds nothing. An absent tensor leaves its value.
+    shape, the second moments non-negative. Anything else, and any other
+    ``adam.*`` name, raises ``WeightsError`` and binds nothing. An absent
+    tensor leaves its value.
     """
+    known = {"adam.step", *(f"adam.{kind}.{name}" for kind in "mv" for name in state.params)}
+    unknown = sorted(n for n in tensors if n.startswith("adam.") and n not in known)
+    if unknown:
+        raise WeightsError(f"{unknown[0]!r} is no Adam tensor of this model's parameters")
     step = tensors.get("adam.step")
     if step is not None:
         value = float(step.reshape(-1)[0]) if step.size == 1 and step.dtype.kind in "fiu" else -1.0

@@ -139,17 +139,22 @@ class TestVVAttention:
     def test_pre_softmax_scores_symmetric(self, monkeypatch):
         w = _weights(c=8, heads=2, seed=5)
         tokens = np.random.default_rng(6).normal(size=(1, 7, 8)).astype(np.float32)
-        seen, softmax = [], ag.softmax_last
+        seen = []
 
-        def recording(x):
-            seen.append(x)
-            return softmax(x)
+        class Recording:  # numpy, but keeping a copy of each np.matmul product
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(ag, "softmax_last", recording)
+            def matmul(self, a, b):
+                seen.append(np.matmul(a, b))
+                return seen[-1].copy()
+
+        # the node forms its keys-first scores, (..., N_k, N_q), with np.matmul
+        monkeypatch.setattr(ag, "np", Recording())
         _attend(tokens, w)
         (scores,) = seen
         assert scores.shape == (1, 2, 7, 7)
-        scores = scores[0]
+        scores = np.swapaxes(scores[0], 1, 2)
         np.testing.assert_allclose(scores, np.swapaxes(scores, 1, 2), atol=1e-6)
         v = (tokens[0] @ w.w_v).reshape(7, 2, 4)
         expected = np.einsum("ihd,jhd->hij", v, v) / 2.0

@@ -94,6 +94,8 @@ def test_reductions():
     lambda: ag.mean(np.zeros((0,), np.float32)),
     lambda: ag.mean(ag.Var(np.zeros(0))),
     lambda: ag.mean(np.zeros((3, 0)), axis=-1),
+    lambda: ag.layer_norm(np.zeros((3, 0))),
+    lambda: ag.layer_norm(ag.Var(np.zeros((3, 0)))),
 ])
 def test_mean_of_nothing_is_a_usage_error(call):
     with pytest.raises(UsageError, match="mean over no elements"):
@@ -161,16 +163,56 @@ def test_attention_matches_einsum_reference(mode, shape):
 
 def test_attention_gradients():
     probe = np.random.default_rng(4).normal(size=(2, 3, 4))
-    _fd_check(
-        lambda x, wq, wk, wv, wo: ag.sum_(ag.mul(ag.attention(x, wq, wk, wv, wo, 2, "qkv"), probe)),
-        [(2, 3, 4), (4, 4), (4, 4), (4, 4), (4, 4)],
-    )
-    # vv mode never reads W_q or W_k
-    unused = np.eye(4)
-    _fd_check(
-        lambda x, wv, wo: ag.sum_(ag.mul(ag.attention(x, unused, unused, wv, wo, 2, "vv"), probe)),
-        [(2, 3, 4), (4, 4), (4, 4)],
-    )
+    mats = [np.random.default_rng(9 + i).normal(size=(4, 4)) for i in range(4)]
+    for mode in ("qkv", "vv"):  # vv mode never reads W_q or W_k
+        _fd_check(lambda x: ag.sum_(ag.mul(ag.attention(x, *mats, 2, mode), probe)), [(2, 3, 4)])
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_attention_weights_that_are_vars_are_a_usage_error(which):
+    """Nothing trains an attention weight (backbone, adapter and text encoder
+    are frozen), so the node has no weight gradient and refuses a Var."""
+    mats = [np.eye(4) for _ in range(4)]
+    mats[which] = ag.Var(mats[which], requires_grad=True)
+    with pytest.raises(UsageError, match="frozen constants"):
+        ag.attention(ag.Var(np.ones((1, 3, 4)), requires_grad=True), *mats, 2, "qkv")
+
+
+@pytest.mark.parametrize("mode", ["vv", "qkv"])
+def test_attention_at_the_paper_like_shape_matches_the_einsum_reference(mode):
+    # 224 px: one image of 1 + 16 x 16 tokens, 64 channels in 4 heads
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(1, 257, 64))
+    mats = [rng.normal(0.0, 64**-0.5, size=(64, 64)) for _ in range(4)]
+    np.testing.assert_allclose(ag.attention(x, *mats, 4, mode),
+                               _einsum_attention(x, *mats, 4, mode), rtol=0, atol=1e-12)
+
+
+def _window_stack(rng, c=8):
+    """A (B, STAGES, windows, 16, C) stack of 4 x 4 windows, as the adapter
+    attends, and (STAGES, 1, C, C) weights with the adapter's window axis."""
+    x = rng.normal(size=(2, 4, 3, 16, c))
+    mats = [rng.normal(0.0, c**-0.5, size=(4, 1, c, c)) for _ in range(4)]
+    return x, mats
+
+
+@pytest.mark.parametrize("mode", ["vv", "qkv"])
+def test_attention_at_the_window_shape_matches_the_einsum_reference(mode):
+    x, mats = _window_stack(np.random.default_rng(12))
+    out = ag.attention(x, *mats, 2, mode)
+    for stage in range(4):
+        want = _einsum_attention(x[:, stage].reshape(-1, 16, 8), *(m[stage, 0] for m in mats),
+                                 2, mode)
+        np.testing.assert_allclose(out[:, stage], want.reshape(2, 3, 16, 8), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["vv", "qkv"])
+def test_attention_gradient_at_the_window_shape(mode):
+    rng = np.random.default_rng(13)
+    _, mats = _window_stack(rng)
+    probe = rng.normal(size=(2, 4, 3, 16, 8))
+    _fd_check(lambda x: ag.sum_(ag.mul(ag.attention(x, *mats, 2, mode), probe)),
+              [(2, 4, 3, 16, 8)], seed=14)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
