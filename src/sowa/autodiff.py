@@ -3,36 +3,33 @@
 A ``Var`` wraps an ndarray and records the closure that routes output
 gradients back to its parents; ``backward()`` walks the tape in reverse
 topological order. The primitives are broadcast arithmetic, (stacked)
-matmul of operands of rank >= 2, a few elementwise transcendentals,
-reductions, shape ops, and indexed gather; the model's shared GELU and
-layer norm are composed from them. Multi-head attention is one node, with
-one forward for arrays and Vars and an analytic gradient for its input.
+matmul of operands of rank >= 2, log and a clamp, reductions, shape ops,
+and indexed gather. The model's composite formulas (softmax, row
+normalisation, GELU, layer norm and multi-head attention) are one node
+each: one numpy forward for arrays and Vars alike, and one analytic
+gradient rule; ``training`` writes its dice and focal terms the same way.
 
-The functional helpers (``exp``, ``matmul``, ``softmax_last`` ...) accept
-either ``Var`` or plain ndarray and return the same kind, so model formulas
-are written once: training passes Vars and gets a graph, inference passes
-arrays and runs plain numpy with no graph at all. A Python scalar operand
-takes the other operand's dtype in both modes, as NumPy's weak scalars do,
-so float32 inputs give a float32 graph and float32 outputs.
+The functional helpers (``matmul``, ``softmax_last`` ...) accept either
+``Var`` or plain ndarray and return the same kind, so model formulas are
+written once: training passes Vars and gets a graph, inference passes
+arrays and runs plain numpy with no graph at all. Since both kinds run the
+same forward, they give the same bits. A Python scalar operand takes NumPy's
+weak-scalar result type against the other operand's dtype in both modes, so
+float32 inputs give a float32 graph and float32 outputs, and an integer
+operand times 0.5 is float64.
 
-Every primitive but the n-ary ``concat`` is its numpy forward and one
-gradient rule per operand, a module-level function, dispatched by one rule
-(``_unary``, ``_binary``): arrays give the forward's result; with a ``Var``
-operand, one node whose backward sends each tracked operand (one that
-requires gradients, directly or through its parents) its rule's gradient,
-summed over the axes it was broadcast along. So a node costs one closure,
-and constants, such as frozen weights, never get a ``grad``. A node adopts
-its first gradient as its ``grad``, cast to its dtype, and adds later ones
-out of place. No rule writes into the gradient it is given, so an
+Every node but the n-ary ``concat`` and ``attention`` is a numpy forward and
+one gradient rule per operand, module-level functions, dispatched by one
+rule (``_unary``, ``_binary``): arrays give the forward's result; with a
+``Var`` operand, one node whose backward sends each tracked operand (one
+that requires gradients, directly or through its parents) its rule's
+gradient, summed over the axes it was broadcast along. So a node costs one
+closure, and constants, such as frozen weights, never get a ``grad``. A node
+adopts its first gradient as its ``grad``, cast to its dtype, and adds later
+ones out of place. No rule writes into the gradient it is given, so an
 intermediate's ``grad`` may share memory with other intermediates' grads. A
-leaf copies its first gradient and owns its ``grad``.
-
-The array branches of the composite formulas (``softmax_last``, ``gelu``,
-``layer_norm``) run the same operations in the same order as their ``Var``
-branches, so the two give the same bits, but may compute in place to skip
-full-array temporaries: only on arrays they allocated themselves, never on
-an argument. ``attention`` has one forward, so its two kinds agree by
-construction.
+leaf copies its first gradient and owns its ``grad``. A forward may compute
+in place, but only on arrays it allocated itself, never on an argument.
 """
 
 from __future__ import annotations
@@ -117,11 +114,11 @@ def is_var(x) -> bool:
 
 
 def _lift(x, like=None) -> Var:
-    """``x`` as a graph constant; a Python scalar takes the dtype of ``like``."""
+    """``x`` as a graph constant; a Python scalar takes NumPy's result type with ``like``."""
     if isinstance(x, Var):
         return x
     if like is not None and isinstance(x, (int, float)) and not isinstance(x, np.generic):
-        return Var(np.asarray(x, dtype=like.dtype))
+        return Var(np.asarray(x, dtype=np.result_type(like.dtype, x)))
     return Var(np.asarray(x))
 
 
@@ -174,18 +171,11 @@ def _binary(forward, grad_a, grad_b, a, b):
 _grad_through = lambda g, a, b: g
 _grad_mul_a = lambda g, a, b: g * b
 _grad_mul_b = lambda g, a, b: g * a
-_grad_div_a = lambda g, a, b: g / b
-_grad_div_b = lambda g, a, b: -g * a / (b * b)
 _grad_matmul_a = lambda g, a, b: g @ np.swapaxes(b, -1, -2)
 _grad_matmul_b = lambda g, a, b: np.swapaxes(a, -1, -2) @ g
-_grad_exp = lambda g, x, out: g * out
 _grad_log = lambda g, x, out: g / x
-_grad_sqrt = lambda g, x, out: g * 0.5 / out
-_grad_tanh = lambda g, x, out: g * (1.0 - out * out)
-_power = lambda x, p: np.asarray(x) ** p
-_grad_power = lambda g, x, out, p: g * p * x ** (p - 1)
 _grad_clip = lambda g, x, out, lo, hi: g * ((x >= lo) & (x <= hi))
-_grad_maximum = lambda g, x, out, threshold: g * (x > threshold)
+_grad_softmax = lambda g, x, y: y * (g - np.sum(g * y, axis=-1, keepdims=True))
 _sum = lambda x, axis, keepdims: np.sum(x, axis=axis, keepdims=keepdims)
 _grad_reshape = lambda g, x, out, shape: g.reshape(x.shape)
 _grad_transpose = lambda g, x, out, axes: np.transpose(g, np.argsort(axes))
@@ -212,10 +202,6 @@ def mul(a, b):
     return _binary(np.multiply, _grad_mul_a, _grad_mul_b, a, b)
 
 
-def div(a, b):
-    return _binary(np.divide, _grad_div_a, _grad_div_b, a, b)
-
-
 def matmul(a, b):
     if is_var(a) or is_var(b):
         a, b = _lift(a, b), _lift(b, a)
@@ -224,35 +210,13 @@ def matmul(a, b):
     return _binary(np.matmul, _grad_matmul_a, _grad_matmul_b, a, b)
 
 
-def exp(x):
-    return _unary(np.exp, _grad_exp, x)
-
-
 def log(x):
     return _unary(np.log, _grad_log, x)
-
-
-def sqrt(x):
-    return _unary(np.sqrt, _grad_sqrt, x)
-
-
-def tanh(x):
-    return _unary(np.tanh, _grad_tanh, x)
-
-
-def power(x, p: float):
-    """x ** p for a constant exponent."""
-    return _unary(_power, _grad_power, x, p)
 
 
 def clip(x, lo: float, hi: float):
     """Clamp with straight-through gradient inside [lo, hi], zero outside."""
     return _unary(np.clip, _grad_clip, x, lo, hi)
-
-
-def maximum(x, threshold: float):
-    """max(x, threshold) against a scalar; gradient flows where x > threshold."""
-    return _unary(np.maximum, _grad_maximum, x, threshold)
 
 
 def sum_(x, axis=None, keepdims: bool = False):
@@ -296,70 +260,92 @@ def take(x, key):
     return _unary(_take, _grad_take, x, key)
 
 
+def _softmax(x):
+    x = np.asarray(x)
+    if x.size == 0:
+        raise UsageError("softmax of an empty array is undefined")
+    e = np.subtract(x, np.max(x, axis=-1, keepdims=True))
+    e = np.exp(e, out=e if e.dtype.kind == "f" else None)  # exp of integers is float
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
+
+
 def softmax_last(x):
-    """Softmax along the last axis; the shift constant is detached.
+    """Softmax along the last axis; its gradient is ``y (g - sum(g y))``.
 
     The row maximum is subtracted before exponentiation, so shifted inputs
     give identical outputs. Empty input is rejected.
     """
-    data = x.data if is_var(x) else np.asarray(x)
-    if data.size == 0:
-        raise UsageError("softmax of an empty array is undefined")
-    shift = np.max(data, axis=-1, keepdims=True)
-    if not is_var(x):
-        e = np.subtract(data, shift)
-        e = np.exp(e, out=e if e.dtype.kind == "f" else None)  # exp of integers is float
-        e /= np.sum(e, axis=-1, keepdims=True)
-        return e
-    e = exp(add(x, -shift))
-    return div(e, sum_(e, axis=-1, keepdims=True))
+    return _unary(_softmax, _grad_softmax, x)
+
+
+def _l2_normalize(x, eps):
+    norm = np.sqrt(np.sum(np.multiply(x, x), axis=-1, keepdims=True))
+    return np.divide(x, np.maximum(norm, eps))
+
+
+def _grad_l2_normalize(g, x, y, eps):
+    # row dot products by einsum: a last-axis sum runs one short loop per row
+    norm = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+    along = np.einsum("...i,...i->...", g, y)[..., None] * (norm > eps)  # a clamped row: x / eps
+    return (g - y * along) / np.maximum(norm, eps)
 
 
 def l2_normalize_rows(x, eps: float = 1e-12):
-    """Scale rows (the last axis) to unit L2 norm.
+    """Scale rows (the last axis) to unit L2 norm, with gradient ``(g - y
+    sum(g y)) / norm``. Rows with norm below ``eps`` are divided by ``eps``
+    instead, so a zero row maps to zero rather than NaN, with gradient ``g / eps``."""
+    return _unary(_l2_normalize, _grad_l2_normalize, x, eps)
 
-    Rows with norm below ``eps`` are divided by ``eps`` instead, so a zero
-    row maps to zero rather than NaN.
-    """
-    norm = sqrt(sum_(mul(x, x), axis=-1, keepdims=True))
-    return div(x, maximum(norm, eps))
+
+def _gelu(x):
+    x = np.asarray(x)
+    t = np.multiply(x, x, out=np.empty_like(x))
+    np.multiply(t, x, out=t)
+    t = np.multiply(t, 0.044715, out=t if t.dtype.kind == "f" else None)  # of integers: float
+    np.add(x, t, out=t)
+    np.multiply(t, GELU_C, out=t)
+    np.tanh(t, out=t)
+    np.add(t, 1.0, out=t)
+    np.multiply(x, t, out=t)
+    np.multiply(t, 0.5, out=t)
+    return t
+
+
+def _grad_gelu(g, x, y):
+    x2 = x * x
+    t = np.tanh(GELU_C * x * (1.0 + 0.044715 * x2))
+    return g * 0.5 * (1.0 + t) * (1.0 + (1.0 - t) * x * GELU_C * (1.0 + 3 * 0.044715 * x2))
 
 
 def gelu(x):
-    """tanh-approximate GELU."""
-    if not is_var(x):
-        x = np.asarray(x)
-        t = np.multiply(x, x, out=np.empty_like(x))
-        np.multiply(t, x, out=t)
-        t = np.multiply(t, 0.044715, out=t if t.dtype.kind == "f" else None)  # of integers: float
-        np.add(x, t, out=t)
-        np.multiply(t, GELU_C, out=t)
-        np.tanh(t, out=t)
-        np.add(t, 1.0, out=t)
-        np.multiply(x, t, out=t)
-        np.multiply(t, 0.5, out=t)
-        return t
-    inner = mul(add(x, mul(mul(mul(x, x), x), 0.044715)), GELU_C)
-    return mul(mul(x, add(tanh(inner), 1.0)), 0.5)
+    """tanh-approximate GELU, ``0.5 x (1 + t)`` with ``t = tanh(GELU_C (x +
+    0.044715 x^3))``, and its exact gradient (arXiv 1606.08415)."""
+    return _unary(_gelu, _grad_gelu, x)
+
+
+def _layer_norm(x, eps):
+    x = np.asarray(x)
+    if x.shape[-1] == 0:
+        raise UsageError(f"mean over no elements (shape {x.shape}, axis -1) is undefined")
+    inv = 1.0 / x.shape[-1]
+    centered = np.subtract(x, np.sum(x, axis=-1, keepdims=True) * inv)
+    var = np.sum(centered * centered, axis=-1, keepdims=True) * inv
+    return np.divide(centered, np.sqrt(var + eps), out=centered)
+
+
+def _grad_layer_norm(g, x, y, eps):
+    d = g - np.mean(g, axis=-1, keepdims=True) - y * np.mean(g * y, axis=-1, keepdims=True)
+    return d / np.sqrt(np.var(x, axis=-1, keepdims=True) + eps)
 
 
 def layer_norm(x, eps: float = 1e-5):
     """Row-wise layer normalization over the last axis, with no affine part.
 
-    The array branch takes each mean as the sum times ``1 / width``, the
-    bits of ``mean`` on the Var branch, without its dispatch."""
-    if not is_var(x):
-        x = np.asarray(x)
-        if x.shape[-1] == 0:
-            raise UsageError(f"mean over no elements (shape {x.shape}, axis -1) is undefined")
-        inv = 1.0 / x.shape[-1]
-        centered = np.subtract(x, np.sum(x, axis=-1, keepdims=True) * inv)
-        var = np.sum(centered * centered, axis=-1, keepdims=True) * inv
-        return np.divide(centered, np.sqrt(var + eps), out=centered)
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = add(x, mul(mu, -1.0))
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    return div(centered, sqrt(add(var, eps)))
+    Each mean is the sum times ``1 / width``, the bits of ``mean``. The
+    gradient is ``(g - mean(g) - y mean(g y)) / sqrt(var + eps)`` (arXiv
+    1607.06450)."""
+    return _unary(_layer_norm, _grad_layer_norm, x, eps)
 
 
 def attention(x, w_q, w_k, w_v, w_o, heads: int, mode: str):

@@ -16,8 +16,11 @@ which inference runs too, over (B, STAGES, L, C) activations joined along
 the image axis, and every term is a batch mean. The graph's gradients reach
 exactly the trainable set (the adapter's stacked weight and bias and, in
 coop mode, the (2, l, width) prompt contexts); frozen contexts are not
-encoded in it, the cached text features stand in. Targets take the
-prediction's dtype, so a float32 model's graph is float32 end to end.
+encoded in it, the cached text features stand in. The dice and focal terms
+are one graph node each, with an analytic gradient for the map; the
+image-level cross-entropy is built from ``autodiff`` primitives. Targets
+take the prediction's dtype, so a float32 model's graph is float32 end to
+end.
 """
 
 from __future__ import annotations
@@ -45,44 +48,74 @@ EPS = 1e-8
 
 
 def _target(pred, target) -> np.ndarray:
-    """``target`` as an array in the prediction's float dtype (float64 for
-    integer predictions), so the loss adds no wider node to the graph."""
-    dtype = pred.dtype if ag.is_var(pred) else np.asarray(pred).dtype
-    return np.asarray(target, dtype=np.result_type(dtype, np.float32))
+    """``target`` as an array of the prediction's shape in its float dtype
+    (float64 for integer predictions), so the loss adds no wider node."""
+    pred = pred.data if ag.is_var(pred) else np.asarray(pred)
+    target = np.asarray(target, dtype=np.result_type(pred.dtype, np.float32))
+    if pred.shape != target.shape:
+        raise UsageError(f"loss shapes differ: pred {pred.shape} vs target {target.shape}")
+    return target
+
+
+def _dice(pred, target):
+    axes = tuple(range(1, pred.ndim))
+    overlap = np.sum(np.multiply(pred, target), axis=axes)
+    total = np.add(np.sum(pred, axis=axes), np.sum(target, axis=axes))
+    ratio = np.divide(np.add(np.multiply(overlap, 2.0), DICE_EPS), np.add(total, DICE_EPS))
+    return np.add(1.0, np.multiply(ag.mean(ratio), -1.0))
+
+
+def _grad_dice(g, pred, out, target):
+    axes = tuple(range(1, pred.ndim))
+    total = np.sum(pred + target, axis=axes, keepdims=True) + DICE_EPS
+    d = target * (2.0 * total) - (2.0 * np.sum(pred * target, axis=axes, keepdims=True) + DICE_EPS)
+    d *= -g / (len(pred) * total * total)
+    return d
 
 
 def dice_loss(pred, target01):
     """Batch mean of 1 - (2 sum(p g) + DICE_EPS) / (sum(p) + sum(g) + DICE_EPS).
 
     Axis 0 indexes the samples: each sample's sums run over all its other
-    axes, so one sample's dice lives in [0, 1) whatever the batch holds.
+    axes, so one sample's dice lives in [0, 1) whatever the batch holds. One
+    node, of gradient -(2 g S - (2 O + DICE_EPS)) / (B S^2), S the denominator.
     """
-    shape_p = pred.shape if ag.is_var(pred) else np.asarray(pred).shape
-    shape_g = np.asarray(target01).shape
-    if tuple(shape_p) != tuple(shape_g):
-        raise UsageError(f"dice shapes differ: pred {shape_p} vs target {shape_g}")
-    target = _target(pred, target01)
-    axes = tuple(range(1, len(shape_p)))
-    overlap = ag.sum_(ag.mul(pred, target), axis=axes)
-    total = ag.add(ag.sum_(pred, axis=axes), np.sum(target, axis=axes))
-    ratio = ag.div(ag.add(ag.mul(overlap, 2.0), DICE_EPS), ag.add(total, DICE_EPS))
-    return ag.add(1.0, ag.mul(ag.mean(ratio), -1.0))
+    pred = pred if ag.is_var(pred) else np.asarray(pred)
+    return ag._unary(_dice, _grad_dice, pred, _target(pred, target01))
+
+
+def _focal(pred, g):
+    p = np.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP)
+    p_t = np.add(np.multiply(p, 2.0 * g - 1.0), 1.0 - g)  # p where g = 1, else 1 - p
+    alpha_t = FOCAL_ALPHA * g + (1.0 - FOCAL_ALPHA) * (1.0 - g)
+    weight = np.multiply(np.add(1.0, np.multiply(p_t, -1.0)) ** FOCAL_GAMMA, alpha_t)
+    return ag.mean(np.multiply(np.multiply(weight, np.log(p_t)), -1.0))
+
+
+def _grad_focal(g, pred, out, target):
+    sign = 2.0 * target - 1.0  # d p_t / d p
+    p_t = np.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP)
+    p_t *= sign
+    p_t += 1.0 - target
+    q = 1.0 - p_t
+    d = np.log(p_t)
+    d *= -FOCAL_GAMMA
+    d += np.divide(q, p_t, out=p_t)
+    d *= q ** (FOCAL_GAMMA - 1.0)
+    sign *= (2.0 * FOCAL_ALPHA - 1.0) * target + (1.0 - FOCAL_ALPHA)  # times alpha_t
+    d *= sign
+    d *= (pred >= PRED_CLAMP) & (pred <= 1.0 - PRED_CLAMP)  # clip's rule
+    d *= -g / pred.size
+    return d
 
 
 def focal_loss(pred, target01):
     """Mean of -alpha_t (1 - p_t)^FOCAL_GAMMA log(p_t) over every pixel of the
     batch, alpha_t = FOCAL_ALPHA on abnormal pixels and 1 - FOCAL_ALPHA on
-    normal ones, predictions clamped away from {0, 1}."""
-    shape_p = pred.shape if ag.is_var(pred) else np.asarray(pred).shape
-    g = _target(pred, target01)
-    if tuple(shape_p) != tuple(g.shape):
-        raise UsageError(f"focal shapes differ: pred {shape_p} vs target {g.shape}")
-    p = ag.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    # p_t = p when g = 1, else 1 - p
-    p_t = ag.add(ag.mul(p, 2.0 * g - 1.0), 1.0 - g)
-    alpha_t = FOCAL_ALPHA * g + (1.0 - FOCAL_ALPHA) * (1.0 - g)
-    weight = ag.mul(ag.power(ag.add(1.0, ag.mul(p_t, -1.0)), FOCAL_GAMMA), alpha_t)
-    return ag.mean(ag.mul(ag.mul(weight, ag.log(p_t)), -1.0))
+    normal ones, predictions clamped away from {0, 1}. One node, whose
+    gradient is zero where the clamp holds a prediction, as ``ag.clip``'s is."""
+    pred = pred if ag.is_var(pred) else np.asarray(pred)
+    return ag._unary(_focal, _grad_focal, pred, _target(pred, target01))
 
 
 def bce_loss(score, label01):

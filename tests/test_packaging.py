@@ -1,8 +1,9 @@
 """Every console script that ``pyproject.toml`` declares can be imported,
 the package imports nothing at run time beyond the standard library and
 numpy, imports no name it never uses, every name the benchmark's span tracer
-wraps exists, and every error class is raised somewhere in the package or is
-the base of one that is."""
+wraps exists, every error class is raised somewhere in the package or is
+the base of one that is, and every public function of ``autodiff`` has a
+caller in the package."""
 
 import ast
 import importlib
@@ -85,3 +86,30 @@ def test_every_error_class_is_raised_or_is_the_base_of_one_that_is():
                 raised.add(ast.unparse(exc).rpartition(".")[2])
     live = {base for name in raised & classes.keys() for base in classes[name].__mro__}
     assert sorted(name for name, cls in classes.items() if cls not in live) == []
+
+
+def test_every_public_autodiff_function_has_a_caller_in_the_package():
+    """An op only tests call is dead weight: the package's own formulas set
+    the op set (``take`` is called by ``Var.__getitem__``)."""
+    package = ROOT / "src" / "sowa"
+    tree = ast.parse((package / "autodiff.py").read_text(encoding="utf-8"))
+    public = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    called = set()
+    for node in public:  # inside autodiff: a reference from outside the function's own body
+        own = {id(inner) for inner in ast.walk(node)}
+        if any(isinstance(ref, ast.Name) and ref.id == node.name and id(ref) not in own
+               for ref in ast.walk(tree)):
+            called.add(node.name)
+    for path in sorted(package.glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        module = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imports = [node for node in ast.walk(module)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1]
+        aliases = {a.asname or a.name for node in imports if node.module is None
+                   for a in node.names if a.name == "autodiff"}
+        called |= {a.name for node in imports if node.module == "autodiff" for a in node.names}
+        called |= {node.attr for node in ast.walk(module) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id in aliases}
+    assert sorted(node.name for node in public if node.name not in called) == []
