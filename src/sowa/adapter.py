@@ -91,8 +91,8 @@ def attended_features(tokens: np.ndarray, weights: AttentionWeights, grid_dims: 
     ((C, C) weights serve every grid of a (B, L, C) stack alike).
 
     Every window of a part goes through one attention call; the windows of
-    a stack of at least two ``numerics.CHUNK_TOKENS`` parts are attended
-    and reversed in parts on ``numerics.WORKERS`` threads, with the same bits.
+    a stack of more than ``numerics.CHUNK_TOKENS`` tokens are attended and
+    reversed in parts on ``numerics.WORKERS`` threads, with the same bits.
     """
     dims = (*grid_dims, *window)
     windows = window_partition(tokens, *dims)

@@ -361,12 +361,14 @@ def attention(x, w_q, w_k, w_v, w_o, heads: int, mode: str):
     gradient flows to ``x`` only.
 
     The forward scales the (N, d_head) queries, not the N x N scores, and
-    forms the scores keys-first, (..., N_k, N_q): the max shift and the sums
-    then reduce over axis -2, whole rows per numpy inner loop, where a
-    last-axis reduction runs one short loop per row. It exponentiates in
-    place, multiplies by V, and then divides the (..., N_q, d_head) product
-    by the sums: the deferred normalisation of online softmax (arXiv
-    1805.02867) and FlashAttention (arXiv 2205.14135), without the tiling.
+    writes the scores keys-first into one keys-outermost buffer, (N_k, ...,
+    heads, N_q), through its (..., heads, N_k, N_q) view: the max shift, the
+    exponential and the sums then run over axis 0, each numpy inner loop
+    over every set, head and query at once, where a last-axis reduction runs
+    one short loop per row. The value product reads the same view
+    transposed, and then the (..., N_q, d_head) product is divided by the
+    sums: the deferred normalisation of online softmax (arXiv 1805.02867)
+    and FlashAttention (arXiv 2205.14135), without the tiling.
     """
     if mode not in ATTENTION_MODES:
         raise UsageError(f"attention mode must be one of {ATTENTION_MODES}, got {mode!r}")
@@ -392,18 +394,20 @@ def attention(x, w_q, w_k, w_v, w_o, heads: int, mode: str):
     v = split(data @ w_v)
     q, k = (v, v) if mode == "vv" else (split(data @ w_q), split(data @ w_k))
     q = q * scale
-    e = np.matmul(k, np.swapaxes(q, -1, -2))  # (..., heads, N_k, N_q), a fresh array
-    e -= e.max(axis=-2, keepdims=True)
-    np.exp(e, out=e)
-    sums = e.sum(axis=-2, keepdims=True)
+    scores = np.empty((n, *q.shape[:-2], n), dtype=np.result_type(k, q))  # (N_k, ..., heads, N_q)
+    e = np.moveaxis(scores, 0, -2)  # its (..., heads, N_k, N_q) view
+    np.matmul(k, np.swapaxes(q, -1, -2), out=e)
+    scores -= scores.max(axis=0)
+    np.exp(scores, out=scores)
+    sums = scores.sum(axis=0)  # (..., heads, N_q)
     ctx = np.swapaxes(e, -1, -2) @ v
-    ctx /= np.swapaxes(sums, -1, -2)
+    ctx /= sums[..., None]
     out = merge(ctx) @ w_o
     if not is_var(x):
         return out
 
     def backward(g):
-        p = e / sums
+        p = e / sums[..., None, :]
         dctx = split(g @ np.swapaxes(w_o, -1, -2))
         dv = p @ dctx
         ds = v @ np.swapaxes(dctx, -1, -2)  # dL/dp, keys-first

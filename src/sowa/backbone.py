@@ -145,7 +145,7 @@ class Backbone:
 
         Returns the (B, STAGES, L, C) patch-token stage outputs and the
         (B, C) final class tokens, computed in the weights' dtype. A stack
-        of at least two ``numerics.CHUNK_TOKENS`` parts runs in parts on
+        of more than ``numerics.CHUNK_TOKENS`` patch tokens runs in parts on
         ``numerics.WORKERS`` threads (``numerics.map_image_parts``). Each
         image's rows equal those of its own stack of one bit for bit, in any
         stack and on any thread. An empty stack, a bare (S, S, 3) image, and

@@ -24,6 +24,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from . import numerics
 from .config import IMAGE_SCORE_MODES
 from .errors import MetricUndefinedError, UsageError
 from .fewshot import MemoryBank, combine_maps, few_shot_map
@@ -34,7 +35,8 @@ from .numerics import check_float
 def auroc(scores, labels01) -> float:
     """Probability a random positive outranks a random negative, ties at 1/2."""
     scores, labels = _scores_and_labels(scores, labels01)
-    return _auroc(labels, _descending(scores))
+    order, ends = _descending(scores)
+    return _auroc(labels[order] == 1, ends)
 
 
 def _scores_and_labels(scores, labels01) -> Tuple[np.ndarray, np.ndarray]:
@@ -51,12 +53,12 @@ def _scores_and_labels(scores, labels01) -> Tuple[np.ndarray, np.ndarray]:
     return scores, labels
 
 
-def _auroc(labels: np.ndarray, ranking) -> float:
-    """``auroc`` of labels whose scores have the ``_descending`` ``ranking``.
-    Twice the trapezoid under the (fp, tp) sweep is 2U (U of Mann-Whitney), an
-    exact int64 sum, so the one division by 2 P N rounds U / (P N) once."""
-    tp = _sweep(labels == 1, ranking)
-    fp = _sweep(labels == 0, ranking)
+def _auroc(ranked_positive: np.ndarray, ends: np.ndarray) -> float:
+    """``auroc`` of labels (True for a positive) in ``_descending`` order,
+    whose tie groups end at ``ends``. Twice the trapezoid under the (fp, tp)
+    sweep is 2U (U of Mann-Whitney), an exact int64 sum, so the one division
+    by 2 P N rounds U / (P N) once."""
+    tp, fp = _counts(ranked_positive, ends)
     n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError(f"AUROC undefined with {n_pos} positives and {n_neg} negatives")
@@ -70,14 +72,21 @@ def _descending(scores: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if np.isnan(scores).any():
         raise UsageError(f"{int(np.isnan(scores).sum())} of {scores.size} scores are NaN")
     order = np.argsort(-scores)
-    return order, np.flatnonzero(np.append(np.diff(scores[order]) != 0.0, True))
+    ranked = scores[order]
+    return order, np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
 
 
-def _sweep(values: np.ndarray, ranking) -> np.ndarray:
-    """Running sums of ``values`` down the ``_descending`` ``ranking``: 0,
-    then the sum at the end of each tie group, one per threshold."""
-    order, ends = ranking
-    return np.append(0, np.cumsum(values[order])[ends])
+def _sweep(ranked_values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Running sums of values in ``_descending`` order: 0, then the sum at
+    the end of each tie group, one per threshold."""
+    return np.append(0, np.cumsum(ranked_values)[ends])
+
+
+def _counts(ranked_positive: np.ndarray, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """True and false positives at each threshold of ``_sweep``; the false
+    ones are the rank plus one less the true ones."""
+    tp = _sweep(ranked_positive, ends)
+    return tp, np.append(0, ends + 1) - tp
 
 
 def average_precision(scores, labels01) -> float:
@@ -89,11 +98,11 @@ def average_precision(scores, labels01) -> float:
     and is invariant under strictly increasing transforms of the scores.
     """
     scores, labels = _scores_and_labels(scores, labels01)
-    ranking = _descending(scores)
-    true_pos = _sweep(labels == 1, ranking)
+    order, ends = _descending(scores)
+    true_pos = _sweep(labels[order] == 1, ends)
     if true_pos[-1] == 0:
         raise MetricUndefinedError("average precision undefined without positives")
-    precision = true_pos[1:] / (ranking[1] + 1.0)
+    precision = true_pos[1:] / (ends + 1.0)
     return float(np.sum(precision * np.diff(true_pos)) / true_pos[-1])
 
 
@@ -138,7 +147,7 @@ def label_regions(mask01: np.ndarray) -> Tuple[np.ndarray, int]:
     marks = np.zeros((h, w + 1), dtype=np.int64)
     marks[rows, starts] = run_labels
     marks[rows, ends] = -run_labels
-    return np.cumsum(marks, axis=1)[:, :w], int(is_first.sum())
+    return np.cumsum(marks, axis=1, out=marks)[:, :w], int(is_first.sum())
 
 
 def pro(maps: Sequence[np.ndarray], masks01: Sequence[np.ndarray], fpr_limit: float = 0.3) -> float:
@@ -151,44 +160,71 @@ def pro(maps: Sequence[np.ndarray], masks01: Sequence[np.ndarray], fpr_limit: fl
     before any mask is labelled.
     """
     check_float(fpr_limit, "fpr_limit", 0, 1, low_open=True)
-    regions, count = _pixel_regions(maps, masks01)
-    scores = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in maps])
-    return _pro(regions, count, _descending(scores), fpr_limit)
+    return _pro(*_ranked_regions(maps, masks01), fpr_limit)
+
+
+def _ranked_regions(maps, masks01) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Each pooled pixel's region (-1 when normal) in ``_descending`` score
+    order, the ends of its tie groups, and the region count.
+
+    The pixels are pooled in the maps' own float dtype (float64 for maps of
+    any other kind), and sorted on the pool's thread while the calling
+    thread labels the masks (``numerics.run_together``). The regions are
+    then gathered into rank order once, for every sweep.
+    """
+    if len(maps) != len(masks01) or len(maps) == 0:
+        raise UsageError("maps and masks must be non-empty and aligned")
+    pooled = np.concatenate([np.ravel(m) for m in maps])
+    if pooled.dtype.kind != "f":
+        pooled = pooled.astype(np.float64)
+    (regions, count), (order, ends) = numerics.run_together(
+        [lambda: _pixel_regions(maps, masks01), lambda: _descending(pooled)])
+    return regions[order], ends, count
 
 
 def _pixel_regions(maps, masks01) -> Tuple[np.ndarray, int]:
-    """Each pooled pixel's region (-1 when normal) and the region count."""
-    if len(maps) != len(masks01) or len(maps) == 0:
-        raise UsageError("maps and masks must be non-empty and aligned")
+    """Each pooled pixel's region (-1 when normal) and the region count.
 
-    region_of_pixel: List[np.ndarray] = []
-    next_region = 0
-    for m, g in zip(maps, masks01):
-        m, g = np.asarray(m), np.asarray(g)
-        if m.shape != g.shape:
-            raise UsageError(f"map {m.shape} and mask {g.shape} differ")
-        labels, count = label_regions(g)
-        remap = np.where(labels > 0, labels - 1 + next_region, -1)
-        region_of_pixel.append(remap.ravel())
-        next_region += count
-    return np.concatenate(region_of_pixel), next_region
+    One ``label_regions`` call labels every mask: the masks are stacked
+    with a blank row between them and padded with blank columns to the
+    widest. Regions are numbered in raster order, so each mask's regions
+    are its own labels offset by the regions of the masks before it.
+    """
+    masks = [np.asarray(g) == 1 for g in masks01]
+    for m, g in zip(maps, masks):
+        if np.shape(m) != g.shape:
+            raise UsageError(f"map {np.shape(m)} and mask {g.shape} differ")
+        if g.ndim != 2:
+            raise UsageError(f"a mask must be 2-D, got shape {g.shape}")
+    tops = np.cumsum([0] + [len(g) + 1 for g in masks]).tolist()
+    canvas = np.zeros((tops[-1], max(g.shape[1] for g in masks)), dtype=bool)
+    for g, top in zip(masks, tops):
+        canvas[top : top + len(g), : g.shape[1]] = g
+    labels, count = label_regions(canvas)
+    regions = np.empty(sum(g.size for g in masks), dtype=labels.dtype)
+    starts = np.cumsum([0] + [g.size for g in masks]).tolist()
+    for g, top, start in zip(masks, tops, starts):  # labels less one: -1 when normal
+        np.subtract(labels[top : top + len(g), : g.shape[1]], 1,
+                    out=regions[start : start + g.size].reshape(g.shape))
+    return regions, count
 
 
-def _pro(regions: np.ndarray, next_region: int, ranking, fpr_limit: float) -> float:
-    """``pro`` of the pooled pixels' regions, given the ``_descending``
-    ranking of their scores."""
-    if next_region == 0:
+def _pro(ranked: np.ndarray, ends: np.ndarray, count: int, fpr_limit: float) -> float:
+    """``pro`` of the pooled pixels' regions (-1 when normal) in
+    ``_descending`` score order, whose tie groups end at ``ends``."""
+    if count == 0:
         raise MetricUndefinedError("PRO undefined without any anomalous region")
-    n_neg = int(np.sum(regions < 0))
+    anomalous = ranked >= 0
+    _, false_pos = _counts(anomalous, ends)
+    n_neg = int(false_pos[-1])
     if n_neg == 0:
         raise MetricUndefinedError("PRO undefined without any normal pixel")
-    sizes = np.bincount(regions[regions >= 0], minlength=next_region)
+    sizes = np.bincount(ranked[anomalous], minlength=count)
 
     # one curve point per unique score value: pooled FPR and mean region TPR;
     # a normal pixel (region -1) picks the appended zero
-    step_tpr = np.append(1.0 / sizes, 0.0)[regions]
-    fprs = _sweep(regions < 0, ranking) / n_neg
-    pros = _sweep(step_tpr, ranking) / next_region
+    fprs = false_pos / n_neg
+    pros = _sweep(np.append(1.0 / sizes, 0.0)[ranked], ends) / count
 
     crossing = int(np.searchsorted(fprs, fpr_limit, side="left"))
     # fprs ends at 1.0 >= fpr_limit, so a crossing always exists
@@ -232,22 +268,23 @@ def evaluate_scores(
 ) -> MetricsReport:
     """Assemble the four-metric report from already-computed scores.
 
-    The pooled pixels are copied to float64 and sorted once; pixel AUROC
-    and PRO share that order and equal ``auroc`` and ``pro`` bit for bit.
-    Image scores and pixel maps of differing counts raise ``UsageError``.
+    The pooled pixels, in the maps' own float dtype, are sorted once on the
+    pool's thread while the calling thread labels every mask in one
+    ``label_regions`` call; their regions are gathered into rank order
+    once. Pixel AUROC and PRO share that order and equal ``auroc`` and
+    ``pro`` bit for bit. Image scores and pixel maps of differing counts
+    raise ``UsageError``.
     """
     check_float(fpr_limit, "fpr_limit", 0, 1, low_open=True)
     labels = np.asarray(image_labels01)
     if np.size(image_scores) != len(pixel_maps):
         raise UsageError(f"{np.size(image_scores)} image scores for {len(pixel_maps)} pixel maps")
-    regions, count = _pixel_regions(pixel_maps, pixel_masks01)
-    pooled_scores = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in pixel_maps])
-    ranking = _descending(pooled_scores)
+    ranked, ends, count = _ranked_regions(pixel_maps, pixel_masks01)
     return MetricsReport(
         ac_auroc=auroc(image_scores, labels),
         ac_ap=average_precision(image_scores, labels),
-        as_auroc=_auroc(regions >= 0, ranking),  # anomalous: mask value 1, as for PRO
-        as_pro=_pro(regions, count, ranking, fpr_limit),
+        as_auroc=_auroc(ranked >= 0, ends),  # anomalous: mask value 1, as for PRO
+        as_pro=_pro(ranked, ends, count, fpr_limit),
         image_count=len(labels),
         positive_images=int(np.sum(labels == 1)),
     )
@@ -268,7 +305,8 @@ def evaluate_dataset(
     an object with ``anomaly_map``, ``image_score``, ``stage_features`` and
     ``grid``; ``chunk_size``, the number of images per ``predict_batch``
     call; and a run ``config``. The samples go through ``predict_batch`` in
-    chunks of ``chunk_size``. In few-shot mode each chunk's (STAGES, L, C)
+    ceil(n / ``chunk_size``) chunks of near-equal size
+    (``numerics.near_equal_chunks``). In few-shot mode each chunk's (STAGES, L, C)
     stage features are stacked into one query, and its maps are blended
     with the memory-bank distance maps with weight ``beta``; the image
     score then comes from the class-token path (``cls``) or the map maximum
@@ -290,9 +328,8 @@ def evaluate_dataset(
         raise UsageError("cannot evaluate an empty dataset")
 
     maps, scores = [], []
-    step = model.chunk_size
-    for start in range(0, len(samples), step):
-        preds = model.predict_batch([s.image for s in samples[start : start + step]])
+    for chunk_samples in numerics.near_equal_chunks(samples, model.chunk_size):
+        preds = model.predict_batch([s.image for s in chunk_samples])
         chunk = np.stack([p.anomaly_map.scores for p in preds])
         if mode == "few_shot":
             features = np.stack([p.stage_features for p in preds])

@@ -19,11 +19,14 @@ formula, ``score_batch``, turns its activations into stage features, maps
 and scores: training runs it on the parameter Vars, ``predict_batch`` on
 their arrays. Only ``predict`` and its ``Prediction`` take and give a single
 image, as a stack of one. ``evaluate_dataset`` and ``build_memory_bank``
-run their images ``chunk_size`` at a time: ``numerics.CHUNK_TOKENS`` patch
-tokens for each of the ``numerics.WORKERS`` threads, 16 images at 64 px and
-4 at 224 px on two. The frozen pass splits such a chunk into one part per
-thread (backbone and windowed attention, ``numerics.map_image_parts``);
-the calling thread runs the first part and every other step of the model.
+run n images as ceil(n / ``chunk_size``) chunks of near-equal size
+(``numerics.near_equal_chunks``), where ``chunk_size`` is
+``numerics.CHUNK_TOKENS`` patch tokens for each of the ``numerics.WORKERS``
+threads: 16 images at 64 px and 4 at 224 px on two, so 72 images at 64 px
+run as 15/15/14/14/14. The frozen pass splits a chunk of more than
+``numerics.CHUNK_TOKENS`` tokens into one part per thread (backbone and
+windowed attention, ``numerics.map_image_parts``); the calling thread runs
+the first part and every other step of the model.
 Every per-image product of a stack, and every stage's slice of one, is the
 BLAS call that image's stage makes alone; a one-row product (the class
 token's) is kept one row per image, because BLAS rounds it differently from
@@ -113,9 +116,11 @@ class SowaModel:
 
     @property
     def chunk_size(self) -> int:
-        """Images per ``predict_batch`` call where many are run: as many as
-        ``numerics.CHUNK_TOKENS`` patch tokens hold per thread, on
-        ``numerics.WORKERS`` threads; at least one."""
+        """Most images per ``predict_batch`` call where many are run: as
+        many as ``numerics.CHUNK_TOKENS`` patch tokens hold per thread, on
+        ``numerics.WORKERS`` threads; at least one. Many images run as
+        ceil(n / ``chunk_size``) near-equal chunks
+        (``numerics.near_equal_chunks``), not as full chunks and a remnant."""
         return max(1, numerics.WORKERS * numerics.CHUNK_TOKENS // self.backbone.config.tokens)
 
     def frozen_forward(self, images, cache_key: Optional[int] = None) -> FrozenActivations:
@@ -221,11 +226,11 @@ class SowaModel:
 
     def build_memory_bank(self, images: Sequence[np.ndarray], ids=None) -> MemoryBank:
         """A bank of the images' stage features, which need no text features:
-        ``chunk_size`` images per frozen pass, then the adapter projection."""
-        images, step = list(images), self.chunk_size
+        a frozen pass per near-equal chunk of at most ``chunk_size`` images,
+        then the adapter projection."""
         weight, bias = self.adapter.weight.data, self.adapter.bias.data
         stars = [project_tokens(weight, bias, self.frozen_forward(chunk).adapter_inputs)
-                 for chunk in (images[i : i + step] for i in range(0, len(images), step))]
+                 for chunk in numerics.near_equal_chunks(list(images), self.chunk_size)]
         return build_memory_bank(np.concatenate(stars) if stars else [], image_ids=ids)
 
     # ------------------------------------------------------------ checkpoints

@@ -10,8 +10,11 @@ Resampling uses half-pixel-center sampling (no corner alignment) as explicit
 to an array (inference) or to an autodiff ``Var`` (training, whose backward
 applies their transposes).
 
-``map_image_parts`` runs the frozen pass of a large image stack in parts on
-``WORKERS`` threads, each part at least ``CHUNK_TOKENS`` patch tokens.
+``map_image_parts`` runs the frozen pass or the few-shot scoring of an
+image stack of more than ``CHUNK_TOKENS`` patch tokens in parts on
+``WORKERS`` threads, through ``run_together``, which also overlaps the
+pooled-pixel sort with the mask labelling of ``metrics``.
+``near_equal_chunks`` is the one rule that cuts many images into chunks.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import functools
 import math
 import os
-from typing import Callable, List
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -59,11 +63,13 @@ _retain_freed_memory()
 # Threads that a large image stack is split over: the calling thread, and a
 # pool of WORKERS - 1 more started on first use.
 WORKERS = min(2, os.cpu_count() or 1)
-# Patch tokens in one thread's part of a stack, and so per thread in a chunk
-# of ``SowaModel.chunk_size`` images: 8 images at 64 px and 2 at 224 px.
-# Serially, parts of 4-16 images ran a 64 px evaluation about a third faster
-# than one image at a time, while parts above 2 ran 224 px images up to 20%
-# slower. A stack of fewer than two parts runs on the calling thread alone.
+# Patch tokens up to which a stack runs on the calling thread alone; a larger
+# one runs in WORKERS parts of at least one image each. A chunk of
+# ``SowaModel.chunk_size`` images holds up to CHUNK_TOKENS per thread: 16
+# images at 64 px and 4 at 224 px on two. Serially, parts of 4-16 images ran
+# a 64 px evaluation about a third faster than one image at a time, while
+# parts above 2 ran 224 px images up to 20% slower. So a single 224 px image,
+# a training image and the 8-image 64 px memory bank run serially.
 CHUNK_TOKENS = 512
 _pool = None
 
@@ -78,38 +84,62 @@ if hasattr(os, "register_at_fork"):  # POSIX only, as is fork
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def map_image_parts(fn: Callable[[np.ndarray], List[np.ndarray]], stack: np.ndarray,
-                    tokens: int) -> List[np.ndarray]:
-    """``fn`` of a stack with a leading image axis and ``tokens`` patch
-    tokens per image, run in consecutive parts of at least ``CHUNK_TOKENS``
-    tokens on up to ``WORKERS`` threads.
-
-    ``fn`` maps a part to a list of arrays with a leading image axis; the
-    result is each of them over the whole stack, in order. The calling
-    thread runs the first part, so a callable that must stay on it (a
-    traced one) may call this but must not be called by ``fn``. Each other
-    part runs on the pool in the caller's ``contextvars`` context (its
-    ``np.errstate`` among them). Where ``fn`` computes each image by the
-    same products as alone, the result is the same bit for bit however the
-    stack is split.
+def run_together(calls: Sequence[Callable[[], object]]) -> list:
+    """The results of ``calls``, in order: the first run on the calling
+    thread, the others meanwhile on the pool of ``WORKERS - 1`` threads,
+    each in the caller's ``contextvars`` context (its ``np.errstate`` among
+    them). With one worker every call runs on the calling thread and no
+    thread starts. A callable that must stay on the calling thread (a
+    traced one) may be the first call, or call this, but never run on the
+    pool; nor may a call on the pool call this, which would wait on itself.
+    Every call has ended, and raised what it raised, before this returns.
     """
-    parts = min(WORKERS, len(stack) // max(1, CHUNK_TOKENS // tokens))
-    if parts < 2:
-        return fn(stack)
+    first, *rest = calls
+    if WORKERS < 2 or not rest:
+        return [call() for call in calls]
     global _pool
     if _pool is None:
         # imported here: with the logging it loads, about 0.6 MB of RSS
-        # that a process which never splits a stack need not carry
+        # that a process which never splits its work need not carry
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="sowa-part")
-    first, *rest = np.array_split(stack, parts)
-    futures = [_pool.submit(contextvars.copy_context().run, fn, part) for part in rest]
+    futures = [_pool.submit(contextvars.copy_context().run, call) for call in rest]
     try:
-        head = fn(first)
-    finally:  # every part has ended, and raised what it raised, before this returns
+        head = first()
+    finally:
         tail = [future.result() for future in futures]
-    return [np.concatenate(column) for column in zip(head, *tail)]
+    return [head, *tail]
+
+
+def map_image_parts(fn: Callable[[np.ndarray], List[np.ndarray]], stack: np.ndarray,
+                    tokens: int) -> List[np.ndarray]:
+    """``fn`` of a stack with a leading image axis and ``tokens`` patch
+    tokens per image: a stack of more than ``CHUNK_TOKENS`` tokens runs in
+    up to ``WORKERS`` consecutive near-equal parts of at least one image,
+    one per thread (``run_together``).
+
+    ``fn`` maps a part to a list of arrays with a leading image axis; the
+    result is each of them over the whole stack, in order. The calling
+    thread runs the first part, so ``fn`` must not call a traced callable.
+    Where ``fn`` computes each image by the same products as alone, the
+    result is the same bit for bit however the stack is split.
+    """
+    parts = min(WORKERS, len(stack)) if len(stack) * tokens > CHUNK_TOKENS else 1
+    if parts < 2:
+        return fn(stack)
+    results = run_together([functools.partial(fn, part) for part in np.array_split(stack, parts)])
+    return [np.concatenate(column) for column in zip(*results)]
+
+
+def near_equal_chunks(items: Sequence, size: int) -> List[Sequence]:
+    """``items`` in ceil(len / ``size``) consecutive chunks of near-equal
+    length, the longer first: 72 images in chunks of at most 16 run as
+    15/15/14/14/14, not as four of 16 and one of 8 on one thread."""
+    count = -(-len(items) // size)
+    base, extra = divmod(len(items), max(count, 1))
+    starts = [i * base + min(i, extra) for i in range(count + 1)]
+    return [items[a:b] for a, b in zip(starts, starts[1:])]
 
 
 def set_default_dtype(dtype) -> None:

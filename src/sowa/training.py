@@ -85,11 +85,24 @@ def dice_loss(pred, target01):
 
 
 def _focal(pred, g):
-    p = np.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    p_t = np.add(np.multiply(p, 2.0 * g - 1.0), 1.0 - g)  # p where g = 1, else 1 - p
-    alpha_t = FOCAL_ALPHA * g + (1.0 - FOCAL_ALPHA) * (1.0 - g)
-    weight = np.multiply(np.add(1.0, np.multiply(p_t, -1.0)) ** FOCAL_GAMMA, alpha_t)
-    return ag.mean(np.multiply(np.multiply(weight, np.log(p_t)), -1.0))
+    # in place on three buffers of its own; each step rounds as its
+    # out-of-place form did (IEEE sums and products commute)
+    p_t = np.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP).astype(g.dtype, copy=False)
+    t = np.multiply(g, 2.0)
+    t -= 1.0
+    p_t *= t
+    np.subtract(1.0, g, out=t)
+    p_t += t  # p where g = 1, else 1 - p
+    t *= 1.0 - FOCAL_ALPHA
+    alpha_t = np.multiply(g, FOCAL_ALPHA)
+    alpha_t += t  # FOCAL_ALPHA g + (1 - FOCAL_ALPHA)(1 - g)
+    np.multiply(p_t, -1.0, out=t)
+    t += 1.0
+    t **= FOCAL_GAMMA
+    t *= alpha_t
+    t *= np.log(p_t, out=p_t)
+    t *= -1.0
+    return ag.mean(t)
 
 
 def _grad_focal(g, pred, out, target):

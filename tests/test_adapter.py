@@ -145,11 +145,13 @@ class TestVVAttention:
             def __getattr__(self, name):
                 return getattr(np, name)
 
-            def matmul(self, a, b):
-                seen.append(np.matmul(a, b))
-                return seen[-1].copy()
+            def matmul(self, a, b, out=None):
+                product = np.matmul(a, b, out=out)
+                seen.append(product.copy())
+                return product
 
-        # the node forms its keys-first scores, (..., N_k, N_q), with np.matmul
+        # the node writes its keys-first scores, (..., N_k, N_q), with np.matmul
+        # into the (..., heads, N_k, N_q) view of its keys-outermost buffer
         monkeypatch.setattr(ag, "np", Recording())
         _attend(tokens, w)
         (scores,) = seen

@@ -9,7 +9,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage, stats
@@ -17,9 +17,11 @@ from scipy import ndimage, stats
 from sowa import adapter, metrics, numerics
 from sowa import model as smodel
 from sowa.backbone import Backbone
+from sowa.config import default_config
 from sowa.errors import MetricUndefinedError, UsageError
 from sowa.fewshot import combine_maps, few_shot_map
 from sowa.model import build_model
+from sowa.synth import PatternSpec, synth_generate
 
 from conftest import batch_case, tiny_config
 
@@ -88,8 +90,8 @@ def test_chunked_evaluation_equals_the_per_image_rebuild(dtype, adapter_kind, at
 
     monkeypatch.setattr(metrics, "evaluate_scores", spy)
     monkeypatch.setattr(numerics, "WORKERS", 2)
-    # one serial chunk of all 16 images; then chunks of 6, the first two run
-    # as two parts of 3 on two threads and the last (of 4) as one part
+    # one serial chunk of all 16 images; then near-equal chunks of at most 6
+    # (6, 5, 5), each run as two parts (3 + 3, 3 + 2, 3 + 2) on two threads
     for chunk_tokens in (numerics.CHUNK_TOKENS, 3 * model.backbone.config.tokens):
         monkeypatch.setattr(numerics, "CHUNK_TOKENS", chunk_tokens)
         for mode, image_score_mode in cases:
@@ -106,8 +108,9 @@ def test_chunked_evaluation_equals_the_per_image_rebuild(dtype, adapter_kind, at
 
 def test_traced_steps_of_an_evaluation_run_on_the_calling_thread(tiny_model, few_shot_setup,
                                                                   monkeypatch):
-    """The frozen pass runs parts of a chunk on a pool thread, but every
-    callable a span tracer wraps runs on the caller's thread."""
+    """The frozen pass and the few-shot scoring run parts of a chunk, and
+    the pooled-pixel sort runs, on a pool thread, but every callable a span
+    tracer wraps runs on the caller's thread."""
     test, bank = few_shot_setup
     monkeypatch.setattr(numerics, "WORKERS", 2)
     monkeypatch.setattr(numerics, "CHUNK_TOKENS", 2 * tiny_model.backbone.config.tokens)
@@ -115,20 +118,32 @@ def test_traced_steps_of_an_evaluation_run_on_the_calling_thread(tiny_model, few
 
     def recorded(name, fn):
         def spy(*args, **kwargs):
-            threads.setdefault(name, set()).add(threading.get_ident())
+            threads.setdefault(name, []).append((threading.get_ident(), np.size(args[-1])))
             return fn(*args, **kwargs)
         return spy
 
     for owner, name in ((Backbone, "forward"), (smodel, "attended_features"),
                         (smodel, "project_tokens"), (metrics, "few_shot_map"),
+                        (metrics, "label_regions"), (metrics, "_descending"),
                         (Backbone, "_blocks"), (adapter, "window_reverse")):
         monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+    map_image_parts = numerics.map_image_parts
+    monkeypatch.setattr(numerics, "map_image_parts", lambda fn, stack, tokens: map_image_parts(
+        recorded(f"{fn.__module__} part", fn), stack, tokens))
     metrics.evaluate_dataset(tiny_model, test, mode="few_shot", bank=bank)
-    caller = {threading.get_ident()}
-    for name in ("forward", "attended_features", "project_tokens", "few_shot_map"):
-        assert threads[name] == caller, name
+    caller = threading.get_ident()
+    for name in ("forward", "attended_features", "project_tokens", "few_shot_map",
+                 "label_regions"):
+        assert {thread for thread, _ in threads[name]} == {caller}, name
+    assert len(threads["label_regions"]) == 1  # every mask in one labelling
     # the parts inside the traced steps did run on two threads
-    assert len(threads["_blocks"]) == len(threads["window_reverse"]) == 2
+    assert len({thread for thread, _ in threads["_blocks"]}) == 2
+    assert len({thread for thread, _ in threads["window_reverse"]}) == 2
+    assert len({thread for thread, _ in threads["sowa.fewshot part"]}) == 2
+    # the image scores are sorted on the caller, the pooled pixels on the pool
+    pixels = sum(np.size(s.mask) for s in test)
+    assert {(thread == caller, size) for thread, size in threads["_descending"]} == {
+        (True, len(test)), (False, pixels)}
 
 
 def test_defaults_come_from_the_run_config(few_shot_setup):
@@ -279,6 +294,96 @@ def test_shared_pixel_order_equals_separate_auroc_and_pro_on_ties():
         assert report.as_auroc == float(u / (n_pos * n_neg))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pooled_pixel_metrics_equal_auroc_and_pro_on_tie_heavy_maps(dtype):
+    """Pooled in the maps' own dtype, the pixels form the tie groups of their
+    float64 copies, and evaluate_scores equals auroc and pro bit for bit."""
+    rng = np.random.default_rng(12)
+    for levels in (2, 3, 7):
+        maps = list((rng.integers(0, levels, size=(6, 11, 13)) / levels).astype(dtype))
+        maps[2][:] = maps[2][0, 0]  # a map that is one tie group
+        masks = list((rng.uniform(size=(6, 11, 13)) < 0.3).astype(np.int64))
+        image_scores, labels = rng.integers(0, 3, size=6) / 3, np.arange(6) % 2
+        report = metrics.evaluate_scores(image_scores, labels, maps, masks)
+        pixels = np.concatenate([m.ravel() for m in maps])
+        truth = np.concatenate([g.ravel() for g in masks])
+        assert report.as_auroc == metrics.auroc(pixels, truth)
+        assert report.as_pro == metrics.pro(maps, masks)
+        wide = metrics.evaluate_scores(image_scores, labels, [m.astype(np.float64) for m in maps],
+                                       masks)
+        assert (wide.ac_auroc, wide.ac_ap, wide.as_auroc) == (
+            report.ac_auroc, report.ac_ap, report.as_auroc)
+
+
+def _offset_regions(masks):
+    """Each mask's own ``label_regions``, offset by the regions of the masks
+    before it: every pixel's region (-1 when normal), and the count."""
+    regions, count = [], 0
+    for mask in masks:
+        labels, n = metrics.label_regions(mask)
+        regions.append(np.where(labels > 0, labels - 1 + count, -1).ravel())
+        count += n
+    return np.concatenate(regions), count
+
+
+mask_shapes = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 7)), min_size=1, max_size=5)
+mask_lists = mask_shapes.flatmap(lambda shapes: st.tuples(
+    *(arrays(np.int64, shape, elements=st.integers(0, 2)) for shape in shapes)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask_lists)
+@example((np.ones((2, 3), np.int64), np.ones((2, 3), np.int64)))  # rows that meet across masks
+@example((np.eye(3, dtype=np.int64)[::-1], np.eye(3, dtype=np.int64)))  # a diagonal that does
+@example((np.ones((3, 2), np.int64), np.zeros((0, 4), np.int64), np.ones((1, 5), np.int64)))
+@example((np.zeros((4, 4), np.int64), np.zeros((2, 6), np.int64)))  # no region at all
+def test_one_labelling_of_every_mask_equals_each_masks_own_with_offsets(masks):
+    regions, count = metrics._pixel_regions(masks, masks)
+    expected, expected_count = _offset_regions(masks)
+    assert count == expected_count
+    assert regions.dtype == expected.dtype
+    np.testing.assert_array_equal(regions, expected)
+
+
+def test_with_one_worker_the_pooled_sort_runs_inline_and_starts_no_thread(monkeypatch):
+    rng = np.random.default_rng(13)
+    maps = list(rng.integers(0, 4, size=(5, 9, 8)) / 4)
+    masks = list((rng.uniform(size=(5, 9, 8)) < 0.3).astype(np.int64))
+    args = (rng.uniform(size=5), np.arange(5) % 2, maps, masks)
+    monkeypatch.setattr(numerics, "WORKERS", 1)
+    monkeypatch.setattr(numerics, "_pool", None)
+    sorted_on = []
+    descending = metrics._descending
+    monkeypatch.setattr(metrics, "_descending", lambda scores: (
+        sorted_on.append(threading.get_ident()) or descending(scores)))
+    before = threading.active_count()
+    report = metrics.evaluate_scores(*args)
+    assert numerics._pool is None and threading.active_count() == before
+    assert set(sorted_on) == {threading.get_ident()} and len(sorted_on) == 3
+    monkeypatch.undo()
+    assert metrics.evaluate_scores(*args) == report
+
+
+def test_many_images_run_as_near_equal_chunks_of_two_parts(monkeypatch):
+    """72 images at 64 px run as 15/15/14/14/14, not four chunks of 16 and
+    one of 8 on one thread; each chunk runs as two parts, 8 + 7 or 7 + 7."""
+    model = build_model(default_config(seed=0))
+    samples = synth_generate(PatternSpec(kind="mixed", seed=0), 72, image_size=64).samples
+    monkeypatch.setattr(numerics, "WORKERS", 2)
+    chunks, parts = [], []
+    predict_batch, blocks = model.predict_batch, Backbone._blocks
+    monkeypatch.setattr(model, "predict_batch",
+                        lambda images: chunks.append(len(images)) or predict_batch(images))
+    monkeypatch.setattr(Backbone, "_blocks",
+                        lambda self, images: parts.append(len(images)) or blocks(self, images))
+    metrics.evaluate_dataset(model, samples)
+    assert chunks == [15, 15, 14, 14, 14]
+    assert sorted(parts) == sorted([8, 7, 8, 7] + [7] * 6)
+    parts.clear()
+    model.build_memory_bank([s.image for s in samples[:8]])
+    assert parts == [8]  # 512 tokens: one part on the calling thread
+
+
 def _brute_force_pro(maps, masks, fpr_limit):
     """Per-threshold PRO curve from its definition, trapezoid up to the limit."""
     regions = []
@@ -396,6 +501,17 @@ def test_infinite_scores_rank_as_they_compare():
         assert metric([np.inf, 1, 0, -np.inf], labels) == metric([9, 1, 0, -9], labels)
     infinite = np.array([[np.inf, 0.3], [-np.inf, 0.2]])
     assert metrics.pro([infinite], [_MASK]) == metrics.pro([np.nan_to_num(infinite)], [_MASK])
+
+
+def test_tied_infinite_scores_are_one_tie_group():
+    """inf - inf is NaN, not 0: tied infinities still end no tie group."""
+    for top in (np.inf, -np.inf):
+        scores = [top, top, 0.5, 0.5] if top > 0 else [0.5, 0.5, top, top]
+        for labels in ([1, 0, 1, 0], [0, 1, 0, 1]):
+            assert metrics.auroc(scores, labels) == 0.5
+            assert metrics.average_precision(scores, labels) == 0.5
+    maps = [np.array([[np.inf, np.inf], [0.0, 0.0]])]
+    assert metrics.pro(maps, [_MASK]) == metrics.pro([np.array([[9.0, 9.0], [0, 0]])], [_MASK])
 
 
 @pytest.mark.parametrize("call", [

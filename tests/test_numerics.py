@@ -287,31 +287,44 @@ class TestMapImageParts:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_a_forked_child_runs_a_split_forward(self):
         """The child of a process whose pool has started gets a pool of its
-        own: the parent's threads do not exist in it."""
+        own: the parent's threads do not exist in it. One child runs a split
+        forward, another the metrics' sort beside their mask labelling."""
         code = (
             "import os, signal, sys, time, warnings\n"
             "import numpy as np\n"
-            "from sowa import numerics\n"
+            "from sowa import metrics, numerics\n"
             "from sowa.backbone import BackboneConfig, init_synthetic\n"
             "numerics.WORKERS = 2\n"
             "backbone = init_synthetic(BackboneConfig(), seed=0)\n"
-            "images = np.random.default_rng(0).uniform(size=(16, 64, 64, 3))\n"
-            "expected = backbone.forward(images)[1]  # two parts: the pool starts\n"
-            "with warnings.catch_warnings():\n"
-            "    # Python 3.12 and later warn on a fork while other threads run\n"
-            "    warnings.simplefilter('ignore', DeprecationWarning)\n"
-            "    pid = os.fork()\n"
-            "if pid == 0:\n"
-            "    os._exit(0 if np.array_equal(backbone.forward(images)[1], expected) else 1)\n"
-            "deadline = time.monotonic() + 60\n"
-            "while time.monotonic() < deadline:\n"
-            "    done, status = os.waitpid(pid, os.WNOHANG)\n"
-            "    if done:\n"
-            "        sys.exit(os.waitstatus_to_exitcode(status))\n"
-            "    time.sleep(0.02)\n"
-            "os.kill(pid, signal.SIGKILL)\n"
-            "os.waitpid(pid, 0)\n"
-            "sys.exit('the forked child hung')\n"
+            "rng = np.random.default_rng(0)\n"
+            "images = rng.uniform(size=(16, 64, 64, 3))\n"
+            "maps, masks = rng.uniform(size=(4, 16, 16)), rng.uniform(size=(4, 16, 16)) < 0.3\n"
+            "def forward():\n"
+            "    return backbone.forward(images)[1]\n"
+            "def evaluate_scores():\n"
+            "    report = metrics.evaluate_scores([0.1, 0.9, 0.4, 0.6], [0, 1, 0, 1],\n"
+            "                                     maps, masks)\n"
+            "    return np.array([value for _, value in report.metric_items()])\n"
+            "for work in (forward, evaluate_scores):\n"
+            "    expected = work()  # the forward runs two parts: the pool starts\n"
+            "    with warnings.catch_warnings():\n"
+            "        # Python 3.12 and later warn on a fork while other threads run\n"
+            "        warnings.simplefilter('ignore', DeprecationWarning)\n"
+            "        pid = os.fork()\n"
+            "    if pid == 0:\n"
+            "        os._exit(0 if np.array_equal(work(), expected) else 1)\n"
+            "    deadline = time.monotonic() + 60\n"
+            "    while time.monotonic() < deadline:\n"
+            "        done, status = os.waitpid(pid, os.WNOHANG)\n"
+            "        if done:\n"
+            "            break\n"
+            "        time.sleep(0.02)\n"
+            "    else:\n"
+            "        os.kill(pid, signal.SIGKILL)\n"
+            "        os.waitpid(pid, 0)\n"
+            "        sys.exit(f'the forked child running {work.__name__} hung')\n"
+            "    if os.waitstatus_to_exitcode(status):\n"
+            "        sys.exit(f'the forked child running {work.__name__} failed')\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(ag.__file__).resolve().parent.parent))
         run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, timeout=120,
