@@ -328,10 +328,11 @@ def _layer_norm(x, eps):
     x = np.asarray(x)
     if x.shape[-1] == 0:
         raise UsageError(f"mean over no elements (shape {x.shape}, axis -1) is undefined")
-    inv = 1.0 / x.shape[-1]
-    centered = np.subtract(x, np.sum(x, axis=-1, keepdims=True) * inv)
-    var = np.sum(centered * centered, axis=-1, keepdims=True) * inv
-    return np.divide(centered, np.sqrt(var + eps), out=centered)
+    # row means as matrix-vector products: a last-axis sum runs one short loop per row
+    w = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=np.result_type(x.dtype, 1.0))
+    centered = np.subtract(x, (x @ w)[..., None])
+    var = (centered * centered) @ w
+    return np.divide(centered, np.sqrt(var + eps)[..., None], out=centered)
 
 
 def _grad_layer_norm(g, x, y, eps):
@@ -342,7 +343,8 @@ def _grad_layer_norm(g, x, y, eps):
 def layer_norm(x, eps: float = 1e-5):
     """Row-wise layer normalization over the last axis, with no affine part.
 
-    Each mean is the sum times ``1 / width``, the bits of ``mean``. The
+    The row mean and variance are matrix-vector products with a vector of
+    ``1 / width``, which round differently from ``mean``'s sums. The
     gradient is ``(g - mean(g) - y mean(g y)) / sqrt(var + eps)`` (arXiv
     1607.06450)."""
     return _unary(_layer_norm, _grad_layer_norm, x, eps)
