@@ -221,13 +221,16 @@ def _pro(ranked: np.ndarray, ends: np.ndarray, count: int, fpr_limit: float) -> 
         raise MetricUndefinedError("PRO undefined without any normal pixel")
     sizes = np.bincount(ranked[anomalous], minlength=count)
 
-    # one curve point per unique score value: pooled FPR and mean region TPR;
-    # a normal pixel (region -1) picks the appended zero
+    # one curve point per unique score value: pooled FPR and mean region TPR
     fprs = false_pos / n_neg
-    pros = _sweep(np.append(1.0 / sizes, 0.0)[ranked], ends) / count
-
+    # fprs starts at 0 < fpr_limit and ends at 1.0 >= fpr_limit, so a
+    # crossing always exists and is at least 1
     crossing = int(np.searchsorted(fprs, fpr_limit, side="left"))
-    # fprs ends at 1.0 >= fpr_limit, so a crossing always exists
+    # the sweep reads the coverage only up to the last pixel of the
+    # crossing's tie group, whose prefix sums are those of the whole sweep;
+    # a normal pixel (region -1) picks the appended zero
+    last = ends[crossing - 1] + 1
+    pros = _sweep(np.append(1.0 / sizes, 0.0)[ranked[:last]], ends[:crossing]) / count
     widths = np.diff(fprs[: crossing + 1])
     mids = (pros[:crossing] + pros[1 : crossing + 1]) / 2.0
     area = float(np.sum(widths * mids))
@@ -341,7 +344,7 @@ def evaluate_dataset(
         else:
             scores.extend(float(p.image_score) for p in preds)
     labels = [(1 if s.label > 0 else 0) for s in samples]
-    masks = [(np.asarray(s.mask) > 0).astype(np.int64) for s in samples]
+    masks = [np.asarray(s.mask) > 0 for s in samples]
     try:
         return evaluate_scores(scores, labels, maps, masks, fpr_limit=fpr_limit)
     except MetricUndefinedError as exc:

@@ -9,9 +9,12 @@ one (STAGES, C_vis, C_text) adapter weight and one (STAGES, C_text) bias.
 The parameters are the adapter projection and the one (2, l, width) tensor
 of prompt contexts, which trains for ``coop`` and is frozen for
 ``template``; every other tensor is created once, marked read-only, and
-hash-checked by the frozen-contract tests. A checkpoint is a numpy ``.npz``
-file of the parameters (``adapter.weight``, ``adapter.bias`` and
-``prompt.contexts``), plus any extra tensors such as the optimizer's moments.
+covered by ``frozen_hash``, which training reads on both sides of every
+epoch. Its first call keeps a copy of the frozen bytes (about 1.7 MB at
+64 px) that later calls compare against, so a model that only predicts
+carries none. A checkpoint is a numpy ``.npz`` file of the parameters
+(``adapter.weight``, ``adapter.bias`` and ``prompt.contexts``), plus any
+extra tensors such as the optimizer's moments.
 
 Images run in stacks only. One frozen pass, ``frozen_forward`` (backbone,
 then the windowed attention), takes a (B, S, S, 3) stack, and one scoring
@@ -97,6 +100,8 @@ class SowaModel:
     cls_proj: np.ndarray
     _feature_cache: Dict[str, FrozenActivations] = field(default_factory=dict, repr=False)
     _text_cache: Optional[Tuple[str, np.ndarray]] = field(default=None, repr=False)
+    # (digest, {name: (dtype, shape, C-order bytes)}) of the last frozen_hash
+    _frozen_snapshot: Optional[Tuple[str, Dict[str, tuple]]] = field(default=None, repr=False)
 
     # ---------------------------------------------------------------- frozen
     @property
@@ -104,15 +109,41 @@ class SowaModel:
         g = self.backbone.config.grid
         return (g, g)
 
+    def _frozen_tensors(self) -> Dict[str, np.ndarray]:
+        """Every frozen tensor by name: ``backbone.*``, ``text_encoder.*`` and ``cls_proj``."""
+        tensors = {f"backbone.{n}": a for n, a in self.backbone.weights.items()}
+        tensors.update({f"text_encoder.{n}": a for n, a in self.encoder.weights.items()})
+        tensors["cls_proj"] = self.cls_proj
+        return {name: np.asarray(arr) for name, arr in tensors.items()}
+
     def frozen_hashes(self) -> Dict[str, str]:
-        hashes = {f"backbone.{n}": h for n, h in self.backbone.hashes().items()}
-        hashes.update({f"text_encoder.{n}": h for n, h in self.encoder.hashes().items()})
-        hashes["cls_proj"] = tensor_hash(self.cls_proj)
-        return hashes
+        return {name: tensor_hash(arr) for name, arr in self._frozen_tensors().items()}
 
     def frozen_hash(self) -> str:
-        joined = "\n".join(f"{n}:{h}" for n, h in sorted(self.frozen_hashes().items()))
-        return hashlib.sha256(joined.encode()).hexdigest()
+        """SHA-256 over every frozen tensor's name and ``tensor_hash``.
+
+        The first call keeps a snapshot: the digest, and each tensor's dtype,
+        shape and C-order bytes, which are what it hashes. A later call reads
+        every frozen byte again and compares it, as bytes, with the snapshot
+        (so -0.0 differs from 0.0 and a NaN equals its own bytes), along with
+        the names, dtypes and shapes; when all match it returns the kept
+        digest, and otherwise hashes afresh and keeps a new snapshot. Either
+        way the result is the digest of the tensors as they are now.
+        """
+        tensors = self._frozen_tensors()
+        if self._frozen_snapshot is not None:
+            digest, kept = self._frozen_snapshot
+            if kept.keys() == tensors.keys() and all(
+                    (arr.dtype, arr.shape, arr.tobytes()) == kept[name]
+                    for name, arr in tensors.items()):
+                return digest
+        kept = {name: (arr.dtype, arr.shape, arr.tobytes()) for name, arr in tensors.items()}
+        joined = "\n".join(
+            f"{name}:{tensor_hash(np.frombuffer(data, dtype).reshape(shape))}"
+            for name, (dtype, shape, data) in sorted(kept.items()))
+        digest = hashlib.sha256(joined.encode()).hexdigest()
+        self._frozen_snapshot = (digest, kept)
+        return digest
 
     @property
     def chunk_size(self) -> int:

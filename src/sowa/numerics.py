@@ -6,8 +6,9 @@ finite-difference gradient validation, where float32 noise would swamp the
 comparison.
 
 Resampling uses half-pixel-center sampling (no corner alignment) as explicit
-1-D operator matrices. The one upsampler, ``bilinear_upsample``, applies them
-to an array (inference) or to an autodiff ``Var`` (training, whose backward
+1-D operator matrices, each built once per size pair and dtype and kept
+read-only. The one upsampler, ``bilinear_upsample``, applies them to an
+array (inference) or to an autodiff ``Var`` (training, whose backward
 applies their transposes).
 
 ``map_image_parts`` runs the frozen pass or the few-shot scoring of an
@@ -216,7 +217,10 @@ def bilinear_upsample(grid, out_h: int, out_w: int):
     input's value range; the map is linear in its input. A float grid is
     resampled in its own dtype, any other array in the default dtype. A grid
     of a stack is resampled by the same products as on its own. An autodiff
-    ``Var`` gives a ``Var``, by the same products as its array.
+    ``Var`` gives a ``Var``, by the same products as its array. The two
+    operators are ``linear_resample_matrix`` cast to the grid's dtype, taken
+    from a cache of read-only arrays (``_resample_operator``): building them
+    took most of the time of a small upsample.
     """
     if not ag.is_var(grid):
         grid = np.asarray(grid)
@@ -226,7 +230,22 @@ def bilinear_upsample(grid, out_h: int, out_w: int):
         raise UsageError(f"expected a 2-D grid or a stack of them, got shape {grid.shape}")
     if out_h < 1 or out_w < 1:
         raise UsageError(f"output dims must be >= 1, got {out_h}x{out_w}")
-    row_op = linear_resample_matrix(grid.shape[-2], out_h).astype(grid.dtype)
-    col_op = linear_resample_matrix(grid.shape[-1], out_w).astype(grid.dtype)
+    row_op = _resample_operator(grid.shape[-2], out_h, grid.dtype)
+    col_op = _resample_operator(grid.shape[-1], out_w, grid.dtype)
     return ag.matmul(ag.matmul(row_op, grid), col_op.T)
 
+
+# Resampling operators ``bilinear_upsample`` keeps, one per (n_in, n_out,
+# dtype). A run needs a few: its token grid and the three noise octaves of
+# ``synth`` (4, 8 and 16 cells by default), each to its image size.
+RESAMPLE_OPERATORS = 16
+
+
+@functools.lru_cache(maxsize=RESAMPLE_OPERATORS)
+def _resample_operator(n_in: int, n_out: int, dtype: np.dtype) -> np.ndarray:
+    """``linear_resample_matrix(n_in, n_out)`` in ``dtype``, read-only and
+    built once per (n_in, n_out, dtype) for the ``RESAMPLE_OPERATORS`` most
+    recently used."""
+    op = linear_resample_matrix(n_in, n_out).astype(dtype)
+    op.setflags(write=False)
+    return op

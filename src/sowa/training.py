@@ -362,8 +362,9 @@ def train_epoch(
         state.params[name] is not var for name, var in trainable.items()
     ):
         raise UsageError("the train state holds parameters of another model")
-    # hashed on both sides of every epoch: the only check that reads every
-    # frozen byte, where a read-only flag can be switched off again
+    # every frozen byte is read on both sides of every epoch, where a
+    # read-only flag can be switched off again: compared against the
+    # snapshot of the last hash, and hashed afresh where it differs
     frozen_before = model.frozen_hash()
     acts = _features(model, samples, range(len(samples)))
     samples_digest = _samples_digest(samples, acts)

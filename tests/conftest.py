@@ -2,6 +2,7 @@
 for fast unit tests."""
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -29,6 +30,13 @@ def tiny_config(seed=7, **overrides):
         else:
             merged[key] = value
     return default_config(seed=seed, **merged)
+
+
+def fresh_frozen_digest(model) -> str:
+    """The digest ``SowaModel.frozen_hash`` stands for, computed afresh from
+    ``frozen_hashes``: SHA-256 over the sorted ``name:tensor_hash`` lines."""
+    joined = "\n".join(f"{n}:{h}" for n, h in sorted(model.frozen_hashes().items()))
+    return hashlib.sha256(joined.encode()).hexdigest()
 
 
 @functools.lru_cache(maxsize=None)

@@ -421,6 +421,19 @@ def test_pro_equals_brute_force_pro():
             )
 
 
+@pytest.mark.parametrize("fpr_limit", [0.1, 0.25, 0.3, 0.35, 0.7, 1.0])
+def test_pro_at_a_limit_on_or_between_tie_groups_equals_brute_force_pro(fpr_limit):
+    # 20 normal pixels in tie groups of 2, so the limits 0.1, 0.3 and 0.7
+    # are each the FPR at the end of a group, and 0.25 and 0.35 fall inside
+    # one; the sweep is cut at the last pixel of the crossing's group
+    normal = np.random.default_rng(8).permutation(np.repeat(np.arange(10) / 10.0, 2))
+    maps = [np.concatenate([normal, [0.95, 0.3, 0.8, 0.05]]).reshape(4, 6)]
+    masks = [np.zeros((4, 6), dtype=bool)]
+    masks[0][3, 2:] = True  # one region, tied with normal pixels at 0.3 and 0.8
+    np.testing.assert_allclose(metrics.pro(maps, masks, fpr_limit=fpr_limit),
+                               _brute_force_pro(maps, masks, fpr_limit), rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("fpr_limit", ["0.3", None, True, 0.0, -0.1, 1.5, float("nan")])
 def test_an_fpr_limit_that_is_not_a_number_in_zero_one_is_a_usage_error(fpr_limit, monkeypatch):
     maps = [np.array([[0.9, 0.1], [0.2, 0.3]])]

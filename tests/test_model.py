@@ -40,7 +40,7 @@ from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
 from sowa.training import batch_gradients, sample_loss
 
-from conftest import batch_case, tiny_config
+from conftest import batch_case, fresh_frozen_digest, tiny_config
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.npz"
 GOLDEN_ATOL = 1e-5
@@ -619,3 +619,97 @@ def test_every_model_tensor_is_bit_identical_to_the_pinned_build(build):
     with numerics.precision(dtype):
         model = build_model(default_config(**overrides))
     assert _weight_digest(model) == expected
+
+
+def _edit_in_place(model):
+    w = model.backbone.weights["blocks.0.mlp.w1"]
+    w.setflags(write=True)
+    w[1, 2] += 1.0
+
+
+def _edit_a_stage_stack(model):
+    # the last block of each stage holds views of the adapter's weight stacks
+    stack = model.backbone.stage_attention_weights().w_q
+    stack.setflags(write=True)
+    stack[0, 0, 0] += 1.0
+
+
+def _negate_a_zero(model):
+    w = model.encoder.weights["text_proj"]
+    w.setflags(write=True)
+    w[0, 0] = 0.0
+    model.frozen_hash()  # the snapshot now holds +0.0
+    w[0, 0] = -0.0
+
+
+def _rebind_an_entry(model):
+    w = model.backbone.weights["blocks.1.attn.w_o"].copy()
+    w[0, 0] = np.nextafter(w[0, 0], np.inf)
+    model.backbone.weights["blocks.1.attn.w_o"] = w
+
+
+def _replace_cls_proj(model):
+    cls_proj = model.cls_proj.copy()
+    cls_proj[-1, -1] *= 2.0
+    model.cls_proj = cls_proj
+
+
+def _reshape_to_the_same_bytes(model):
+    model.cls_proj = model.cls_proj.reshape(-1)
+
+
+def _view_as_another_dtype(model):
+    model.encoder.weights["pos_embed"] = model.encoder.weights["pos_embed"].view(np.int32)
+
+
+def _add_a_name(model):
+    model.encoder.weights["extra"] = np.zeros(3, np.float32)
+
+
+def _remove_a_name(model):
+    del model.encoder.weights["text_proj"]
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_in_place, _edit_a_stage_stack, _negate_a_zero, _rebind_an_entry, _replace_cls_proj,
+    _reshape_to_the_same_bytes, _view_as_another_dtype, _add_a_name, _remove_a_name,
+])
+def test_frozen_hash_sees_every_edit_since_its_snapshot(edit):
+    model = build_model(tiny_config())
+    before = model.frozen_hash()
+    assert before == fresh_frozen_digest(model)
+    edit(model)
+    after = model.frozen_hash()
+    assert after != before
+    assert after == fresh_frozen_digest(model)
+    assert model.frozen_hash() == after  # from the new snapshot
+
+
+def test_frozen_hash_of_an_unchanged_model_is_the_same_string():
+    model = build_model(tiny_config())
+    first = model.frozen_hash()
+    snapshot = model._frozen_snapshot
+    assert model.frozen_hash() == first
+    name = "blocks.0.attn.w_q"  # rebound to a copy of the same bytes
+    model.backbone.weights[name] = model.backbone.weights[name].copy()
+    assert model.frozen_hash() == first == fresh_frozen_digest(model)
+    assert model._frozen_snapshot is snapshot  # compared, never hashed again
+
+
+def test_a_nan_written_over_its_own_bytes_keeps_the_frozen_hash():
+    model = build_model(tiny_config())
+    w = model.encoder.weights["embed_table"]
+    w.setflags(write=True)
+    w[0, 0] = np.nan
+    nan = model.frozen_hash()
+    snapshot = model._frozen_snapshot
+    w[0, 0] = np.nan  # compared as bytes: not as a float, which never equals itself
+    assert model.frozen_hash() == nan == fresh_frozen_digest(model)
+    assert model._frozen_snapshot is snapshot
+
+
+def test_a_model_that_has_only_predicted_holds_no_frozen_snapshot(tiny_corpus):
+    model = build_model(tiny_config())
+    model.predict_batch([s.image for s in tiny_corpus.samples[:3]])
+    model.build_memory_bank([tiny_corpus.samples[0].image])
+    assert model._frozen_snapshot is None

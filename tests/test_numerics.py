@@ -145,6 +145,30 @@ class TestBilinearUpsample:
         assert ag.is_var(out) and out.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(out.data, numerics.bilinear_upsample(grid, 9, 7))
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_the_operators_are_cached_read_only_casts_of_the_resample_matrix(
+            self, dtype, monkeypatch):
+        used = []
+        matmul = ag.matmul
+
+        def recording(a, b):
+            used.append((a, b))
+            return matmul(a, b)
+
+        monkeypatch.setattr(ag, "matmul", recording)
+        grid = np.random.default_rng(7).uniform(size=(2, 3, 5)).astype(dtype)
+        numerics.bilinear_upsample(grid, 11, 13)
+        numerics.bilinear_upsample(grid[0], 11, 13)
+        (row, _), (_, col_t), (row_again, _), (_, col_t_again) = used
+        assert row_again is row and col_t_again.base is col_t.base
+        for op, n_in, n_out in ((row, 3, 11), (col_t.T, 5, 13)):
+            want = numerics.linear_resample_matrix(n_in, n_out).astype(dtype)
+            assert op.dtype == np.dtype(dtype) and op.shape == want.shape
+            assert op.tobytes() == want.tobytes()
+            assert not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 0.0
+
     def test_a_var_passes_a_finite_difference_gradient_check(self):
         rng = np.random.default_rng(6)
         grid, weights = rng.uniform(size=(2, 3, 4)), rng.normal(size=(2, 7, 6))

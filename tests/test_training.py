@@ -24,7 +24,7 @@ from sowa.errors import TrainingError, UsageError, WeightsError
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
 
-from conftest import tiny_config
+from conftest import fresh_frozen_digest, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +230,20 @@ def test_one_epoch_lowers_loss_and_keeps_frozen_tensors(tiny_corpus):
     assert report.final_loss < report.initial_loss
     assert report.steps == state.step == 2
     assert report.frozen_hash_before == report.frozen_hash_after == model.frozen_hash() == frozen
+
+
+def test_an_epochs_frozen_hashes_are_fresh_digests_of_the_frozen_tensors(tiny_corpus):
+    model = build_model(tiny_config())
+    samples = tiny_corpus.samples[:4]
+    first, state = training.train_epoch(model, samples, model.config.optim)
+    assert first.frozen_hash_before == first.frozen_hash_after == fresh_frozen_digest(model)
+    # an edit between epochs shows in the next epoch's first hash
+    w = model.encoder.weights["pos_embed"]
+    w.setflags(write=True)
+    w[0, 0] += 1.0
+    second, _ = training.train_epoch(model, samples, model.config.optim, seed=1, state=state)
+    assert second.frozen_hash_before != first.frozen_hash_after
+    assert second.frozen_hash_before == second.frozen_hash_after == fresh_frozen_digest(model)
 
 
 def _step(model, state, batch):
