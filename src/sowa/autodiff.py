@@ -3,11 +3,14 @@
 A ``Var`` wraps an ndarray and records the closure that routes output
 gradients back to its parents; ``backward()`` walks the tape in reverse
 topological order. The primitives are broadcast arithmetic, (stacked)
-matmul of operands of rank >= 2, log and a clamp, reductions, shape ops,
-and indexed gather. The model's composite formulas (softmax, row
-normalisation, GELU, layer norm and multi-head attention) are one node
-each: one numpy forward for arrays and Vars alike, and one analytic
-gradient rule; ``training`` writes its dice and focal terms the same way.
+matmul of operands of rank >= 2, reductions, shape ops and indexed gather;
+there is no elementwise log or clamp. The model's composite formulas
+(softmax, row normalisation, GELU, layer norm and multi-head attention) are
+one node each: one numpy forward for arrays and Vars alike, and one
+analytic gradient rule; ``training`` writes its dice, focal and
+cross-entropy terms the same way. Row sums and means are vector products
+(``einsum`` or a matrix-vector product), not last-axis reductions, which
+run one short loop per row.
 
 The functional helpers (``matmul``, ``softmax_last`` ...) accept either
 ``Var`` or plain ndarray and return the same kind, so model formulas are
@@ -173,8 +176,6 @@ _grad_mul_a = lambda g, a, b: g * b
 _grad_mul_b = lambda g, a, b: g * a
 _grad_matmul_a = lambda g, a, b: g @ np.swapaxes(b, -1, -2)
 _grad_matmul_b = lambda g, a, b: np.swapaxes(a, -1, -2) @ g
-_grad_log = lambda g, x, out: g / x
-_grad_clip = lambda g, x, out, lo, hi: g * ((x >= lo) & (x <= hi))
 _grad_softmax = lambda g, x, y: y * (g - np.sum(g * y, axis=-1, keepdims=True))
 _sum = lambda x, axis, keepdims: np.sum(x, axis=axis, keepdims=keepdims)
 _grad_reshape = lambda g, x, out, shape: g.reshape(x.shape)
@@ -208,15 +209,6 @@ def matmul(a, b):
         if a.data.ndim < 2 or b.data.ndim < 2:
             raise UsageError(f"matmul of Vars needs rank >= 2 operands, got {a.shape} and {b.shape}")
     return _binary(np.matmul, _grad_matmul_a, _grad_matmul_b, a, b)
-
-
-def log(x):
-    return _unary(np.log, _grad_log, x)
-
-
-def clip(x, lo: float, hi: float):
-    """Clamp with straight-through gradient inside [lo, hi], zero outside."""
-    return _unary(np.clip, _grad_clip, x, lo, hi)
 
 
 def sum_(x, axis=None, keepdims: bool = False):
@@ -279,14 +271,17 @@ def softmax_last(x):
     return _unary(_softmax, _grad_softmax, x)
 
 
+def _row_norms(x):
+    # row dot products by einsum: a last-axis sum runs one short loop per row
+    return np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+
+
 def _l2_normalize(x, eps):
-    norm = np.sqrt(np.sum(np.multiply(x, x), axis=-1, keepdims=True))
-    return np.divide(x, np.maximum(norm, eps))
+    return np.divide(x, np.maximum(_row_norms(x), eps))
 
 
 def _grad_l2_normalize(g, x, y, eps):
-    # row dot products by einsum: a last-axis sum runs one short loop per row
-    norm = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+    norm = _row_norms(x)
     along = np.einsum("...i,...i->...", g, y)[..., None] * (norm > eps)  # a clamped row: x / eps
     return (g - y * along) / np.maximum(norm, eps)
 
@@ -324,29 +319,36 @@ def gelu(x):
     return _unary(_gelu, _grad_gelu, x)
 
 
+def _row_statistics(x):
+    """``x`` less its row means, its row variances, and the vector of ``1 /
+    width`` that took both as matrix-vector products: a last-axis sum runs
+    one short loop per row."""
+    w = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=np.result_type(x.dtype, 1.0))
+    centered = np.subtract(x, (x @ w)[..., None])
+    return centered, (centered * centered) @ w, w
+
+
 def _layer_norm(x, eps):
     x = np.asarray(x)
     if x.shape[-1] == 0:
         raise UsageError(f"mean over no elements (shape {x.shape}, axis -1) is undefined")
-    # row means as matrix-vector products: a last-axis sum runs one short loop per row
-    w = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=np.result_type(x.dtype, 1.0))
-    centered = np.subtract(x, (x @ w)[..., None])
-    var = (centered * centered) @ w
+    centered, var, _ = _row_statistics(x)
     return np.divide(centered, np.sqrt(var + eps)[..., None], out=centered)
 
 
 def _grad_layer_norm(g, x, y, eps):
-    d = g - np.mean(g, axis=-1, keepdims=True) - y * np.mean(g * y, axis=-1, keepdims=True)
-    return d / np.sqrt(np.var(x, axis=-1, keepdims=True) + eps)
+    _, var, w = _row_statistics(x)
+    d = g - (g @ w)[..., None] - y * ((g * y) @ w)[..., None]
+    return d / np.sqrt(var + eps)[..., None]
 
 
 def layer_norm(x, eps: float = 1e-5):
     """Row-wise layer normalization over the last axis, with no affine part.
 
-    The row mean and variance are matrix-vector products with a vector of
-    ``1 / width``, which round differently from ``mean``'s sums. The
-    gradient is ``(g - mean(g) - y mean(g y)) / sqrt(var + eps)`` (arXiv
-    1607.06450)."""
+    The row mean and variance, in the forward and in the gradient, are
+    matrix-vector products with a vector of ``1 / width``, which round
+    differently from ``mean``'s sums. The gradient is ``(g - mean(g) - y
+    mean(g y)) / sqrt(var + eps)`` (arXiv 1607.06450)."""
     return _unary(_layer_norm, _grad_layer_norm, x, eps)
 
 

@@ -50,6 +50,14 @@ BLOCKS_PER_STAGE = 2
 MLP_RATIO = 4.0
 NORM_MEAN = (0.5, 0.5, 0.5)
 NORM_STD = (0.25, 0.25, 0.25)
+# Largest pixel magnitude ``Backbone.forward`` accepts; a larger one, NaN or
+# an infinity raises ``UsageError``. Float32 layer norm squares the embedded
+# tokens, so its variance overflows first: on the patch that maximises one
+# embedding channel, tiled over the image, outputs and training gradients
+# stayed finite up to 1e17 at 64 and 224 px in both attention modes, and
+# first overflowed at 1e18 (64 px) and 3.2e17 (224 px). The limit keeps a
+# factor of 300 below that.
+PIXEL_LIMIT = 1e15
 # tensors drawn from N(0, 0.02) rather than N(0, 1/sqrt(fan_in))
 EMBEDDINGS = ("pos_embed", "cls_token", "embed_table", "contexts")
 
@@ -102,7 +110,7 @@ class Backbone:
     def __post_init__(self):
         # the last block of every stage holds views of one (STAGES, C, C)
         # stack per matrix, so the adapter's weights are stacked once and
-        # share their bytes with the blocks (and ``hashes``)
+        # share their bytes with the blocks, which ``frozen_hash`` covers
         last = [(stage + 1) * BLOCKS_PER_STAGE - 1 for stage in range(STAGES)]
         stacks = []
         for m in ("w_q", "w_k", "w_v", "w_o"):
@@ -112,9 +120,6 @@ class Backbone:
         self._stage_weights = AttentionWeights(*stacks, heads=self.config.heads)
         for arr in [*self.weights.values(), *stacks]:
             arr.setflags(write=False)
-
-    def hashes(self) -> Dict[str, str]:
-        return {name: tensor_hash(arr) for name, arr in sorted(self.weights.items())}
 
     def stage_attention_weights(self) -> AttentionWeights:
         """(W_q, W_k, W_v, W_o) of the last block of every stage, each a
@@ -149,12 +154,13 @@ class Backbone:
         ``numerics.WORKERS`` threads (``numerics.map_image_parts``). Each
         image's rows equal those of its own stack of one bit for bit, in any
         stack and on any thread. An empty stack, a bare (S, S, 3) image, and
-        an image of the wrong shape or with a non-finite value raise
-        ``UsageError``.
+        an image of the wrong shape or with a value that is not finite or
+        exceeds ``PIXEL_LIMIT`` in magnitude raise ``UsageError``.
         """
         cfg = self.config
         try:
-            images = np.asarray(images, dtype=self.weights["pos_embed"].dtype)
+            with np.errstate(over="ignore"):  # a value beyond the dtype's range casts to inf
+                images = np.asarray(images, dtype=self.weights["pos_embed"].dtype)
         except ValueError as exc:  # a sequence of images of differing shapes
             raise UsageError(f"images do not stack into one array: {exc}") from exc
         if images.shape[:1] == (0,):
@@ -162,9 +168,12 @@ class Backbone:
         expected = (cfg.image_size, cfg.image_size, 3)
         if images.ndim != 4 or images.shape[1:] != expected:
             raise UsageError(f"expected a stack of images of shape {expected}, got {images.shape}")
-        finite = np.isfinite(images).all(axis=(1, 2, 3))
-        if not finite.all():
-            raise UsageError(f"image {int(np.argmin(finite))} contains non-finite values")
+        flat = images.reshape(len(images), -1)
+        # a NaN propagates through max and fails the comparison
+        bounded = np.maximum(flat.max(axis=1), -flat.min(axis=1)) <= PIXEL_LIMIT
+        if not bounded.all():
+            raise UsageError(f"image {int(np.argmin(bounded))} contains non-finite values or "
+                             f"a magnitude above PIXEL_LIMIT = {PIXEL_LIMIT:g}")
         return tuple(numerics.map_image_parts(self._blocks, images, cfg.tokens))
 
     def _blocks(self, images: np.ndarray) -> List[np.ndarray]:

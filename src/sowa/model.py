@@ -12,9 +12,13 @@ of prompt contexts, which trains for ``coop`` and is frozen for
 covered by ``frozen_hash``, which training reads on both sides of every
 epoch. Its first call keeps a copy of the frozen bytes (about 1.7 MB at
 64 px) that later calls compare against, so a model that only predicts
-carries none. A checkpoint is a numpy ``.npz`` file of the parameters
-(``adapter.weight``, ``adapter.bias`` and ``prompt.contexts``), plus any
-extra tensors such as the optimizer's moments.
+carries none. The feature cache, which training reads, works the same way:
+an entry is found by the caller's key and served only when the input's
+bytes equal the copy of its own input that the entry keeps; the image's
+SHA-256 is taken once, when the entry is made. A checkpoint is a numpy
+``.npz`` file of the parameters (``adapter.weight``, ``adapter.bias`` and
+``prompt.contexts``), plus any extra tensors such as the optimizer's
+moments.
 
 Images run in stacks only. One frozen pass, ``frozen_forward`` (backbone,
 then the windowed attention), takes a (B, S, S, 3) stack, and one scoring
@@ -62,8 +66,10 @@ from .fewshot import MemoryBank, build_memory_bank
 from .fusion import AnomalyMap
 from .prompts import FrozenTextEncoder, build_prompt_contexts, build_text_encoder, encode_prompts
 
-# Most images whose frozen activations the feature cache keeps (LRU): about
-# 64 KB each at 64 px and 256 KB at 224 px.
+# Most entries the feature cache keeps (LRU by key). An entry holds an
+# image's frozen activations and a copy of its bytes, which a hit is checked
+# against: about 112 KB at 64 px (64 KB of activations) and 845 KB at 224 px
+# (256 KB of them).
 FEATURE_CACHE_LIMIT = 256
 _SEED_OFFSETS = {"encoder": 1000003, "prompts": 2000003, "adapters": 3000003, "cls": 4000003}
 
@@ -75,7 +81,7 @@ class FrozenActivations:
 
     adapter_inputs: np.ndarray  # (B, STAGES, L, C_vis), post-attention for fwa
     class_token: np.ndarray  # (B, C_vis)
-    image_hash: Optional[str] = None  # the image's cache key; None when not cached
+    image_hash: Optional[str] = None  # the input's tensor_hash when cached, else None
 
 
 @dataclass
@@ -98,7 +104,9 @@ class SowaModel:
     adapter: AdapterParams
     prompt_contexts: ag.Var  # (2, l, width): row 0 normal, row 1 abnormal
     cls_proj: np.ndarray
-    _feature_cache: Dict[str, FrozenActivations] = field(default_factory=dict, repr=False)
+    # cache key -> ((dtype, shape, C-order bytes) of the input, its activations)
+    _feature_cache: Dict[object, Tuple[tuple, FrozenActivations]] = field(
+        default_factory=dict, repr=False)
     _text_cache: Optional[Tuple[str, np.ndarray]] = field(default=None, repr=False)
     # (digest, {name: (dtype, shape, C-order bytes)}) of the last frozen_hash
     _frozen_snapshot: Optional[Tuple[str, Dict[str, tuple]]] = field(default=None, repr=False)
@@ -115,9 +123,6 @@ class SowaModel:
         tensors.update({f"text_encoder.{n}": a for n, a in self.encoder.weights.items()})
         tensors["cls_proj"] = self.cls_proj
         return {name: np.asarray(arr) for name, arr in tensors.items()}
-
-    def frozen_hashes(self) -> Dict[str, str]:
-        return {name: tensor_hash(arr) for name, arr in self._frozen_tensors().items()}
 
     def frozen_hash(self) -> str:
         """SHA-256 over every frozen tensor's name and ``tensor_hash``.
@@ -158,26 +163,31 @@ class SowaModel:
         """Backbone + (for fwa) frozen windowed attention, on a (B, S, S, 3)
         stack of images (see ``Backbone.forward``); cacheable.
 
-        Any non-None ``cache_key`` opts in to the cache. Entries are matched
-        by the input itself (its ``tensor_hash``), never by the key, so a key
-        reused for another image cannot return stale features. A cached entry
-        carries that hash as its ``image_hash``. The cache keeps the
-        ``FEATURE_CACHE_LIMIT`` most recently used entries.
+        Any non-None ``cache_key`` opts in to the cache, which finds an entry
+        by that key and returns it only when the input's dtype, shape and
+        C-order bytes equal the snapshot the entry keeps of its own input.
+        So a key reused for other bytes, or for an image edited in place,
+        recomputes and replaces its entry, and can never return another
+        image's features. A cached entry carries its input's ``tensor_hash``
+        as its ``image_hash``, computed once, when the entry is made. The
+        cache keeps the ``FEATURE_CACHE_LIMIT`` most recently used entries.
         """
         if cache_key is not None:
-            cache_key = tensor_hash(images)
-            hit = self._feature_cache.pop(cache_key, None)
-            if hit is not None:
-                self._feature_cache[cache_key] = hit  # now the most recently used
-                return hit
+            images = np.asarray(images)
+            snapshot = (images.dtype, images.shape, images.tobytes())
+            entry = self._feature_cache.pop(cache_key, None)
+            if entry is not None and entry[0] == snapshot:
+                self._feature_cache[cache_key] = entry  # now the most recently used
+                return entry[1]
         inputs, class_tokens = self.backbone.forward(images)
         if self.config.adapter_kind == "fwa":
             window = (self.config.window, self.config.window)
             inputs = attended_features(inputs, self.backbone.stage_attention_weights(), self.grid,
                                        window, mode=self.config.attention_mode)
-        out = FrozenActivations(inputs, class_tokens, image_hash=cache_key)
+        out = FrozenActivations(inputs, class_tokens)
         if cache_key is not None:
-            self._feature_cache[cache_key] = out
+            out.image_hash = tensor_hash(images)
+            self._feature_cache[cache_key] = (snapshot, out)
             if len(self._feature_cache) > FEATURE_CACHE_LIMIT:
                 del self._feature_cache[next(iter(self._feature_cache))]
         return out

@@ -220,7 +220,8 @@ def bilinear_upsample(grid, out_h: int, out_w: int):
     ``Var`` gives a ``Var``, by the same products as its array. The two
     operators are ``linear_resample_matrix`` cast to the grid's dtype, taken
     from a cache of read-only arrays (``_resample_operator``): building them
-    took most of the time of a small upsample.
+    took most of the time of a small upsample. An output size that is not
+    an integer of at least 1 (a bool neither) raises ``UsageError``.
     """
     if not ag.is_var(grid):
         grid = np.asarray(grid)
@@ -228,8 +229,8 @@ def bilinear_upsample(grid, out_h: int, out_w: int):
             grid = grid.astype(_DEFAULT_DTYPE)
     if len(grid.shape) not in (2, 3):
         raise UsageError(f"expected a 2-D grid or a stack of them, got shape {grid.shape}")
-    if out_h < 1 or out_w < 1:
-        raise UsageError(f"output dims must be >= 1, got {out_h}x{out_w}")
+    check_integer(out_h, "out_h", 1)
+    check_integer(out_w, "out_w", 1)
     row_op = _resample_operator(grid.shape[-2], out_h, grid.dtype)
     col_op = _resample_operator(grid.shape[-1], out_w, grid.dtype)
     return ag.matmul(ag.matmul(row_op, grid), col_op.T)

@@ -36,7 +36,7 @@ from typing import Dict
 import numpy as np
 
 from . import autodiff as ag
-from .backbone import MLP_RATIO, block_shapes, seeded_weights, tensor_hash, transformer_block
+from .backbone import MLP_RATIO, block_shapes, seeded_weights, transformer_block
 from .errors import UsageError
 
 VOCABULARY = (
@@ -67,9 +67,6 @@ class FrozenTextEncoder:
     def __post_init__(self):
         for arr in self.weights.values():
             arr.setflags(write=False)
-
-    def hashes(self) -> Dict[str, str]:
-        return {n: tensor_hash(a) for n, a in sorted(self.weights.items())}
 
     def token_embedding(self, word: str) -> np.ndarray:
         if word not in VOCABULARY:

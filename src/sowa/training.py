@@ -16,11 +16,12 @@ which inference runs too, over (B, STAGES, L, C) activations joined along
 the image axis, and every term is a batch mean. The graph's gradients reach
 exactly the trainable set (the adapter's stacked weight and bias and, in
 coop mode, the (2, l, width) prompt contexts); frozen contexts are not
-encoded in it, the cached text features stand in. The dice and focal terms
-are one graph node each, with an analytic gradient for the map; the
-image-level cross-entropy is built from ``autodiff`` primitives. Targets
-take the prediction's dtype, so a float32 model's graph is float32 end to
-end.
+encoded in it, the cached text features stand in. The dice, focal and
+image-level cross-entropy terms are one graph node each, with an analytic
+gradient for the map or the scores. Targets take the prediction's dtype,
+so a float32 model's graph is float32 end to end. A dataset pass runs its
+samples in the near-equal chunks of at most ``chunk_size`` images that
+inference uses (``numerics.near_equal_chunks``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import prompts as prompts_mod
 from .backbone import tensor_hash
 from .config import OptimSection
 from .errors import TrainingError, UsageError, WeightsError
-from .numerics import check_float, check_integer
+from .numerics import check_float, check_integer, near_equal_chunks
 
 PRED_CLAMP = 1e-7
 DICE_EPS = 1.0
@@ -117,7 +118,7 @@ def _grad_focal(g, pred, out, target):
     d *= q ** (FOCAL_GAMMA - 1.0)
     sign *= (2.0 * FOCAL_ALPHA - 1.0) * target + (1.0 - FOCAL_ALPHA)  # times alpha_t
     d *= sign
-    d *= (pred >= PRED_CLAMP) & (pred <= 1.0 - PRED_CLAMP)  # clip's rule
+    d *= (pred >= PRED_CLAMP) & (pred <= 1.0 - PRED_CLAMP)  # zero where the clamp holds
     d *= -g / pred.size
     return d
 
@@ -126,18 +127,33 @@ def focal_loss(pred, target01):
     """Mean of -alpha_t (1 - p_t)^FOCAL_GAMMA log(p_t) over every pixel of the
     batch, alpha_t = FOCAL_ALPHA on abnormal pixels and 1 - FOCAL_ALPHA on
     normal ones, predictions clamped away from {0, 1}. One node, whose
-    gradient is zero where the clamp holds a prediction, as ``ag.clip``'s is."""
+    gradient is zero where the clamp holds a prediction."""
     pred = pred if ag.is_var(pred) else np.asarray(pred)
     return ag._unary(_focal, _grad_focal, pred, _target(pred, target01))
 
 
+def _bce(score, y):
+    s = np.clip(score, PRED_CLAMP, 1.0 - PRED_CLAMP)
+    pos = np.multiply(np.log(s), -y)
+    neg = np.multiply(np.log(np.add(1.0, np.multiply(s, -1.0))), -(1.0 - y))
+    return ag.mean(np.add(pos, neg))
+
+
+def _grad_bce(g, score, out, y):
+    s = np.clip(score, PRED_CLAMP, 1.0 - PRED_CLAMP)
+    d = (s - y) / (s * (1.0 - s))
+    d *= (score >= PRED_CLAMP) & (score <= 1.0 - PRED_CLAMP)  # zero where the clamp holds
+    d *= g / score.size
+    return d
+
+
 def bce_loss(score, label01):
-    """Batch mean of the binary cross-entropy of scores against {0, 1} labels."""
-    s = ag.clip(score, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    y = _target(score, label01)
-    pos = ag.mul(ag.log(s), -y)
-    neg = ag.mul(ag.log(ag.add(1.0, ag.mul(s, -1.0))), -(1.0 - y))
-    return ag.mean(ag.add(pos, neg))
+    """Batch mean of -y log(s) - (1 - y) log(1 - s), the binary cross-entropy
+    of scores against {0, 1} labels, scores clamped away from {0, 1}. One
+    node, of gradient (s - y) / (s (1 - s) B), zero where the clamp holds a
+    score."""
+    score = score if ag.is_var(score) else np.asarray(score)
+    return ag._unary(_bce, _grad_bce, score, _target(score, label01))
 
 
 def composite_loss(map_scores, mask_pm1, score, label_pm1):
@@ -205,19 +221,19 @@ def mean_dataset_loss(model, samples: Sequence, acts: Sequence) -> float:
     activations ``acts``; builds no graph.
 
     The batch formula runs on the parameter arrays and the inference text
-    features (encoded once per parameter state), in chunks of the optimizer
-    batch size so that memory does not grow with the dataset. An empty
-    dataset raises ``UsageError``.
+    features (encoded once per parameter state), in the near-equal chunks of
+    at most ``model.chunk_size`` samples that inference runs
+    (``numerics.near_equal_chunks``), so that memory does not grow with the
+    dataset. An empty dataset raises ``UsageError``.
     """
     if len(samples) == 0:
         raise UsageError("cannot score an empty dataset")
     text = model.text_features()
     projection = (model.adapter.weight.data, model.adapter.bias.data)
-    bs = model.config.optim.batch_size
     total = 0.0
-    for start in range(0, len(samples), bs):
-        chunk = samples[start : start + bs]
-        loss, _ = _batch_loss(model, chunk, acts[start : start + bs], projection, text)
+    for chunk, chunk_acts in zip(near_equal_chunks(samples, model.chunk_size),
+                                 near_equal_chunks(acts, model.chunk_size)):
+        loss, _ = _batch_loss(model, chunk, chunk_acts, projection, text)
         total += float(loss) * len(chunk)
     return total / len(samples)
 

@@ -9,6 +9,7 @@ import pytest
 
 from sowa import autodiff as ag
 from sowa import numerics
+from sowa.backbone import tensor_hash
 from sowa.config import default_config
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
@@ -34,8 +35,12 @@ def tiny_config(seed=7, **overrides):
 
 def fresh_frozen_digest(model) -> str:
     """The digest ``SowaModel.frozen_hash`` stands for, computed afresh from
-    ``frozen_hashes``: SHA-256 over the sorted ``name:tensor_hash`` lines."""
-    joined = "\n".join(f"{n}:{h}" for n, h in sorted(model.frozen_hashes().items()))
+    the weight dicts: SHA-256 over the sorted ``name:tensor_hash`` lines of
+    every ``backbone.*`` and ``text_encoder.*`` tensor and ``cls_proj``."""
+    tensors = {f"backbone.{n}": a for n, a in model.backbone.weights.items()}
+    tensors.update({f"text_encoder.{n}": a for n, a in model.encoder.weights.items()})
+    tensors["cls_proj"] = model.cls_proj
+    joined = "\n".join(f"{n}:{tensor_hash(a)}" for n, a in sorted(tensors.items()))
     return hashlib.sha256(joined.encode()).hexdigest()
 
 

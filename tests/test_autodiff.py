@@ -58,17 +58,6 @@ def test_matmul_rejects_a_vector_var(shapes):
     np.testing.assert_array_equal(ag.matmul(a, b), a @ b)  # plain arrays stay numpy's
 
 
-def test_log():
-    _fd_check(lambda a: ag.sum_(ag.log(ag.add(ag.mul(a, a), 1.0))), [(6,)])
-
-
-def test_clip_gradient_mask():
-    x = ag.Var(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
-    out = ag.sum_(ag.clip(x, 0.0, 1.0))
-    out.backward()
-    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
-
-
 def test_reductions():
     _fd_check(lambda a: ag.sum_(ag.mul(ag.sum_(a, axis=0, keepdims=True), a)), [(3, 4)])
     _fd_check(lambda a: ag.mean(ag.mul(a, a)), [(2, 5)])
@@ -255,19 +244,13 @@ def _read_only(rng, shape, dtype, scale=1.0):
     return arr
 
 
-def _positive(rng, shape, dtype):
-    arr = rng.uniform(0.5, 2.0, size=shape).astype(dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 # return a view of their input, as numpy's reshape and transpose do
 _VIEW_OPS = ("reshape", "transpose")
 
 
 def _every_op(rng, dtype, width):
     """(name, op, inputs) for every primitive and every composite formula;
-    inputs are read-only, and positive where the op needs it."""
+    inputs are read-only."""
     mats = [_read_only(rng, (width, width), dtype, width**-0.5) for _ in range(4)]
 
     def rows(scale=1.0):
@@ -278,15 +261,16 @@ def _every_op(rng, dtype, width):
     probs[0, 0, :3] = 0.0, 1.0, training.PRED_CLAMP
     mask = (rng.uniform(size=probs.shape) < 0.3).astype(dtype)
     mask[1] = 0.0
-    probs.setflags(write=False)
-    mask.setflags(write=False)
+    # scores at and beyond the clamp's edges, against both labels
+    scores = np.array([0.0, 1.0, training.PRED_CLAMP, 0.2, 0.5, 0.9], dtype=dtype)
+    labels = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0], dtype=dtype)
+    for arr in (probs, mask, scores, labels):
+        arr.setflags(write=False)
 
     return [
         ("add", ag.add, [rows(), _read_only(rng, (width,), dtype)]),
         ("mul", ag.mul, [rows(), _read_only(rng, (width,), dtype)]),
         ("matmul", ag.matmul, [rows(), mats[0]]),
-        ("log", ag.log, [_positive(rng, (5, width), dtype)]),
-        ("clip", lambda x: ag.clip(x, -0.5, 0.5), [rows()]),
         ("sum_", lambda x: ag.sum_(x, axis=-1), [rows()]),
         ("mean", lambda x: ag.mean(x, axis=-1), [rows()]),
         ("reshape", lambda x: ag.reshape(x, (width, 5)), [rows()]),
@@ -303,6 +287,7 @@ def _every_op(rng, dtype, width):
          [_read_only(rng, (2, 9, width), dtype)] + mats),
         ("dice_loss", training.dice_loss, [probs, mask]),
         ("focal_loss", training.focal_loss, [probs, mask]),
+        ("bce_loss", training.bce_loss, [scores, labels]),
     ]
 
 
@@ -427,6 +412,39 @@ def test_focal_gradient_at_the_clamp_edges():
     fd = _fd_gradient(f, pred, 5e-8)
     assert np.all(grad[:, :2] == 0.0) and np.all(fd[:, :2] == 0.0)
     np.testing.assert_allclose(grad[:, 4:], fd[:, 4:], rtol=1e-6, atol=1e-9)
+
+
+def test_bce_gradient_matches_central_differences():
+    """Inside the clamp the gradient is (s - y) / (s (1 - s) B), and the loss
+    is the mean cross-entropy; exactly at PRED_CLAMP and 1 - PRED_CLAMP the
+    gradient is the inner side's."""
+    lo, hi = training.PRED_CLAMP, 1.0 - training.PRED_CLAMP
+    score = np.array([lo, hi, lo, hi, 0.3, 0.7, 0.5, 0.9, 0.05, 0.6])
+    label = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+    f = lambda s: training.bce_loss(s, label)
+    want = np.mean(-label * np.log(score) - (1.0 - label) * np.log(1.0 - score))
+    np.testing.assert_allclose(float(f(score)), want, rtol=1e-15)
+    grad = _analytic_gradient(f, score)
+    np.testing.assert_allclose(grad, (score - label) / (score * (1.0 - score)) / len(score),
+                               rtol=1e-15)
+    # one-sided, inwards: a tiny step where log(s) or log(1 - s) is steep,
+    # a longer one where the loss is near flat and a tiny step only rounds
+    edges = [((0,), 1), ((2,), 1), ((1,), -1), ((3,), -1)]
+    np.testing.assert_allclose(grad[:2], _fd_gradient(f, score, 1e-14, edges)[:2], rtol=1e-5)
+    np.testing.assert_allclose(grad[2:4], _fd_gradient(f, score, 1e-9, edges)[2:4], rtol=1e-5)
+    assert abs(grad[0]) > 1e5 and abs(grad[1]) > 1e5  # log(s) at s = PRED_CLAMP
+    np.testing.assert_allclose(grad[4:], _fd_gradient(f, score, 1e-6)[4:], rtol=1e-8)
+
+
+def test_bce_gradient_is_zero_where_the_clamp_holds_a_score():
+    """A score the clamp holds (beyond [PRED_CLAMP, 1 - PRED_CLAMP]) gets a
+    zero gradient, which a step that stays beyond the clamp confirms."""
+    score = np.array([0.0, 1.0, -0.5, 1.5, 1e-9, 1.0 - 1e-9, 0.4])
+    label = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    f = lambda s: training.bce_loss(s, label)
+    grad = _analytic_gradient(f, score)
+    assert np.all(grad[:6] == 0.0) and np.all(_fd_gradient(f, score, 5e-8)[:6] == 0.0)
+    assert grad[6] < 0.0  # a score inside the clamp still moves towards its label
 
 
 def test_python_scalars_lift_to_numpys_result_type():

@@ -6,8 +6,8 @@ import pytest
 from sowa import autodiff as ag
 from sowa import numerics
 from sowa.backbone import (
-    BLOCKS_PER_STAGE, NORM_MEAN, NORM_STD, STAGES, Backbone, BackboneConfig, init_synthetic,
-    tensor_hash,
+    BLOCKS_PER_STAGE, NORM_MEAN, NORM_STD, PIXEL_LIMIT, STAGES, Backbone, BackboneConfig,
+    init_synthetic, tensor_hash,
 )
 from sowa.errors import ConfigError, UsageError
 
@@ -25,14 +25,19 @@ def image(rng_seed=3):
     return rng.uniform(size=(32, 32, 3)).astype(np.float32)
 
 
+def _hashes(backbone):
+    """Every weight's ``tensor_hash``, by name."""
+    return {name: tensor_hash(arr) for name, arr in sorted(backbone.weights.items())}
+
+
 class TestInit:
     def test_same_seed_identical_hashes(self):
         a = init_synthetic(CFG, seed=4)
         b = init_synthetic(CFG, seed=4)
-        assert a.hashes() == b.hashes()
+        assert _hashes(a) == _hashes(b)
 
     def test_different_seeds_differ(self):
-        assert init_synthetic(CFG, seed=4).hashes() != init_synthetic(CFG, seed=5).hashes()
+        assert _hashes(init_synthetic(CFG, seed=4)) != _hashes(init_synthetic(CFG, seed=5))
 
     def test_grid_arithmetic(self):
         cfg = BackboneConfig(image_size=64, patch_size=8)
@@ -115,6 +120,19 @@ class TestForward:
             backbone.forward([])
         with pytest.raises(UsageError, match="stack"):
             backbone.forward([image, image[:16]])
+
+    @pytest.mark.parametrize("value, dtype", [
+        (1e19, np.float32), (3e38, np.float32), (-3e38, np.float32), (1e39, np.float64),
+        (2 * PIXEL_LIMIT, np.float64), (-np.inf, np.float32), (np.nan, np.float32),
+    ])
+    def test_a_pixel_beyond_the_limit_is_refused_without_a_warning(self, backbone, image, value,
+                                                                   dtype):
+        # pytest turns every warning into an error, numpy's overflow ones among them
+        bad = np.stack([image, image]).astype(dtype)
+        bad[1] = value
+        bad[1, 0, 0, 0] = 0.0
+        with pytest.raises(UsageError, match="image 1 contains non-finite values or a magnitude"):
+            backbone.forward(bad)
 
     def test_attention_rows_sum_to_one(self, backbone, image):
         # re-run one attention block by hand on the embedded sequence

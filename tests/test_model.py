@@ -22,6 +22,7 @@ import subprocess
 import sys
 import time
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from sowa import autodiff as ag
 from sowa import fusion, numerics, prompts, training
 from sowa import model as smodel
 from sowa.adapter import project_tokens, window_partition
-from sowa.backbone import STAGES, tensor_hash
+from sowa.backbone import PIXEL_LIMIT, STAGES, tensor_hash
 from sowa.config import PROMPT_KINDS, default_config
 from sowa.errors import ArchiveError, UsageError, WeightsError
 from sowa.model import build_model
@@ -132,6 +133,28 @@ def test_a_stack_with_a_non_finite_image_or_no_image_is_a_usage_error(tiny_model
         tiny_model.predict_batch(images[0])
 
 
+@pytest.mark.parametrize("size, patch", [(64, 8), (224, 14)])
+def test_pixels_at_the_limit_give_finite_outputs(size, patch):
+    """At ``PIXEL_LIMIT`` in each sign, on the patch that maximises one
+    embedding channel tiled over the image (the largest embedded tokens, so
+    the largest layer-norm variance), a prediction is finite and raises no
+    warning (pytest makes every warning an error), and so is a 64 px
+    training step."""
+    model = build_model(default_config(seed=0, backbone={"image_size": size, "patch_size": patch}))
+    weight = model.backbone.weights["patch_embed.weight"]
+    channel = int(np.argmax(np.abs(weight).sum(axis=0)))
+    patch_signs = np.sign(weight[:, channel]).reshape(patch, patch, 3)
+    worst = np.tile(patch_signs, (size // patch, size // patch, 1)) * PIXEL_LIMIT
+    for image in (worst, -worst):
+        pred = model.predict(image)
+        assert np.isfinite(pred.anomaly_map.scores).all() and np.isfinite(pred.image_score)
+        assert np.isfinite(pred.stage_features).all()
+    if size == 64:
+        sample = synth_generate(PatternSpec(kind="mixed", seed=0), 2, image_size=size).samples
+        loss, _, grads = batch_gradients(model, [replace(sample[0], image=worst), sample[1]])
+        assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
+
+
 @pytest.mark.parametrize("call", ["forward", "frozen_forward", "attention", "window_partition"])
 def test_a_bare_single_input_below_the_public_api_is_a_usage_error(tiny_model, tiny_image, call):
     w = tiny_model.backbone.stage_attention_weights()
@@ -152,15 +175,86 @@ def test_the_feature_cache_evicts_the_least_recently_used_image(tiny_corpus, mon
     a, b, c = (s.image[None] for s in tiny_corpus.samples[:3])
     first_b = model.frozen_forward(b, cache_key=1)
     first_a = model.frozen_forward(a, cache_key=0)
+    assert list(model._feature_cache) == [1, 0]
     assert model.frozen_forward(b, cache_key=1) is first_b  # b is now the most recent
+    assert list(model._feature_cache) == [0, 1]
     model.frozen_forward(c, cache_key=2)
-    assert list(model._feature_cache) == [tensor_hash(b), tensor_hash(c)]
+    assert list(model._feature_cache) == [1, 2]  # key 0, the least recently used, left
     again = model.frozen_forward(a, cache_key=0)
     assert again is not first_a  # recomputed, and equal bit for bit
     assert again.image_hash == first_a.image_hash == tensor_hash(a)
     np.testing.assert_array_equal(again.class_token, first_a.class_token)
     np.testing.assert_array_equal(again.adapter_inputs, first_a.adapter_inputs)
-    assert list(model._feature_cache) == [tensor_hash(c), tensor_hash(a)]
+    assert list(model._feature_cache) == [2, 0]
+
+
+class _BackboneCalls:
+    """Counts ``Backbone.forward`` calls, each a feature-cache miss."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        forward = smodel.Backbone.forward
+
+        def counting(backbone, images):
+            self.count += 1
+            return forward(backbone, images)
+
+        monkeypatch.setattr(smodel.Backbone, "forward", counting)
+
+
+def test_a_byte_identical_copy_under_the_same_key_is_a_hit(tiny_corpus, monkeypatch):
+    model = build_model(tiny_config())
+    image = tiny_corpus.samples[0].image[None]
+    calls = _BackboneCalls(monkeypatch)
+    first = model.frozen_forward(image, cache_key="a")
+    assert calls.count == 1 and first.image_hash == tensor_hash(image)
+    copy = np.asfortranarray(image.copy())  # another buffer and layout, the same C-order bytes
+    assert model.frozen_forward(copy, cache_key="a") is first
+    assert model.frozen_forward(list(image), cache_key="a") is first  # a sequence stacks alike
+    assert calls.count == 1
+    assert model.frozen_forward(copy) is not first  # no key: the cache is bypassed
+    assert calls.count == 2
+
+
+def _edit_in_place(image):
+    image[0, 3, 4, 1] += 0.125
+    return image
+
+
+def _same_bytes_as_integers(image):
+    return image.view(np.int32)
+
+
+@pytest.mark.parametrize("change", [_edit_in_place, _same_bytes_as_integers])
+def test_a_cached_image_that_changed_misses_and_is_recomputed(tiny_corpus, monkeypatch, change):
+    model = build_model(tiny_config())
+    image = tiny_corpus.samples[0].image[None].copy()
+    calls = _BackboneCalls(monkeypatch)
+    first = model.frozen_forward(image, cache_key=7)
+    changed = change(image)
+    again = model.frozen_forward(changed, cache_key=7)
+    assert calls.count == 2 and again is not first
+    assert again.image_hash == tensor_hash(changed) != first.image_hash
+    assert list(model._feature_cache) == [7]  # the entry was replaced
+    assert model.frozen_forward(changed, cache_key=7) is again  # and now hits
+    assert calls.count == 2
+    fresh = build_model(tiny_config()).frozen_forward(changed)
+    np.testing.assert_array_equal(again.adapter_inputs, fresh.adapter_inputs)
+    np.testing.assert_array_equal(again.class_token, fresh.class_token)
+
+
+def test_equal_bytes_in_another_shape_miss(tiny_corpus):
+    model = build_model(tiny_config())
+    pair = np.stack([s.image for s in tiny_corpus.samples[:2]])
+    cached = model.frozen_forward(pair, cache_key=3)
+    tall = pair.reshape(1, 2 * pair.shape[1], *pair.shape[2:])  # the same C-order bytes
+    assert tall.tobytes() == pair.tobytes()
+    with pytest.raises(UsageError, match="shape"):  # a hit would have returned ``cached``
+        model.frozen_forward(tall, cache_key=3)
+    assert 3 not in model._feature_cache
+    again = model.frozen_forward(pair, cache_key=3)
+    assert again is not cached
+    np.testing.assert_array_equal(again.adapter_inputs, cached.adapter_inputs)
 
 
 @pytest.mark.parametrize(

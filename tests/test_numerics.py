@@ -239,6 +239,16 @@ class TestBilinearUpsample:
         with pytest.raises(UsageError):
             numerics.bilinear_upsample(np.ones((2, 2)), 0, 4)
 
+    @pytest.mark.parametrize("sizes, name", [
+        ((4.5, 8), "out_h"), ((8, 4.5), "out_w"), ((True, 8), "out_h"), ((8, True), "out_w"),
+        ((np.float64(4.0), 8), "out_h"), ((8, "8"), "out_w"), ((8, None), "out_w"),
+    ])
+    def test_a_size_that_is_not_an_integer_is_a_usage_error(self, sizes, name):
+        with pytest.raises(UsageError, match=f"{name} must be an integer >= 1"):
+            numerics.bilinear_upsample(np.zeros((1, 2, 2)), *sizes)
+        out = numerics.bilinear_upsample(np.zeros((1, 2, 2)), np.int64(3), 5)  # numpy integers pass
+        assert out.shape == (1, 3, 5)
+
 
 class TestPrecisionMode:
     def test_context_manager_switches_dtype(self):

@@ -91,7 +91,7 @@ def test_loss_graph_runs_in_the_model_dtype(tiny_corpus, dtype):
         samples = tiny_corpus.samples[:8]
         loss, _ = training.sample_loss(model, samples, training._features(model, samples))
     nodes = ag._toposort(loss)
-    assert len(nodes) == 56
+    assert len(nodes) == 47
     assert [n for n in nodes if n.dtype != np.dtype(dtype)] == []
 
 
@@ -111,7 +111,7 @@ def test_backward_leaves_every_constant_without_grad(tiny_model, tiny_corpus, mo
     held = [c.cell_contents for n in nodes if n._backward for c in n._backward.__closure__]
     held += [v for parts in held if isinstance(parts, list) for v in parts]  # concat
     constants = [v for v in held if ag.is_var(v) and not v.requires_grad]
-    assert len(constants) > 15  # 18 in this graph
+    assert len(constants) > 10  # 13 in this graph
     assert [v for v in constants if v.grad is not None] == []
 
 
@@ -153,7 +153,7 @@ def test_prompts_encoded_once_per_batch_and_dataset_loss_builds_no_graph(
     assert len(calls) == 1
     acts = training._features(tiny_model, tiny_corpus.samples)
     del calls[:], var_count[:]
-    training.mean_dataset_loss(tiny_model, tiny_corpus.samples, acts)  # 16 samples, 2 chunks
+    training.mean_dataset_loss(tiny_model, tiny_corpus.samples, acts)  # 16 samples, one chunk
     assert len(calls) <= 1
     assert var_count == []
 
@@ -365,23 +365,44 @@ def _own_copies(samples):
 
 @pytest.fixture()
 def dataset_passes(monkeypatch):
-    """Graph-free ``composite_loss`` calls, one per chunk of a dataset pass."""
+    """The image count of each graph-free ``composite_loss`` call, one per
+    chunk of a dataset pass, with ``numerics.CHUNK_TOKENS`` cut to 48 so
+    that the tiny model's ``chunk_size`` (16 tokens an image) is 6 on two
+    workers: 16 samples then run as three chunks, 6/5/5."""
+    monkeypatch.setattr(numerics, "CHUNK_TOKENS", 48)
     calls = []
     composite = training.composite_loss
 
     def counting(map_scores, *args, **kwargs):
         if not ag.is_var(map_scores):
-            calls.append(None)
+            calls.append(len(map_scores))
         return composite(map_scores, *args, **kwargs)
 
     monkeypatch.setattr(training, "composite_loss", counting)
     return calls
 
 
+def _chunks(model, samples) -> list:
+    """The image counts of a dataset pass's chunks: ``near_equal_chunks`` of ``chunk_size``."""
+    return [len(c) for c in numerics.near_equal_chunks(samples, model.chunk_size)]
+
+
+def test_a_dataset_pass_runs_the_chunks_inference_runs(model64, tiny_corpus, dataset_passes):
+    samples = tiny_corpus.samples
+    with numerics.precision("float64"):
+        acts = training._features(model64, samples)
+        loss = training.mean_dataset_loss(model64, samples, acts)
+        singles = [training.mean_dataset_loss(model64, [s], [a]) for s, a in zip(samples, acts)]
+    want = [6, 5, 5] if numerics.WORKERS == 2 else _chunks(model64, samples)
+    assert dataset_passes[:-len(samples)] == want == _chunks(model64, samples)
+    np.testing.assert_allclose(loss, np.mean(singles), rtol=1e-12)
+
+
 def test_continued_epoch_reuses_the_final_loss_without_a_second_pass(tiny_corpus, dataset_passes):
     model = build_model(tiny_config())
     samples = tiny_corpus.samples
-    chunks = -(-len(samples) // model.config.optim.batch_size)
+    chunks = len(_chunks(model, samples))
+    assert chunks > 1
     first, state = training.train_epoch(model, samples, model.config.optim, seed=0)
     assert len(dataset_passes) == 2 * chunks
     fresh = training.mean_dataset_loss(model, samples, training._features(model, samples))
@@ -436,8 +457,7 @@ def test_any_change_since_the_last_epoch_recomputes_the_initial_loss(
         assert fresh != first.final_loss  # the change moves the loss
     del dataset_passes[:]
     second, _ = training.train_epoch(model, samples, model.config.optim, seed=1, state=state)
-    chunks = -(-len(samples) // model.config.optim.batch_size)
-    assert len(dataset_passes) == 2 * chunks
+    assert dataset_passes == 2 * _chunks(model, samples)
     assert second.initial_loss == fresh
 
 
@@ -557,6 +577,9 @@ def test_a_non_finite_image_is_rejected_before_anything_is_cached(tiny_corpus):
     bad.image[3, 5, 1] = np.nan
     with pytest.raises(UsageError, match="non-finite"):
         model.frozen_forward(bad.image[None], cache_key=0)
+    assert model._feature_cache == {}
     with pytest.raises(UsageError, match="non-finite"):
         training.train_epoch(model, [samples[0], bad, *samples[2:]], tiny_config().optim)
-    assert tensor_hash(bad.image[None]) not in model._feature_cache
+    # sample 0 was looked up under key 0; the bad image under key 1 left no entry
+    assert list(model._feature_cache) == [0]
+    assert model._feature_cache[0][1].image_hash == tensor_hash(samples[0].image[None])
