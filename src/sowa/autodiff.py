@@ -8,9 +8,9 @@ there is no elementwise log or clamp. The model's composite formulas
 (softmax, row normalisation, GELU, layer norm and multi-head attention) are
 one node each: one numpy forward for arrays and Vars alike, and one
 analytic gradient rule; ``training`` writes its dice, focal and
-cross-entropy terms the same way. Row sums and means are vector products
-(``einsum`` or a matrix-vector product), not last-axis reductions, which
-run one short loop per row.
+cross-entropy terms the same way. Row normalisation and layer norm take
+their row sums as vector products (``einsum``, a matrix-vector product),
+where a last-axis reduction runs one short loop per row.
 
 The functional helpers (``matmul``, ``softmax_last`` ...) accept either
 ``Var`` or plain ndarray and return the same kind, so model formulas are

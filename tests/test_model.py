@@ -9,8 +9,10 @@ an ``.npz`` file that round-trips bit-exactly and fails on any corruption with
 ``ArchiveError`` or ``WeightsError``. Every frozen and trainable tensor of
 five reference builds is bit-identical to a pinned digest. ``predict_batch``
 gives every image of any stack exactly its own ``predict``, and the feature
-cache evicts its least recently used image. Below the public API every pass
-takes stacks only: a bare single image or token set is a ``UsageError``."""
+cache serves an entry only for its key's image, byte for byte, and evicts
+the least recently used key. Pixels up to ``PIXEL_LIMIT`` give finite
+outputs. Below the public API every pass takes stacks only: a bare single
+image or token set is a ``UsageError``."""
 
 import hashlib
 import io
@@ -216,16 +218,16 @@ def test_a_byte_identical_copy_under_the_same_key_is_a_hit(tiny_corpus, monkeypa
     assert calls.count == 2
 
 
-def _edit_in_place(image):
+def _edit_the_image_in_place(image):
     image[0, 3, 4, 1] += 0.125
     return image
 
 
-def _same_bytes_as_integers(image):
+def _view_its_bytes_as_integers(image):
     return image.view(np.int32)
 
 
-@pytest.mark.parametrize("change", [_edit_in_place, _same_bytes_as_integers])
+@pytest.mark.parametrize("change", [_edit_the_image_in_place, _view_its_bytes_as_integers])
 def test_a_cached_image_that_changed_misses_and_is_recomputed(tiny_corpus, monkeypatch, change):
     model = build_model(tiny_config())
     image = tiny_corpus.samples[0].image[None].copy()

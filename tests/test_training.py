@@ -1,10 +1,11 @@
 """Training contracts: the stacked batch loss and its exact gradients, a
 loss graph in the model's dtype whose backward fills only trainable paths,
-one prompt encoding per batch (none for frozen prompts), a content-keyed
-feature cache, one epoch lowering the loss without touching frozen tensors,
-a continued epoch stepping at the learning rate it is given, bit-identical
-resumption from a checkpoint with its Adam state (and
-``WeightsError`` for Adam state that does not fit), a non-finite image
+one prompt encoding per batch (none for frozen prompts), a feature cache
+that never serves another image, dataset passes in the chunks inference
+runs, one epoch lowering the loss without touching frozen tensors, a
+continued epoch stepping at the learning rate it is given, bit-identical
+resumption from a checkpoint with its Adam state (and ``WeightsError`` for
+Adam state that does not fit), a non-finite image
 rejected before it is cached, and a warm epoch that looks up each sample once
 and reuses the last epoch's final loss only while nothing it read has
 changed."""
