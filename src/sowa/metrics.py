@@ -304,12 +304,14 @@ def evaluate_dataset(
 ) -> MetricsReport:
     """Run a model over labeled samples and compute the four-metric report.
 
-    ``model`` must expose ``predict_batch(images)``, returning for each image
-    an object with ``anomaly_map``, ``image_score``, ``stage_features`` and
-    ``grid``; ``chunk_size``, the number of images per ``predict_batch``
-    call; and a run ``config``. The samples go through ``predict_batch`` in
-    ceil(n / ``chunk_size``) chunks of near-equal size
-    (``numerics.near_equal_chunks``). In few-shot mode each chunk's (STAGES, L, C)
+    ``model`` must expose ``predict_batch(images, cache_keys)``, returning
+    for each image an object with ``anomaly_map``, ``image_score``,
+    ``stage_features`` and ``grid``; ``chunk_size``, the number of images
+    per ``predict_batch`` call; and a run ``config``. The samples go through
+    ``predict_batch`` in ceil(n / ``chunk_size``) chunks of near-equal size
+    (``numerics.near_equal_chunks``), each image keyed by its sample's
+    ``sample_id``, so a repeated evaluation of unchanged images reads the
+    model's feature cache. In few-shot mode each chunk's (STAGES, L, C)
     stage features are stacked into one query, and its maps are blended
     with the memory-bank distance maps with weight ``beta``; the image
     score then comes from the class-token path (``cls``) or the map maximum
@@ -332,7 +334,8 @@ def evaluate_dataset(
 
     maps, scores = [], []
     for chunk_samples in numerics.near_equal_chunks(samples, model.chunk_size):
-        preds = model.predict_batch([s.image for s in chunk_samples])
+        preds = model.predict_batch([s.image for s in chunk_samples],
+                                    [s.sample_id for s in chunk_samples])
         chunk = np.stack([p.anomaly_map.scores for p in preds])
         if mode == "few_shot":
             features = np.stack([p.stage_features for p in preds])

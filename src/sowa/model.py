@@ -10,15 +10,17 @@ The parameters are the adapter projection and the one (2, l, width) tensor
 of prompt contexts, which trains for ``coop`` and is frozen for
 ``template``; every other tensor is created once, marked read-only, and
 covered by ``frozen_hash``, which training reads on both sides of every
-epoch. Its first call keeps a copy of the frozen bytes (about 1.7 MB at
-64 px) that later calls compare against, so a model that only predicts
-carries none. The feature cache, which training reads, works the same way:
-an entry is found by the caller's key and served only when the input's
-bytes equal the copy of its own input that the entry keeps; the image's
-SHA-256 is taken once, when the entry is made. A checkpoint is a numpy
-``.npz`` file of the parameters (``adapter.weight``, ``adapter.bias`` and
-``prompt.contexts``), plus any extra tensors such as the optimizer's
-moments.
+epoch. Its first call keeps a copy of the frozen bytes (about 1.7 MB at 64
+px) that later calls compare against, so a model that only predicts carries
+none. The feature cache works the same way, one entry per image: an entry is
+found by the caller's key for that image and served only when the image's
+bytes equal the copy of its own image that the entry keeps. Training keys
+each sample by its ``sample_id``, and so does ``evaluate_dataset``, through
+``predict_batch``; ``predict`` and ``build_memory_bank`` pass no key and
+bypass the cache. An image's SHA-256 is taken from the entry's copy when
+training first reads it. A checkpoint is a numpy ``.npz`` file of the
+parameters (``adapter.weight``, ``adapter.bias`` and ``prompt.contexts``),
+plus any extra tensors such as the optimizer's moments.
 
 Images run in stacks only. One frozen pass, ``frozen_forward`` (backbone,
 then the windowed attention), takes a (B, S, S, 3) stack, and one scoring
@@ -66,10 +68,12 @@ from .fewshot import MemoryBank, build_memory_bank
 from .fusion import AnomalyMap
 from .prompts import FrozenTextEncoder, build_prompt_contexts, build_text_encoder, encode_prompts
 
-# Most entries the feature cache keeps (LRU by key). An entry holds an
-# image's frozen activations and a copy of its bytes, which a hit is checked
-# against: about 112 KB at 64 px (64 KB of activations) and 845 KB at 224 px
-# (256 KB of them).
+# Most entries the feature cache keeps (LRU by key), one per image. An entry
+# holds an image's frozen activations and a copy of its bytes, which a hit is
+# checked against: about 112 KB at 64 px (64 KB of activations) and 845 KB
+# at 224 px (256 KB of them). Evaluation reads the cache by sample id, so a
+# 72-image 224 px evaluation keeps about 61 MB until its entries are evicted
+# or ``clear_cache`` runs.
 FEATURE_CACHE_LIMIT = 256
 _SEED_OFFSETS = {"encoder": 1000003, "prompts": 2000003, "adapters": 3000003, "cls": 4000003}
 
@@ -77,11 +81,22 @@ _SEED_OFFSETS = {"encoder": 1000003, "prompts": 2000003, "adapters": 3000003, "c
 @dataclass
 class FrozenActivations:
     """Constants of the frozen pass over a stack of B images: adapter inputs
-    + class tokens."""
+    + class tokens. A feature-cache entry is a stack of one that also keeps
+    the (dtype, shape, C-order bytes) ``snapshot`` of its image's stack of one."""
 
     adapter_inputs: np.ndarray  # (B, STAGES, L, C_vis), post-attention for fwa
     class_token: np.ndarray  # (B, C_vis)
-    image_hash: Optional[str] = None  # the input's tensor_hash when cached, else None
+    snapshot: Optional[tuple] = field(default=None, repr=False)
+    _image_hash: Optional[str] = field(default=None, repr=False)
+
+    @property
+    def image_hash(self) -> Optional[str]:
+        """A cache entry's ``tensor_hash`` of its image's stack of one, taken
+        from the snapshot when first read and kept; None for no entry."""
+        if self._image_hash is None and self.snapshot is not None:
+            dtype, shape, data = self.snapshot
+            self._image_hash = tensor_hash(np.frombuffer(data, dtype).reshape(shape))
+        return self._image_hash
 
 
 @dataclass
@@ -104,10 +119,9 @@ class SowaModel:
     adapter: AdapterParams
     prompt_contexts: ag.Var  # (2, l, width): row 0 normal, row 1 abnormal
     cls_proj: np.ndarray
-    # cache key -> ((dtype, shape, C-order bytes) of the input, its activations)
-    _feature_cache: Dict[object, Tuple[tuple, FrozenActivations]] = field(
-        default_factory=dict, repr=False)
-    _text_cache: Optional[Tuple[str, np.ndarray]] = field(default=None, repr=False)
+    # cache key -> one image's activations, with the snapshot of its bytes
+    _feature_cache: Dict[object, FrozenActivations] = field(default_factory=dict, repr=False)
+    _text_cache: Optional[Tuple[tuple, np.ndarray]] = field(default=None, repr=False)
     # (digest, {name: (dtype, shape, C-order bytes)}) of the last frozen_hash
     _frozen_snapshot: Optional[Tuple[str, Dict[str, tuple]]] = field(default=None, repr=False)
 
@@ -159,38 +173,60 @@ class SowaModel:
         (``numerics.near_equal_chunks``), not as full chunks and a remnant."""
         return max(1, numerics.WORKERS * numerics.CHUNK_TOKENS // self.backbone.config.tokens)
 
-    def frozen_forward(self, images, cache_key: Optional[int] = None) -> FrozenActivations:
+    def frozen_forward(self, images, cache_keys: Optional[Sequence] = None) -> FrozenActivations:
         """Backbone + (for fwa) frozen windowed attention, on a (B, S, S, 3)
-        stack of images (see ``Backbone.forward``); cacheable.
+        stack of images (see ``Backbone.forward``); cacheable per image.
 
-        Any non-None ``cache_key`` opts in to the cache, which finds an entry
-        by that key and returns it only when the input's dtype, shape and
-        C-order bytes equal the snapshot the entry keeps of its own input.
-        So a key reused for other bytes, or for an image edited in place,
-        recomputes and replaces its entry, and can never return another
-        image's features. A cached entry carries its input's ``tensor_hash``
-        as its ``image_hash``, computed once, when the entry is made. The
-        cache keeps the ``FEATURE_CACHE_LIMIT`` most recently used entries.
+        ``cache_keys``, one key per image, opts in to the cache; a count that
+        is not the image count raises ``UsageError`` before the cache is
+        touched. An image's entry is found by its key and served only when
+        the dtype, shape and C-order bytes of the image's stack of one equal
+        the snapshot the entry keeps. So a key reused for other bytes, or for
+        an image edited in place, recomputes and replaces its entry, and can
+        never return another image's features. The images that miss run as
+        one stacked pass, and each becomes its own entry; the result joins
+        every image's rows, which are the same bits in any stack. A stack of
+        one returns its entry itself. The cache keeps the
+        ``FEATURE_CACHE_LIMIT`` most recently used entries.
         """
-        if cache_key is not None:
+        if cache_keys is None:
+            return self._frozen_pass(images)
+        keys = list(cache_keys)
+        try:
             images = np.asarray(images)
-            snapshot = (images.dtype, images.shape, images.tobytes())
-            entry = self._feature_cache.pop(cache_key, None)
-            if entry is not None and entry[0] == snapshot:
-                self._feature_cache[cache_key] = entry  # now the most recently used
-                return entry[1]
+        except ValueError as exc:  # a sequence of images of differing shapes
+            raise UsageError(f"images do not stack into one array: {exc}") from exc
+        if images.shape[:1] != (len(keys),):
+            raise UsageError(f"{len(keys)} cache keys for a stack of shape {images.shape}")
+        snapshots = [(images.dtype, image.shape, image.tobytes()) for image in images[:, None]]
+        rows: List[Optional[FrozenActivations]] = [None] * len(keys)
+        for i, (key, snapshot) in enumerate(zip(keys, snapshots)):
+            entry = self._feature_cache.pop(key, None)
+            if entry is not None and entry.snapshot == snapshot:
+                self._feature_cache[key] = rows[i] = entry  # now the most recently used
+        missed = [i for i, row in enumerate(rows) if row is None]
+        if missed:
+            acts = self._frozen_pass(images if len(missed) == len(keys) else images[missed])
+            for at, i in enumerate(missed):  # copies: an entry pins no other image's rows
+                rows[i] = FrozenActivations(acts.adapter_inputs[at:at + 1].copy(),
+                                            acts.class_token[at:at + 1].copy(), snapshots[i])
+                self._feature_cache[keys[i]] = rows[i]
+            while len(self._feature_cache) > FEATURE_CACHE_LIMIT:
+                del self._feature_cache[next(iter(self._feature_cache))]
+        if len(rows) == 1:
+            return rows[0]
+        return FrozenActivations(np.concatenate([r.adapter_inputs for r in rows]),
+                                 np.concatenate([r.class_token for r in rows]))
+
+    def _frozen_pass(self, images) -> FrozenActivations:
+        """The uncached frozen pass of a stack: ``Backbone.forward``, then
+        (for fwa) ``attended_features``."""
         inputs, class_tokens = self.backbone.forward(images)
         if self.config.adapter_kind == "fwa":
             window = (self.config.window, self.config.window)
             inputs = attended_features(inputs, self.backbone.stage_attention_weights(), self.grid,
                                        window, mode=self.config.attention_mode)
-        out = FrozenActivations(inputs, class_tokens)
-        if cache_key is not None:
-            out.image_hash = tensor_hash(images)
-            self._feature_cache[cache_key] = (snapshot, out)
-            if len(self._feature_cache) > FEATURE_CACHE_LIMIT:
-                del self._feature_cache[next(iter(self._feature_cache))]
-        return out
+        return FrozenActivations(inputs, class_tokens)
 
     def clear_cache(self) -> None:
         self._feature_cache.clear()
@@ -212,10 +248,11 @@ class SowaModel:
         """The (2, C_text) text features; row 0 normal, row 1 abnormal.
 
         ``encode_prompts`` on the contexts' array, so no graph is built. The
-        encoding is kept, read-only, keyed on the contents of the contexts:
-        in-place edits and rebinding both re-encode.
+        encoding is kept, read-only, keyed on the contexts' dtype, shape and
+        C-order bytes: in-place edits and rebinding both re-encode.
         """
-        key = tensor_hash(self.prompt_contexts.data)
+        data = self.prompt_contexts.data
+        key = (data.dtype, data.shape, data.tobytes())
         if self._text_cache is None or self._text_cache[0] != key:
             text = encode_prompts(self.prompt_contexts.data, self.encoder)
             text.setflags(write=False)
@@ -242,15 +279,17 @@ class SowaModel:
         return stars, pmap, score
 
     # -------------------------------------------------------------- inference
-    def predict_batch(self, images: Sequence[np.ndarray]) -> List[Prediction]:
+    def predict_batch(self, images: Sequence[np.ndarray],
+                      cache_keys: Optional[Sequence] = None) -> List[Prediction]:
         """``predict`` for every image of a stack, in one stacked pass.
 
         ``images`` is a sequence of (S, S, 3) images or one (B, S, S, 3)
-        array. Each prediction equals ``predict`` on its image alone, bit for
-        bit. Builds no autodiff graph; an empty stack, or one image passed
-        as a bare (S, S, 3) array, raises ``UsageError``.
+        array; ``cache_keys``, one per image, go to ``frozen_forward``. Each
+        prediction equals ``predict`` on its image alone, bit for bit. Builds
+        no autodiff graph; an empty stack, or one image passed as a bare
+        (S, S, 3) array, raises ``UsageError``.
         """
-        acts = self.frozen_forward(images)
+        acts = self.frozen_forward(images, cache_keys)
         projection = (self.adapter.weight.data, self.adapter.bias.data)
         stars, pmap, scores = self.score_batch(
             acts.adapter_inputs, acts.class_token, projection, self.text_features()

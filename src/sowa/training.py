@@ -8,25 +8,26 @@ image-level score against the label, masks and labels remapped from
 ``FOCAL_ALPHA`` and Adam's ``BETA1``, ``BETA2`` and ``EPS``; the learning
 rate and batch size are the run's ``OptimSection``.
 
-Both loss functions take the samples' frozen activations, which their
-caller fetches once: ``sample_loss`` builds one graph per batch on the
-trainable Vars, and ``mean_dataset_loss`` runs the same formula on the
-parameter arrays with no graph. That formula is the model's ``score_batch``,
-which inference runs too, over (B, STAGES, L, C) activations joined along
-the image axis, and every term is a batch mean. The graph's gradients reach
-exactly the trainable set (the adapter's stacked weight and bias and, in
-coop mode, the (2, l, width) prompt contexts); frozen contexts are not
-encoded in it, the cached text features stand in. The dice, focal and
-image-level cross-entropy terms are one graph node each, with an analytic
-gradient for the map or the scores. Targets take the prediction's dtype,
-so a float32 model's graph is float32 end to end. A dataset pass runs its
-samples in the near-equal chunks of at most ``chunk_size`` images that
-inference uses (``numerics.near_equal_chunks``).
+Both loss functions take the samples' frozen activations, which their caller
+fetches once; ``train_epoch`` reads them from the model's feature cache
+under each sample's ``sample_id``, the key ``evaluate_dataset`` uses too, so
+a warm epoch runs no frozen pass. ``sample_loss`` builds one graph per batch
+on the trainable Vars, and ``mean_dataset_loss`` runs the same formula on
+the parameter arrays with no graph. That formula is the model's
+``score_batch``, which inference runs too, over (B, STAGES, L, C)
+activations joined along the image axis, and every term is a batch mean. The
+graph's gradients reach exactly the trainable set (the adapter's stacked
+weight and bias and, in coop mode, the (2, l, width) prompt contexts);
+frozen contexts are not encoded in it, the cached text features stand in.
+The dice, focal and image-level cross-entropy terms are one graph node each,
+with an analytic gradient for the map or the scores. Targets take the
+prediction's dtype, so a float32 model's graph is float32 end to end. A
+dataset pass runs its samples in the near-equal chunks of at most
+``chunk_size`` images that inference uses (``numerics.near_equal_chunks``).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -186,7 +187,8 @@ def _features(model, samples: Sequence, cache_keys=None) -> list:
     only a run's first, cold epoch; warm epochs read the feature cache.
     """
     keys = [None] * len(samples) if cache_keys is None else cache_keys
-    return [model.frozen_forward(s.image[None], cache_key=k) for s, k in zip(samples, keys)]
+    return [model.frozen_forward(s.image[None], None if k is None else [k])
+            for s, k in zip(samples, keys)]
 
 
 def _batch_loss(model, samples: Sequence, acts: Sequence, projection, text):
@@ -250,7 +252,7 @@ def _gradients(params: Dict[str, ag.Var], loss) -> Dict[str, np.ndarray]:
     }
 
 
-def batch_gradients(model, samples: Sequence, cache_keys: Optional[Sequence[int]] = None):
+def batch_gradients(model, samples: Sequence, cache_keys: Optional[Sequence] = None):
     """Mean loss over a batch plus its gradients for every trainable tensor."""
     loss, terms = sample_loss(model, samples, _features(model, samples, cache_keys))
     return float(loss.data), terms, _gradients(model.trainable(), loss)
@@ -329,18 +331,18 @@ class EpochReport:
     param_hashes: Dict[str, str]
 
 
-def _loss_key(model, frozen_hash: str, param_hashes: Dict[str, str], samples_digest: str):
+def _loss_key(model, frozen_hash: str, param_hashes: Dict[str, str], samples_key: tuple):
     """Everything the dataset loss reads: the frozen tensors, every parameter
     (frozen prompt contexts too), the samples and the run config."""
-    return frozen_hash, param_hashes, samples_digest, model.config
+    return frozen_hash, param_hashes, samples_key, model.config
 
 
-def _samples_digest(samples: Sequence, acts: Sequence) -> str:
-    """One digest of every sample's image (its feature-cache key), mask and label."""
-    digest = hashlib.sha256()
-    for sample, act in zip(samples, acts):
-        digest.update(f"{act.image_hash}:{tensor_hash(sample.mask)}:{sample.label!r};".encode())
-    return digest.hexdigest()
+def _samples_key(samples: Sequence, acts: Sequence) -> tuple:
+    """Every sample's image (its feature-cache entry's ``image_hash``), mask
+    (dtype, shape and C-order bytes, compared as bytes) and label."""
+    masks = [np.asarray(s.mask) for s in samples]
+    return tuple((act.image_hash, m.dtype, m.shape, m.tobytes(), repr(s.label))
+                 for s, m, act in zip(samples, masks, acts))
 
 
 def _param_hashes(model) -> Dict[str, str]:
@@ -382,9 +384,9 @@ def train_epoch(
     # read-only flag can be switched off again: compared against the
     # snapshot of the last hash, and hashed afresh where it differs
     frozen_before = model.frozen_hash()
-    acts = _features(model, samples, range(len(samples)))
-    samples_digest = _samples_digest(samples, acts)
-    key = _loss_key(model, frozen_before, _param_hashes(model), samples_digest)
+    acts = _features(model, samples, [s.sample_id for s in samples])
+    samples_key = _samples_key(samples, acts)
+    key = _loss_key(model, frozen_before, _param_hashes(model), samples_key)
     if state.final_loss is not None and state.final_loss_key == key:
         initial = state.final_loss
     else:
@@ -407,7 +409,7 @@ def train_epoch(
     frozen_after = model.frozen_hash()
     param_hashes = _param_hashes(model)
     state.final_loss = final
-    state.final_loss_key = _loss_key(model, frozen_after, param_hashes, samples_digest)
+    state.final_loss_key = _loss_key(model, frozen_after, param_hashes, samples_key)
     report = EpochReport(
         initial_loss=initial,
         final_loss=final,
@@ -465,45 +467,3 @@ def restore_optimizer(state: TrainState, tensors: Dict[str, np.ndarray]) -> Trai
         getattr(state, kind)[name] = arr
     return state
 
-
-def gradient_check(
-    model,
-    samples: Sequence,
-    coords_per_tensor: int = 20,
-    step: float = 1e-5,
-    seed: int = 0,
-) -> Dict[str, float]:
-    """Max relative error of a batch's analytic vs central-difference gradients.
-
-    The analytic side is the backward pass of ``sample_loss``; the
-    differences come from ``mean_dataset_loss``, the same formula run without
-    a graph, on the activations fetched once for both. Meant to run on a
-    model built in float64 mode; float32 rounding is far above useful
-    finite-difference resolution.
-    """
-    check_integer(seed, "seed")
-    check_integer(coords_per_tensor, "coords_per_tensor", 1)
-    check_float(step, "step", 0.0, low_open=True)
-    params = model.trainable()
-    acts = _features(model, samples)
-    analytic = _gradients(params, sample_loss(model, samples, acts)[0])
-
-    rng = np.random.default_rng(seed)
-    errors: Dict[str, float] = {}
-    for name, var in params.items():
-        count = min(coords_per_tensor, var.data.size)
-        coords = rng.choice(var.data.size, size=count, replace=False)
-        worst = 0.0
-        for idx in coords:
-            where = np.unravel_index(idx, var.data.shape)
-            original = var.data[where]
-            var.data[where] = original + step
-            hi = mean_dataset_loss(model, samples, acts)
-            var.data[where] = original - step
-            lo = mean_dataset_loss(model, samples, acts)
-            var.data[where] = original
-            fd = (hi - lo) / (2.0 * step)
-            an = float(analytic[name][where])
-            worst = max(worst, abs(an - fd) / max(1e-8, abs(fd)))
-        errors[name] = worst
-    return errors

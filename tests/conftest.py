@@ -44,6 +44,22 @@ def fresh_frozen_digest(model) -> str:
     return hashlib.sha256(joined.encode()).hexdigest()
 
 
+_SHARED_MODELS = []
+
+
+def shared_model(model):
+    """``model``, which outlives one test: its feature cache is emptied
+    before every test, so no test reads an entry another one made."""
+    _SHARED_MODELS.append(model)
+    return model
+
+
+@pytest.fixture(autouse=True)
+def _empty_feature_caches():
+    for model in _SHARED_MODELS:
+        model.clear_cache()
+
+
 @functools.lru_cache(maxsize=None)
 def batch_case(dtype, adapter_kind, attention_mode):
     """A tiny model of one adapter kind and attention mode, the 16-sample
@@ -51,12 +67,12 @@ def batch_case(dtype, adapter_kind, attention_mode):
     with numerics.precision(dtype):
         model = build_model(tiny_config(adapter_kind=adapter_kind, attention_mode=attention_mode))
         corpus = synth_generate(PatternSpec(kind="mixed", seed=5), 16, image_size=32)
-    return model, corpus, [model.predict(s.image) for s in corpus.samples]
+    return shared_model(model), corpus, [model.predict(s.image) for s in corpus.samples]
 
 
 @pytest.fixture(scope="session")
 def tiny_model():
-    return build_model(tiny_config())
+    return shared_model(build_model(tiny_config()))
 
 
 @pytest.fixture(scope="session")

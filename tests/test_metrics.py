@@ -1,11 +1,13 @@
 """Metrics against scipy and brute-force oracles, their invariances as
 ``hypothesis`` properties, and ``evaluate_dataset`` against the report
 rebuilt from ``predict``, the few-shot map and the blend, image by image,
-whatever chunks it runs the images in."""
+whatever chunks it runs the images in; a repeated evaluation reads the
+feature cache by sample id and recomputes only an image that changed."""
 
 import itertools
 import threading
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,18 +372,109 @@ def test_many_images_run_as_near_equal_chunks_of_two_parts(monkeypatch):
     model = build_model(default_config(seed=0))
     samples = synth_generate(PatternSpec(kind="mixed", seed=0), 72, image_size=64).samples
     monkeypatch.setattr(numerics, "WORKERS", 2)
-    chunks, parts = [], []
+    chunks, keys, parts = [], [], []
     predict_batch, blocks = model.predict_batch, Backbone._blocks
-    monkeypatch.setattr(model, "predict_batch",
-                        lambda images: chunks.append(len(images)) or predict_batch(images))
+
+    def counting(images, cache_keys):
+        chunks.append(len(images))
+        keys.extend(cache_keys)
+        return predict_batch(images, cache_keys)
+
+    monkeypatch.setattr(model, "predict_batch", counting)
     monkeypatch.setattr(Backbone, "_blocks",
                         lambda self, images: parts.append(len(images)) or blocks(self, images))
     metrics.evaluate_dataset(model, samples)
     assert chunks == [15, 15, 14, 14, 14]
+    assert keys == [s.sample_id for s in samples]
     assert sorted(parts) == sorted([8, 7, 8, 7] + [7] * 6)
     parts.clear()
     model.build_memory_bank([s.image for s in samples[:8]])
     assert parts == [8]  # 512 tokens: one part on the calling thread
+
+
+@pytest.fixture()
+def evaluations(monkeypatch):
+    """One record per ``evaluate_dataset`` call: the (B, H, W) pixel maps it
+    scored, and the images of each ``Backbone.forward`` pass it made."""
+    calls = []
+    evaluate_scores, forward = metrics.evaluate_scores, Backbone.forward
+
+    def scoring(scores, labels, maps, masks, **kwargs):
+        calls[-1]["maps"] = np.stack(maps)
+        return evaluate_scores(scores, labels, maps, masks, **kwargs)
+
+    def forwarding(backbone, images):
+        if calls and "report" not in calls[-1]:  # inside an evaluation
+            calls[-1]["passes"].append(np.array(images))
+        return forward(backbone, images)
+
+    def evaluate(model, samples, **kwargs):
+        calls.append({"passes": []})
+        calls[-1]["report"] = metrics.evaluate_dataset(model, samples, **kwargs)
+        return calls[-1]
+
+    monkeypatch.setattr(metrics, "evaluate_scores", scoring)
+    monkeypatch.setattr(Backbone, "forward", forwarding)
+    return evaluate
+
+
+def _same(first, second):
+    """The same report and the same pixel maps, bit for bit."""
+    return (first["report"].metric_items() == second["report"].metric_items()
+            and first["maps"].tobytes() == second["maps"].tobytes())
+
+
+def _own_images(samples):
+    return [replace(s, image=s.image.copy()) for s in samples]
+
+
+@pytest.mark.parametrize("mode", ["zero_shot", "few_shot"])
+def test_a_repeated_evaluation_runs_no_frozen_pass_and_reports_the_same(
+        tiny_corpus, evaluations, monkeypatch, mode):
+    monkeypatch.setattr(numerics, "CHUNK_TOKENS", 48)  # 16 test images in chunks of 6/5/5
+    test = tiny_corpus.split("test")
+    refs = [s.image for s in tiny_corpus.split("train")]
+    bank = build_model(tiny_config()).build_memory_bank(refs)
+    model = build_model(tiny_config())
+    first = evaluations(model, test, mode=mode, bank=bank)
+    assert sum(len(p) for p in first["passes"]) == len(test)
+    second = evaluations(model, test, mode=mode, bank=bank)
+    assert second["passes"] == []
+    fresh = evaluations(build_model(tiny_config()), test, mode=mode, bank=bank)
+    assert _same(second, first) and _same(second, fresh)
+
+
+def test_an_image_edited_between_evaluations_is_the_only_one_recomputed(tiny_corpus, evaluations):
+    test = _own_images(tiny_corpus.split("test"))
+    model = build_model(tiny_config())
+    evaluations(model, test)
+    test[3].image[5, 6, 2] += 0.25
+    again = evaluations(model, test)
+    assert len(again["passes"]) == 1
+    np.testing.assert_array_equal(again["passes"][0], test[3].image[None])
+    assert _same(again, evaluations(build_model(tiny_config()), test))
+
+
+def test_samples_that_share_an_id_in_one_chunk_each_get_their_own_features(
+        tiny_corpus, evaluations):
+    test = tiny_corpus.split("test")
+    shared = [replace(s, sample_id="one id") for s in test]
+    model = build_model(tiny_config())
+    assert len(numerics.near_equal_chunks(shared, model.chunk_size)) == 1
+    want = evaluations(build_model(tiny_config()), test)
+    for _ in range(2):  # cold, then with the id's entry made from the last image
+        assert _same(evaluations(model, shared), want)
+
+
+def test_a_cold_evaluation_hashes_nothing(tiny_corpus, monkeypatch):
+    hashed, hashing = [], smodel.tensor_hash
+    monkeypatch.setattr(smodel, "tensor_hash", lambda a: hashed.append(np.shape(a)) or hashing(a))
+    test = tiny_corpus.split("test")
+    model = build_model(tiny_config())
+    bank = model.build_memory_bank([s.image for s in tiny_corpus.split("train")])
+    metrics.evaluate_dataset(model, test, mode="few_shot", bank=bank)
+    assert len(model._feature_cache) == len(test)
+    assert hashed == []
 
 
 def _brute_force_pro(maps, masks, fpr_limit):

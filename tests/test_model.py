@@ -9,8 +9,9 @@ an ``.npz`` file that round-trips bit-exactly and fails on any corruption with
 ``ArchiveError`` or ``WeightsError``. Every frozen and trainable tensor of
 five reference builds is bit-identical to a pinned digest. ``predict_batch``
 gives every image of any stack exactly its own ``predict``, and the feature
-cache serves an entry only for its key's image, byte for byte, and evicts
-the least recently used key. Pixels up to ``PIXEL_LIMIT`` give finite
+cache keeps one entry per image, serves it only for its key's image, byte
+for byte, runs a stack's misses as one pass, hashes an image only when its
+hash is read, and evicts the least recently used key. Pixels up to ``PIXEL_LIMIT`` give finite
 outputs. Below the public API every pass takes stacks only: a bare single
 image or token set is a ``UsageError``."""
 
@@ -175,14 +176,14 @@ def test_the_feature_cache_evicts_the_least_recently_used_image(tiny_corpus, mon
     monkeypatch.setattr(smodel, "FEATURE_CACHE_LIMIT", 2)
     model = build_model(tiny_config())
     a, b, c = (s.image[None] for s in tiny_corpus.samples[:3])
-    first_b = model.frozen_forward(b, cache_key=1)
-    first_a = model.frozen_forward(a, cache_key=0)
+    first_b = model.frozen_forward(b, cache_keys=[1])
+    first_a = model.frozen_forward(a, cache_keys=[0])
     assert list(model._feature_cache) == [1, 0]
-    assert model.frozen_forward(b, cache_key=1) is first_b  # b is now the most recent
+    assert model.frozen_forward(b, cache_keys=[1]) is first_b  # b is now the most recent
     assert list(model._feature_cache) == [0, 1]
-    model.frozen_forward(c, cache_key=2)
+    model.frozen_forward(c, cache_keys=[2])
     assert list(model._feature_cache) == [1, 2]  # key 0, the least recently used, left
-    again = model.frozen_forward(a, cache_key=0)
+    again = model.frozen_forward(a, cache_keys=[0])
     assert again is not first_a  # recomputed, and equal bit for bit
     assert again.image_hash == first_a.image_hash == tensor_hash(a)
     np.testing.assert_array_equal(again.class_token, first_a.class_token)
@@ -208,11 +209,11 @@ def test_a_byte_identical_copy_under_the_same_key_is_a_hit(tiny_corpus, monkeypa
     model = build_model(tiny_config())
     image = tiny_corpus.samples[0].image[None]
     calls = _BackboneCalls(monkeypatch)
-    first = model.frozen_forward(image, cache_key="a")
+    first = model.frozen_forward(image, cache_keys=["a"])
     assert calls.count == 1 and first.image_hash == tensor_hash(image)
     copy = np.asfortranarray(image.copy())  # another buffer and layout, the same C-order bytes
-    assert model.frozen_forward(copy, cache_key="a") is first
-    assert model.frozen_forward(list(image), cache_key="a") is first  # a sequence stacks alike
+    assert model.frozen_forward(copy, cache_keys=["a"]) is first
+    assert model.frozen_forward(list(image), cache_keys=["a"]) is first  # a sequence stacks alike
     assert calls.count == 1
     assert model.frozen_forward(copy) is not first  # no key: the cache is bypassed
     assert calls.count == 2
@@ -232,13 +233,13 @@ def test_a_cached_image_that_changed_misses_and_is_recomputed(tiny_corpus, monke
     model = build_model(tiny_config())
     image = tiny_corpus.samples[0].image[None].copy()
     calls = _BackboneCalls(monkeypatch)
-    first = model.frozen_forward(image, cache_key=7)
+    first = model.frozen_forward(image, cache_keys=[7])
     changed = change(image)
-    again = model.frozen_forward(changed, cache_key=7)
+    again = model.frozen_forward(changed, cache_keys=[7])
     assert calls.count == 2 and again is not first
     assert again.image_hash == tensor_hash(changed) != first.image_hash
     assert list(model._feature_cache) == [7]  # the entry was replaced
-    assert model.frozen_forward(changed, cache_key=7) is again  # and now hits
+    assert model.frozen_forward(changed, cache_keys=[7]) is again  # and now hits
     assert calls.count == 2
     fresh = build_model(tiny_config()).frozen_forward(changed)
     np.testing.assert_array_equal(again.adapter_inputs, fresh.adapter_inputs)
@@ -247,16 +248,100 @@ def test_a_cached_image_that_changed_misses_and_is_recomputed(tiny_corpus, monke
 
 def test_equal_bytes_in_another_shape_miss(tiny_corpus):
     model = build_model(tiny_config())
-    pair = np.stack([s.image for s in tiny_corpus.samples[:2]])
-    cached = model.frozen_forward(pair, cache_key=3)
-    tall = pair.reshape(1, 2 * pair.shape[1], *pair.shape[2:])  # the same C-order bytes
-    assert tall.tobytes() == pair.tobytes()
+    image = tiny_corpus.samples[0].image[None]
+    cached = model.frozen_forward(image, cache_keys=[3])
+    size = image.shape[1]
+    wide = image.reshape(1, size // 2, 2 * size, 3)  # the same C-order bytes
+    assert wide.tobytes() == image.tobytes()
     with pytest.raises(UsageError, match="shape"):  # a hit would have returned ``cached``
-        model.frozen_forward(tall, cache_key=3)
+        model.frozen_forward(wide, cache_keys=[3])
     assert 3 not in model._feature_cache
-    again = model.frozen_forward(pair, cache_key=3)
+    again = model.frozen_forward(image, cache_keys=[3])
     assert again is not cached
     np.testing.assert_array_equal(again.adapter_inputs, cached.adapter_inputs)
+
+
+def _bits(acts):
+    return acts.adapter_inputs.tobytes(), acts.class_token.tobytes()
+
+
+@pytest.mark.parametrize("adapter_kind", ["fwa", "linear"])
+def test_a_stack_of_hits_and_misses_is_the_uncached_pass_with_one_pass_of_the_misses(
+        tiny_corpus, monkeypatch, adapter_kind):
+    model = build_model(tiny_config(adapter_kind=adapter_kind))
+    stack = np.stack([s.image for s in tiny_corpus.samples[:5]])
+    uncached = _bits(build_model(tiny_config(adapter_kind=adapter_kind)).frozen_forward(stack))
+    model.frozen_forward(stack[[1, 3]], cache_keys=[1, 3])
+    parts = []
+    blocks = smodel.Backbone._blocks
+    monkeypatch.setattr(smodel.Backbone, "_blocks",
+                        lambda self, images: parts.append(images.copy()) or blocks(self, images))
+    joined = model.frozen_forward(stack, cache_keys=range(5))
+    assert len(parts) == 1  # images 0, 2 and 4 in one stacked pass
+    np.testing.assert_array_equal(parts[0], stack[[0, 2, 4]])
+    assert _bits(joined) == uncached
+    assert list(model._feature_cache) == [1, 3, 0, 2, 4]
+    for i in range(5):  # each image is its own entry, a stack of one
+        entry = model._feature_cache[i]
+        assert entry.snapshot == (stack.dtype, (1, *stack.shape[1:]), stack[i].tobytes())
+        assert _bits(entry) == (joined.adapter_inputs[i].tobytes(),
+                                joined.class_token[i].tobytes())
+    assert _bits(model.frozen_forward(stack, cache_keys=range(5))) == _bits(joined)
+    assert len(parts) == 1  # every image a hit
+
+
+def test_a_key_shared_by_two_images_of_a_stack_serves_each_its_own(tiny_corpus):
+    model = build_model(tiny_config())
+    stack = np.stack([s.image for s in tiny_corpus.samples[:3]])
+    want = _bits(model.frozen_forward(stack))
+    for _ in range(2):  # cold, then with the key's entry made from the last image
+        assert _bits(model.frozen_forward(stack, cache_keys=["k", "k", "k"])) == want
+        assert list(model._feature_cache) == ["k"]
+        assert model._feature_cache["k"].snapshot[2] == stack[2].tobytes()
+
+
+def test_a_stacked_insert_over_the_limit_evicts_the_least_recently_used(tiny_corpus, monkeypatch):
+    monkeypatch.setattr(smodel, "FEATURE_CACHE_LIMIT", 3)
+    model = build_model(tiny_config())
+    a, b, c, d = (s.image for s in tiny_corpus.samples[:4])
+    model.frozen_forward([a, b], cache_keys=["a", "b"])
+    hit = model._feature_cache["a"]
+    model.frozen_forward([c, a, d], cache_keys=["c", "a", "d"])
+    # "a" hit and became the most recent; the misses "c" and "d" came after it
+    assert list(model._feature_cache) == ["a", "c", "d"]  # "b", the least recent, left
+    assert model._feature_cache["a"] is hit
+    model.frozen_forward([b, c, d, a], cache_keys=["b", "c", "d", "a"])
+    assert list(model._feature_cache) == ["d", "a", "b"]  # "b" missed and came last; "c" left
+    model.frozen_forward([a, b, c, d], cache_keys=["w", "x", "y", "z"])
+    assert list(model._feature_cache) == ["x", "y", "z"]  # four over the limit left
+
+
+@pytest.mark.parametrize("keys", [[], [0], [0, 1, 2]])
+def test_a_key_count_that_is_not_the_image_count_is_refused_before_the_cache(
+        tiny_corpus, monkeypatch, keys):
+    model = build_model(tiny_config())
+    pair = np.stack([s.image for s in tiny_corpus.samples[:2]])
+    entry = model.frozen_forward(pair[:1], cache_keys=[0])
+    calls = _BackboneCalls(monkeypatch)
+    with pytest.raises(UsageError, match="cache keys"):
+        model.frozen_forward(pair, cache_keys=keys)
+    with pytest.raises(UsageError, match="cache keys"):
+        model.predict_batch(pair, keys)
+    assert calls.count == 0
+    assert list(model._feature_cache) == [0] and model._feature_cache[0] is entry
+
+
+def test_an_entry_hashes_its_image_only_when_its_hash_is_read(tiny_corpus, monkeypatch):
+    model = build_model(tiny_config())
+    image = tiny_corpus.samples[0].image[None]
+    hashed = []
+    monkeypatch.setattr(smodel, "tensor_hash", lambda a: hashed.append(a.shape) or tensor_hash(a))
+    entry = model.frozen_forward(image, cache_keys=[0])
+    model.predict_batch(image, [0])
+    assert hashed == []
+    assert entry.image_hash == entry.image_hash == tensor_hash(image)
+    assert hashed == [image.shape]  # once, and kept
+    assert model.frozen_forward(image).image_hash is None  # no key, no entry
 
 
 @pytest.mark.parametrize(

@@ -25,14 +25,51 @@ from sowa.errors import TrainingError, UsageError, WeightsError
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
 
-from conftest import fresh_frozen_digest, tiny_config
+from conftest import fresh_frozen_digest, shared_model, tiny_config
+
+
+def gradient_check(model, samples, coords_per_tensor=20, step=1e-5, seed=0):
+    """Max relative error of a batch's analytic vs central-difference gradients.
+
+    The analytic side is the backward pass of ``sample_loss``; the
+    differences come from ``mean_dataset_loss``, the same formula run without
+    a graph, on the activations fetched once for both. Meant to run on a
+    model built in float64 mode; float32 rounding is far above useful
+    finite-difference resolution.
+    """
+    numerics.check_integer(seed, "seed")
+    numerics.check_integer(coords_per_tensor, "coords_per_tensor", 1)
+    numerics.check_float(step, "step", 0.0, low_open=True)
+    params = model.trainable()
+    acts = training._features(model, samples)
+    analytic = training._gradients(params, training.sample_loss(model, samples, acts)[0])
+
+    rng = np.random.default_rng(seed)
+    errors = {}
+    for name, var in params.items():
+        count = min(coords_per_tensor, var.data.size)
+        coords = rng.choice(var.data.size, size=count, replace=False)
+        worst = 0.0
+        for idx in coords:
+            where = np.unravel_index(idx, var.data.shape)
+            original = var.data[where]
+            var.data[where] = original + step
+            hi = training.mean_dataset_loss(model, samples, acts)
+            var.data[where] = original - step
+            lo = training.mean_dataset_loss(model, samples, acts)
+            var.data[where] = original
+            fd = (hi - lo) / (2.0 * step)
+            an = float(analytic[name][where])
+            worst = max(worst, abs(an - fd) / max(1e-8, abs(fd)))
+        errors[name] = worst
+    return errors
 
 
 @pytest.fixture(scope="module")
 def model64():
     """The tiny model in float64, where rounding sits far below the tolerances."""
     with numerics.precision("float64"):
-        return build_model(tiny_config())
+        return shared_model(build_model(tiny_config()))
 
 
 def test_float64_gradient_check_through_the_batch(model64, tiny_corpus):
@@ -45,7 +82,7 @@ def test_float64_gradient_check_through_the_batch(model64, tiny_corpus):
         rows = STAGES if name.startswith("adapter.") else 2
         assert set(np.unravel_index(picked, var.shape)[0]) == set(range(rows)), name
     with numerics.precision("float64"):
-        errors = training.gradient_check(model64, tiny_corpus.samples[:3], coords_per_tensor=coords)
+        errors = gradient_check(model64, tiny_corpus.samples[:3], coords_per_tensor=coords)
     assert len(errors) == 3
     assert max(errors.values()) <= 1e-5, errors
 
@@ -56,7 +93,7 @@ def test_float64_gradient_check_through_the_batch(model64, tiny_corpus):
 ])
 def test_a_gradient_check_that_could_not_check_is_a_usage_error(tiny_model, tiny_corpus, kwargs):
     with pytest.raises(UsageError, match=next(iter(kwargs))):
-        training.gradient_check(tiny_model, tiny_corpus.samples[:2], **kwargs)
+        gradient_check(tiny_model, tiny_corpus.samples[:2], **kwargs)
 
 
 def test_batch_equals_mean_of_single_sample_calls(model64, tiny_corpus):
@@ -218,7 +255,7 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_a_usage_error(tiny_corpus,
     with pytest.raises(UsageError, match="seed"):
         training.train_epoch(model, tiny_corpus.samples[:4], model.config.optim, seed=seed)
     with pytest.raises(UsageError, match="seed"):
-        training.gradient_check(model, tiny_corpus.samples[:2], seed=seed)
+        gradient_check(model, tiny_corpus.samples[:2], seed=seed)
     after = model.state_tensors()
     assert all(np.array_equal(after[n], v) for n, v in before.items())
     training.train_epoch(model, tiny_corpus.samples[:4], model.config.optim, seed=np.int64(3))
@@ -481,13 +518,13 @@ def test_warm_epoch_looks_up_each_sample_once(tiny_corpus, monkeypatch):
     looked_up = []
     frozen_forward = smodel.SowaModel.frozen_forward
 
-    def counting(self, images, cache_key=None):
-        looked_up.append(tensor_hash(images))
-        return frozen_forward(self, images, cache_key=cache_key)
+    def counting(self, images, cache_keys=None):
+        looked_up.append((*cache_keys, tensor_hash(images)))
+        return frozen_forward(self, images, cache_keys)
 
     monkeypatch.setattr(smodel.SowaModel, "frozen_forward", counting)
     training.train_epoch(model, samples, model.config.optim, seed=1, state=state)
-    assert sorted(looked_up) == sorted(tensor_hash(s.image[None]) for s in samples)
+    assert sorted(looked_up) == sorted((s.sample_id, tensor_hash(s.image[None])) for s in samples)
 
 
 def _bad_step(tensors):
@@ -577,10 +614,11 @@ def test_a_non_finite_image_is_rejected_before_anything_is_cached(tiny_corpus):
     bad = replace(samples[1], image=samples[1].image.copy())
     bad.image[3, 5, 1] = np.nan
     with pytest.raises(UsageError, match="non-finite"):
-        model.frozen_forward(bad.image[None], cache_key=0)
+        model.frozen_forward(bad.image[None], cache_keys=[0])
     assert model._feature_cache == {}
     with pytest.raises(UsageError, match="non-finite"):
         training.train_epoch(model, [samples[0], bad, *samples[2:]], tiny_config().optim)
-    # sample 0 was looked up under key 0; the bad image under key 1 left no entry
-    assert list(model._feature_cache) == [0]
-    assert model._feature_cache[0][1].image_hash == tensor_hash(samples[0].image[None])
+    # sample 0 was looked up under its sample id; the bad image under its own left no entry
+    assert list(model._feature_cache) == [samples[0].sample_id]
+    entry = model._feature_cache[samples[0].sample_id]
+    assert entry.image_hash == tensor_hash(samples[0].image[None])
