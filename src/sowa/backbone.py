@@ -213,8 +213,15 @@ def transformer_block(x, weights: Dict[str, np.ndarray], idx: int, heads: int):
     return ag.add(x, ag.matmul(h, weights[f"{pre}.mlp.w2"]))
 
 
+def tensor_bytes(arr: np.ndarray) -> Tuple[np.dtype, Tuple[int, ...], bytes]:
+    """dtype, shape and C-order bytes, the content key every cache compares:
+    equal for any memory layout; -0.0 differs from 0.0, a NaN equals itself."""
+    arr = np.asarray(arr)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
 def tensor_hash(arr: np.ndarray) -> str:
-    """SHA-256 of dtype, shape and contents; equal for any memory layout.
+    """SHA-256 of dtype, shape and contents, for reports; any layout alike.
 
     The contiguous buffer is hashed in place, with no copy unless ``arr``
     is a non-contiguous view.

@@ -311,11 +311,12 @@ def evaluate_dataset(
     ``predict_batch`` in ceil(n / ``chunk_size``) chunks of near-equal size
     (``numerics.near_equal_chunks``), each image keyed by its sample's
     ``sample_id``, so a repeated evaluation of unchanged images reads the
-    model's feature cache. In few-shot mode each chunk's (STAGES, L, C)
-    stage features are stacked into one query, and its maps are blended
-    with the memory-bank distance maps with weight ``beta``; the image
-    score then comes from the class-token path (``cls``) or the map maximum
-    (``max_map``). ``beta`` and ``image_score_mode`` default to the run
+    model's feature cache; its entries and the text features hold for the
+    frozen tensors as ``frozen_hash`` last read them. In few-shot mode each
+    chunk's (STAGES, L, C) stage features are stacked into one query, and its
+    maps are blended with the memory-bank distance maps with weight ``beta``;
+    the image score then comes from the class-token path (``cls``) or the map
+    maximum (``max_map``). ``beta`` and ``image_score_mode`` default to the run
     config's ``few_shot_beta`` and ``image_score_mode``.
     """
     if beta is None:

@@ -10,17 +10,19 @@ The parameters are the adapter projection and the one (2, l, width) tensor
 of prompt contexts, which trains for ``coop`` and is frozen for
 ``template``; every other tensor is created once, marked read-only, and
 covered by ``frozen_hash``, which training reads on both sides of every
-epoch. Its first call keeps a copy of the frozen bytes (about 1.7 MB at 64
-px) that later calls compare against, so a model that only predicts carries
-none. The feature cache works the same way, one entry per image: an entry is
-found by the caller's key for that image and served only when the image's
-bytes equal the copy of its own image that the entry keeps. Training keys
-each sample by its ``sample_id``, and so does ``evaluate_dataset``, through
-``predict_batch``; ``predict`` and ``build_memory_bank`` pass no key and
-bypass the cache. An image's SHA-256 is taken from the entry's copy when
-training first reads it. A checkpoint is a numpy ``.npz`` file of the
-parameters (``adapter.weight``, ``adapter.bias`` and ``prompt.contexts``),
-plus any extra tensors such as the optimizer's moments.
+epoch. Every cache compares one content key, ``backbone.tensor_bytes``;
+SHA-256 (``tensor_hash``) is only for the digests a report carries.
+``frozen_hash`` keeps the frozen bytes (about 1.7 MB at 64 px) from its
+first call, so a model that only predicts carries none, and each snapshot
+it keeps empties the feature cache and the text features (``clear_cache``):
+they hold for the frozen tensors as ``frozen_hash`` last read them. A
+feature-cache entry is one image's, found by the caller's key and served
+only when the image's bytes equal the copy the entry keeps. Training and
+``evaluate_dataset`` (through ``predict_batch``) key each sample by its
+``sample_id``; ``predict`` and ``build_memory_bank`` bypass the cache. A
+checkpoint is a numpy ``.npz`` file of the parameters (``adapter.weight``,
+``adapter.bias`` and ``prompt.contexts``), plus any extra tensors such as the
+optimizer's moments.
 
 Images run in stacks only. One frozen pass, ``frozen_forward`` (backbone,
 then the windowed attention), takes a (B, S, S, 3) stack, and one scoring
@@ -61,7 +63,7 @@ from .adapter import (
     new_adapter_params,
     project_tokens,
 )
-from .backbone import Backbone, init_synthetic, seeded_weights, tensor_hash
+from .backbone import Backbone, init_synthetic, seeded_weights, tensor_bytes, tensor_hash
 from .config import RunConfig
 from .errors import ArchiveError, UsageError, WeightsError
 from .fewshot import MemoryBank, build_memory_bank
@@ -82,21 +84,12 @@ _SEED_OFFSETS = {"encoder": 1000003, "prompts": 2000003, "adapters": 3000003, "c
 class FrozenActivations:
     """Constants of the frozen pass over a stack of B images: adapter inputs
     + class tokens. A feature-cache entry is a stack of one that also keeps
-    the (dtype, shape, C-order bytes) ``snapshot`` of its image's stack of one."""
+    its (S, S, 3) image's ``tensor_bytes``, the ``snapshot`` a hit is checked
+    against; other results keep None."""
 
     adapter_inputs: np.ndarray  # (B, STAGES, L, C_vis), post-attention for fwa
     class_token: np.ndarray  # (B, C_vis)
     snapshot: Optional[tuple] = field(default=None, repr=False)
-    _image_hash: Optional[str] = field(default=None, repr=False)
-
-    @property
-    def image_hash(self) -> Optional[str]:
-        """A cache entry's ``tensor_hash`` of its image's stack of one, taken
-        from the snapshot when first read and kept; None for no entry."""
-        if self._image_hash is None and self.snapshot is not None:
-            dtype, shape, data = self.snapshot
-            self._image_hash = tensor_hash(np.frombuffer(data, dtype).reshape(shape))
-        return self._image_hash
 
 
 @dataclass
@@ -122,7 +115,7 @@ class SowaModel:
     # cache key -> one image's activations, with the snapshot of its bytes
     _feature_cache: Dict[object, FrozenActivations] = field(default_factory=dict, repr=False)
     _text_cache: Optional[Tuple[tuple, np.ndarray]] = field(default=None, repr=False)
-    # (digest, {name: (dtype, shape, C-order bytes)}) of the last frozen_hash
+    # (digest, {name: tensor_bytes}) of the last frozen_hash
     _frozen_snapshot: Optional[Tuple[str, Dict[str, tuple]]] = field(default=None, repr=False)
 
     # ---------------------------------------------------------------- frozen
@@ -131,37 +124,34 @@ class SowaModel:
         g = self.backbone.config.grid
         return (g, g)
 
-    def _frozen_tensors(self) -> Dict[str, np.ndarray]:
-        """Every frozen tensor by name: ``backbone.*``, ``text_encoder.*`` and ``cls_proj``."""
+    def frozen_hash(self) -> str:
+        """SHA-256 over the name and ``tensor_hash`` of every frozen tensor:
+        ``backbone.*``, ``text_encoder.*`` and ``cls_proj``.
+
+        The first call keeps a snapshot: the digest, and each tensor's
+        ``tensor_bytes``, which are what it hashes. A later call compares
+        every frozen tensor with the snapshot, stopping at the first that
+        differs; when the names and all tensors match it returns the kept
+        digest, and otherwise hashes afresh and keeps a new snapshot, the
+        digest of the tensors as they are now. Every new snapshot, the first
+        included, calls ``clear_cache``: what was cached before it may have
+        been computed from other frozen tensors.
+        """
         tensors = {f"backbone.{n}": a for n, a in self.backbone.weights.items()}
         tensors.update({f"text_encoder.{n}": a for n, a in self.encoder.weights.items()})
         tensors["cls_proj"] = self.cls_proj
-        return {name: np.asarray(arr) for name, arr in tensors.items()}
-
-    def frozen_hash(self) -> str:
-        """SHA-256 over every frozen tensor's name and ``tensor_hash``.
-
-        The first call keeps a snapshot: the digest, and each tensor's dtype,
-        shape and C-order bytes, which are what it hashes. A later call reads
-        every frozen byte again and compares it, as bytes, with the snapshot
-        (so -0.0 differs from 0.0 and a NaN equals its own bytes), along with
-        the names, dtypes and shapes; when all match it returns the kept
-        digest, and otherwise hashes afresh and keeps a new snapshot. Either
-        way the result is the digest of the tensors as they are now.
-        """
-        tensors = self._frozen_tensors()
         if self._frozen_snapshot is not None:
             digest, kept = self._frozen_snapshot
             if kept.keys() == tensors.keys() and all(
-                    (arr.dtype, arr.shape, arr.tobytes()) == kept[name]
-                    for name, arr in tensors.items()):
+                    tensor_bytes(arr) == kept[name] for name, arr in tensors.items()):
                 return digest
-        kept = {name: (arr.dtype, arr.shape, arr.tobytes()) for name, arr in tensors.items()}
+        kept = {name: tensor_bytes(arr) for name, arr in tensors.items()}
         joined = "\n".join(
             f"{name}:{tensor_hash(np.frombuffer(data, dtype).reshape(shape))}"
             for name, (dtype, shape, data) in sorted(kept.items()))
         digest = hashlib.sha256(joined.encode()).hexdigest()
         self._frozen_snapshot = (digest, kept)
+        self.clear_cache()
         return digest
 
     @property
@@ -180,33 +170,31 @@ class SowaModel:
         ``cache_keys``, one key per image, opts in to the cache; a count that
         is not the image count raises ``UsageError`` before the cache is
         touched. An image's entry is found by its key and served only when
-        the dtype, shape and C-order bytes of the image's stack of one equal
-        the snapshot the entry keeps. So a key reused for other bytes, or for
-        an image edited in place, recomputes and replaces its entry, and can
-        never return another image's features. The images that miss run as
-        one stacked pass, and each becomes its own entry; the result joins
-        every image's rows, which are the same bits in any stack. A stack of
-        one returns its entry itself. The cache keeps the
-        ``FEATURE_CACHE_LIMIT`` most recently used entries.
+        the image's ``tensor_bytes``, taken as given, equal the snapshot the
+        entry keeps. So a key reused for other bytes, or for an image edited
+        in place, recomputes and replaces its entry, and can never return
+        another image's features. Hits stack nothing; the misses run as one
+        stacked pass, and each becomes its own entry. The result joins every
+        image's rows, which are the same bits in any stack; a stack of one
+        returns its entry itself. The cache keeps the ``FEATURE_CACHE_LIMIT``
+        most recently used entries, for the frozen tensors as ``frozen_hash``
+        last read them.
         """
         if cache_keys is None:
             return self._frozen_pass(images)
         keys = list(cache_keys)
-        try:
-            images = np.asarray(images)
-        except ValueError as exc:  # a sequence of images of differing shapes
-            raise UsageError(f"images do not stack into one array: {exc}") from exc
-        if images.shape[:1] != (len(keys),):
-            raise UsageError(f"{len(keys)} cache keys for a stack of shape {images.shape}")
-        snapshots = [(images.dtype, image.shape, image.tobytes()) for image in images[:, None]]
+        if len(images) != len(keys):
+            raise UsageError(f"{len(keys)} cache keys for {len(images)} images")
+        snapshots = [tensor_bytes(image) for image in images]
         rows: List[Optional[FrozenActivations]] = [None] * len(keys)
         for i, (key, snapshot) in enumerate(zip(keys, snapshots)):
             entry = self._feature_cache.pop(key, None)
             if entry is not None and entry.snapshot == snapshot:
                 self._feature_cache[key] = rows[i] = entry  # now the most recently used
         missed = [i for i, row in enumerate(rows) if row is None]
-        if missed:
-            acts = self._frozen_pass(images if len(missed) == len(keys) else images[missed])
+        if missed or not keys:  # an empty stack fails in the pass
+            acts = self._frozen_pass(images if len(missed) == len(keys)
+                                     else [images[i] for i in missed])
             for at, i in enumerate(missed):  # copies: an entry pins no other image's rows
                 rows[i] = FrozenActivations(acts.adapter_inputs[at:at + 1].copy(),
                                             acts.class_token[at:at + 1].copy(), snapshots[i])
@@ -229,7 +217,11 @@ class SowaModel:
         return FrozenActivations(inputs, class_tokens)
 
     def clear_cache(self) -> None:
+        """Empty what was computed from the frozen tensors: the feature cache
+        and the text features. ``frozen_hash`` calls it whenever it keeps a
+        new snapshot."""
         self._feature_cache.clear()
+        self._text_cache = None
 
     # ------------------------------------------------------------- trainable
     def parameters(self) -> Dict[str, ag.Var]:
@@ -248,11 +240,11 @@ class SowaModel:
         """The (2, C_text) text features; row 0 normal, row 1 abnormal.
 
         ``encode_prompts`` on the contexts' array, so no graph is built. The
-        encoding is kept, read-only, keyed on the contexts' dtype, shape and
-        C-order bytes: in-place edits and rebinding both re-encode.
+        encoding is kept, read-only, keyed on the contexts' ``tensor_bytes``:
+        in-place edits and rebinding both re-encode. It holds for the text
+        encoder as ``frozen_hash`` last read it, which empties it on a change.
         """
-        data = self.prompt_contexts.data
-        key = (data.dtype, data.shape, data.tobytes())
+        key = tensor_bytes(self.prompt_contexts.data)
         if self._text_cache is None or self._text_cache[0] != key:
             text = encode_prompts(self.prompt_contexts.data, self.encoder)
             text.setflags(write=False)
@@ -301,7 +293,8 @@ class SowaModel:
 
     def predict(self, image: np.ndarray) -> Prediction:
         """Map, class-token score (unread by ``evaluate_dataset``'s default
-        ``max_map``) and stage features of one image: a stack of one."""
+        ``max_map``) and stage features of one image: a stack of one, scored
+        with text features that hold for the tensors ``frozen_hash`` last read."""
         return self.predict_batch([image])[0]
 
     def build_memory_bank(self, images: Sequence[np.ndarray], ids=None) -> MemoryBank:
@@ -342,7 +335,8 @@ class SowaModel:
         Each parameter keeps its own dtype. A file that cannot be read raises
         ``ArchiveError``; a missing parameter, or one of the wrong shape, not
         floating point or not finite, raises ``WeightsError``. Either way
-        nothing is bound.
+        nothing is bound. The caches are kept: frozen activations read no
+        parameter, and the text features are keyed on the contexts.
         """
         tensors = _read_npz(path)
         params = self.parameters()
@@ -357,7 +351,6 @@ class SowaModel:
                 )
         for name, var in params.items():
             var.data = tensors.pop(name).astype(var.data.dtype)
-        self.clear_cache()
         return tensors
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ag
 from . import prompts as prompts_mod
-from .backbone import tensor_hash
+from .backbone import tensor_bytes, tensor_hash
 from .config import OptimSection
 from .errors import TrainingError, UsageError, WeightsError
 from .numerics import check_float, check_integer, near_equal_chunks
@@ -331,22 +331,18 @@ class EpochReport:
     param_hashes: Dict[str, str]
 
 
-def _loss_key(model, frozen_hash: str, param_hashes: Dict[str, str], samples_key: tuple):
-    """Everything the dataset loss reads: the frozen tensors, every parameter
-    (frozen prompt contexts too), the samples and the run config."""
-    return frozen_hash, param_hashes, samples_key, model.config
+def _loss_key(model, frozen_hash: str, samples_key: tuple):
+    """Everything the dataset loss reads: the frozen tensors' digest, every
+    parameter's ``tensor_bytes`` (frozen contexts too), samples and config."""
+    params = {name: tensor_bytes(var.data) for name, var in model.parameters().items()}
+    return frozen_hash, params, samples_key, model.config
 
 
 def _samples_key(samples: Sequence, acts: Sequence) -> tuple:
-    """Every sample's image (its feature-cache entry's ``image_hash``), mask
-    (dtype, shape and C-order bytes, compared as bytes) and label."""
-    masks = [np.asarray(s.mask) for s in samples]
-    return tuple((act.image_hash, m.dtype, m.shape, m.tobytes(), repr(s.label))
-                 for s, m, act in zip(samples, masks, acts))
-
-
-def _param_hashes(model) -> Dict[str, str]:
-    return {name: tensor_hash(var.data) for name, var in model.parameters().items()}
+    """Each sample's entry ``snapshot`` (the same bytes object while the entry
+    lives: an unchanged image compares by identity), mask and label."""
+    return tuple((act.snapshot, tensor_bytes(s.mask), repr(s.label))
+                 for s, act in zip(samples, acts))
 
 
 def train_epoch(
@@ -381,12 +377,12 @@ def train_epoch(
     ):
         raise UsageError("the train state holds parameters of another model")
     # every frozen byte is read on both sides of every epoch, where a
-    # read-only flag can be switched off again: compared against the
-    # snapshot of the last hash, and hashed afresh where it differs
+    # read-only flag can be switched off again: a change since the last
+    # hash is hashed afresh and empties the model's caches
     frozen_before = model.frozen_hash()
     acts = _features(model, samples, [s.sample_id for s in samples])
     samples_key = _samples_key(samples, acts)
-    key = _loss_key(model, frozen_before, _param_hashes(model), samples_key)
+    key = _loss_key(model, frozen_before, samples_key)
     if state.final_loss is not None and state.final_loss_key == key:
         initial = state.final_loss
     else:
@@ -407,9 +403,10 @@ def train_epoch(
             log_fn({"step": state.step, "loss": loss, **terms})
     final = mean_dataset_loss(model, samples, acts)
     frozen_after = model.frozen_hash()
-    param_hashes = _param_hashes(model)
     state.final_loss = final
-    state.final_loss_key = _loss_key(model, frozen_after, param_hashes, samples_key)
+    # a frozen tensor changed during the epoch: the final loss read both states
+    state.final_loss_key = (_loss_key(model, frozen_after, samples_key)
+                            if frozen_after == frozen_before else None)
     report = EpochReport(
         initial_loss=initial,
         final_loss=final,
@@ -418,7 +415,7 @@ def train_epoch(
         steps=state.step,
         frozen_hash_before=frozen_before,
         frozen_hash_after=frozen_after,
-        param_hashes={name: param_hashes[name] for name in state.params},
+        param_hashes={name: tensor_hash(var.data) for name, var in state.params.items()},
     )
     return report, state
 

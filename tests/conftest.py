@@ -44,6 +44,15 @@ def fresh_frozen_digest(model) -> str:
     return hashlib.sha256(joined.encode()).hexdigest()
 
 
+def edit_frozen(weights, name="blocks.0.mlp.w1"):
+    """Edit the read-only tensor ``weights[name]`` in place, the way a
+    caller that switches its flag off could, and mark it read-only again."""
+    w = weights[name]
+    w.setflags(write=True)
+    w[0, :3] += 0.125
+    w.setflags(write=False)
+
+
 _SHARED_MODELS = []
 
 

@@ -2,7 +2,9 @@
 ``hypothesis`` properties, and ``evaluate_dataset`` against the report
 rebuilt from ``predict``, the few-shot map and the blend, image by image,
 whatever chunks it runs the images in; a repeated evaluation reads the
-feature cache by sample id and recomputes only an image that changed."""
+feature cache by sample id and recomputes only an image that changed, a
+loaded checkpoint keeps that cache, and after a frozen edit read by
+``frozen_hash`` nothing computed before it is read."""
 
 import itertools
 import threading
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage, stats
 
-from sowa import adapter, metrics, numerics
+from sowa import adapter, metrics, numerics, training
 from sowa import model as smodel
 from sowa.backbone import Backbone
 from sowa.config import default_config
@@ -25,7 +27,7 @@ from sowa.fewshot import combine_maps, few_shot_map
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
 
-from conftest import batch_case, tiny_config
+from conftest import batch_case, edit_frozen, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -464,6 +466,46 @@ def test_samples_that_share_an_id_in_one_chunk_each_get_their_own_features(
     want = evaluations(build_model(tiny_config()), test)
     for _ in range(2):  # cold, then with the id's entry made from the last image
         assert _same(evaluations(model, shared), want)
+
+
+def _predicted_bits(model, image):
+    pred = model.predict(image)
+    return (pred.anomaly_map.scores.tobytes(), pred.image_score,
+            pred.stage_features.tobytes())
+
+
+@pytest.mark.parametrize("part", ["backbone", "encoder"])
+def test_after_a_frozen_edit_and_frozen_hash_nothing_computed_before_it_is_read(
+        tiny_corpus, evaluations, part):
+    test = tiny_corpus.split("test")
+    model, edited = build_model(tiny_config()), build_model(tiny_config())
+    model.frozen_hash()
+    before = evaluations(model, test)
+    predicted = _predicted_bits(model, test[0].image)
+    for m in (model, edited):
+        edit_frozen(getattr(m, part).weights)
+    model.frozen_hash()
+    after = evaluations(model, test)
+    assert sum(len(p) for p in after["passes"]) == len(test)  # every image recomputed
+    assert _same(after, evaluations(edited, test)) and not _same(after, before)
+    assert _predicted_bits(model, test[0].image) == _predicted_bits(edited, test[0].image)
+    assert _predicted_bits(model, test[0].image) != predicted
+
+
+def test_a_loaded_checkpoint_keeps_the_feature_cache(tiny_corpus, evaluations, tmp_path):
+    test = tiny_corpus.split("test")
+    trained = build_model(tiny_config())
+    training.train_epoch(trained, tiny_corpus.samples, trained.config.optim)
+    path = tmp_path / "trained.npz"
+    trained.save_checkpoint(path)
+    model = build_model(tiny_config())
+    first = evaluations(model, test)
+    model.load_checkpoint(path)
+    again = evaluations(model, test)
+    assert again["passes"] == []  # frozen activations read no parameter
+    fresh = build_model(tiny_config())
+    fresh.load_checkpoint(path)
+    assert _same(again, evaluations(fresh, test)) and not _same(again, first)
 
 
 def test_a_cold_evaluation_hashes_nothing(tiny_corpus, monkeypatch):

@@ -10,8 +10,9 @@ an ``.npz`` file that round-trips bit-exactly and fails on any corruption with
 five reference builds is bit-identical to a pinned digest. ``predict_batch``
 gives every image of any stack exactly its own ``predict``, and the feature
 cache keeps one entry per image, serves it only for its key's image, byte
-for byte, runs a stack's misses as one pass, hashes an image only when its
-hash is read, and evicts the least recently used key. Pixels up to ``PIXEL_LIMIT`` give finite
+for byte, runs a stack's misses as one pass, and evicts the least recently
+used key; ``frozen_hash`` empties the feature cache and the text features
+whenever it keeps a new snapshot. Pixels up to ``PIXEL_LIMIT`` give finite
 outputs. Below the public API every pass takes stacks only: a bare single
 image or token set is a ``UsageError``."""
 
@@ -37,7 +38,7 @@ from sowa import autodiff as ag
 from sowa import fusion, numerics, prompts, training
 from sowa import model as smodel
 from sowa.adapter import project_tokens, window_partition
-from sowa.backbone import PIXEL_LIMIT, STAGES, tensor_hash
+from sowa.backbone import PIXEL_LIMIT, STAGES, tensor_bytes
 from sowa.config import PROMPT_KINDS, default_config
 from sowa.errors import ArchiveError, UsageError, WeightsError
 from sowa.model import build_model
@@ -130,10 +131,22 @@ def test_a_stack_with_a_non_finite_image_or_no_image_is_a_usage_error(tiny_model
     images[2][5, 7, 1] = np.nan
     with pytest.raises(UsageError, match="image 2 contains non-finite"):
         tiny_model.predict_batch(images)
-    with pytest.raises(UsageError, match="empty"):
-        tiny_model.predict_batch([])
+    with pytest.raises(UsageError, match="image 2 contains non-finite"):
+        tiny_model.predict_batch(images, ["a", "b", "c"])
+    for keys in (None, []):
+        with pytest.raises(UsageError, match="empty"):
+            tiny_model.predict_batch([], keys)
     with pytest.raises(UsageError, match="stack"):
         tiny_model.predict_batch(images[0])
+    with pytest.raises(UsageError, match="stack"):  # one key per row of the bare image
+        tiny_model.predict_batch(images[0], range(len(images[0])))
+    ragged = [images[0], images[1][:-8]]
+    for keys in (None, ["a", "b"]):
+        with pytest.raises(UsageError, match="do not stack"):
+            tiny_model.predict_batch(ragged, keys)
+    tiny_model.predict_batch(ragged[:1], ["a"])
+    with pytest.raises(UsageError, match="expected a stack"):  # a hit, and a miss of its own shape
+        tiny_model.predict_batch(ragged, ["a", "b"])
 
 
 @pytest.mark.parametrize("size, patch", [(64, 8), (224, 14)])
@@ -185,7 +198,7 @@ def test_the_feature_cache_evicts_the_least_recently_used_image(tiny_corpus, mon
     assert list(model._feature_cache) == [1, 2]  # key 0, the least recently used, left
     again = model.frozen_forward(a, cache_keys=[0])
     assert again is not first_a  # recomputed, and equal bit for bit
-    assert again.image_hash == first_a.image_hash == tensor_hash(a)
+    assert again.snapshot == first_a.snapshot == tensor_bytes(a[0])
     np.testing.assert_array_equal(again.class_token, first_a.class_token)
     np.testing.assert_array_equal(again.adapter_inputs, first_a.adapter_inputs)
     assert list(model._feature_cache) == [2, 0]
@@ -210,12 +223,13 @@ def test_a_byte_identical_copy_under_the_same_key_is_a_hit(tiny_corpus, monkeypa
     image = tiny_corpus.samples[0].image[None]
     calls = _BackboneCalls(monkeypatch)
     first = model.frozen_forward(image, cache_keys=["a"])
-    assert calls.count == 1 and first.image_hash == tensor_hash(image)
+    assert calls.count == 1 and first.snapshot == tensor_bytes(image[0])
     copy = np.asfortranarray(image.copy())  # another buffer and layout, the same C-order bytes
     assert model.frozen_forward(copy, cache_keys=["a"]) is first
     assert model.frozen_forward(list(image), cache_keys=["a"]) is first  # a sequence stacks alike
     assert calls.count == 1
-    assert model.frozen_forward(copy) is not first  # no key: the cache is bypassed
+    bypass = model.frozen_forward(copy)  # no key: the cache is bypassed
+    assert bypass is not first and bypass.snapshot is None
     assert calls.count == 2
 
 
@@ -237,7 +251,7 @@ def test_a_cached_image_that_changed_misses_and_is_recomputed(tiny_corpus, monke
     changed = change(image)
     again = model.frozen_forward(changed, cache_keys=[7])
     assert calls.count == 2 and again is not first
-    assert again.image_hash == tensor_hash(changed) != first.image_hash
+    assert again.snapshot == tensor_bytes(changed[0]) != first.snapshot
     assert list(model._feature_cache) == [7]  # the entry was replaced
     assert model.frozen_forward(changed, cache_keys=[7]) is again  # and now hits
     assert calls.count == 2
@@ -283,7 +297,7 @@ def test_a_stack_of_hits_and_misses_is_the_uncached_pass_with_one_pass_of_the_mi
     assert list(model._feature_cache) == [1, 3, 0, 2, 4]
     for i in range(5):  # each image is its own entry, a stack of one
         entry = model._feature_cache[i]
-        assert entry.snapshot == (stack.dtype, (1, *stack.shape[1:]), stack[i].tobytes())
+        assert entry.snapshot == tensor_bytes(stack[i])
         assert _bits(entry) == (joined.adapter_inputs[i].tobytes(),
                                 joined.class_token[i].tobytes())
     assert _bits(model.frozen_forward(stack, cache_keys=range(5))) == _bits(joined)
@@ -329,19 +343,6 @@ def test_a_key_count_that_is_not_the_image_count_is_refused_before_the_cache(
         model.predict_batch(pair, keys)
     assert calls.count == 0
     assert list(model._feature_cache) == [0] and model._feature_cache[0] is entry
-
-
-def test_an_entry_hashes_its_image_only_when_its_hash_is_read(tiny_corpus, monkeypatch):
-    model = build_model(tiny_config())
-    image = tiny_corpus.samples[0].image[None]
-    hashed = []
-    monkeypatch.setattr(smodel, "tensor_hash", lambda a: hashed.append(a.shape) or tensor_hash(a))
-    entry = model.frozen_forward(image, cache_keys=[0])
-    model.predict_batch(image, [0])
-    assert hashed == []
-    assert entry.image_hash == entry.image_hash == tensor_hash(image)
-    assert hashed == [image.shape]  # once, and kept
-    assert model.frozen_forward(image).image_hash is None  # no key, no entry
 
 
 @pytest.mark.parametrize(
@@ -855,15 +856,32 @@ def _remove_a_name(model):
     _edit_in_place, _edit_a_stage_stack, _negate_a_zero, _rebind_an_entry, _replace_cls_proj,
     _reshape_to_the_same_bytes, _view_as_another_dtype, _add_a_name, _remove_a_name,
 ])
-def test_frozen_hash_sees_every_edit_since_its_snapshot(edit):
+def test_frozen_hash_sees_every_edit_since_its_snapshot(tiny_image, edit):
     model = build_model(tiny_config())
     before = model.frozen_hash()
     assert before == fresh_frozen_digest(model)
+    model.frozen_forward(tiny_image[None], cache_keys=[0])
+    model.text_features()
     edit(model)
     after = model.frozen_hash()
     assert after != before
     assert after == fresh_frozen_digest(model)
+    # what was computed from the tensors before the edit is gone
+    assert model._feature_cache == {} and model._text_cache is None
     assert model.frozen_hash() == after  # from the new snapshot
+
+
+def test_the_first_frozen_hash_empties_what_was_cached_before_it(tiny_image):
+    model = build_model(tiny_config())
+    model.frozen_forward(tiny_image[None], cache_keys=[0])
+    model.text_features()
+    digest = model.frozen_hash()  # no snapshot saw the tensors those were made from
+    assert model._feature_cache == {} and model._text_cache is None
+    entry = model.frozen_forward(tiny_image[None], cache_keys=[0])
+    text = model.text_features()
+    assert model.frozen_hash() == digest  # no new snapshot: the caches are kept
+    assert model.frozen_forward(tiny_image[None], cache_keys=[0]) is entry
+    assert model.text_features() is text
 
 
 def test_frozen_hash_of_an_unchanged_model_is_the_same_string():

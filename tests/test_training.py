@@ -8,7 +8,7 @@ resumption from a checkpoint with its Adam state (and ``WeightsError`` for
 Adam state that does not fit), a non-finite image
 rejected before it is cached, and a warm epoch that looks up each sample once
 and reuses the last epoch's final loss only while nothing it read has
-changed."""
+changed, frozen tensors included, and hashes only the parameters it reports."""
 
 from dataclasses import replace
 
@@ -19,13 +19,13 @@ from sowa import autodiff as ag
 from sowa import model as smodel
 from sowa import numerics
 from sowa import prompts, training
-from sowa.backbone import STAGES, tensor_hash
+from sowa.backbone import STAGES, tensor_bytes, tensor_hash
 from sowa.config import default_config
 from sowa.errors import TrainingError, UsageError, WeightsError
 from sowa.model import build_model
 from sowa.synth import PatternSpec, synth_generate
 
-from conftest import fresh_frozen_digest, shared_model, tiny_config
+from conftest import edit_frozen, fresh_frozen_digest, shared_model, tiny_config
 
 
 def gradient_check(model, samples, coords_per_tensor=20, step=1e-5, seed=0):
@@ -479,9 +479,20 @@ def _fresh_state(model, samples, state):
     return samples, training.TrainState(model.trainable())
 
 
+def _edit_backbone_weight(model, samples, state):
+    edit_frozen(model.backbone.weights)
+    return samples, state
+
+
+def _edit_text_encoder_weight(model, samples, state):
+    edit_frozen(model.encoder.weights)
+    return samples, state
+
+
 @pytest.mark.parametrize(
     "change",
-    [_edit_mask, _edit_image, _edit_parameter, _flip_label, _other_samples, _fresh_state],
+    [_edit_mask, _edit_image, _edit_parameter, _flip_label, _other_samples, _fresh_state,
+     _edit_backbone_weight, _edit_text_encoder_weight],
 )
 def test_any_change_since_the_last_epoch_recomputes_the_initial_loss(
     tiny_corpus, dataset_passes, change
@@ -490,6 +501,7 @@ def test_any_change_since_the_last_epoch_recomputes_the_initial_loss(
     samples = _own_copies(tiny_corpus.samples)
     first, state = training.train_epoch(model, samples, model.config.optim, seed=0)
     samples, state = change(model, samples, state)
+    model.frozen_hash()  # a frozen edit empties the text features the oracle reads
     fresh = training.mean_dataset_loss(model, samples, training._features(model, samples))
     if change is not _fresh_state:
         assert fresh != first.final_loss  # the change moves the loss
@@ -497,6 +509,37 @@ def test_any_change_since_the_last_epoch_recomputes_the_initial_loss(
     second, _ = training.train_epoch(model, samples, model.config.optim, seed=1, state=state)
     assert dataset_passes == 2 * _chunks(model, samples)
     assert second.initial_loss == fresh
+
+
+def test_a_frozen_edit_during_an_epoch_keeps_its_final_loss_from_the_next(tiny_corpus):
+    model = build_model(tiny_config())
+    samples = tiny_corpus.samples
+
+    def edit_after_the_first_step(record):
+        if record["step"] == 1:
+            edit_frozen(model.backbone.weights)
+
+    first, state = training.train_epoch(model, samples, model.config.optim,
+                                        log_fn=edit_after_the_first_step)
+    assert first.frozen_hash_before != first.frozen_hash_after
+    fresh = training.mean_dataset_loss(model, samples, training._features(model, samples))
+    assert fresh != first.final_loss  # read activations of the tensors before the edit
+    second, _ = training.train_epoch(model, samples, model.config.optim, seed=1, state=state)
+    assert second.frozen_hash_before == first.frozen_hash_after
+    assert second.initial_loss == fresh
+
+
+def test_a_warm_epoch_hashes_only_the_reported_parameters(tiny_corpus, monkeypatch):
+    model = build_model(tiny_config())
+    _, state = training.train_epoch(model, tiny_corpus.samples, model.config.optim)
+    hashed = []
+    for module in (smodel, training):
+        monkeypatch.setattr(module, "tensor_hash",
+                            lambda a: hashed.append(np.shape(a)) or tensor_hash(a))
+    report, _ = training.train_epoch(model, tiny_corpus.samples, model.config.optim, seed=1,
+                                     state=state)
+    assert len(hashed) == len(report.param_hashes) == 3
+    assert sorted(hashed) == sorted(var.shape for var in state.params.values())
 
 
 def test_frozen_prompt_contexts_are_part_of_the_loss_key(tiny_corpus):
@@ -621,4 +664,4 @@ def test_a_non_finite_image_is_rejected_before_anything_is_cached(tiny_corpus):
     # sample 0 was looked up under its sample id; the bad image under its own left no entry
     assert list(model._feature_cache) == [samples[0].sample_id]
     entry = model._feature_cache[samples[0].sample_id]
-    assert entry.image_hash == tensor_hash(samples[0].image[None])
+    assert entry.snapshot == tensor_bytes(samples[0].image)
